@@ -21,11 +21,11 @@ from .domains import (membership_DT, membership_DTt, p_vector,
                       resolvent_combination, second_basepoint)
 from .evaluation import evaluator_for
 from .measures import (DiscreteMeasure, ExtensionParam, adjacent_zero_sign,
-                       build_measure, stieltjes)
+                       build_measure, stieltjes, support_function)
 from .nevanlinna import (nev, nev_one, partial_quad_arrays,
                          three_point_residual, tilde_relations_residual)
 from .sequences import SeqVector
-from .zeros import RootScanConfig, count_zeros_rect, real_zeros
+from .zeros import RootScanConfig, count_zeros_rect, nevanlinna_line
 
 __all__ = ["CheckResult", "run_acceptance", "CHECK_NAMES"]
 
@@ -56,30 +56,6 @@ def _disk(rng: np.random.Generator, radius: float, n: int) -> np.ndarray:
 def _upper(rng: np.random.Generator, n: int,
            im_lo: float = 0.05, im_hi: float = 3.0) -> np.ndarray:
     return rng.uniform(-3, 3, n) + 1j * rng.uniform(im_lo, im_hi, n)
-
-
-def _pair_zero_scan(config: RunConfig, v: float, kind: str,
-                    window=(-12.0, 12.0)) -> np.ndarray:
-    """Real zeros in u of D(u,v) / A(u,v) / B(u,v) for real v."""
-    ev = evaluator_for(config.problem, config.truncation)
-    L = ev.level
-    tv = ev.table(complex(v))
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        P, Q = ev.tables_batch(xs.astype(complex))
-        if kind == "D":
-            vals = (xs - v) * (tv.p[: L + 1] @ P[: L + 1])
-        elif kind == "A":
-            vals = (xs - v) * (tv.q[: L + 1] @ Q[: L + 1])
-        else:  # B(u, v) = -1 + (u - v) sum p_k(u) q_k(v)
-            vals = -1.0 + (xs - v) * (tv.q[: L + 1] @ P[: L + 1])
-        return np.real(vals)
-
-    cfg = RootScanConfig(window=window, grid_step=None,
-                         refine_tol=config.scan.refine_tol,
-                         zero_tol=config.scan.zero_tol)
-    return real_zeros(f, cfg).zeros
 
 
 # --- criteria ---------------------------------------------------------------
@@ -151,9 +127,8 @@ def _check_pick(config: RunConfig) -> List[CheckResult]:
 
 
 def _measures_for(config: RunConfig) -> Dict[str, DiscreteMeasure]:
-    start = RootScanConfig(window=(-5.0, 5.0), grid_step=None,
-                           refine_tol=config.scan.refine_tol,
-                           zero_tol=config.scan.zero_tol)
+    start = RootScanConfig(window=(-5.0, 5.0),
+                           refine_tol=config.scan.refine_tol)
     out = {}
     for label, t in (("0", ExtensionParam.finite(0.0)),
                      ("1", ExtensionParam.finite(1.0)),
@@ -186,23 +161,12 @@ def _check_supports(config: RunConfig,
                        "min distance between t=0 and t=1 supports")]
 
     ev = evaluator_for(config.problem, config.truncation)
-    L = ev.level
-    t0 = ev.table(0.0)
     rects = [(0.5, 5.5, 0.4, 3.0), (-7.0, -1.0, -2.5, -0.3), (-3.0, 2.0, 1.0, 4.0)]
     worst = 0
     for label, t in (("0", ExtensionParam.finite(0.0)),
                      ("1", ExtensionParam.finite(1.0)),
                      ("inf", ExtensionParam.infinite())):
-        if t.is_infinite:
-            wvec, off = t0.p[: L + 1], 0.0
-        else:
-            wvec, off = t0.q[: L + 1] + t.t * t0.p[: L + 1], -1.0
-
-        def F(zs, wvec=wvec, off=off):
-            zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-            P, _ = ev.tables_batch(zs)
-            return off + zs * (wvec @ P[: L + 1])
-
+        F = support_function(ev, t)
         for rect in rects:
             worst = max(worst, abs(count_zeros_rect(F, rect)))
     out.append(CheckResult("06b_offaxis_zero_counts", worst == 0,
@@ -227,12 +191,16 @@ def _check_stieltjes(config: RunConfig,
 
 def _membership_pairs(config: RunConfig, rng: np.random.Generator,
                       kind: str, count: int = 5):
-    """Root-found (u, v, coefficient) triples for one combination case."""
+    """Root-found (u, v, coefficient) triples for one combination case.
+
+    u runs over the zeros of D, A or B(., v) nearest v in the full zero set.
+    """
     case = {"D": "pp", "A": "qq", "B": "pq"}[kind]
+    ev = evaluator_for(config.problem, config.truncation)
     pairs = []
     vs = rng.uniform(-2.5, 2.5, 16)
     for v in vs:
-        zeros = _pair_zero_scan(config, float(v), kind)
+        zeros = nevanlinna_line(ev, kind, float(v)).nodes()
         zeros = zeros[np.abs(zeros - v) > 1e-6]
         for u in zeros[np.argsort(np.abs(zeros - v))][:2]:
             coef = pair_coefficient(config.problem, complex(u), complex(v),
@@ -293,12 +261,9 @@ def _check_signs(config: RunConfig) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 9)
     min_b, max_c = np.inf, -np.inf
     for v in rng.uniform(-2.0, 2.5, 5):
-        cfgv = RootScanConfig(window=(v - 28.0, v + 1.0), grid_step=None,
-                              refine_tol=config.scan.refine_tol,
-                              zero_tol=config.scan.zero_tol)
-        _, bval = adjacent_zero_sign(config.problem, float(v), cfgv, "D",
+        _, bval = adjacent_zero_sign(config.problem, float(v), "D",
                                      config.truncation)
-        _, cval = adjacent_zero_sign(config.problem, float(v), cfgv, "A",
+        _, cval = adjacent_zero_sign(config.problem, float(v), "A",
                                      config.truncation)
         min_b = min(min_b, bval)
         max_c = max(max_c, cval)
@@ -327,27 +292,14 @@ def _check_extensions(config: RunConfig,
     # second-kind vector: lambda with A + tC = 0 enters D(T_t), and the
     # first-kind vector at that lambda must stay out
     ev = evaluator_for(src, pol)
-    L = ev.level
-    t0 = ev.table(0.0)
-    wvec = t0.q[: L + 1] + 1.0 * t0.p[: L + 1]
-
-    # A(x) + t C(x) = t + x * sum q_k(x) (q_k(0) + t p_k(0)) at t = 1
-    def f_qcase(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        _, Q = ev.tables_batch(xs.astype(complex))
-        return np.real(1.0 + xs * (wvec @ Q[: L + 1]))
-
-    scan = real_zeros(f_qcase, RootScanConfig(window=(-12.0, 12.0)))
-    ok_q = False
-    q_residual = np.inf
-    if len(scan.zeros):
-        lamq = float(scan.zeros[np.argmin(np.abs(scan.zeros - 0.5))])
-        vq = q_vector(src, lamq, pol)
-        vq_in = membership_DTt(src, vq, t1, 1.0j, _MEMBERSHIP_TOL, pol)
-        vp_at_lamq = membership_DTt(src, p_vector(src, lamq, pol), t1, 1.0j,
-                                    _MEMBERSHIP_TOL, pol)
-        ok_q = vq_in.in_domain and not vp_at_lamq.in_domain
-        q_residual = vq_in.residual
+    zeros = t1.combine(nevanlinna_line(ev, "A"), nevanlinna_line(ev, "C")).nodes()
+    lamq = float(zeros[np.argmin(np.abs(zeros - 0.5))])
+    vq = q_vector(src, lamq, pol)
+    vq_in = membership_DTt(src, vq, t1, 1.0j, _MEMBERSHIP_TOL, pol)
+    vp_at_lamq = membership_DTt(src, p_vector(src, lamq, pol), t1, 1.0j,
+                                _MEMBERSHIP_TOL, pol)
+    ok_q = vq_in.in_domain and not vp_at_lamq.in_domain
+    q_residual = vq_in.residual
     out.append(CheckResult(
         "10a_extension_domain_selects_t", ok_p and ok_q,
         max(v_in.residual, q_residual), _MEMBERSHIP_TOL,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -27,7 +28,7 @@ from .measures import (ExtensionParam, build_measure, export_measure_csv,
 from .nevanlinna import nev, nev_one
 from .report import Report, fmt_complex, fmt_float
 from .sequences import SeqVector
-from .zeros import RootScanConfig, count_zeros_rect, real_zeros
+from .zeros import count_zeros_rect, nevanlinna_line
 
 EXIT_OK = 0
 EXIT_CHECK_FAILURE = 1
@@ -111,9 +112,7 @@ def _config_from_args(args) -> RunConfig:
 
     scan = base.scan
     if args.window is not None:
-        scan = RootScanConfig(window=parse_window(args.window),
-                              grid_step=scan.grid_step,
-                              refine_tol=scan.refine_tol, zero_tol=scan.zero_tol)
+        scan = replace(scan, window=parse_window(args.window))
 
     return RunConfig(
         problem=problem, truncation=trunc, scan=scan,
@@ -239,59 +238,33 @@ def _cmd_membership(args, cfg: RunConfig) -> int:
 def _cmd_zeros(args, cfg: RunConfig) -> int:
     from .evaluation import evaluator_for
 
-    pol = cfg.truncation
-    ev = evaluator_for(cfg.problem, pol, cfg.precision, cfg.dps)
+    ev = evaluator_for(cfg.problem, cfg.truncation, cfg.precision, cfg.dps)
     L = ev.level
-    t0 = ev.table(0.0)
-    t = ExtensionParam.parse(args.t) if args.t is not None else None
-
     name = args.function
-    if name == "B":
-        wvec, off, use_q = t0.q[: L + 1], -1.0, False
-    elif name == "D":
-        wvec, off, use_q = t0.p[: L + 1], 0.0, False
-    elif name == "BtD":
-        if t is None:
-            print("error: BtD needs --t", file=sys.stderr)
-            return EXIT_USAGE
-        if t.is_infinite:
-            wvec, off, use_q = t0.p[: L + 1], 0.0, False
-        else:
-            wvec, off, use_q = t0.q[: L + 1] + t.t * t0.p[: L + 1], -1.0, False
-    else:  # AtC
-        if t is None:
-            print("error: AtC needs --t", file=sys.stderr)
-            return EXIT_USAGE
-        if t.is_infinite:
-            wvec, off, use_q = t0.p[: L + 1], 1.0, True   # C(x)
-        else:
-            wvec, off, use_q = t0.q[: L + 1] + t.t * t0.p[: L + 1], t.t, True
-
-    def fr(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        P, Q = ev.tables_batch(xs.astype(complex))
-        tab = Q if use_q else P
-        return np.real(off + xs * (wvec @ tab[: L + 1]))
-
-    def Fc(zs):
-        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        P, Q = ev.tables_batch(zs)
-        tab = Q if use_q else P
-        return off + zs * (wvec @ tab[: L + 1])
+    pair = {"BtD": ("B", "D"), "AtC": ("A", "C")}.get(name)
+    if pair is None:
+        f = nevanlinna_line(ev, name)
+    elif args.t is None:
+        print(f"error: {name} needs --t", file=sys.stderr)
+        return EXIT_USAGE
+    else:
+        t = ExtensionParam.parse(args.t)
+        f = t.combine(*(nevanlinna_line(ev, n) for n in pair))
+        name += f"@{t}"
 
     rep = _new_report("zeros", cfg)
-    rep.add("function", name + (f"@{t}" if t is not None else ""))
+    rep.add("function", name)
     if args.rect:
         parts = args.rect.split(":")
         if len(parts) != 4:
             print("error: --rect needs re_lo:re_hi:im_lo:im_hi", file=sys.stderr)
             return EXIT_USAGE
         rect = tuple(float(p) for p in parts)
-        count = count_zeros_rect(Fc, rect)
+        count = count_zeros_rect(f, rect)
         rep.add("rect", args.rect)
         rep.add("zero_count", count, N=L)
     else:
-        scan = real_zeros(fr, cfg.scan, complex_handle=Fc)
+        scan = f.zeros(cfg.scan)
         rep.add("window", f"{fmt_float(cfg.scan.window[0])}:{fmt_float(cfg.scan.window[1])}")
         rep.add("count", len(scan.zeros), N=L)
         rep.add("suspected_missed", scan.warning)

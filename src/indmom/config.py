@@ -39,9 +39,7 @@ class RunConfig:
             f"tail_tol={self.truncation.tail_tol:.17g}",
             f"safety={self.truncation.safety:.17g}",
             f"window={lo:.17g}:{hi:.17g}",
-            f"grid_step={'auto' if self.scan.grid_step is None else format(self.scan.grid_step, '.17g')}",
             f"refine_tol={self.scan.refine_tol:.17g}",
-            f"zero_tol={self.scan.zero_tol:.17g}",
             f"precision={self.precision}",
             f"seed={self.seed}",
         ]
@@ -121,13 +119,9 @@ def load_config_file(path: str) -> dict:
 
     if cp.has_section("scan"):
         sec = cp["scan"]
-        window = parse_window(sec.get("window", "-40:40"))
-        step = sec.get("grid_step", fallback=None)
         out["scan"] = RootScanConfig(
-            window=window,
-            grid_step=None if step in (None, "", "auto") else float(step),
-            refine_tol=sec.getfloat("refine_tol", 1e-11),
-            zero_tol=sec.getfloat("zero_tol", 1e-8))
+            window=parse_window(sec.get("window", "-40:40")),
+            refine_tol=sec.getfloat("refine_tol", 1e-11))
 
     if cp.has_section("run"):
         sec = cp["run"]

@@ -127,7 +127,8 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
         for n in range(1, upto):
             P[n + 1] = ((zs - b[n]) * P[n] - a[n - 1] * P[n - 1]) / a[n]
             Q[n + 1] = ((zs - b[n]) * Q[n] - a[n - 1] * Q[n - 1]) / a[n]
-        mx = max(np.max(np.abs(P)), np.max(np.abs(Q))) if upto >= 1 else 1.0
+        mx = (max(np.max(np.abs(P)), np.max(np.abs(Q)))
+              if upto >= 1 and npts else 1.0)
     if not np.isfinite(mx) or mx > _OVERFLOW_LIMIT:
         raise EvaluationOverflowError(
             "evaluation overflow; reduce |z| or use higher precision")

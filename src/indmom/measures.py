@@ -21,12 +21,12 @@ from .errors import IndmomError, NonConvergenceError, SupportPointError
 from .evaluation import Evaluator, TruncationPolicy, evaluator_for
 from .nevanlinna import nev, nev_one
 from .sequences import moment
-from .zeros import RootScan, RootScanConfig, real_zeros
+from .zeros import LineFunction, RootScan, RootScanConfig, nevanlinna_line
 
 __all__ = [
     "ExtensionParam", "DiscreteMeasure", "StieltjesResult",
-    "nextremal_support", "t_for_point", "mass_at", "build_measure",
-    "stieltjes", "adjacent_zero_sign", "export_measure_csv",
+    "support_function", "nextremal_support", "t_for_point", "mass_at",
+    "build_measure", "stieltjes", "adjacent_zero_sign", "export_measure_csv",
 ]
 
 
@@ -104,77 +104,18 @@ class StieltjesResult:
     sum_deviation: float
 
 
-def _support_values(ev: Evaluator, t: ExtensionParam):
-    """Vectorized x -> (B + tD)(x) (D(x) for infinite t) at the shared level."""
-    L = ev.level
-    t0 = ev.table(0.0)
-    if t.is_infinite:
-        wvec = t0.p[: L + 1]
-    else:
-        wvec = t0.q[: L + 1] + t.t * t0.p[: L + 1]
-    offset = 0.0 if t.is_infinite else -1.0
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        P, _ = ev.tables_batch(xs.astype(complex))
-        sums = wvec @ P[: L + 1]
-        vals = offset + xs * sums
-        if vals.dtype == object:
-            vals = np.array([float(v.real if hasattr(v, "real") else v)
-                             for v in vals], dtype=float)
-        return np.real(vals)
-
-    return f
-
-
-def _complex_support_handle(ev: Evaluator, t: ExtensionParam):
-    L = ev.level
-    t0 = ev.table(0.0)
-    if t.is_infinite:
-        wvec = t0.p[: L + 1]
-        offset = 0.0
-    else:
-        wvec = t0.q[: L + 1] + t.t * t0.p[: L + 1]
-        offset = -1.0
-
-    def F(zs: np.ndarray) -> np.ndarray:
-        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        P, _ = ev.tables_batch(zs)
-        return offset + zs * (wvec @ P[: L + 1])
-
-    return F
-
-
-def _extended_scalar_fallback(source: JacobiCoefficients,
-                              policy: TruncationPolicy, t: ExtensionParam,
-                              dps: int = 32):
-    """Lazily built mpmath evaluator of x -> (B + tD)(x) for retry bisection."""
-    state = {}
-
-    def fb(x: float) -> float:
-        if "f" not in state:
-            ev = evaluator_for(source, policy, "extended", dps)
-            state["f"] = _support_values(ev, t)
-        return float(state["f"](np.array([x]))[0])
-
-    return fb
+def support_function(ev: Evaluator, t: ExtensionParam) -> LineFunction:
+    """x -> (B + tD)(x) (D(x) for infinite t) at the shared level."""
+    return t.combine(nevanlinna_line(ev, "B"), nevanlinna_line(ev, "D"))
 
 
 def nextremal_support(source: JacobiCoefficients, t: ExtensionParam,
                       cfg: RootScanConfig, policy: TruncationPolicy,
                       precision: str = "standard",
                       verify_count: bool = True) -> RootScan:
-    """Real zeros of B + tD (D for infinity) inside the window.
-
-    Standard-precision scans carry an extended-precision scalar fallback
-    for brackets whose residual check fails (suspected tangencies).
-    """
+    """Real zeros of B + tD (D for infinity) inside the window."""
     ev = evaluator_for(source, policy, precision)
-    f = _support_values(ev, t)
-    handle = _complex_support_handle(ev, t) if verify_count and precision == "standard" else None
-    fallback = (_extended_scalar_fallback(source, policy, t)
-                if precision == "standard" else None)
-    return real_zeros(f, cfg, complex_handle=handle, fallback=fallback)
+    return support_function(ev, t).zeros(cfg, verify_count)
 
 
 def t_for_point(source: JacobiCoefficients, x0: float,
@@ -229,53 +170,46 @@ def build_measure(source: JacobiCoefficients, t: ExtensionParam,
     With ``auto_window`` the window is symmetrized and doubled until the
     outermost annulus holds at least one support point and contributes
     less than ``tail_mass_tol`` in mass and ``tail_moment_tol`` to every
-    tracked moment sum (n <= n_check).  Moment residuals compare the
-    measure's power sums against the Hamburger moments.
+    tracked moment sum (n <= n_check).  The doublings walk the one node
+    set of B + tD and weigh only the nodes of each new annulus; far nodes
+    are never evaluated.  Moment residuals compare the measure's power
+    sums against the Hamburger moments.
     """
     ev = evaluator_for(source, policy, precision)
+    f = support_function(ev, t)
     window = cfg.window
 
     if auto_window:
+        nodes = f.nodes()
         radius = max(abs(window[0]), abs(window[1]), 1.0)
-        prev_pts: Optional[np.ndarray] = None
-        scan = None
-        for _ in range(max_doublings + 1):
-            wcfg = RootScanConfig(window=(-radius, radius), grid_step=cfg.grid_step,
-                                  refine_tol=cfg.refine_tol, zero_tol=cfg.zero_tol)
-            scan = nextremal_support(source, t, wcfg, policy, precision)
-            pts = scan.zeros
-            ms = _masses_batch(ev, pts)
-            if prev_pts is not None:
-                prev_r = radius / 2.0
-                new = np.abs(pts) > prev_r
-                if np.any(new):
-                    ann_mass = float(np.sum(ms[new]))
-                    ann_mom = max(
-                        float(np.abs(np.sum(ms[new] * pts[new] ** n)))
-                        for n in range(n_check + 1))
-                    if ann_mass < tail_mass_tol and ann_mom < tail_moment_tol:
-                        window = (-radius, radius)
-                        break
-            prev_pts = pts
+        inside = np.abs(nodes) <= radius
+        for _ in range(max_doublings):
             radius *= 2.0
+            new = (np.abs(nodes) <= radius) & ~inside
+            inside |= new
+            if np.any(new):
+                pts = nodes[new]
+                ms = _masses_batch(ev, pts)
+                ann_mass = float(np.sum(ms))
+                ann_mom = max(float(np.abs(np.sum(ms * pts ** n)))
+                              for n in range(n_check + 1))
+                if ann_mass < tail_mass_tol and ann_mom < tail_moment_tol:
+                    break
         else:
             raise NonConvergenceError(
                 "window doubling did not settle; raise max_doublings or tolerances")
-        points, masses = pts, ms
-        warning = scan.warning
-    else:
-        scan = nextremal_support(source, t, cfg, policy, precision)
-        points = scan.zeros
-        masses = _masses_batch(ev, points)
-        warning = scan.warning
+        window = (-radius, radius)
 
+    scan = f.zeros(RootScanConfig(window=window, refine_tol=cfg.refine_tol))
+    points = scan.zeros
+    masses = _masses_batch(ev, points)
     captured = float(np.sum(masses))
     residuals = np.array([
         abs(float(np.sum(masses * points ** n)) - moment(source, n))
         for n in range(n_check + 1)])
     return DiscreteMeasure(t=t, points=points, masses=masses, window=window,
                            captured_mass=captured, moment_residuals=residuals,
-                           level=ev.level, scan_warning=warning)
+                           level=ev.level, scan_warning=scan.warning)
 
 
 def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
@@ -323,33 +257,22 @@ def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
                            sum_deviation=float(abs(w_sum - w_param)))
 
 
-def adjacent_zero_sign(source: JacobiCoefficients, v: float,
-                       cfg: RootScanConfig, which: str,
+def adjacent_zero_sign(source: JacobiCoefficients, v: float, which: str,
                        policy: TruncationPolicy) -> Tuple[float, float]:
     """Adjacent zero below v of D(., v) (case "D") or A(., v) (case "A").
 
-    Returns (u, B(u, v)) for the D case and (u, C(u, v)) for the A case;
-    the sign of the returned value is asserted (positive resp. negative).
+    u is the nearest node below v in the full zero set.  Returns
+    (u, B(u, v)) for the D case and (u, C(u, v)) for the A case; the sign
+    of the returned value is asserted (positive resp. negative).
     """
     if which not in ("D", "A"):
         raise ValueError("which must be 'D' (p-pairs) or 'A' (q-pairs)")
     v = float(v)
     ev = evaluator_for(source, policy)
-    L = ev.level
-    tv = ev.table(complex(v))
-    wvec = tv.p[: L + 1] if which == "D" else tv.q[: L + 1]
-
-    def f(xs: np.ndarray) -> np.ndarray:
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        P, Q = ev.tables_batch(xs.astype(complex))
-        tab = P if which == "D" else Q
-        return np.real((xs - v) * (wvec @ tab[: L + 1]))
-
-    scan = real_zeros(f, cfg)
-    zeros = scan.zeros
-    below = zeros[zeros < v - max(10 * cfg.refine_tol, 1e-9 * (1 + abs(v)))]
+    zeros = nevanlinna_line(ev, which, v).nodes()
+    below = zeros[zeros < v]  # v itself is an exact node
     if not len(below):
-        raise IndmomError(f"no zero below v={v} inside window {cfg.window}")
+        raise IndmomError(f"no zero below v={v}")
     u = float(below.max())
     q = nev(source, complex(u), complex(v), policy, evaluator=ev)
     value = float(q.B.real) if which == "D" else float(q.C.real)

@@ -1,14 +1,22 @@
-"""Real zero scans and argument-principle zero counts.
+"""Real zero sets of line functions, and argument-principle zero counts.
 
-``real_zeros`` brackets sign changes of a real-valued function on a grid
-and refines each bracket by bisection to a prescribed width.  The optional
-complex handle enables a missed-zero cross-check: the winding number of
-the function along a thin rectangle around the window must match the
-number of bracketed zeros.
+Every function the package scans on the real line is a *line function* at
+the shared level L::
+
+    f(x) = off + (x - v) * sum_{k<=L} g_k T_k(x),    T = p or q,
+
+with an anchor vector g that solves the three-term recurrence at the real
+point v and ``off`` its matching constant.  That covers A, B, C, D(., v),
+B + tD and A + tC.  By Christoffel-Darboux
+``f(x) = a_L (T_{L+1}(x) g_L - T_L(x) g_{L+1})``, a quasi-orthogonal
+polynomial: its zeros are simple and real, and they are the eigenvalues of
+one Jacobi matrix with a modified corner entry (Golub-Welsch, Math. Comp.
+23, 1969; Golub, SIAM Rev. 15, 1973).
 
 ``count_zeros_rect`` counts zeros (with multiplicity) inside an axis
 rectangle by accumulating phase increments of the function along the
-boundary, refining adaptively until every increment is below pi/2.
+boundary, refining adaptively until every increment is below pi/2.  It is
+the one zero count computed independently of the eigensolve.
 """
 
 from __future__ import annotations
@@ -19,175 +27,176 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import ZeroOnContourError
+from .evaluation import Evaluator
 
-__all__ = ["RootScanConfig", "RootScan", "real_zeros", "count_zeros_rect"]
+__all__ = ["RootScanConfig", "RootScan", "LineFunction", "nevanlinna_line",
+           "count_zeros_rect"]
 
 
 @dataclass(frozen=True)
 class RootScanConfig:
-    """Window, grid and acceptance parameters for real zero scans.
-
-    ``grid_step = None`` asks the scan to bootstrap the step from a coarse
-    pass (half the minimal observed gap between consecutive zeros).
-    """
+    """Window and node tolerance for real zero sets."""
 
     window: Tuple[float, float]
-    grid_step: Optional[float] = None
     refine_tol: float = 1e-11
-    zero_tol: float = 1e-8
 
     def __post_init__(self):
         lo, hi = self.window
         if not lo < hi:
             raise ValueError("window must satisfy lo < hi")
-        if self.grid_step is not None and not self.grid_step > 0:
-            raise ValueError("grid_step must be positive")
-        if not (self.refine_tol > 0 and self.zero_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.refine_tol > 0:
+            raise ValueError("refine_tol must be positive")
 
 
 @dataclass(frozen=True)
 class RootScan:
-    """Scan result: sorted zeros, residuals, and missed-zero diagnostics."""
+    """Sorted zeros in a window and the missed-zero diagnostics."""
 
     zeros: np.ndarray
-    residual_scaled: np.ndarray
     warning: bool
     contour_count: Optional[int]
-    grid_step: float
 
 
-def _bracket_grid(f, lo: float, hi: float, step: float):
-    xs = np.arange(lo, hi + 0.5 * step, step)
-    if xs[-1] < hi:
-        xs = np.append(xs, hi)
-    fs = np.asarray(f(xs), dtype=float)
-    sign_change = fs[:-1] * fs[1:] < 0
-    on_grid = fs == 0.0
-    return xs, fs, sign_change, on_grid
+class LineFunction:
+    """x -> off + (x - v) * sum_{k<=L} g_k T_k(x) at the evaluator's level.
 
-
-def _bisect_scalar(f: Callable[[float], float], lo: float, hi: float,
-                   width: float) -> Optional[float]:
-    """Scalar bisection for the high-precision retry path."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        return None
-    while hi - lo > width:
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if flo * fm < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
-def _bisect_batch(f, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray,
-                  width: float) -> np.ndarray:
-    """Vectorized bisection of many brackets to the target width."""
-    lo = lo.copy()
-    hi = hi.copy()
-    flo = flo.copy()
-    max_iter = int(np.ceil(np.log2(max(np.max(hi - lo) / width, 2.0)))) + 2
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(f(mid), dtype=float)
-        go_left = flo * fm <= 0
-        hi = np.where(go_left, mid, hi)
-        lo = np.where(go_left, lo, mid)
-        flo = np.where(go_left, flo, fm)
-        if np.max(hi - lo) < width:
-            break
-    return 0.5 * (lo + hi)
-
-
-def real_zeros(f: Callable[[np.ndarray], np.ndarray], cfg: RootScanConfig,
-               complex_handle: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-               fallback: Optional[Callable[[float], float]] = None,
-               ) -> RootScan:
-    """Locate the real zeros of a vectorized real-valued function.
-
-    Each returned zero is bracketed by a sign change on the grid and
-    refined by bisection to width ``refine_tol``; zeros are sorted and
-    deduplicated.  When ``complex_handle`` is given, the bracketed count is
-    cross-checked against an argument-principle count over the window
-    strip and a mismatch sets the warning flag.  ``fallback`` is a scalar
-    high-precision evaluator used to re-refine any bracket whose residual
-    check fails (a suspected tangency); if that also fails the warning
-    flag is set.
+    ``kind`` selects the table T, ``"p"`` or ``"q"``.  ``g`` holds
+    g_0..g_{L+1}; it must solve the recurrence at the real point ``v``
+    with ``off`` its Casorati constant, as every function built from
+    :func:`nevanlinna_line` does, or :meth:`nodes` is not its zero set.
+    Sums of such functions and real multiples of one are again such
+    functions, so ``t.combine(B, D)`` is B + tD.
     """
-    lo, hi = cfg.window
-    if cfg.grid_step is not None:
-        step = cfg.grid_step
-    else:
-        coarse = max((hi - lo) / 2048.0, 1e-6)
-        xs, fs, sc, og = _bracket_grid(f, lo, hi, coarse)
-        approx = xs[:-1][sc]
-        if len(approx) >= 2:
-            step = min(coarse, 0.5 * float(np.min(np.diff(approx))))
+
+    def __init__(self, ev: Evaluator, kind: str, g: np.ndarray, off,
+                 v: float = 0.0):
+        if kind not in ("p", "q"):
+            raise ValueError("kind must be 'p' or 'q'")
+        self.ev, self.kind, self.g, self.off, self.v = ev, kind, g, off, float(v)
+
+    def __add__(self, other: "LineFunction") -> "LineFunction":
+        if (other.ev, other.kind, other.v) != (self.ev, self.kind, self.v):
+            raise ValueError("only line functions of one evaluator, kind and v add")
+        return LineFunction(self.ev, self.kind, self.g + other.g,
+                            self.off + other.off, self.v)
+
+    def __rmul__(self, s: float) -> "LineFunction":
+        return LineFunction(self.ev, self.kind, s * self.g, s * self.off, self.v)
+
+    def __call__(self, zs) -> np.ndarray:
+        """Values at real or complex points, at the evaluator's precision."""
+        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+        P, Q = self.ev.tables_batch(zs)
+        L = self.ev.level
+        if self.kind == "p":
+            sums = self.g[: L + 1] @ P[: L + 1]
         else:
-            step = coarse
+            sums = self.g[: L + 1] @ Q[: L + 1]
+        return np.asarray(self.off + (zs - self.v) * sums, dtype=complex)
 
-    xs, fs, sc, og = _bracket_grid(f, lo, hi, step)
-    roots = list(xs[og])
-    scales = [1.0] * len(roots)
-    idx = np.nonzero(sc)[0]
-    if len(idx):
-        refined = _bisect_batch(f, xs[idx], xs[idx + 1], fs[idx], cfg.refine_tol)
-        roots.extend(refined.tolist())
-        scales.extend(np.maximum(np.abs(fs[idx]), np.abs(fs[idx + 1])).tolist())
+    def real(self, xs) -> np.ndarray:
+        return self(np.asarray(xs, dtype=float)).real
 
-    roots = np.asarray(roots, dtype=float)
-    scales = np.asarray(scales, dtype=float)
-    order = np.argsort(roots)
-    roots, scales = roots[order], scales[order]
-    if len(roots):
-        keep = np.concatenate([[True], np.diff(roots) > 2 * cfg.refine_tol])
-        roots, scales = roots[keep], scales[keep]
+    def nodes(self) -> np.ndarray:
+        """All real zeros, ascending, from one eigensolve.
 
-    warning = False
-    if len(roots):
-        resid = np.abs(np.asarray(f(roots), dtype=float)) / np.maximum(scales, 1e-300)
-        bad = resid > cfg.zero_tol
-        if np.any(bad) and fallback is not None:
-            for i in np.nonzero(bad)[0]:
-                refined = _bisect_scalar(fallback, roots[i] - step,
-                                         roots[i] + step, cfg.refine_tol)
-                if refined is not None:
-                    roots[i] = refined
-                    resid[i] = abs(fallback(refined)) / max(scales[i], 1e-300)
-            bad = resid > cfg.zero_tol
-        if np.any(bad):
-            warning = True
-    else:
-        resid = np.zeros(0)
+        P kind: rows 0..L of the Jacobi matrix with last diagonal entry
+        b_L + a_L g_{L+1} / g_L; Q kind: the once-stripped rows 1..L with
+        the same corner.  When g_L = 0 (or the corner overflows) the zeros
+        are those of T_L, and the last row and column are dropped.  With
+        ``off = 0`` the node nearest v is set to v exactly.
+        """
+        ev, g, L = self.ev, self.g, self.ev.level
+        first = 0 if self.kind == "p" else 1
+        diag = np.array(ev.b[first: L + 1], dtype=float)
+        with np.errstate(divide="ignore", over="ignore"):
+            diag[-1] += ev.a[L] * (np.float64(g[L + 1].real) / np.float64(g[L].real))
+        # an infinite corner sends one zero to infinity: drop its row and column
+        n = len(diag) if np.isfinite(diag[-1]) else len(diag) - 1
+        # eigvalsh reads the lower triangle only
+        nodes = np.linalg.eigvalsh(np.diag(diag[:n])
+                                   + np.diag(ev.a[first: first + n - 1], -1))
+        if self.off == 0:  # the factor (x - v) makes v an exact zero
+            nodes[np.argmin(np.abs(nodes - self.v))] = self.v
+        return nodes
 
-    contour_count = None
-    if complex_handle is not None:
-        xlo, xhi = lo, hi
-        pad = 0.25 * step
-        if len(roots) and roots[0] - lo < 0.5 * step:
-            xlo = lo - pad
-        if len(roots) and hi - roots[-1] < 0.5 * step:
-            xhi = hi + pad
-        height = max(1.0, 0.01 * (hi - lo))
-        try:
-            contour_count = count_zeros_rect(
-                complex_handle, (xlo, xhi, -height, height), samples_per_side=256)
-            if contour_count != len(roots):
+    def zeros(self, cfg: RootScanConfig, verify_count: bool = True) -> RootScan:
+        """The nodes inside ``cfg.window``, each verified.
+
+        A node must show a sign change across x +- refine_tol at the
+        evaluator's own precision.  A node that does not is bisected inside
+        the bracket reaching halfway to its neighbours; if that bracket has
+        no sign change either, the warning is set.  With ``verify_count``
+        (standard precision) the node count is cross-checked against the
+        winding number over the window strip, whose sides cross the axis
+        midway between nodes.
+        """
+        nodes = self.nodes()
+        lo, hi = cfg.window
+        inside = (nodes >= lo) & (nodes <= hi)
+        zeros, ok = self._verified(nodes, inside, cfg.refine_tol)
+        warning = not ok
+        contour_count = None
+        if verify_count and self.ev.precision == "standard":
+            reach = 0.5 * (hi - lo)
+            xlo = _crossing(nodes, lo, reach, "left")
+            xhi = _crossing(nodes, hi, reach, "right")
+            height = max(1.0, 0.01 * (hi - lo))
+            try:
+                contour_count = count_zeros_rect(
+                    self, (xlo, xhi, -height, height), samples_per_side=256)
+                warning = warning or contour_count != len(zeros)
+            except ZeroOnContourError:
                 warning = True
-        except ZeroOnContourError:
-            warning = True
+        return RootScan(zeros=zeros, warning=warning, contour_count=contour_count)
 
-    return RootScan(zeros=roots, residual_scaled=resid, warning=warning,
-                    contour_count=contour_count, grid_step=float(step))
+    def _verified(self, nodes: np.ndarray, inside: np.ndarray,
+                  tol: float) -> Tuple[np.ndarray, bool]:
+        xs = nodes[inside]
+        bad = ~(self._sign(xs - tol) * self._sign(xs + tol) <= 0)
+        if not np.any(bad):
+            return xs, True
+        gaps = np.diff(nodes)
+        half = 0.5 * np.minimum(np.append(np.inf, gaps), np.append(gaps, np.inf))
+        x = xs[bad]
+        lo, hi = x - half[inside][bad], x + half[inside][bad]
+        slo = self._sign(lo)
+        bracketed = slo * self._sign(hi) <= 0
+        steps = int(np.ceil(np.log2(max(np.max(hi - lo) / (2 * tol), 1.0))))
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            smid = self._sign(mid)
+            left = slo * smid <= 0
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+            slo = np.where(left, slo, smid)
+        xs[bad] = np.where(bracketed, 0.5 * (lo + hi), x)
+        return xs, bool(np.all(bracketed))
+
+    def _sign(self, xs: np.ndarray) -> np.ndarray:
+        # signs, not products of values: those overflow for large |t|
+        return np.sign(self.real(xs))
+
+
+def _crossing(nodes: np.ndarray, edge: float, reach: float, side: str) -> float:
+    """Midpoint of the node gap holding ``edge``, moved at most ``reach`` away."""
+    i = int(np.searchsorted(nodes, edge, side=side))
+    below = nodes[i - 1] if i > 0 else -np.inf
+    above = nodes[i] if i < len(nodes) else np.inf
+    return float(np.clip(0.5 * (below + above), edge - reach, edge + reach))
+
+
+# name -> (table kind, anchor table at v, offset): the series forms of
+# A(u,v) = (u-v) sum q_k(u) q_k(v), B = -1 + (u-v) sum p_k(u) q_k(v),
+# C = 1 + (u-v) sum q_k(u) p_k(v) and D = (u-v) sum p_k(u) p_k(v)
+_NEVANLINNA = {"A": ("q", "q", 0.0), "B": ("p", "q", -1.0),
+               "C": ("q", "p", 1.0), "D": ("p", "p", 0.0)}
+
+
+def nevanlinna_line(ev: Evaluator, name: str, v: float = 0.0) -> LineFunction:
+    """u -> A, B, C or D(u, v) at the shared level, for real v."""
+    kind, anchor, off = _NEVANLINNA[name]
+    return LineFunction(ev, kind, getattr(ev.table(complex(v)), anchor), off, v)
 
 
 def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],

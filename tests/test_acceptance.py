@@ -8,6 +8,7 @@ PASS/FAIL line per criterion.
 
 import pytest
 
+from indmom import JacobiCoefficients, TruncationPolicy
 from indmom.acceptance import run_acceptance
 from indmom.config import default_config
 
@@ -53,3 +54,23 @@ def test_every_check_is_present(results):
 def test_criterion(results, name):
     r = results[name]
     assert r.passed, r.line()
+
+
+ZERO_SET_CHECKS = ["measures", "supports", "stieltjes", "membership", "signs",
+                   "extensions"]
+
+
+@pytest.mark.parametrize("case", ["c=3", "n_max=301", "alternating_b"])
+def test_zero_set_checks_beyond_the_preset(case, tmp_path):
+    if case == "c=3":
+        config = default_config(problem=JacobiCoefficients.power_law(3.0))
+    elif case == "n_max=301":
+        config = default_config(truncation=TruncationPolicy(n_max=301))
+    else:
+        path = tmp_path / "alternating.txt"
+        path.write_text("".join(f"{(n + 1) ** 2} {0.3 * (-1) ** n!r}\n"
+                                for n in range(600)))
+        config = default_config(problem=JacobiCoefficients.from_file(str(path)))
+    failed = [r.line() for r in run_acceptance(config, only=ZERO_SET_CHECKS)
+              if not r.passed]
+    assert not failed

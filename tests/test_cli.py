@@ -1,3 +1,5 @@
+import pytest
+
 from indmom.cli import main
 
 
@@ -87,6 +89,14 @@ class TestZeros:
              "--rect", "0.5:5.5:0.4:3.0"], capsys)
         assert code == 0
         assert "zero_count = 0" in out
+
+    @pytest.mark.parametrize("name", ["B", "D"])
+    def test_t_free_function_label_carries_no_t(self, name, capsys):
+        code, out, _ = run_cli(
+            ["--window", "-6:6", "--nmax", "200", "--t", "1", "zeros", name],
+            capsys)
+        assert code == 0
+        assert f"function = {name}\n" in out
 
     def test_missing_t_is_usage_error(self, capsys):
         code, _, _ = run_cli(["--nmax", "200", "zeros", "BtD"], capsys)

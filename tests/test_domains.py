@@ -3,7 +3,7 @@ import pytest
 
 from indmom import (ExtensionParam, RootScanConfig, SeqVector,
                     build_measure, extension_generator, membership_DT,
-                    membership_DTt, nev, nev_one,
+                    membership_DTt, nev, nev_one, nevanlinna_line,
                     p_vector, pair_coefficient, q_vector, residues,
                     resolvent_combination, s_r_coefficients, xi_apply)
 from indmom.domains import second_basepoint
@@ -25,19 +25,8 @@ def measure_t1(src, pol):
 def d_pair(src, pol):
     """Root-found (u, v) with D(u, v) = 0 and the coefficient B(u, v)."""
     v = 1.3
-    cfg = RootScanConfig(window=(-26.0, 26.0))
-    ev = evaluator_for(src, pol)
-    L = ev.level
-    tv = ev.table(complex(v))
-
-    def f(xs):
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        P, _ = ev.tables_batch(xs.astype(complex))
-        return np.real((xs - v) * (tv.p[: L + 1] @ P[: L + 1]))
-
-    from indmom import real_zeros
-    scan = real_zeros(f, cfg)
-    cands = scan.zeros[np.abs(scan.zeros - v) > 1e-6]
+    zeros = nevanlinna_line(evaluator_for(src, pol), "D", v).nodes()
+    cands = zeros[np.abs(zeros - v) > 1e-6]
     u = float(cands[np.argmin(np.abs(cands - v))])
     alpha = pair_coefficient(src, u, v, pol, "pp", tol=1e-6)
     assert alpha is not None
@@ -189,18 +178,8 @@ class TestPairCoefficient:
     def test_pq_case_value(self, src, pol):
         # find a real zero u of B(., v): then gamma = -D(u, v)
         v = 0.8
-        ev = evaluator_for(src, pol)
-        L = ev.level
-        tv = ev.table(complex(v))
-
-        def f(xs):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            P, _ = ev.tables_batch(xs.astype(complex))
-            return np.real(-1.0 + (xs - v) * (tv.q[: L + 1] @ P[: L + 1]))
-
-        from indmom import real_zeros
-        scan = real_zeros(f, RootScanConfig(window=(-15.0, 15.0)))
-        u = float(scan.zeros[np.argmin(np.abs(scan.zeros - v))])
+        zeros = nevanlinna_line(evaluator_for(src, pol), "B", v).nodes()
+        u = float(zeros[np.argmin(np.abs(zeros - v))])
         gamma = pair_coefficient(src, u, v, pol, "pq", tol=1e-6)
         assert gamma is not None
         vec = SeqVector(p_vector(src, u, pol).entries
@@ -222,17 +201,8 @@ class TestMembershipDTt:
     def test_q_enters_where_a_plus_tc_vanishes(self, src, pol):
         # A(x) + C(x) = 1 + x sum q_k(x) (q_k(0) + p_k(0)) at t = 1
         ev = evaluator_for(src, pol)
-        L = ev.level
-        t0 = ev.table(0.0)
-        wvec = t0.q[: L + 1] + t0.p[: L + 1]
-
-        def f(xs):
-            xs = np.atleast_1d(np.asarray(xs, dtype=float))
-            _, Q = ev.tables_batch(xs.astype(complex))
-            return np.real(1.0 + xs * (wvec @ Q[: L + 1]))
-
-        from indmom import real_zeros
-        lam = float(real_zeros(f, RootScanConfig(window=(-10.0, 10.0))).zeros[0])
+        f = nevanlinna_line(ev, "A") + nevanlinna_line(ev, "C")
+        lam = float(f.zeros(RootScanConfig(window=(-10.0, 10.0))).zeros[0])
         t1 = ExtensionParam.finite(1.0)
         assert membership_DTt(src, q_vector(src, lam, pol), t1, Z0, TOL,
                               pol).in_domain

@@ -1,17 +1,16 @@
-import math
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
 from indmom import (DiscreteMeasure, ExtensionParam, RootScanConfig,
                     TruncationPolicy, adjacent_zero_sign, build_measure,
                     count_zeros_rect, export_measure_csv, mass_at, moment,
-                    nev, nextremal_support, real_zeros, stieltjes,
-                    t_for_point)
+                    nev, nevanlinna_line, nextremal_support, stieltjes,
+                    support_function, t_for_point)
 from indmom.errors import SupportPointError, ZeroOnContourError
 from indmom.evaluation import evaluator_for
-from indmom.measures import _complex_support_handle
 
 
 @pytest.fixture(scope="module")
@@ -29,13 +28,6 @@ def measure_inf(src, pol):
 
 
 class TestRealZeros:
-    def test_cosine_zeros(self):
-        cfg = RootScanConfig(window=(0.0, 10.0), grid_step=0.25)
-        scan = real_zeros(np.cos, cfg)
-        expected = np.array([0.5, 1.5, 2.5]) * math.pi
-        assert len(scan.zeros) == 3
-        assert np.max(np.abs(scan.zeros - expected)) < 1e-10
-
     def test_d_vanishes_at_origin(self, src, pol):
         cfg = RootScanConfig(window=(-2.0, 2.0))
         scan = nextremal_support(src, ExtensionParam.infinite(), cfg, pol)
@@ -46,25 +38,9 @@ class TestRealZeros:
         z = nextremal_support(src, ExtensionParam.infinite(), cfg, pol).zeros
         assert np.max(np.abs(np.sort(z) + np.sort(-z)[::-1])) < 1e-9
 
-    def test_coarse_grid_miss_sets_warning(self):
-        # zeros at +-0.1 straddled by one coarse cell with equal signs;
-        # the winding count over the strip reports the two missed zeros
-        cfg = RootScanConfig(window=(-2.5, 2.5), grid_step=3.0)
-
-        def f(xs):
-            return np.asarray(xs) ** 2 - 0.01
-
-        def F(zs):
-            return np.asarray(zs, dtype=complex) ** 2 - 0.01
-
-        scan = real_zeros(f, cfg, complex_handle=F)
-        assert len(scan.zeros) == 0
-        assert scan.warning
-        assert scan.contour_count == 2
-
     def test_extended_precision_scan_matches_standard(self, src):
         pol = TruncationPolicy(n_max=64)
-        cfg = RootScanConfig(window=(-4.0, 4.0), grid_step=0.5)
+        cfg = RootScanConfig(window=(-4.0, 4.0))
         std = nextremal_support(src, ExtensionParam.infinite(), cfg, pol,
                                 precision="standard", verify_count=False)
         ext = nextremal_support(src, ExtensionParam.infinite(), cfg, pol,
@@ -73,11 +49,11 @@ class TestRealZeros:
         assert np.max(np.abs(std.zeros - ext.zeros)) < 1e-9
 
     def test_b_zeros_against_fine_extended_oracle(self, src):
-        # same level-120 function scanned on a 10x finer grid in mpmath
+        # same level-120 function scanned on a fine grid in mpmath
         import mpmath as mp
 
         pol = TruncationPolicy(n_max=120)
-        cfg = RootScanConfig(window=(-6.0, 6.0), grid_step=0.2)
+        cfg = RootScanConfig(window=(-6.0, 6.0))
         scan = nextremal_support(src, ExtensionParam.finite(0.0), cfg, pol,
                                  verify_count=False)
 
@@ -115,6 +91,92 @@ class TestRealZeros:
                     roots.append(0.5 * (lo + hi))
         assert len(scan.zeros) == len(roots)
         assert np.max(np.abs(scan.zeros - np.array(roots))) < 1e-8
+
+
+# t = inf zeroes g_L at odd L (p_L(0) = 0) and t = 0 at even L
+# (q_L(0) = 0); at even L, t = 1e-310 leaves g_L subnormal and the corner
+# entry overflows
+NODE_TS = ["inf", "0", "1", "1e-14", "-1e-14", "1e14", "-1e14", "1e-310"]
+
+
+@pytest.fixture(scope="module", params=[300, 301])
+def level_ev(request, src):
+    return evaluator_for(src, TruncationPolicy(n_max=request.param))
+
+
+def _line(ev, kind, t):
+    """B + tD (P kind) or A + tC (Q kind) at the evaluator's level."""
+    names = ("B", "D") if kind == "p" else ("A", "C")
+    return t.combine(*(nevanlinna_line(ev, n) for n in names))
+
+
+def _check_node_set(f, cfg):
+    scan = f.zeros(cfg)
+    nodes = f.nodes()
+    assert not scan.warning
+    assert len(scan.zeros) and np.all(np.diff(scan.zeros) > 0)
+    tol = cfg.refine_tol
+    assert np.all(np.sign(f.real(scan.zeros - tol))
+                  * np.sign(f.real(scan.zeros + tol)) <= 0)
+    # strip sides cross the axis midway between the nodes around each edge
+    lo, hi = cfg.window
+    xlo = 0.5 * (nodes[nodes < lo].max() + nodes[nodes >= lo].min())
+    xhi = 0.5 * (nodes[nodes <= hi].max() + nodes[nodes > hi].min())
+    assert count_zeros_rect(f, (xlo, xhi, -1.0, 1.0), 256) == len(scan.zeros)
+
+
+class TestNodeSets:
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    @pytest.mark.parametrize("t", NODE_TS)
+    def test_nodes_are_verified_zeros(self, level_ev, kind, t):
+        f = _line(level_ev, kind, ExtensionParam.parse(t))
+        _check_node_set(f, RootScanConfig(window=(-30.0, 30.0)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(level=st.sampled_from([300, 301]),
+           t=st.floats(-1e15, 1e15, allow_nan=False))
+    def test_drawn_t(self, src, level, t):
+        ev = evaluator_for(src, TruncationPolicy(n_max=level))
+        for kind in ("p", "q"):
+            _check_node_set(_line(ev, kind, ExtensionParam.finite(t)),
+                            RootScanConfig(window=(-30.0, 30.0)))
+
+    def test_window_without_nodes(self, src, pol):
+        f = nevanlinna_line(evaluator_for(src, pol), "D")
+        scan = f.zeros(RootScanConfig(window=(0.1, 0.2)))
+        assert len(scan.zeros) == 0
+        assert scan.contour_count == 0 and not scan.warning
+
+    def test_off_nodes_polished_bad_sets_flagged(
+            self, src, pol, monkeypatch):
+        f = nevanlinna_line(evaluator_for(src, pol), "D")
+        cfg = RootScanConfig(window=(-30.0, 30.0))
+        nodes = f.nodes()
+        exact = f.zeros(cfg).zeros
+        monkeypatch.setattr(f, "nodes", lambda: nodes + 1e-7)
+        scan = f.zeros(cfg)
+        assert not scan.warning
+        assert np.max(np.abs(scan.zeros - exact)) < 2 * cfg.refine_tol
+        spurious = np.sort(np.append(nodes, 0.5 * (exact[0] + exact[1])))
+        monkeypatch.setattr(f, "nodes", lambda: spurious)
+        assert f.zeros(cfg, verify_count=False).warning
+        # a missed zero passes every sign check; only the winding count sees it
+        missing = np.delete(nodes, np.searchsorted(nodes, exact[0]))
+        monkeypatch.setattr(f, "nodes", lambda: missing)
+        assert not f.zeros(cfg, verify_count=False).warning
+        scan = f.zeros(cfg)
+        assert scan.warning and scan.contour_count == len(exact)
+
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_infinite_corner_drops_a_node(self, level_ev, kind):
+        L = level_ev.level
+        size = L + 1 if kind == "p" else L
+        for t in NODE_TS:
+            f = _line(level_ev, kind, ExtensionParam.parse(t))
+            dropped = ((t == "inf" and L % 2)
+                       or (t in ("0", "1e-310") and L % 2 == 0))
+            assert (f.g[L] == 0) == (dropped and t != "1e-310")
+            assert len(f.nodes()) == size - dropped
 
 
 class TestCountZerosRect:
@@ -160,8 +222,7 @@ class TestCountZerosRect:
 
     def test_box_around_found_zero_counts_one(self, src, pol, measure_inf):
         x0 = measure_inf.points[np.argmin(np.abs(measure_inf.points - 2.5))]
-        F = _complex_support_handle(evaluator_for(src, pol),
-                                    ExtensionParam.infinite())
+        F = support_function(evaluator_for(src, pol), ExtensionParam.infinite())
         assert count_zeros_rect(F, (x0 - 0.5, x0 + 0.5, -0.5, 0.5)) == 1
 
 
@@ -305,14 +366,12 @@ class TestStieltjes:
 
 class TestAdjacentZeroSign:
     def test_d_case_positive(self, src, pol):
-        cfg = RootScanConfig(window=(-26.0, 2.0))
-        u, val = adjacent_zero_sign(src, 1.3, cfg, "D", pol)
+        u, val = adjacent_zero_sign(src, 1.3, "D", pol)
         assert u < 1.3
         assert val > 0
 
     def test_a_case_negative(self, src, pol):
-        cfg = RootScanConfig(window=(-26.0, 2.0))
-        u, val = adjacent_zero_sign(src, 1.3, cfg, "A", pol)
+        u, val = adjacent_zero_sign(src, 1.3, "A", pol)
         assert u < 1.3
         assert val < 0
 
@@ -322,8 +381,7 @@ class TestAdjacentZeroSign:
         pts = measure_t1.points
         k = int(np.argmin(np.abs(pts - 2.0)))
         v = float(pts[k])
-        cfg = RootScanConfig(window=(v - 30.0, v + 0.5))
-        u, _ = adjacent_zero_sign(src, v, cfg, "D", pol)
+        u, _ = adjacent_zero_sign(src, v, "D", pol)
         assert u == pytest.approx(pts[k - 1], abs=1e-7)
 
 
