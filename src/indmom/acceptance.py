@@ -22,8 +22,9 @@ from .domains import (membership_DT, membership_DTt, p_vector,
 from .evaluation import evaluator_for
 from .measures import (DiscreteMeasure, ExtensionParam, adjacent_zero_sign,
                        build_measure, stieltjes, support_function)
-from .nevanlinna import (nev, nev_one, partial_quad_arrays,
-                         three_point_residual, tilde_relations_residual)
+from .nevanlinna import (SERIES_FORMS, composition_residuals, nev, nev_one,
+                         partial_quad_arrays, three_point_residual,
+                         tilde_relations_residual)
 from .sequences import SeqVector
 from .zeros import RootScanConfig, count_zeros_rect, nevanlinna_line
 
@@ -58,11 +59,18 @@ def _upper(rng: np.random.Generator, n: int,
     return rng.uniform(-3, 3, n) + 1j * rng.uniform(im_lo, im_hi, n)
 
 
+def _prefetch(config: RunConfig, *points, source=None) -> None:
+    """Fill the shared table cache for all of a check's points in one batch."""
+    evaluator_for(source or config.problem, config.truncation).tables(
+        np.concatenate([np.ravel(p) for p in points]))
+
+
 # --- criteria ---------------------------------------------------------------
 
 def _check_determinant(config: RunConfig) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 1)
     us, vs = _disk(rng, 3.0, 10), _disk(rng, 3.0, 10)
+    _prefetch(config, us, vs)
     worst = 0.0
     for u in us:
         for v in vs:
@@ -75,8 +83,10 @@ def _check_determinant(config: RunConfig) -> List[CheckResult]:
 def _check_dual_form(config: RunConfig) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 2)
     upto = min(200, config.truncation.n_max - 1)
+    us, vs = _disk(rng, 3.0, 20), _disk(rng, 3.0, 20)
+    _prefetch(config, us, vs)
     worst = 0.0
-    for u, v in zip(_disk(rng, 3.0, 20), _disk(rng, 3.0, 20)):
+    for u, v in zip(us, vs):
         ser, cas = partial_quad_arrays(config.problem, u, v, upto,
                                        config.truncation)
         dev = np.abs(ser - cas) / (1.0 + np.abs(ser))
@@ -87,9 +97,11 @@ def _check_dual_form(config: RunConfig) -> List[CheckResult]:
 
 def _check_three_point(config: RunConfig) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 3)
+    triples = [_disk(rng, 2.0, 50) for _ in range(3)]
+    cocycle = [_disk(rng, 2.0, 5) for _ in range(3)]
+    _prefetch(config, triples, cocycle)
     worst = 0.0
-    for u, v, w in zip(_disk(rng, 2.0, 50), _disk(rng, 2.0, 50),
-                       _disk(rng, 2.0, 50)):
+    for u, v, w in zip(*triples):
         worst = max(worst, three_point_residual(config.problem, u, v, w,
                                                 config.truncation))
     out = [CheckResult("03a_three_point_residual", worst < 1e-8, worst, 1e-8,
@@ -97,19 +109,11 @@ def _check_three_point(config: RunConfig) -> List[CheckResult]:
 
     upto = min(100, config.truncation.n_max - 1)
     worst_c = 0.0
-    for u, v, w in zip(_disk(rng, 2.0, 5), _disk(rng, 2.0, 5),
-                       _disk(rng, 2.0, 5)):
+    for u, v, w in zip(*cocycle):
         suw, _ = partial_quad_arrays(config.problem, u, w, upto, config.truncation)
         swv, _ = partial_quad_arrays(config.problem, w, v, upto, config.truncation)
         suv, _ = partial_quad_arrays(config.problem, u, v, upto, config.truncation)
-        A1, B1, C1, D1 = suw
-        A2, B2, C2, D2 = swv
-        A3, B3, C3, D3 = suv
-        dev = np.max(np.abs(np.stack([
-            A3 - (C1 * A2 - A1 * B2),
-            B3 - (D1 * A2 - B1 * B2),
-            C3 - (C1 * C2 - A1 * D2),
-            D3 - (D1 * C2 - B1 * D2)])))
+        dev = np.max(np.abs(np.stack(composition_residuals(suv, suw, swv))))
         worst_c = max(worst_c, float(dev))
     out.append(CheckResult("03b_transfer_cocycle", worst_c < 1e-10, worst_c,
                            1e-10, f"h_n(u,w)h_n(w,v)=h_n(u,v), n<={upto}"))
@@ -118,8 +122,10 @@ def _check_three_point(config: RunConfig) -> List[CheckResult]:
 
 def _check_pick(config: RunConfig) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 4)
+    zs = _upper(rng, 100)
+    _prefetch(config, zs, 0.0)
     margin = np.inf
-    for z in _upper(rng, 100):
+    for z in zs:
         A, B, C, D = nev_one(config.problem, z, config.truncation)
         margin = min(margin, (B / D).imag, (A / C).imag)
     return [CheckResult("04_pick_property", margin > 0, float(margin), 0.0,
@@ -163,10 +169,8 @@ def _check_supports(config: RunConfig,
     ev = evaluator_for(config.problem, config.truncation)
     rects = [(0.5, 5.5, 0.4, 3.0), (-7.0, -1.0, -2.5, -0.3), (-3.0, 2.0, 1.0, 4.0)]
     worst = 0
-    for label, t in (("0", ExtensionParam.finite(0.0)),
-                     ("1", ExtensionParam.finite(1.0)),
-                     ("inf", ExtensionParam.infinite())):
-        F = support_function(ev, t)
+    for m in measures.values():
+        F = support_function(ev, m.t)
         for rect in rects:
             worst = max(worst, abs(count_zeros_rect(F, rect)))
     out.append(CheckResult("06b_offaxis_zero_counts", worst == 0,
@@ -179,11 +183,10 @@ def _check_stieltjes(config: RunConfig,
                      measures: Dict[str, DiscreteMeasure]) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 7)
     worst = 0.0
-    for label, m in measures.items():
-        t = m.t
+    for m in measures.values():
         lams = rng.uniform(-3, 3, 10) + 1j * rng.uniform(0.3, 2.5, 10)
         for lam in lams:
-            st = stieltjes(config.problem, t, lam, m, config.truncation)
+            st = stieltjes(config.problem, m.t, lam, m, config.truncation)
             worst = max(worst, abs(st.w_param - st.w_twovar), st.per_point_spread)
     return [CheckResult("07_stieltjes_consistency", worst < 1e-8, worst, 1e-8,
                         "param vs two-variable routes, 10 seeded lambda per t")]
@@ -217,20 +220,17 @@ def _check_membership(config: RunConfig) -> List[CheckResult]:
     pol = config.truncation
     src = config.problem
     basepoints = (1.0j, second_basepoint(1.0j))
+    ev = evaluator_for(src, pol)
 
     worst_pos = 0.0
     made = 0
     for kind in ("D", "A", "B"):
+        # D, A, B pairs combine p_u + c p_v, q_u + c q_v, p_u + c q_v: the
+        # (kind, anchor) tables of each function's series form
+        kind_u, kind_v, _ = SERIES_FORMS[kind]
         for u, v, coef in _membership_pairs(config, rng, kind):
-            if kind == "D":
-                vec = SeqVector(p_vector(src, u, pol).entries
-                                + coef * p_vector(src, v, pol).entries)
-            elif kind == "A":
-                vec = SeqVector(q_vector(src, u, pol).entries
-                                + coef * q_vector(src, v, pol).entries)
-            else:
-                vec = SeqVector(p_vector(src, u, pol).entries
-                                + coef * q_vector(src, v, pol).entries)
+            tu, tv = ev.tables([u, v])
+            vec = SeqVector(getattr(tu, kind_u) + coef * getattr(tv, kind_v))
             for bp in basepoints:
                 worst_pos = max(worst_pos,
                                 residues(src, vec, bp, pol).scaled())
@@ -247,8 +247,8 @@ def _check_membership(config: RunConfig) -> List[CheckResult]:
         if abs(q.D) <= 0.1:
             continue
         alpha = _disk(rng, 2.0, 1)[0]
-        vec = SeqVector(p_vector(src, u, pol).entries
-                        + alpha * p_vector(src, v, pol).entries)
+        tu, tv = ev.tables([u, v])
+        vec = SeqVector(tu.p + alpha * tv.p)
         worst_neg = min(worst_neg, residues(src, vec, 1.0j, pol).scaled())
         n_neg += 1
     out.append(CheckResult("08b_membership_negatives", worst_neg > 1e-3,
@@ -281,12 +281,10 @@ def _check_extensions(config: RunConfig,
     m1 = measures["1"]
     lam0 = float(m1.points[np.argmin(np.abs(m1.points - 0.5))])
     vp = p_vector(src, lam0, pol)
-    t1 = ExtensionParam.finite(1.0)
-    v_in = membership_DTt(src, vp, t1, 1.0j, _MEMBERSHIP_TOL, pol)
-    v_out0 = membership_DTt(src, vp, ExtensionParam.finite(0.0), 1.0j,
-                            _MEMBERSHIP_TOL, pol)
-    v_outi = membership_DTt(src, vp, ExtensionParam.infinite(), 1.0j,
-                            _MEMBERSHIP_TOL, pol)
+    t1 = m1.t
+    v_in, v_out0, v_outi = (
+        membership_DTt(src, vp, measures[k].t, 1.0j, _MEMBERSHIP_TOL, pol)
+        for k in ("1", "0", "inf"))
     ok_p = v_in.in_domain and not v_out0.in_domain and not v_outi.in_domain
 
     # second-kind vector: lambda with A + tC = 0 enters D(T_t), and the
@@ -367,9 +365,11 @@ def _check_xi(config: RunConfig) -> List[CheckResult]:
 
 def _check_tilde(config: RunConfig) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 12)
+    points = [_disk(rng, 2.5, 10) for _ in range(3)]
+    for src in (config.problem, config.problem.truncate_once()):
+        _prefetch(config, points, 0.0, source=src)
     worst = 0.0
-    for u, v, z in zip(_disk(rng, 2.5, 10), _disk(rng, 2.5, 10),
-                       _disk(rng, 2.5, 10)):
+    for u, v, z in zip(*points):
         worst = max(worst, tilde_relations_residual(config.problem, u, v,
                                                     config.truncation, z=z))
     return [CheckResult("12_truncated_problem_relations", worst < 1e-8,

@@ -16,13 +16,14 @@ from typing import List, Optional
 import numpy as np
 
 from . import __version__
+from .coefficients import JacobiCoefficients
 from .combos import parse_combination
 from .config import (RunConfig, default_config, load_config_file,
                      parse_complex, parse_window)
 from .debranges import resolvent_residual, xi_apply
-from .domains import membership_DT, membership_DTt, p_vector, q_vector, residues
+from .domains import membership_DT, membership_DTt, residues
 from .errors import (IndmomError, NonConvergenceError, SpecStringError)
-from .evaluation import TruncationPolicy, eval_pq
+from .evaluation import TruncationPolicy, eval_pq, evaluator_for
 from .measures import (ExtensionParam, build_measure, export_measure_csv,
                        stieltjes)
 from .nevanlinna import nev, nev_one
@@ -97,10 +98,8 @@ def _config_from_args(args) -> RunConfig:
 
     problem = base.problem
     if args.problem not in (None, "preset"):
-        from .coefficients import JacobiCoefficients
         problem = JacobiCoefficients.from_file(args.problem)
     elif args.c is not None:
-        from .coefficients import JacobiCoefficients
         problem = JacobiCoefficients.power_law(args.c)
 
     trunc = base.truncation
@@ -119,8 +118,7 @@ def _config_from_args(args) -> RunConfig:
         precision=args.precision if args.precision is not None else base.precision,
         seed=args.seed if args.seed is not None else base.seed,
         out=args.out if args.out is not None else base.out,
-        format=args.format if args.format is not None else base.format,
-        dps=base.dps)
+        format=args.format if args.format is not None else base.format)
 
 
 def _emit(report: Report, cfg: RunConfig) -> None:
@@ -136,14 +134,12 @@ def _new_report(title: str, cfg: RunConfig) -> Report:
 
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
-    from .evaluation import evaluator_for
-
     rep = _new_report("eval", cfg)
     pol = cfg.truncation
-    ev = evaluator_for(cfg.problem, pol, cfg.precision, cfg.dps)
+    ev = evaluator_for(cfg.problem, pol, cfg.precision)
     points = [parse_complex(text) for text in args.points]
     for z in points:
-        pe = eval_pq(cfg.problem, z, pol, cfg.precision, cfg.dps)
+        pe = eval_pq(cfg.problem, z, pol, cfg.precision)
         key = fmt_complex(z)
         rep.add(f"cum_p2({key})", pe.cum_p2, N=pe.N, tol=pol.tail_tol)
         rep.add(f"cum_q2({key})", pe.cum_q2, N=pe.N, tol=pol.tail_tol)
@@ -203,11 +199,10 @@ def _cmd_membership(args, cfg: RunConfig) -> int:
         w_value = stieltjes(src, parsed.t, lam, measure, pol).w_param
 
     vec: Optional[SeqVector] = None
-    for term in parsed.terms:
+    tabs = evaluator_for(src, pol).tables([t.argument for t in parsed.terms])
+    for term, tab in zip(parsed.terms, tabs):
         coef = w_value if term.coefficient == "w" else term.coefficient
-        base = (p_vector(src, term.argument, pol) if term.kind == "p"
-                else q_vector(src, term.argument, pol))
-        piece = SeqVector(coef * base.entries)
+        piece = SeqVector(coef * getattr(tab, term.kind))
         vec = piece if vec is None else vec + piece
 
     rep = _new_report("membership", cfg)
@@ -236,9 +231,7 @@ def _cmd_membership(args, cfg: RunConfig) -> int:
 
 
 def _cmd_zeros(args, cfg: RunConfig) -> int:
-    from .evaluation import evaluator_for
-
-    ev = evaluator_for(cfg.problem, cfg.truncation, cfg.precision, cfg.dps)
+    ev = evaluator_for(cfg.problem, cfg.truncation, cfg.precision)
     L = ev.level
     name = args.function
     pair = {"BtD": ("B", "D"), "AtC": ("A", "C")}.get(name)

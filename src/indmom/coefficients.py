@@ -34,6 +34,7 @@ class JacobiCoefficients:
         self._pairs = tuple(tuple(p) for p in pairs) if pairs is not None else None
         self._tail = tail
         self._shift = shift
+        self._a = self._b = np.empty(0)
         if kind == "power_law":
             if exponent is None or not exponent > 1:
                 raise ValueError("power-law exponent must be a real > 1")
@@ -111,15 +112,19 @@ class JacobiCoefficients:
         return len(self._pairs) - 1 - self._shift
 
     def arrays(self, upto: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Vectors (a_0..a_upto, b_0..b_upto) as float arrays."""
+        """Read-only (a_0..a_upto, b_0..b_upto), built once and extended on demand."""
         mx = self.max_index()
         if mx is not None and upto > mx:
             raise CoefficientRangeError(
                 f"coefficient range exhausted: need index {upto}, have {mx}")
-        pairs = [self.coeffs(n) for n in range(upto + 1)]
-        a = np.array([p[0] for p in pairs], dtype=float)
-        b = np.array([p[1] for p in pairs], dtype=float)
-        return a, b
+        if upto >= len(self._a):
+            # coeffs(n) values, not np.power: the two differ in the last bit
+            new = np.array([self.coeffs(n) for n in range(len(self._a), upto + 1)],
+                           dtype=float)
+            self._a = np.concatenate([self._a, new[:, 0]])
+            self._b = np.concatenate([self._b, new[:, 1]])
+            self._a.flags.writeable = self._b.flags.writeable = False
+        return self._a[: upto + 1], self._b[: upto + 1]
 
     def truncate_once(self) -> "JacobiCoefficients":
         """Source of the once-stripped matrix: a~_n = a_{n+1}, b~_n = b_{n+1}."""

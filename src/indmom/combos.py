@@ -27,7 +27,8 @@ from .measures import ExtensionParam
 
 __all__ = ["Term", "ParsedCombination", "parse_combination"]
 
-_SCALAR_RE = re.compile(r"[0-9][0-9_.eE]*[ij]?|\.[0-9][0-9_.eE]*[ij]?|[ij]")
+_SCALAR_RE = re.compile(
+    r"(?:[0-9][0-9_.]*|\.[0-9][0-9_.]*)(?:[eE][+-]?[0-9]+)?[ij]?|[ij]")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ class RunConfig:
     seed: int = 1234
     out: Optional[str] = None
     format: str = "text"
-    dps: int = 32
 
     def __post_init__(self):
         if self.precision not in ("standard", "extended"):
@@ -131,5 +130,4 @@ def load_config_file(path: str) -> dict:
         out["format"] = fmt
         o = sec.get("out", fallback=None)
         out["out"] = None if o in (None, "", "-") else o
-        out["dps"] = sec.getint("dps", 32)
     return out

@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 DEFAULT_MEMBERSHIP_TOL = 1e-7
-_TAIL_MARGIN = 8  # extra indices past the shared level for p/q truncations
 
 
 @dataclass(frozen=True)
@@ -94,28 +93,23 @@ def _require_upper(z0: complex) -> complex:
 
 def p_vector(source: JacobiCoefficients, lam, policy: TruncationPolicy) -> SeqVector:
     """Truncation of the sequence (p_n(lam)) with top index L + 8."""
-    ev = evaluator_for(source, policy)
-    M = ev.level + _TAIL_MARGIN
-    p, _ = ev.pq_upto(complex(lam), M)
-    return SeqVector(np.asarray(p, dtype=complex))
+    return SeqVector(np.array(evaluator_for(source, policy).table(lam).p,
+                              dtype=complex))
 
 
 def q_vector(source: JacobiCoefficients, lam, policy: TruncationPolicy) -> SeqVector:
     """Truncation of the sequence (q_n(lam)) with top index L + 8."""
-    ev = evaluator_for(source, policy)
-    M = ev.level + _TAIL_MARGIN
-    _, q = ev.pq_upto(complex(lam), M)
-    return SeqVector(np.asarray(q, dtype=complex))
+    return SeqVector(np.array(evaluator_for(source, policy).table(lam).q,
+                              dtype=complex))
 
 
 def extension_generator(source: JacobiCoefficients, t: ExtensionParam,
                         policy: TruncationPolicy) -> SeqVector:
     """Generator of D(T_t) over the closure domain: q_0 + t p_0, or p_0 at infinity."""
+    tab = evaluator_for(source, policy).table(0.0)
     if t.is_infinite:
-        return p_vector(source, 0.0, policy)
-    gp = p_vector(source, 0.0, policy)
-    gq = q_vector(source, 0.0, policy)
-    return SeqVector(gq.entries + t.t * gp.entries)
+        return SeqVector(np.array(tab.p, dtype=complex))
+    return SeqVector(tab.q + t.t * tab.p)
 
 
 def residues(source: JacobiCoefficients, v: SeqVector, z0,
@@ -152,7 +146,7 @@ def s_r_coefficients(source: JacobiCoefficients, lam, z0,
     z0 = _require_upper(z0)
     ev = evaluator_for(source, policy)
     lam = complex(lam)
-    norm2 = ev.table(z0).norm_p2
+    norm2 = ev.tables([z0, lam, np.conj(z0)])[0].norm_p2
     denom = 2j * z0.imag * norm2
     q_conj = nev(source, lam, np.conj(z0), policy, evaluator=ev)
     q_plain = nev(source, lam, z0, policy, evaluator=ev)
@@ -169,16 +163,19 @@ def membership_DT(source: JacobiCoefficients, v: SeqVector, z0,
     """Test membership in the closure domain via residues at two basepoints."""
     pol = policy if policy is not None else TruncationPolicy()
     z0 = _require_upper(z0)
-    z1 = second_basepoint(z0)
-    r0 = residues(source, v, z0, pol)
-    r1 = residues(source, v, z1, pol)
-    s0, s1 = r0.scaled(), r1.scaled()
-    in0, in1 = s0 < tol, s1 < tol
+    return _verdict([residues(source, v, bp, pol).scaled()
+                     for bp in (z0, second_basepoint(z0))], tol, "DT")
+
+
+def _verdict(scaled, tol: float, tag: str) -> MembershipVerdict:
+    """The verdict of two basepoints' scaled residuals, which must agree."""
+    in0, in1 = scaled[0] < tol, scaled[1] < tol
     if in0 != in1:
         raise InconclusiveMembershipError(
-            f"inconclusive: tighten truncation (residuals {s0:.3e} vs {s1:.3e})")
-    return MembershipVerdict(in_domain=in0, residual=max(s0, s1), tol=tol,
-                             domain_tag="DT")
+            f"inconclusive: tighten truncation (residuals {scaled[0]:.3e} "
+            f"vs {scaled[1]:.3e})")
+    return MembershipVerdict(in_domain=in0, residual=max(scaled), tol=tol,
+                             domain_tag=tag)
 
 
 def pair_coefficient(source: JacobiCoefficients, u, v,
@@ -232,13 +229,7 @@ def membership_DTt(source: JacobiCoefficients, v: SeqVector, t: ExtensionParam,
         r = residues(source, v, bp, pol)
         g = residues(source, gen, bp, pol)
         scaled.append(_cross_residual(r, g, nv))
-    in0, in1 = scaled[0] < tol, scaled[1] < tol
-    if in0 != in1:
-        raise InconclusiveMembershipError(
-            f"inconclusive: tighten truncation (residuals {scaled[0]:.3e} "
-            f"vs {scaled[1]:.3e})")
-    return MembershipVerdict(in_domain=in0, residual=max(scaled), tol=tol,
-                             domain_tag=f"DTt({t})")
+    return _verdict(scaled, tol, f"DTt({t})")
 
 
 def resolvent_combination(source: JacobiCoefficients, t: ExtensionParam,

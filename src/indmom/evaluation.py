@@ -18,15 +18,18 @@ stop index prescribed by the policy (smallest N with
 computed per point and reported as convergence metadata; ``eval_pq``
 returns arrays sliced at that adaptive index, which is its contract.
 
-The standard backend is numpy complex128 (vectorized over batches of
-points); the extended backend uses mpmath with a configurable number of
-digits and is meant for ill-conditioned zero scans.
+Every cached point table comes from :meth:`Evaluator.tables`, which
+computes all the points it misses in one recurrence call.  The standard
+backend is numpy complex128 (vectorized over batches of points); the
+extended backend uses mpmath with a configurable number of digits, one
+point at a time.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -34,6 +37,9 @@ from .coefficients import JacobiCoefficients
 from .errors import EvaluationOverflowError
 
 _OVERFLOW_LIMIT = 1e150
+_TAIL_MARGIN = 8  # table indices past the shared level, for p/q truncations
+_TABLE_CAPACITY = {"standard": 256, "extended": 16}  # tables per evaluator
+_MAX_EVALUATORS = 8
 
 
 @dataclass(frozen=True)
@@ -83,8 +89,9 @@ class PolyEval:
 class PointTable:
     """Internal: full-level recurrence data at one point.
 
-    Arrays run through index ``level + 1`` (one past the shared level, for
-    the Casorati forms).  ``cums`` are cumulative sums of
+    Read-only arrays run through index ``level + 8``: the Casorati forms
+    read index ``level + 1`` and the p/q truncations of the membership
+    tests end at ``level + 8``.  ``cums`` are cumulative sums of
     ``|p_k|^2`` / ``|q_k|^2`` through each index.
     """
 
@@ -153,11 +160,17 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int):
     return p, q
 
 
+def abs2(x: np.ndarray) -> np.ndarray:
+    """Squared moduli as floats, for complex128 or mpmath (object) arrays."""
+    return (np.abs(x) ** 2).astype(float, copy=False)
+
+
 class Evaluator:
     """Shared-level evaluation cache for one (source, policy, precision).
 
-    Immutable inputs, memoized point tables; safe to reuse across the
-    module-level operations.  ``precision`` is "standard" (complex128) or
+    Point tables reach index ``level + 8`` and are held in an LRU cache of
+    ``capacity`` tables (256 in standard precision, 16 in extended, where
+    one table is far larger).  ``precision`` is "standard" (complex128) or
     "extended" (mpmath with ``dps`` digits).
     """
 
@@ -170,87 +183,101 @@ class Evaluator:
         self.precision = precision
         self.dps = int(dps)
         self.level = policy.n_max
-        # arrays reach one past the level for the Casorati forms
-        self.a, self.b = source.arrays(self.level + 1)
-        self._cache: Dict[complex, PointTable] = {}
+        self.top = self.level + _TAIL_MARGIN
+        self.capacity = _TABLE_CAPACITY[precision]
+        self.a, self.b = source.arrays(self.top)
+        self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
+
+    def _recurrence(self, zs, upto: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(P, Q) tables of shape (upto+1, len(zs)) at the evaluator's precision.
+
+        The one place that chooses between the complex128 batch kernel and
+        the per-point mpmath kernel (object dtype).
+        """
+        a, b = self.source.arrays(max(upto, 1))
+        zs = np.asarray(zs, dtype=complex).reshape(-1)
+        if self.precision == "standard":
+            return recurrence_batch(a, b, zs, upto)
+        P, Q = (np.empty((upto + 1, zs.size), dtype=object) for _ in range(2))
+        for j, z in enumerate(zs):
+            P[:, j], Q[:, j] = recurrence_mp(a, b, complex(z), upto, self.dps)
+        return P, Q
 
     # -- point tables ------------------------------------------------------
 
     def table(self, z) -> PointTable:
-        z = complex(z)
-        hit = self._cache.get(z)
-        if hit is not None:
-            return hit
-        if self.precision == "standard":
-            P, Q = recurrence_batch(self.a, self.b, np.array([z]), self.level + 1)
-            p, q = P[:, 0], Q[:, 0]
-        else:
-            p, q = recurrence_mp(self.a, self.b, z, self.level + 1, self.dps)
-        tab = self._finish_table(z, p, q)
-        self._cache[z] = tab
-        return tab
+        return self.tables([z])[0]
+
+    def tables(self, zs) -> List[PointTable]:
+        """Point tables for every point of the sequence ``zs``, in order.
+
+        Cached tables are looked up; all misses are computed in one
+        recurrence call and enter the cache.
+        """
+        keys = [complex(z) for z in zs]
+        cache = self._cache
+        misses = list(dict.fromkeys(z for z in keys if z not in cache))
+        if misses:
+            P, Q = self._recurrence(misses, self.top)
+            for tab in self._finish_tables(misses, P, Q):
+                cache[tab.z] = tab
+        for z in keys:
+            cache.move_to_end(z)
+        out = [cache[z] for z in keys]
+        while len(cache) > self.capacity:
+            cache.popitem(last=False)
+        return out
 
     def tables_batch(self, zs) -> Tuple[np.ndarray, np.ndarray]:
-        """Uncached (P, Q) tables for an array of points (standard backend)."""
-        if self.precision == "standard":
-            return recurrence_batch(self.a, self.b, np.asarray(zs, dtype=complex),
-                                    self.level + 1)
-        cols_p, cols_q = [], []
-        for z in np.asarray(zs):
-            p, q = recurrence_mp(self.a, self.b, complex(z), self.level + 1, self.dps)
-            cols_p.append(p)
-            cols_q.append(q)
-        return np.stack(cols_p, axis=1), np.stack(cols_q, axis=1)
+        """Uncached (P, Q) tables through index level + 1 for an array of points."""
+        return self._recurrence(zs, self.level + 1)
 
-    def _finish_table(self, z: complex, p, q) -> PointTable:
-        ab2 = np.array([abs(x) ** 2 for x in p], dtype=float) if p.dtype == object \
-            else np.abs(p) ** 2
-        qb2 = np.array([abs(x) ** 2 for x in q], dtype=float) if q.dtype == object \
-            else np.abs(q) ** 2
-        cum_p2 = np.cumsum(ab2)
-        cum_q2 = np.cumsum(qb2)
+    def _finish_tables(self, zs: List[complex], P: np.ndarray,
+                       Q: np.ndarray) -> List[PointTable]:
+        ab2, qb2 = abs2(P), abs2(Q)
+        cum_p2, cum_q2 = np.cumsum(ab2, axis=0), np.cumsum(qb2, axis=0)
         inc = ab2 + qb2
-        cum = cum_p2 + cum_q2
-        pol = self.policy
-        ok = pol.safety * inc[: self.level + 1] < pol.tail_tol * cum[: self.level + 1]
-        idx = np.nonzero(ok)[0]
-        idx = idx[idx >= 2]  # keep at least p_0..p_2 so the initial data is visible
-        if len(idx):
-            stop, converged = int(idx[0]), True
-        else:
-            stop, converged = self.level, False
-        tail_est = float(inc[stop])
-        return PointTable(z=z, p=p, q=q, cum_p2=cum_p2, cum_q2=cum_q2,
-                          stop_index=stop, converged=converged,
-                          tail_est=tail_est, level=self.level)
+        L, pol = self.level, self.policy
+        ok = pol.safety * inc[: L + 1] < pol.tail_tol * (cum_p2 + cum_q2)[: L + 1]
+        ok[:2] = False  # keep at least p_0..p_2 so the initial data is visible
+        converged = ok.any(axis=0)
+        stops = np.where(converged, ok.argmax(axis=0), L)
+        out = []
+        for j, z in enumerate(zs):
+            # contiguous copies: reductions over strided views round differently
+            cols = [np.ascontiguousarray(x[:, j]) for x in (P, Q, cum_p2, cum_q2)]
+            for col in cols:
+                col.flags.writeable = False
+            out.append(PointTable(z, *cols, stop_index=int(stops[j]),
+                                  converged=bool(converged[j]),
+                                  tail_est=float(inc[stops[j], j]), level=L))
+        return out
 
     # -- raw values beyond the shared level --------------------------------
 
     def pq_upto(self, z, upto: int) -> Tuple[np.ndarray, np.ndarray]:
         """p_0..p_upto, q_0..q_upto at z (exact finite-sum helpers).
 
-        Independent of the shared level; used where the computation is a
-        finite sum rather than a truncated series.
+        Independent of the shared level and uncached; used where the
+        computation is a finite sum rather than a truncated series.
         """
-        a, b = self.source.arrays(max(upto, 1))
-        if self.precision == "standard":
-            P, Q = recurrence_batch(a, b, np.array([complex(z)]), upto)
-            return P[:, 0], Q[:, 0]
-        return recurrence_mp(a, b, complex(z), upto, self.dps)
+        P, Q = self._recurrence([z], upto)
+        return P[:, 0], Q[:, 0]
 
 
-_EVALUATORS: Dict[tuple, Evaluator] = {}
+_EVALUATORS: "OrderedDict[tuple, Evaluator]" = OrderedDict()
 
 
 def evaluator_for(source: JacobiCoefficients, policy: TruncationPolicy,
                   precision: str = "standard", dps: int = 32) -> Evaluator:
-    """Memoized Evaluator per (source, policy, precision, dps)."""
+    """Memoized Evaluator per (source, policy, precision, dps), LRU-bounded."""
     key = (source, policy, precision, dps)
-    ev = _EVALUATORS.get(key)
-    if ev is None:
-        ev = Evaluator(source, policy, precision, dps)
-        _EVALUATORS[key] = ev
-    return ev
+    if key not in _EVALUATORS:
+        _EVALUATORS[key] = Evaluator(source, policy, precision, dps)
+        while len(_EVALUATORS) > _MAX_EVALUATORS:
+            _EVALUATORS.popitem(last=False)
+    _EVALUATORS.move_to_end(key)
+    return _EVALUATORS[key]
 
 
 def clear_evaluator_cache() -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import JacobiCoefficients
 from .errors import IndmomError, NonConvergenceError, SupportPointError
-from .evaluation import Evaluator, TruncationPolicy, evaluator_for
+from .evaluation import Evaluator, TruncationPolicy, abs2, evaluator_for
 from .nevanlinna import nev, nev_one
 from .sequences import moment
 from .zeros import LineFunction, RootScan, RootScanConfig, nevanlinna_line
@@ -125,8 +125,9 @@ def t_for_point(source: JacobiCoefficients, x0: float,
     Returns finite(-B(x0)/D(x0)) unless D(x0) is degenerate at the local
     scale, in which case the point belongs to the t = infinity measure.
     """
-    A, B, C, D = nev_one(source, complex(x0), policy)
     h = 1e-6 * (1.0 + abs(x0))
+    evaluator_for(source, policy).tables([x0, x0 + h, x0 - h, 0.0])
+    A, B, C, D = nev_one(source, complex(x0), policy)
     _, _, _, Dp = nev_one(source, complex(x0 + h), policy)
     _, _, _, Dm = nev_one(source, complex(x0 - h), policy)
     dslope = abs(Dp - Dm) / (2 * h)
@@ -139,8 +140,7 @@ def t_for_point(source: JacobiCoefficients, x0: float,
 def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
             precision: str = "standard") -> float:
     """Mass 1 / sum_{k<=L} p_k(x)^2 of the N-extremal measure through x."""
-    ev = evaluator_for(source, policy, precision)
-    tab = ev.table(complex(x))
+    tab = evaluator_for(source, policy, precision).table(x)
     if not tab.converged:
         raise NonConvergenceError(
             f"norm series at x={x} did not converge within n_max={policy.n_max}")
@@ -148,14 +148,8 @@ def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
 
 
 def _masses_batch(ev: Evaluator, xs: np.ndarray) -> np.ndarray:
-    P, _ = ev.tables_batch(xs.astype(complex))
-    L = ev.level
-    if P.dtype == object:
-        cum = np.array([float(sum(abs(v) ** 2 for v in P[: L + 1, j]))
-                        for j in range(P.shape[1])])
-    else:
-        cum = np.sum(np.abs(P[: L + 1]) ** 2, axis=0)
-    return 1.0 / cum
+    P, _ = ev.tables_batch(xs)
+    return 1.0 / np.sum(abs2(P[: ev.level + 1]), axis=0)
 
 
 def build_measure(source: JacobiCoefficients, t: ExtensionParam,
@@ -230,6 +224,8 @@ def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
         if dmin < 1e-9 * (1.0 + abs(lam)):
             raise SupportPointError(f"lambda={lam} lies on the support")
     ev = evaluator_for(source, policy)
+    nearest = pts[np.argsort(np.abs(pts - lam))[: n_nearest]]
+    ev.tables(np.concatenate([[lam, 0.0], nearest]))
     A, B, C, D = nev_one(source, lam, policy, evaluator=ev)
     if t.is_infinite:
         w_param = -C / D
@@ -238,7 +234,6 @@ def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
 
     if not len(pts):
         raise IndmomError("measure has no support points in window")
-    nearest = pts[np.argsort(np.abs(pts - lam))[: n_nearest]]
     vals = []
     for x in nearest:
         q = nev(source, lam, complex(x), policy, evaluator=ev)

@@ -23,7 +23,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .coefficients import JacobiCoefficients
-from .evaluation import Evaluator, TruncationPolicy, evaluator_for
+from .evaluation import Evaluator, PointTable, TruncationPolicy, evaluator_for
 
 __all__ = [
     "NevQuad", "TransferMatrix", "ExtendedComplex", "INFINITY",
@@ -98,28 +98,43 @@ class ExtendedComplex:
 INFINITY = ExtendedComplex(None)
 
 
-def _series_sums(ev: Evaluator, u: complex, v: complex, n: int):
-    """Partial cross sums S_qq, S_pq, S_qp, S_pp through index n."""
-    tu, tv = ev.table(u), ev.table(v)
-    s = slice(0, n + 1)
-    pu, qu, pv, qv = tu.p[s], tu.q[s], tv.p[s], tv.q[s]
-    return (np.dot(qu, qv), np.dot(pu, qv), np.dot(qu, pv), np.dot(pu, pv))
+# name -> (kind, anchor, offset): the series form
+#   X_n(u, v) = offset + (u - v) sum_{k<=n} T_k(u) S_k(v)
+# and the Casorati form
+#   X_n(u, v) = a_n (T_{n+1}(u) S_n(v) - T_n(u) S_{n+1}(v)),
+# with T the kind table at u and S the anchor table at v.
+SERIES_FORMS = {"A": ("q", "q", 0.0), "B": ("p", "q", -1.0),
+                "C": ("q", "p", 1.0), "D": ("p", "p", 0.0)}
 
 
-def _series_quad(ev: Evaluator, u: complex, v: complex, n: int):
-    sqq, spq, sqp, spp = _series_sums(ev, u, v, n)
-    w = u - v
-    return (w * sqq, -1.0 + w * spq, 1.0 + w * sqp, w * spp)
+def _evaluator(source: JacobiCoefficients, policy: Optional[TruncationPolicy],
+               evaluator: Optional[Evaluator]) -> Evaluator:
+    return evaluator if evaluator is not None else evaluator_for(
+        source, policy if policy is not None else TruncationPolicy())
 
 
-def _casorati_quad(ev: Evaluator, u: complex, v: complex, n: int):
-    tu, tv = ev.table(u), ev.table(v)
-    an = ev.a[n]
-    pu, qu, pv, qv = tu.p, tu.q, tv.p, tv.q
-    return (an * (qu[n + 1] * qv[n] - qu[n] * qv[n + 1]),
-            an * (pu[n + 1] * qv[n] - pu[n] * qv[n + 1]),
-            an * (qu[n + 1] * pv[n] - qu[n] * pv[n + 1]),
-            an * (pu[n + 1] * pv[n] - pu[n] * pv[n + 1]))
+def _forms(tu: PointTable, tv: PointTable) -> list:
+    """(T at u, S at v, offset) for A, B, C, D in turn."""
+    return [(getattr(tu, kind), getattr(tv, anchor), off)
+            for kind, anchor, off in SERIES_FORMS.values()]
+
+
+def _quad(ev: Evaluator, u: complex, v: complex, upto: int, partial: bool):
+    """Series and Casorati values of A, B, C, D in turn, and their tables.
+
+    At index ``upto`` (series summed with np.dot), or with ``partial`` as
+    arrays over every n <= upto (series summed with np.cumsum).
+    """
+    forms = _forms(*ev.tables([u, v]))
+    s = slice(0, upto + 1)
+    n, n1 = (s, slice(1, upto + 2)) if partial else (upto, upto + 1)
+    ser, cas = [], []
+    for T, S, off in forms:
+        val = (u - v) * (np.cumsum(T[s] * S[s]) if partial else np.dot(T[s], S[s]))
+        # A and D carry no constant: adding 0.0 would flip a zero's sign
+        ser.append(off + val if off else val)
+        cas.append(ev.a[n] * (T[n1] * S[n] - T[n] * S[n1]))
+    return ser, cas, forms
 
 
 def partial_quad_arrays(source: JacobiCoefficients, u, v, upto: int,
@@ -130,30 +145,11 @@ def partial_quad_arrays(source: JacobiCoefficients, u, v, upto: int,
 
     Returns two arrays of shape (4, upto+1) ordered (A_n, B_n, C_n, D_n).
     """
-    ev = evaluator if evaluator is not None else evaluator_for(
-        source, policy if policy is not None else TruncationPolicy())
+    ev = _evaluator(source, policy, evaluator)
     if not 0 <= upto <= ev.level:
         raise ValueError(f"upto={upto} outside 0..{ev.level}")
-    u, v = complex(u), complex(v)
-    tu, tv = ev.table(u), ev.table(v)
-    s = slice(0, upto + 1)
-    pu, qu, pv, qv = tu.p, tu.q, tv.p, tv.q
-    w = u - v
-    ser = np.stack([
-        w * np.cumsum(qu[s] * qv[s]),
-        -1.0 + w * np.cumsum(pu[s] * qv[s]),
-        1.0 + w * np.cumsum(qu[s] * pv[s]),
-        w * np.cumsum(pu[s] * pv[s]),
-    ])
-    an = ev.a[s]
-    up1 = slice(1, upto + 2)
-    cas = np.stack([
-        an * (qu[up1] * qv[s] - qu[s] * qv[up1]),
-        an * (pu[up1] * qv[s] - pu[s] * qv[up1]),
-        an * (qu[up1] * pv[s] - qu[s] * pv[up1]),
-        an * (pu[up1] * pv[s] - pu[s] * pv[up1]),
-    ])
-    return ser, cas
+    ser, cas, _ = _quad(ev, complex(u), complex(v), upto, partial=True)
+    return np.stack(ser), np.stack(cas)
 
 
 def nev_partial(source: JacobiCoefficients, u, v, n: int,
@@ -164,16 +160,10 @@ def nev_partial(source: JacobiCoefficients, u, v, n: int,
     ``cross_err`` is the max absolute discrepancy between the series and
     Casorati forms over the four functions.
     """
-    ev = evaluator if evaluator is not None else evaluator_for(
-        source, policy if policy is not None else TruncationPolicy())
+    ev = _evaluator(source, policy, evaluator)
     if not 0 <= n <= ev.level:
         raise ValueError(f"partial index n={n} outside 0..{ev.level}")
-    u, v = complex(u), complex(v)
-    ser = _series_quad(ev, u, v, n)
-    cas = _casorati_quad(ev, u, v, n)
-    cross = max(abs(s - c) for s, c in zip(ser, cas))
-    return NevQuad(u=u, v=v, A=ser[0], B=ser[1], C=ser[2], D=ser[3],
-                   N=n, cross_err=float(cross), converged=True)
+    return _nev_quad(ev, complex(u), complex(v), n, flag=False)
 
 
 def nev(source: JacobiCoefficients, u, v, policy: TruncationPolicy,
@@ -184,20 +174,20 @@ def nev(source: JacobiCoefficients, u, v, policy: TruncationPolicy,
     ``tail_tol * (1 + |value|)`` before the cap; values are the level-L
     partial sums either way.
     """
-    ev = evaluator if evaluator is not None else evaluator_for(source, policy)
-    u, v = complex(u), complex(v)
-    L = ev.level
-    ser = _series_quad(ev, u, v, L)
-    cas = _casorati_quad(ev, u, v, L)
+    ev = _evaluator(source, policy, evaluator)
+    return _nev_quad(ev, complex(u), complex(v), ev.level, flag=True)
+
+
+def _nev_quad(ev: Evaluator, u: complex, v: complex, n: int,
+              flag: bool) -> NevQuad:
+    """The partial quadruple at index n; ``flag`` runs :func:`nev`'s tail test."""
+    ser, cas, forms = _quad(ev, u, v, n, partial=False)
     cross = max(abs(s - c) for s, c in zip(ser, cas))
-    tu, tv = ev.table(u), ev.table(v)
-    w = abs(u - v)
-    incs = (w * abs(tu.q[L] * tv.q[L]), w * abs(tu.p[L] * tv.q[L]),
-            w * abs(tu.q[L] * tv.p[L]), w * abs(tu.p[L] * tv.p[L]))
-    conv = all(inc < ev.policy.tail_tol * (1.0 + abs(val))
-               for inc, val in zip(incs, ser))
+    w, tol = abs(u - v), ev.policy.tail_tol
+    conv = not flag or all(w * abs(T[n] * S[n]) < tol * (1.0 + abs(val))
+                           for (T, S, _), val in zip(forms, ser))
     return NevQuad(u=u, v=v, A=ser[0], B=ser[1], C=ser[2], D=ser[3],
-                   N=L, cross_err=float(cross), converged=bool(conv))
+                   N=n, cross_err=float(cross), converged=bool(conv))
 
 
 def nev_one(source: JacobiCoefficients, u, policy: TruncationPolicy,
@@ -217,8 +207,9 @@ def reconstruct_two_var(source: JacobiCoefficients, u, v,
     A(u,v) = A(u)C(v) - A(v)C(u), B(u,v) = B(u)C(v) - A(v)D(u),
     C(u,v) = A(u)D(v) - B(v)C(u), D(u,v) = B(u)D(v) - B(v)D(u).
     """
-    ev = evaluator if evaluator is not None else evaluator_for(source, policy)
+    ev = _evaluator(source, policy, evaluator)
     u, v = complex(u), complex(v)
+    ev.tables([u, v, 0.0])
     Au, Bu, Cu, Du = nev_one(source, u, policy, evaluator=ev)
     Av, Bv, Cv, Dv = nev_one(source, v, policy, evaluator=ev)
     A2 = Au * Cv - Av * Cu
@@ -239,17 +230,22 @@ def three_point_residual(source: JacobiCoefficients, u, v, w,
 
     e.g. D(u,v) = D(u,w)C(w,v) - B(u,w)D(w,v).
     """
-    ev = evaluator if evaluator is not None else evaluator_for(source, policy)
+    ev = _evaluator(source, policy, evaluator)
+    ev.tables([u, v, w])
     quv = nev(source, u, v, policy, evaluator=ev)
     quw = nev(source, u, w, policy, evaluator=ev)
     qwv = nev(source, w, v, policy, evaluator=ev)
-    res = (
-        quv.A - (quw.C * qwv.A - quw.A * qwv.B),
-        quv.B - (quw.D * qwv.A - quw.B * qwv.B),
-        quv.C - (quw.C * qwv.C - quw.A * qwv.D),
-        quv.D - (quw.D * qwv.C - quw.B * qwv.D),
-    )
+    res = composition_residuals(quv.as_tuple(), quw.as_tuple(), qwv.as_tuple())
     return float(max(abs(r) for r in res))
+
+
+def composition_residuals(uv, uw, wv) -> list:
+    """(A, B, C, D)(u, v) minus its composition through w, for scalars or arrays."""
+    A1, B1, C1, D1 = uw
+    A2, B2, C2, D2 = wv
+    A3, B3, C3, D3 = uv
+    return [A3 - (C1 * A2 - A1 * B2), B3 - (D1 * A2 - B1 * B2),
+            C3 - (C1 * C2 - A1 * D2), D3 - (D1 * C2 - B1 * D2)]
 
 
 def transfer(source: JacobiCoefficients, u, v, n: int,
@@ -296,6 +292,8 @@ def tilde_relations_residual(source: JacobiCoefficients, u, v,
     u, v = complex(u), complex(v)
     zz = complex(z) if z is not None else u
     Lm1 = ev.level - 1
+    for e in (ev, evt):
+        e.tables([zz, 0.0, u, v])
 
     qz = nev(source, zz, 0.0, policy, evaluator=ev)
     qzt = nev_partial(trunc, zz, 0.0, Lm1, evaluator=evt)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import ZeroOnContourError
 from .evaluation import Evaluator
+from .nevanlinna import SERIES_FORMS
 
 __all__ = ["RootScanConfig", "RootScan", "LineFunction", "nevanlinna_line",
            "count_zeros_rect"]
@@ -88,10 +89,7 @@ class LineFunction:
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
         P, Q = self.ev.tables_batch(zs)
         L = self.ev.level
-        if self.kind == "p":
-            sums = self.g[: L + 1] @ P[: L + 1]
-        else:
-            sums = self.g[: L + 1] @ Q[: L + 1]
+        sums = self.g[: L + 1] @ (P if self.kind == "p" else Q)[: L + 1]
         return np.asarray(self.off + (zs - self.v) * sums, dtype=complex)
 
     def real(self, xs) -> np.ndarray:
@@ -186,16 +184,9 @@ def _crossing(nodes: np.ndarray, edge: float, reach: float, side: str) -> float:
     return float(np.clip(0.5 * (below + above), edge - reach, edge + reach))
 
 
-# name -> (table kind, anchor table at v, offset): the series forms of
-# A(u,v) = (u-v) sum q_k(u) q_k(v), B = -1 + (u-v) sum p_k(u) q_k(v),
-# C = 1 + (u-v) sum q_k(u) p_k(v) and D = (u-v) sum p_k(u) p_k(v)
-_NEVANLINNA = {"A": ("q", "q", 0.0), "B": ("p", "q", -1.0),
-               "C": ("q", "p", 1.0), "D": ("p", "p", 0.0)}
-
-
 def nevanlinna_line(ev: Evaluator, name: str, v: float = 0.0) -> LineFunction:
     """u -> A, B, C or D(u, v) at the shared level, for real v."""
-    kind, anchor, off = _NEVANLINNA[name]
+    kind, anchor, off = SERIES_FORMS[name]
     return LineFunction(ev, kind, getattr(ev.table(complex(v)), anchor), off, v)
 
 

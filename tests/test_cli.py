@@ -1,6 +1,11 @@
+from dataclasses import fields, replace
+
 import pytest
 
+from indmom import JacobiCoefficients, RootScanConfig, TruncationPolicy
 from indmom.cli import main
+from indmom.config import RunConfig, default_config
+from indmom.evaluation import clear_evaluator_cache
 
 
 def run_cli(args, capsys):
@@ -140,7 +145,35 @@ class TestConfigFile:
         assert code == 2
 
 
+# every RunConfig field but the output destination and format shapes the
+# report body, so each must reach the config line and its hash
+HASHED_ALTERNATIVES = {
+    "problem": [JacobiCoefficients.power_law(3.0)],
+    "truncation": [TruncationPolicy(n_max=501), TruncationPolicy(tail_tol=1e-4),
+                   TruncationPolicy(safety=11.0)],
+    "scan": [RootScanConfig(window=(-41.0, 40.0)),
+             RootScanConfig(window=(-40.0, 40.0), refine_tol=1e-12)],
+    "precision": ["extended"],
+    "seed": [1235],
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)
+                                  if f.name not in ("out", "format")])
+def test_every_run_field_enters_config_hash(name):
+    base = default_config()
+    for value in HASHED_ALTERNATIVES[name]:
+        assert replace(base, **{name: value}).config_hash() != base.config_hash()
+
+
 class TestVerify:
+    def test_report_does_not_depend_on_cache_state(self, capsys):
+        clear_evaluator_cache()
+        code, cold, _ = run_cli(["--nmax", "120", "verify"], capsys)
+        assert code == 0
+        _, warm, _ = run_cli(["--nmax", "120", "verify"], capsys)
+        assert cold == warm
+
     def test_small_level_suite_passes(self, capsys):
         code, out, err = run_cli(["--nmax", "120", "--seed", "7", "verify"],
                                  capsys)

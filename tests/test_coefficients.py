@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from indmom import JacobiCoefficients
@@ -62,6 +63,39 @@ class TestTruncateOnce:
 
     def test_double_truncation(self, src):
         assert src.truncate_once().truncate_once().coeffs(0) == (9.0, 0.0)
+
+
+class TestArrays:
+    SOURCES = {
+        "c=1.5": lambda: JacobiCoefficients.power_law(1.5),
+        "c=2": lambda: JacobiCoefficients.power_law(2.0),
+        "c=3": lambda: JacobiCoefficients.power_law(3.0),
+        "c=1.5 truncated": lambda: JacobiCoefficients.power_law(1.5).truncate_once(),
+        "explicit+tail": lambda: JacobiCoefficients.explicit(
+            [(1.0, 0.5), (2.0, -0.25)],
+            tail=lambda n: ((n + 1.0) ** 1.5, 0.1 * (-1) ** n)),
+    }
+
+    @pytest.mark.parametrize("name", SOURCES)
+    def test_bitwise_equal_to_coeffs(self, name):
+        src = self.SOURCES[name]()
+        src.arrays(7)  # built short first, so the long call extends it
+        a, b = src.arrays(5000)
+        pairs = [src.coeffs(n) for n in range(5001)]
+        assert a.tobytes() == np.array([p[0] for p in pairs], dtype=float).tobytes()
+        assert b.tobytes() == np.array([p[1] for p in pairs], dtype=float).tobytes()
+
+    def test_read_only(self, src):
+        for x in src.arrays(40) + src.arrays(10):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 1.0
+
+    def test_range_checked(self):
+        j = JacobiCoefficients.explicit([(1.0, 0.0), (2.0, 1.0)])
+        assert len(j.arrays(1)[0]) == 2
+        with pytest.raises(CoefficientRangeError):
+            j.arrays(2)
 
 
 class TestFileFormat:

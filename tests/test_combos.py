@@ -31,9 +31,15 @@ class TestParsing:
         parsed = parse_combination("-p(1)")
         assert parsed.terms[0].coefficient == -1
 
-    def test_bare_scalar_coefficient(self):
-        parsed = parse_combination("2.5*q(0.3)")
-        assert parsed.terms[0].coefficient == 2.5
+    @pytest.mark.parametrize("spec,value", [
+        ("2.5*q(0.3)", 2.5),
+        ("1e-3*p(0.5)", 1e-3),
+        ("2.5e+2*q(1)", 250.0),
+        ("1e3*p(0)", 1000.0),
+    ])
+    def test_bare_scalar_coefficient(self, spec, value):
+        parsed = parse_combination(spec)
+        assert parsed.terms[0].coefficient == value
 
     def test_imaginary_scalar(self):
         parsed = parse_combination("1.5i*p(0)")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from indmom import JacobiCoefficients, TruncationPolicy, eval_pq
+from indmom import (JacobiCoefficients, TruncationPolicy, acceptance, eval_pq,
+                    evaluation, p_vector)
+from indmom.config import default_config
 from indmom.errors import CoefficientRangeError, EvaluationOverflowError
-from indmom.evaluation import evaluator_for
+from indmom.evaluation import Evaluator, clear_evaluator_cache, evaluator_for
 
 # Exact Gaussian-rational recurrence sums at z=i through index 200,
 # computed once with Fraction arithmetic and frozen here.
@@ -120,3 +122,92 @@ class TestExtendedPrecision:
         assert float(tab.cum_p2[200]) == pytest.approx(CUM_P2_I_200, rel=1e-12)
         # p_2(i) = (i*p_1(i) - a_0)/a_1 = -1/2 exactly
         assert complex(tab.p[2]) == pytest.approx(-0.5, abs=1e-30)
+
+
+def _same_table(t1, t2):
+    """Bitwise equality of two point tables (complex128 or mpmath entries)."""
+    def same(x, y):
+        if x.dtype == object:
+            return x.shape == y.shape and all(u == w for u, w in zip(x, y))
+        return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    return (t1.z == t2.z and t1.stop_index == t2.stop_index
+            and t1.converged == t2.converged and t1.tail_est == t2.tail_est
+            and all(same(getattr(t1, k), getattr(t2, k))
+                    for k in ("p", "q", "cum_p2", "cum_q2")))
+
+
+class TestTableCache:
+    def test_batch_matches_one_point_tables(self, src, pol):
+        rng = np.random.default_rng(8)
+        zs = list(rng.uniform(-3, 3, 12) + 1j * rng.uniform(-3, 3, 12)) + [0.0, 1.5]
+        ev = Evaluator(src, pol)
+        ev.tables(zs[:4])                                  # later hits
+        batch = zs[2:] + [zs[5], zs[0], zs[5]]             # hits, misses, duplicates
+        tabs = ev.tables(batch)
+        assert len(tabs) == len(batch)
+        for z, tab in zip(batch, tabs):
+            assert _same_table(tab, Evaluator(src, pol).table(z))
+            assert len(tab.p) == pol.n_max + 9
+            assert not tab.p.flags.writeable
+
+    @pytest.mark.parametrize("precision,n_points,capacity",
+                             [("standard", 300, 256), ("extended", 20, 16)])
+    def test_cache_is_bounded(self, src, precision, n_points, capacity):
+        pol = TruncationPolicy(n_max=40 if precision == "standard" else 10)
+        ev = Evaluator(src, pol, precision)
+        zs = 0.01 * np.arange(n_points) + 0.5j
+        first = ev.table(zs[0])
+        for z in zs[1:]:
+            ev.table(z)
+        assert len(ev._cache) <= capacity
+        assert complex(zs[0]) not in ev._cache             # least recent went first
+        again = ev.table(zs[0])
+        assert again is not first and _same_table(again, first)
+
+    def test_one_batch_larger_than_the_cache(self, src):
+        ev = Evaluator(src, TruncationPolicy(n_max=20))
+        zs = 0.01 * np.arange(300) + 0.5j
+        tabs = ev.tables(zs)
+        assert [t.z for t in tabs] == [complex(z) for z in zs]
+        assert len(ev._cache) == 256
+
+    def test_evaluators_are_bounded(self, src):
+        clear_evaluator_cache()
+        for n_max in range(20, 30):
+            evaluator_for(src, TruncationPolicy(n_max=n_max))
+        assert len(evaluation._EVALUATORS) == 8
+        clear_evaluator_cache()
+
+    def test_explicit_source_must_reach_level_plus_eight(self):
+        pol = TruncationPolicy(n_max=50)
+
+        def source(top):
+            return JacobiCoefficients.explicit(
+                [((n + 1.0) ** 2, 0.0) for n in range(top + 1)])
+
+        with pytest.raises(CoefficientRangeError):
+            eval_pq(source(pol.n_max + 7), 0.5j, pol)
+        vec = p_vector(source(pol.n_max + 8), 0.5j, pol)
+        assert vec.M == pol.n_max + 8
+
+
+def _counting(monkeypatch):
+    calls = []
+    kernel = evaluation.recurrence_batch
+
+    def counted(a, b, zs, upto):
+        calls.append(len(zs))
+        return kernel(a, b, zs, upto)
+
+    monkeypatch.setattr(evaluation, "recurrence_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("check", ["_check_three_point", "_check_pick"])
+def test_sampled_checks_batch_their_points(monkeypatch, check):
+    config = default_config(truncation=TruncationPolicy(n_max=120))
+    clear_evaluator_cache()
+    calls = _counting(monkeypatch)
+    results = getattr(acceptance, check)(config)
+    assert all(r.passed for r in results)
+    assert len(calls) <= 3, calls
