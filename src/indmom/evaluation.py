@@ -20,9 +20,11 @@ returns arrays sliced at that adaptive index, which is its contract.
 
 Every cached point table comes from :meth:`Evaluator.tables`, which
 computes all the points it misses in one recurrence call.  The standard
-backend is numpy complex128 (vectorized over batches of points); the
-extended backend uses mpmath with a configurable number of digits, one
-point at a time.
+backend, :func:`recurrence_batch`, returns complex128 tables computed in
+explicit real arithmetic, by a per-point loop on Python floats for small
+batches and by the same operations as numpy ufuncs for large ones, so a
+point's table does not depend on its batch.  The extended backend uses
+mpmath with a configurable number of digits, one point at a time.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ _OVERFLOW_LIMIT = 1e150
 _TAIL_MARGIN = 8  # table indices past the shared level, for p/q truncations
 _TABLE_CAPACITY = {"standard": 256, "extended": 16}  # tables per evaluator
 _MAX_EVALUATORS = 8
+# Largest batch run by the per-point loop.  The point loop costs about
+# 0.5 ms per point and the array loop about 7 ms per batch at L = 1009, so
+# they cross at 13-15 points (measured at L = 509 and 1009, 2-core Xeon VM).
+_SCALAR_BATCH = 12
 
 
 @dataclass(frozen=True)
@@ -117,29 +123,99 @@ class PointTable:
 
 def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
                      upto: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized p/q tables: shape (upto+1, len(zs)).
+    """p/q tables: shape (upto+1, len(zs)), complex128, C-contiguous.
 
-    Raises EvaluationOverflowError if values leave the double range.
+    Each step computes the real and imaginary parts of p and q with the
+    same IEEE operations in the same order, for example
+    ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
+    with ``xb = x - b_n``; no complex multiply, which numpy's SIMD loops
+    may fuse.  Batches of at most ``_SCALAR_BATCH`` points run a loop on
+    Python floats per point, larger ones the same operations as in-place
+    ufuncs over the batch, so a point's table is bitwise the same whatever
+    batch computed it.
+
+    Raises EvaluationOverflowError if a real or imaginary part exceeds
+    ``_OVERFLOW_LIMIT`` in size or is not finite.
     """
     zs = np.asarray(zs, dtype=complex)
     npts = zs.shape[0]
-    P = np.empty((upto + 1, npts), dtype=complex)
-    Q = np.empty((upto + 1, npts), dtype=complex)
-    P[0] = 1.0
-    Q[0] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        if upto >= 1:
-            P[1] = (zs - b[0]) / a[0]
-            Q[1] = 1.0 / a[0]
-        for n in range(1, upto):
-            P[n + 1] = ((zs - b[n]) * P[n] - a[n - 1] * P[n - 1]) / a[n]
-            Q[n + 1] = ((zs - b[n]) * Q[n] - a[n - 1] * Q[n - 1]) / a[n]
-        mx = (max(np.max(np.abs(P)), np.max(np.abs(Q)))
-              if upto >= 1 and npts else 1.0)
-    if not np.isfinite(mx) or mx > _OVERFLOW_LIMIT:
+    R = np.empty((2, upto + 1, npts), dtype=complex)
+    V = R.view(float).reshape(2, upto + 1, npts, 2)  # [P|Q, n, point, re|im]
+    if npts <= _SCALAR_BATCH:
+        al, bl = a[:upto].tolist(), b[:upto].tolist()
+        for j, z in enumerate(zs.tolist()):
+            (V[0, :, j, 0], V[0, :, j, 1],
+             V[1, :, j, 0], V[1, :, j, 1]) = _point_loop(al, bl, z.real, z.imag, upto)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            _array_loop(a, b, zs, upto, V)
+    if R.size and not (-_OVERFLOW_LIMIT <= V.min() and V.max() <= _OVERFLOW_LIMIT):
         raise EvaluationOverflowError(
             "evaluation overflow; reduce |z| or use higher precision")
-    return P, Q
+    return R[0], R[1]
+
+
+def _point_loop(al: List[float], bl: List[float], x: float, y: float,
+                upto: int) -> Tuple[List[float], ...]:
+    """Re p, Im p, Re q, Im q through index upto at z = x + iy, on Python floats."""
+    my = -y
+    PR, PI, QR, QI = [1.0], [0.0], [0.0], [0.0]
+    if upto >= 1:
+        a0 = al[0]
+        PR.append((x - bl[0]) / a0)
+        PI.append(y / a0)
+        QR.append(1.0 / a0)
+        QI.append(0.0 / a0)
+    pr, pi, qr, qi = PR[-1], PI[-1], QR[-1], QI[-1]
+    prp, pip, qrp, qip = 1.0, 0.0, 0.0, 0.0
+    for am, an, bn in zip(al[: upto - 1], al[1:upto], bl[1:upto]):
+        xb = x - bn
+        pr, pi, qr, qi, prp, pip, qrp, qip = (
+            (xb * pr + my * pi - am * prp) / an,
+            (xb * pi + y * pr - am * pip) / an,
+            (xb * qr + my * qi - am * qrp) / an,
+            (xb * qi + y * qr - am * qip) / an,
+            pr, pi, qr, qi)
+        PR.append(pr)
+        PI.append(pi)
+        QR.append(qr)
+        QI.append(qi)
+    return PR, PI, QR, QI
+
+
+def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
+                V: np.ndarray) -> None:
+    """The point loop's operations as in-place ufuncs over a batch.
+
+    Rows are computed in three rolling (re|im, p|q, point) buffers, where
+    every operand is contiguous, and each new row is copied into ``V``.
+    The real and imaginary parts are updated together: ``ys = [-y, y]``
+    multiplies the swapped parts ``[Im, Re]``.
+    """
+    shape = (2, 2, zs.shape[0])
+    x = np.ascontiguousarray(np.broadcast_to(zs.real, shape))
+    ys = np.ascontiguousarray(np.broadcast_to(
+        np.stack([-zs.imag, zs.imag])[:, None], shape))
+    prev, cur, new = np.zeros((3,) + shape)
+    prev[0, 0] = 1.0                                  # p_0 = 1, q_0 = 0
+    V[:, 0, :, 0], V[:, 0, :, 1] = prev
+    if upto >= 1:
+        np.divide(zs.real - b[0], a[0], out=cur[0, 0])
+        np.divide(zs.imag, a[0], out=cur[1, 0])
+        cur[0, 1] = 1.0 / a[0]
+        cur[1, 1] = 0.0 / a[0]
+        V[:, 1, :, 0], V[:, 1, :, 1] = cur
+    xb, t = np.empty(shape), np.empty(shape)
+    for n in range(1, upto):
+        np.subtract(x, b[n], out=xb)
+        np.multiply(xb, cur, out=new)
+        np.multiply(ys, cur[::-1], out=t)
+        np.add(new, t, out=new)
+        np.multiply(a[n - 1], prev, out=t)
+        np.subtract(new, t, out=new)
+        np.divide(new, a[n], out=new)
+        V[:, n + 1, :, 0], V[:, n + 1, :, 1] = new
+        prev, cur, new = cur, new, prev
 
 
 def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int):
@@ -147,16 +223,18 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int):
     import mpmath as mp
 
     with mp.workdps(dps):
+        am = [mp.mpf(v) for v in a[:upto].tolist()]
+        bm = [mp.mpf(v) for v in b[:upto].tolist()]
         zm = mp.mpc(z)
         p = np.empty(upto + 1, dtype=object)
         q = np.empty(upto + 1, dtype=object)
         p[0], q[0] = mp.mpc(1), mp.mpc(0)
         if upto >= 1:
-            p[1] = (zm - b[0]) / mp.mpf(a[0])
-            q[1] = mp.mpc(1) / mp.mpf(a[0])
+            p[1] = (zm - bm[0]) / am[0]
+            q[1] = mp.mpc(1) / am[0]
         for n in range(1, upto):
-            p[n + 1] = ((zm - b[n]) * p[n] - a[n - 1] * p[n - 1]) / a[n]
-            q[n + 1] = ((zm - b[n]) * q[n] - a[n - 1] * q[n - 1]) / a[n]
+            p[n + 1] = ((zm - bm[n]) * p[n] - am[n - 1] * p[n - 1]) / am[n]
+            q[n + 1] = ((zm - bm[n]) * q[n] - am[n - 1] * q[n - 1]) / am[n]
     return p, q
 
 

@@ -97,9 +97,12 @@ class TestRecurrenceInvariants:
 
 
 class TestErrors:
-    def test_overflow(self, src, pol):
+    @pytest.mark.parametrize("npts", [1, evaluation._SCALAR_BATCH + 1],
+                             ids=["point_loop", "array_loop"])
+    def test_overflow(self, src, pol, npts):
+        zs = [0.1 * k + 0.5j for k in range(npts - 1)] + [1e200]
         with pytest.raises(EvaluationOverflowError, match="overflow"):
-            eval_pq(src, 1e200, pol)
+            Evaluator(src, pol).tables(zs)
 
     def test_explicit_list_too_short(self):
         j = JacobiCoefficients.explicit([(1.0, 0.0)] * 10)
@@ -113,6 +116,54 @@ class TestErrors:
             TruncationPolicy(tail_tol=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(safety=0.5)
+
+
+def _source(name):
+    """"c=<exponent>" power law, or "alternating_b": a_n = (n+1)^2, b_n = 0.3(-1)^n."""
+    if name == "alternating_b":
+        return JacobiCoefficients.explicit(
+            [((n + 1.0) ** 2, 0.3 * (-1) ** n) for n in range(1100)])
+    return JacobiCoefficients.power_law(float(name[2:]))
+
+
+def _disk_points(seed, n):
+    """n points in |z| <= 2.5, then real points with imaginary part +0.0 and -0.0."""
+    rng = np.random.default_rng(seed)
+    zs = 2.5 * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+    reals = [complex(x, s) for x in (1.5, 0.0, -2.0) for s in (0.0, -0.0)]
+    return np.concatenate([zs, reals])
+
+
+class TestRecurrenceKernel:
+    @pytest.mark.parametrize("upto", [1, 2, 509, 1009])
+    @pytest.mark.parametrize("source", ["c=2", "alternating_b"])
+    def test_batch_columns_are_bytewise_one_point_tables(self, source, upto):
+        a, b = _source(source).arrays(upto)
+        zs = _disk_points(3, 58)                           # 64 points
+        one = [evaluation.recurrence_batch(a, b, zs[j:j + 1], upto)
+               for j in range(len(zs))]
+        for size in (1, evaluation._SCALAR_BATCH, evaluation._SCALAR_BATCH + 1, 64):
+            for lo in range(0, len(zs), size):
+                P, Q = evaluation.recurrence_batch(a, b, zs[lo:lo + size], upto)
+                assert P.shape == (upto + 1, len(zs[lo:lo + size]))
+                assert P.flags.c_contiguous and Q.flags.c_contiguous
+                for j in range(P.shape[1]):
+                    p1, q1 = one[lo + j]
+                    assert P[:, j].tobytes() == p1[:, 0].tobytes(), (size, lo + j)
+                    assert Q[:, j].tobytes() == q1[:, 0].tobytes(), (size, lo + j)
+
+    @pytest.mark.parametrize("source", ["c=2", "c=3", "alternating_b"])
+    def test_agrees_with_mpmath(self, source):
+        L = 1009
+        a, b = _source(source).arrays(L)
+        zs = _disk_points(9, 3)
+        P, Q = evaluation.recurrence_batch(a, b, zs, L)
+        for j, z in enumerate(zs):
+            pm, qm = evaluation.recurrence_mp(a, b, complex(z), L, 40)
+            for std, ref in ((P[:, j], pm), (Q[:, j], qm)):
+                ref = np.array([complex(v) for v in ref])
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(std - ref)) <= 1e-14 * scale, (z, source)
 
 
 class TestExtendedPrecision:
