@@ -23,15 +23,22 @@ computes all the points it misses in one recurrence call.  The standard
 backend, :func:`recurrence_batch`, returns complex128 tables computed in
 explicit real arithmetic, by a per-point loop on Python floats for small
 batches and by the same operations as numpy ufuncs for large ones, so a
-point's table does not depend on its batch.  The extended backend uses
-mpmath with a configurable number of digits, one point at a time.
+point's table does not depend on its batch.  The extended backend,
+:func:`recurrence_mp`, runs the same real-arithmetic recurrence one point
+at a time on Python integers: the points and coefficients are float64, so
+exact dyadic rationals, and each step keeps ``_GUARD_BITS`` bits beyond
+mpmath's binary precision at ``dps`` digits, rounding to nearest after
+each division by ``a_n``.  Its entries are mpmath ``mpc`` numbers, each
+rounded once to that precision.  Either backend returns the p table, the
+q table or both (``chains``); the array loop and the extended kernel
+compute only the tables returned.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,6 +53,9 @@ _MAX_EVALUATORS = 8
 # 0.5 ms per point and the array loop about 7 ms per batch at L = 1009, so
 # they cross at 13-15 points (measured at L = 509 and 1009, 2-core Xeon VM).
 _SCALAR_BATCH = 12
+# Bits the extended kernel keeps beyond mpmath's precision at ``dps`` digits.
+_GUARD_BITS = 24
+_CHAINS = ("pq", "p", "q")
 
 
 @dataclass(frozen=True)
@@ -121,38 +131,54 @@ class PointTable:
         return float(self.cum_q2[self.level])
 
 
+Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
+
+
+def _pick(chains: str, tables) -> Pair:
+    """(P, Q) from the tables computed for ``chains``; None for the other."""
+    got = dict(zip(chains, tables))
+    return got.get("p"), got.get("q")
+
+
 def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
-                     upto: int) -> Tuple[np.ndarray, np.ndarray]:
+                     upto: int, chains: str = "pq") -> Pair:
     """p/q tables: shape (upto+1, len(zs)), complex128, C-contiguous.
 
-    Each step computes the real and imaginary parts of p and q with the
-    same IEEE operations in the same order, for example
+    ``chains`` ("pq", "p" or "q") selects the tables returned; the other is
+    None.  Each step computes the real and imaginary parts with the same
+    IEEE operations in the same order, for example
     ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
     with ``xb = x - b_n``; no complex multiply, which numpy's SIMD loops
     may fuse.  Batches of at most ``_SCALAR_BATCH`` points run a loop on
     Python floats per point, larger ones the same operations as in-place
     ufuncs over the batch, so a point's table is bitwise the same whatever
-    batch computed it.
+    batch computed it, and whichever chains were asked for.  The array
+    loop computes only the chains asked for; the point loop computes both,
+    since one loop over p and q together costs less than two (about 0.5
+    against 0.65 ms per point at L = 1008, 2-core Xeon VM).
 
     Raises EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite.
     """
+    if chains not in _CHAINS:
+        raise ValueError("chains must be 'pq', 'p' or 'q'")
     zs = np.asarray(zs, dtype=complex)
-    npts = zs.shape[0]
-    R = np.empty((2, upto + 1, npts), dtype=complex)
-    V = R.view(float).reshape(2, upto + 1, npts, 2)  # [P|Q, n, point, re|im]
+    npts, k = zs.shape[0], len(chains)
+    R = np.empty((k, upto + 1, npts), dtype=complex)
+    V = R.view(float).reshape(k, upto + 1, npts, 2)  # [chain, n, point, re|im]
     if npts <= _SCALAR_BATCH:
         al, bl = a[:upto].tolist(), b[:upto].tolist()
         for j, z in enumerate(zs.tolist()):
-            (V[0, :, j, 0], V[0, :, j, 1],
-             V[1, :, j, 0], V[1, :, j, 1]) = _point_loop(al, bl, z.real, z.imag, upto)
+            pr, pi, qr, qi = _point_loop(al, bl, z.real, z.imag, upto)
+            for c, chain in enumerate(chains):
+                V[c, :, j, 0], V[c, :, j, 1] = (pr, pi) if chain == "p" else (qr, qi)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            _array_loop(a, b, zs, upto, V)
+            _array_loop(a, b, zs, upto, V, chains)
     if R.size and not (-_OVERFLOW_LIMIT <= V.min() and V.max() <= _OVERFLOW_LIMIT):
         raise EvaluationOverflowError(
             "evaluation overflow; reduce |z| or use higher precision")
-    return R[0], R[1]
+    return _pick(chains, R)
 
 
 def _point_loop(al: List[float], bl: List[float], x: float, y: float,
@@ -184,26 +210,30 @@ def _point_loop(al: List[float], bl: List[float], x: float, y: float,
 
 
 def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
-                V: np.ndarray) -> None:
+                V: np.ndarray, chains: str) -> None:
     """The point loop's operations as in-place ufuncs over a batch.
 
-    Rows are computed in three rolling (re|im, p|q, point) buffers, where
+    Rows are computed in three rolling (re|im, chain, point) buffers, where
     every operand is contiguous, and each new row is copied into ``V``.
     The real and imaginary parts are updated together: ``ys = [-y, y]``
     multiplies the swapped parts ``[Im, Re]``.
     """
-    shape = (2, 2, zs.shape[0])
+    shape = (2, len(chains), zs.shape[0])
     x = np.ascontiguousarray(np.broadcast_to(zs.real, shape))
     ys = np.ascontiguousarray(np.broadcast_to(
         np.stack([-zs.imag, zs.imag])[:, None], shape))
     prev, cur, new = np.zeros((3,) + shape)
-    prev[0, 0] = 1.0                                  # p_0 = 1, q_0 = 0
+    for c, chain in enumerate(chains):
+        if chain == "p":
+            prev[0, c] = 1.0                          # p_0 = 1, q_0 = 0
+            if upto >= 1:
+                np.divide(zs.real - b[0], a[0], out=cur[0, c])
+                np.divide(zs.imag, a[0], out=cur[1, c])
+        elif upto >= 1:
+            cur[0, c] = 1.0 / a[0]
+            cur[1, c] = 0.0 / a[0]
     V[:, 0, :, 0], V[:, 0, :, 1] = prev
     if upto >= 1:
-        np.divide(zs.real - b[0], a[0], out=cur[0, 0])
-        np.divide(zs.imag, a[0], out=cur[1, 0])
-        cur[0, 1] = 1.0 / a[0]
-        cur[1, 1] = 0.0 / a[0]
         V[:, 1, :, 0], V[:, 1, :, 1] = cur
     xb, t = np.empty(shape), np.empty(shape)
     for n in range(1, upto):
@@ -218,29 +248,114 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
         prev, cur, new = cur, new, prev
 
 
-def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int):
-    """mpmath p/q arrays (object dtype) at one point."""
-    import mpmath as mp
+def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
+                  chains: str = "pq") -> Pair:
+    """Extended-precision p/q arrays at one point: object arrays of mpmath mpc.
 
-    with mp.workdps(dps):
-        am = [mp.mpf(v) for v in a[:upto].tolist()]
-        bm = [mp.mpf(v) for v in b[:upto].tolist()]
-        zm = mp.mpc(z)
-        p = np.empty(upto + 1, dtype=object)
-        q = np.empty(upto + 1, dtype=object)
-        p[0], q[0] = mp.mpc(1), mp.mpc(0)
-        if upto >= 1:
-            p[1] = (zm - bm[0]) / am[0]
-            q[1] = mp.mpc(1) / am[0]
-        for n in range(1, upto):
-            p[n + 1] = ((zm - bm[n]) * p[n] - am[n - 1] * p[n - 1]) / am[n]
-            q[n + 1] = ((zm - bm[n]) * q[n] - am[n - 1] * q[n - 1]) / am[n]
-    return p, q
+    The point loop's recurrence, run on Python integers.  ``z`` and the
+    coefficients are float64, so exact dyadic rationals; each value is an
+    integer pair (Re, Im) times a power of two, and the current and
+    previous values of a chain share that exponent.  A step computes
+    ``a_n v_{n+1}`` exactly, divides by ``a_n`` keeping ``prec +
+    _GUARD_BITS`` bits, where ``prec`` is mpmath's binary precision at
+    ``dps`` digits, and rounds to nearest.  Each entry is rounded to
+    nearest at ``prec`` bits once, when the ``mpc`` is made.  ``chains``
+    works as in :func:`recurrence_batch`.
+
+    Raises EvaluationOverflowError if z or a coefficient is not finite.
+    """
+    from mpmath import mp
+    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+
+    if chains not in _CHAINS:
+        raise ValueError("chains must be 'pq', 'p' or 'q'")
+    z, a, b = complex(z), a[:upto], b[:upto]
+    if not (np.isfinite(z) and np.isfinite(a).all() and np.isfinite(b).all()):
+        raise EvaluationOverflowError(
+            "evaluation overflow: the point or a coefficient is not finite")
+    prec = dps_to_prec(dps)
+    steps = _integer_steps(a, b, z, prec + _GUARD_BITS)
+    make, rnd = mp.make_mpc, round_nearest
+    out = []
+    for chain in chains:
+        col = np.empty(upto + 1, dtype=object)
+        col[:] = [make((from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)))
+                  for re, im, e in _integer_chain(steps, chain)]
+        out.append(col)
+    return _pick(chains, out)
+
+
+def _dyadics(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(m, e) with v == m * 2**e exactly, m odd, or m = e = 0 where v == 0."""
+    f, e = np.frexp(v)
+    m = np.ldexp(f, 53).astype(np.int64)              # exact: |f| < 1
+    t = np.maximum(np.frexp(m & -m)[1] - 1, 0)        # trailing zero bits
+    return m >> t, np.where(m != 0, e - 53 + t, 0)
+
+
+def _integer_steps(a: np.ndarray, b: np.ndarray, z: complex,
+                   width: int) -> List[Tuple[int, ...]]:
+    """The recurrence steps at z = x + iy as integers.
+
+    Step n gives ``a_n v_{n+1} = (x - b_n + iy) v_n - a_{n-1} v_{n-1}``
+    (with ``a_{-1} = 1``).  Every coefficient is a float64, so an integer
+    times ``2**e0`` for the least exponent e0 among them.  A step's tuple
+    holds those integers X, Y, A for ``x - b_n``, ``y`` and ``a_{n-1}``,
+    the odd mantissa d of ``a_n = d * 2**f``, ``width + bits(d)`` and
+    ``e0 - f``.
+    """
+    n = len(b)
+    m, e = _dyadics(np.concatenate([[z.real, z.imag, 1.0], a, b]))
+    e0 = int(e[m != 0].min())                         # <= 0: a_{-1} = 1
+    ints = [v << k for v, k in zip(m.tolist(), (e - e0).tolist())]
+    x, y, A, B = ints[0], ints[1], ints[2: n + 3], ints[n + 3:]
+    return [(x - bn, y, am, d, width + d.bit_length(), e0 - f)
+            for bn, am, d, f in zip(B, A, m[3: n + 3].tolist(), e[3: n + 3].tolist())]
+
+
+def _integer_chain(steps: List[Tuple[int, ...]],
+                   chain: str) -> List[Tuple[int, int, int]]:
+    """(Re, Im, e) with v_n = (Re + i Im) * 2**e for v = p or q, n = 0..upto."""
+    # v_{-1} = 0 for p and -1 for q, so the first step gives p_1 and q_1
+    re, im, rep, imp, e = (1, 0, 0, 0, 0) if chain == "p" else (0, 0, -1, 0, 0)
+    out = [(re, im, e)]
+    for X, Y, A, d, bits, de in steps:
+        nre = X * re - Y * im - A * rep
+        nim = X * im + Y * re - A * imp
+        nb = max(nre.bit_length(), nim.bit_length())
+        if nb:
+            s = bits - nb                       # the quotient keeps `width` bits
+            if s >= 0:
+                nre, nim = nre << s, nim << s
+            else:
+                d <<= -s
+            h = d >> 1                          # round to nearest
+            nre, nim = (nre + h) // d, (nim + h) // d
+            k = s - de                          # the current value joins e - k
+            e -= k
+            if k >= 0:
+                rep, imp = re << k, im << k
+            else:
+                h = 1 << (-k - 1)
+                rep, imp = (re + h) >> -k, (im + h) >> -k
+        else:                                   # v_{n+1} = 0 at the same e
+            rep, imp = re, im
+        re, im = nre, nim
+        out.append((re, im, e))
+    return out
 
 
 def abs2(x: np.ndarray) -> np.ndarray:
-    """Squared moduli as floats, for complex128 or mpmath (object) arrays."""
-    return (np.abs(x) ** 2).astype(float, copy=False)
+    """Squared moduli as floats, for complex128 or mpmath (object) arrays.
+
+    Raises EvaluationOverflowError if one exceeds the float range (only an
+    extended-precision table can reach it).
+    """
+    out = (np.abs(x) ** 2).astype(float, copy=False)
+    if not np.isfinite(out).all():
+        raise EvaluationOverflowError(
+            "evaluation overflow: a squared modulus exceeds the float range")
+    return out
 
 
 class Evaluator:
@@ -266,25 +381,34 @@ class Evaluator:
         self.a, self.b = source.arrays(self.top)
         self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
 
-    def _recurrence(self, zs, upto: int) -> Tuple[np.ndarray, np.ndarray]:
+    def _recurrence(self, zs, upto: int, chains: str = "pq") -> Pair:
         """(P, Q) tables of shape (upto+1, len(zs)) at the evaluator's precision.
 
         The one place that chooses between the complex128 batch kernel and
-        the per-point mpmath kernel (object dtype).
+        the per-point integer kernel (object dtype of mpmath ``mpc``).
+        ``chains`` selects the tables computed, as in
+        :func:`recurrence_batch`.
         """
         a, b = self.source.arrays(max(upto, 1))
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         if self.precision == "standard":
-            return recurrence_batch(a, b, zs, upto)
-        P, Q = (np.empty((upto + 1, zs.size), dtype=object) for _ in range(2))
+            return recurrence_batch(a, b, zs, upto, chains)
+        tabs = {c: np.empty((upto + 1, zs.size), dtype=object) for c in chains}
         for j, z in enumerate(zs):
-            P[:, j], Q[:, j] = recurrence_mp(a, b, complex(z), upto, self.dps)
-        return P, Q
+            for c, col in zip("pq", recurrence_mp(a, b, z, upto, self.dps, chains)):
+                if col is not None:
+                    tabs[c][:, j] = col
+        return tabs.get("p"), tabs.get("q")
 
     # -- point tables ------------------------------------------------------
 
     def table(self, z) -> PointTable:
-        return self.tables([z])[0]
+        z = complex(z)
+        tab = self._cache.get(z)
+        if tab is None:
+            return self.tables([z])[0]
+        self._cache.move_to_end(z)
+        return tab
 
     def tables(self, zs) -> List[PointTable]:
         """Point tables for every point of the sequence ``zs``, in order.
@@ -306,14 +430,21 @@ class Evaluator:
             cache.popitem(last=False)
         return out
 
-    def tables_batch(self, zs) -> Tuple[np.ndarray, np.ndarray]:
-        """Uncached (P, Q) tables through index level + 1 for an array of points."""
-        return self._recurrence(zs, self.level + 1)
+    def tables_batch(self, zs, chains: str = "pq") -> Pair:
+        """Uncached (P, Q) tables through index level + 1 for an array of points.
+
+        ``chains`` selects the tables computed; the other is None.
+        """
+        return self._recurrence(zs, self.level + 1, chains)
 
     def _finish_tables(self, zs: List[complex], P: np.ndarray,
                        Q: np.ndarray) -> List[PointTable]:
         ab2, qb2 = abs2(P), abs2(Q)
-        cum_p2, cum_q2 = np.cumsum(ab2, axis=0), np.cumsum(qb2, axis=0)
+        with np.errstate(over="ignore"):
+            cum_p2, cum_q2 = np.cumsum(ab2, axis=0), np.cumsum(qb2, axis=0)
+        if not (np.isfinite(cum_p2[-1]).all() and np.isfinite(cum_q2[-1]).all()):
+            raise EvaluationOverflowError(
+                "evaluation overflow: a cumulative sum exceeds the float range")
         inc = ab2 + qb2
         L, pol = self.level, self.policy
         ok = pol.safety * inc[: L + 1] < pol.tail_tol * (cum_p2 + cum_q2)[: L + 1]
@@ -336,9 +467,17 @@ class Evaluator:
     def pq_upto(self, z, upto: int) -> Tuple[np.ndarray, np.ndarray]:
         """p_0..p_upto, q_0..q_upto at z (exact finite-sum helpers).
 
-        Independent of the shared level and uncached; used where the
-        computation is a finite sum rather than a truncated series.
+        Independent of the shared level; used where the computation is a
+        finite sum rather than a truncated series.  A cached table serves
+        ``upto <= level + 8`` with read-only slices, bitwise equal to a
+        fresh computation since a row depends only on earlier rows; other
+        requests are computed and not cached.
         """
+        z = complex(z)
+        tab = self._cache.get(z)
+        if tab is not None and upto <= self.top:
+            self._cache.move_to_end(z)
+            return tab.p[: upto + 1], tab.q[: upto + 1]
         P, Q = self._recurrence([z], upto)
         return P[:, 0], Q[:, 0]
 

@@ -148,7 +148,7 @@ def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
 
 
 def _masses_batch(ev: Evaluator, xs: np.ndarray) -> np.ndarray:
-    P, _ = ev.tables_batch(xs)
+    P, _ = ev.tables_batch(xs, "p")
     return 1.0 / np.sum(abs2(P[: ev.level + 1]), axis=0)
 
 

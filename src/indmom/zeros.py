@@ -74,6 +74,7 @@ class LineFunction:
         if kind not in ("p", "q"):
             raise ValueError("kind must be 'p' or 'q'")
         self.ev, self.kind, self.g, self.off, self.v = ev, kind, g, off, float(v)
+        self._nodes: Optional[np.ndarray] = None
 
     def __add__(self, other: "LineFunction") -> "LineFunction":
         if (other.ev, other.kind, other.v) != (self.ev, self.kind, self.v):
@@ -87,7 +88,7 @@ class LineFunction:
     def __call__(self, zs) -> np.ndarray:
         """Values at real or complex points, at the evaluator's precision."""
         zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        P, Q = self.ev.tables_batch(zs)
+        P, Q = self.ev.tables_batch(zs, self.kind)
         L = self.ev.level
         sums = self.g[: L + 1] @ (P if self.kind == "p" else Q)[: L + 1]
         return np.asarray(self.off + (zs - self.v) * sums, dtype=complex)
@@ -102,8 +103,14 @@ class LineFunction:
         b_L + a_L g_{L+1} / g_L; Q kind: the once-stripped rows 1..L with
         the same corner.  When g_L = 0 (or the corner overflows) the zeros
         are those of T_L, and the last row and column are dropped.  With
-        ``off = 0`` the node nearest v is set to v exactly.
+        ``off = 0`` the node nearest v is set to v exactly.  The eigensolve
+        runs once per line function; each call returns a copy.
         """
+        if self._nodes is None:
+            self._nodes = self._solve()
+        return self._nodes.copy()
+
+    def _solve(self) -> np.ndarray:
         ev, g, L = self.ev, self.g, self.ev.level
         first = 0 if self.kind == "p" else 1
         diag = np.array(ev.b[first: L + 1], dtype=float)

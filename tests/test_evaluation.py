@@ -1,3 +1,6 @@
+import math
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -97,12 +100,27 @@ class TestRecurrenceInvariants:
 
 
 class TestErrors:
-    @pytest.mark.parametrize("npts", [1, evaluation._SCALAR_BATCH + 1],
-                             ids=["point_loop", "array_loop"])
-    def test_overflow(self, src, pol, npts):
-        zs = [0.1 * k + 0.5j for k in range(npts - 1)] + [1e200]
+    @pytest.mark.parametrize("precision,npts,bad", [
+        pytest.param("standard", 1, 1e200, id="point_loop"),
+        pytest.param("standard", evaluation._SCALAR_BATCH + 1, 1e200, id="array_loop"),
+    ] + [pytest.param(precision, 1, bad, id=f"{precision}-{bad}")
+         for precision in ("standard", "extended")
+         for bad in (math.nan, math.inf, 1e300)])
+    def test_overflow(self, src, pol, precision, npts, bad):
+        zs = [0.1 * k + 0.5j for k in range(npts - 1)] + [bad]
         with pytest.raises(EvaluationOverflowError, match="overflow"):
-            Evaluator(src, pol).tables(zs)
+            Evaluator(src, pol, precision).tables(zs)
+
+    def test_cumulative_sum_beyond_float_range(self, src):
+        ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
+        P = np.full((ev.top + 1, 1), mp.mpc(1e154), dtype=object)  # |.|^2 finite
+        with pytest.raises(EvaluationOverflowError, match="cumulative"):
+            ev._finish_tables([0j], P, P)
+
+    def test_extended_rejects_non_finite_coefficients(self):
+        a = np.array([1.0, 4.0, math.inf, 16.0])
+        with pytest.raises(EvaluationOverflowError, match="not finite"):
+            evaluation.recurrence_mp(a, np.zeros(4), 0.5j, 4, 32)
 
     def test_explicit_list_too_short(self):
         j = JacobiCoefficients.explicit([(1.0, 0.0)] * 10)
@@ -134,6 +152,22 @@ def _disk_points(seed, n):
     return np.concatenate([zs, reals])
 
 
+def _mp_reference(a, b, z, upto, dps):
+    """p/q lists at z from the recurrence in mpmath mpc arithmetic at dps digits."""
+    with mp.workdps(dps):
+        am = [mp.mpf(v) for v in a[:upto].tolist()]
+        bm = [mp.mpf(v) for v in b[:upto].tolist()]
+        zm = mp.mpc(complex(z))
+        p, q = [mp.mpc(1)], [mp.mpc(0)]
+        if upto >= 1:
+            p.append((zm - bm[0]) / am[0])
+            q.append(1 / am[0])
+        for n in range(1, upto):
+            p.append(((zm - bm[n]) * p[n] - am[n - 1] * p[n - 1]) / am[n])
+            q.append(((zm - bm[n]) * q[n] - am[n - 1] * q[n - 1]) / am[n])
+    return p, q
+
+
 class TestRecurrenceKernel:
     @pytest.mark.parametrize("upto", [1, 2, 509, 1009])
     @pytest.mark.parametrize("source", ["c=2", "alternating_b"])
@@ -142,15 +176,20 @@ class TestRecurrenceKernel:
         zs = _disk_points(3, 58)                           # 64 points
         one = [evaluation.recurrence_batch(a, b, zs[j:j + 1], upto)
                for j in range(len(zs))]
-        for size in (1, evaluation._SCALAR_BATCH, evaluation._SCALAR_BATCH + 1, 64):
-            for lo in range(0, len(zs), size):
-                P, Q = evaluation.recurrence_batch(a, b, zs[lo:lo + size], upto)
-                assert P.shape == (upto + 1, len(zs[lo:lo + size]))
-                assert P.flags.c_contiguous and Q.flags.c_contiguous
-                for j in range(P.shape[1]):
-                    p1, q1 = one[lo + j]
-                    assert P[:, j].tobytes() == p1[:, 0].tobytes(), (size, lo + j)
-                    assert Q[:, j].tobytes() == q1[:, 0].tobytes(), (size, lo + j)
+        for chains in ("pq", "p", "q"):
+            for size in (1, evaluation._SCALAR_BATCH, evaluation._SCALAR_BATCH + 1, 64):
+                for lo in range(0, len(zs), size):
+                    tabs = evaluation.recurrence_batch(a, b, zs[lo:lo + size], upto,
+                                                       chains)
+                    for k, T in enumerate(tabs):
+                        if "pq"[k] not in chains:
+                            assert T is None
+                            continue
+                        assert T.shape == (upto + 1, len(zs[lo:lo + size]))
+                        assert T.flags.c_contiguous
+                        for j in range(T.shape[1]):
+                            assert T[:, j].tobytes() == one[lo + j][k][:, 0].tobytes(), \
+                                (chains, size, lo + j)
 
     @pytest.mark.parametrize("source", ["c=2", "c=3", "alternating_b"])
     def test_agrees_with_mpmath(self, source):
@@ -159,11 +198,44 @@ class TestRecurrenceKernel:
         zs = _disk_points(9, 3)
         P, Q = evaluation.recurrence_batch(a, b, zs, L)
         for j, z in enumerate(zs):
-            pm, qm = evaluation.recurrence_mp(a, b, complex(z), L, 40)
+            pm, qm = _mp_reference(a, b, z, L, 40)
             for std, ref in ((P[:, j], pm), (Q[:, j], qm)):
                 ref = np.array([complex(v) for v in ref])
                 scale = np.max(np.abs(ref))
                 assert np.max(np.abs(std - ref)) <= 1e-14 * scale, (z, source)
+
+    @pytest.mark.parametrize("dps", [32, 40])
+    @pytest.mark.parametrize("source", ["c=2", "c=3", "alternating_b"])
+    def test_extended_kernel_holds_its_digits(self, source, dps):
+        # each entry within 10^-(dps-1) of the larger of its reference and
+        # the one before (the scale of the terms it is computed from)
+        L = 1009
+        a, b = _source(source).arrays(L)
+        zs = list(_disk_points(4, 2)[:2]) + [complex(1.5, 0.0), complex(-2.0, -0.0),
+                                               0.7 + 1e-12j, 40 + 3j]
+        for z in zs:
+            got = evaluation.recurrence_mp(a, b, z, L, dps)
+            ref = _mp_reference(a, b, z, L, dps + 20)
+            with mp.workdps(dps + 20):
+                tol = mp.mpf(10) ** (1 - dps)
+                for chain, g, r in zip("pq", got, ref):
+                    assert g.dtype == object and len(g) == L + 1
+                    assert all(isinstance(v, mp.mpc) for v in g)
+                    mags = [abs(v) for v in r]
+                    for n in range(L + 1):
+                        scale = max(mags[n], mags[n - 1] if n else 0)
+                        assert abs(g[n] - r[n]) <= tol * scale, (z, chain, n)
+
+    @pytest.mark.parametrize("chains", ["p", "q"])
+    def test_extended_chains_are_the_full_tables(self, src, chains):
+        a, b = src.arrays(200)
+        full = evaluation.recurrence_mp(a, b, 0.3 + 0.9j, 200, 32)
+        one = evaluation.recurrence_mp(a, b, 0.3 + 0.9j, 200, 32, chains)
+        for k in range(2):
+            if "pq"[k] in chains:
+                assert list(one[k]) == list(full[k])
+            else:
+                assert one[k] is None
 
 
 class TestExtendedPrecision:
@@ -222,6 +294,23 @@ class TestTableCache:
         assert [t.z for t in tabs] == [complex(z) for z in zs]
         assert len(ev._cache) == 256
 
+    def test_pq_upto_reads_cached_tables(self, src, monkeypatch):
+        pol = TruncationPolicy(n_max=40)
+        zs = list(0.2 * np.arange(16) - 1.5 + 0.7j) + [complex(1.5, -0.0)]
+        cached = Evaluator(src, pol)
+        cached.tables(zs)                          # one array-loop batch
+        fresh = Evaluator(src, pol)
+        calls = _counting(monkeypatch)
+        uptos = (0, 1, 37, pol.n_max + 8)
+        for z in zs:
+            for upto in uptos:
+                got, want = cached.pq_upto(z, upto), fresh.pq_upto(z, upto)
+                for g, w in zip(got, want):
+                    assert len(g) == upto + 1 and g.tobytes() == w.tobytes()
+        assert len(calls) == len(zs) * len(uptos)  # the fresh evaluator's only
+        cached.pq_upto(zs[0], pol.n_max + 9)       # past the table: computed
+        assert len(calls) == len(zs) * len(uptos) + 1
+
     def test_evaluators_are_bounded(self, src):
         clear_evaluator_cache()
         for n_max in range(20, 30):
@@ -246,9 +335,9 @@ def _counting(monkeypatch):
     calls = []
     kernel = evaluation.recurrence_batch
 
-    def counted(a, b, zs, upto):
+    def counted(a, b, zs, upto, chains="pq"):
         calls.append(len(zs))
-        return kernel(a, b, zs, upto)
+        return kernel(a, b, zs, upto, chains)
 
     monkeypatch.setattr(evaluation, "recurrence_batch", counted)
     return calls

@@ -6,8 +6,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from indmom import (DiscreteMeasure, ExtensionParam, RootScanConfig,
                     TruncationPolicy, adjacent_zero_sign, build_measure,
-                    count_zeros_rect, export_measure_csv, mass_at, moment,
-                    nev, nevanlinna_line, nextremal_support, stieltjes,
+                    count_zeros_rect, evaluation, export_measure_csv, mass_at,
+                    moment, nev, nevanlinna_line, nextremal_support, stieltjes,
                     support_function, t_for_point)
 from indmom.errors import SupportPointError, ZeroOnContourError
 from indmom.evaluation import evaluator_for
@@ -166,6 +166,41 @@ class TestNodeSets:
         assert not f.zeros(cfg, verify_count=False).warning
         scan = f.zeros(cfg)
         assert scan.warning and scan.contour_count == len(exact)
+
+    def test_one_eigensolve_per_line_function(self, src, pol, monkeypatch):
+        solves = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda m: solves.append(len(m)) or eigvalsh(m))
+        build_measure(src, ExtensionParam.finite(0.7),
+                      RootScanConfig(window=(-5.0, 5.0)), pol, auto_window=True)
+        assert len(solves) == 1
+        f = nevanlinna_line(evaluator_for(src, pol), "D")
+        mine = f.nodes()
+        expected = mine.copy()
+        mine[:] = 0.0                             # the caller's copy only
+        assert np.array_equal(f.nodes(), expected)
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    def test_values_compute_only_their_chain(self, level_ev, kind, monkeypatch):
+        f = _line(level_ev, kind, ExtensionParam.finite(0.7))
+        asked = []
+        kernel = evaluation.recurrence_batch
+
+        def counted(a, b, zs, upto, chains="pq"):
+            asked.append(chains)
+            return kernel(a, b, zs, upto, chains)
+
+        monkeypatch.setattr(evaluation, "recurrence_batch", counted)
+        xs = np.array([0.3 + 0.2j, 1.0, -2.5])
+        with_kind = f(xs)
+        monkeypatch.setattr(evaluation, "recurrence_batch", kernel)
+        P, Q = level_ev.tables_batch(xs)
+        L = level_ev.level
+        sums = f.g[: L + 1] @ (P if kind == "p" else Q)[: L + 1]
+        assert asked == [kind]
+        assert with_kind.tobytes() == (f.off + (xs - f.v) * sums).tobytes()
 
     @pytest.mark.parametrize("kind", ["p", "q"])
     def test_infinite_corner_drops_a_node(self, level_ev, kind):
