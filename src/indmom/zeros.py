@@ -11,7 +11,13 @@ B + tD and A + tC.  By Christoffel-Darboux
 ``f(x) = a_L (T_{L+1}(x) g_L - T_L(x) g_{L+1})``, a quasi-orthogonal
 polynomial: its zeros are simple and real, and they are the eigenvalues of
 one Jacobi matrix with a modified corner entry (Golub-Welsch, Math. Comp.
-23, 1969; Golub, SIAM Rev. 15, 1973).
+23, 1969; Golub, SIAM Rev. 15, 1973).  That matrix is symmetric
+tridiagonal, so its eigenvalues come from LAPACK ``dsterf``, the
+Pal-Walker-Kahan QR iteration on the diagonal and off-diagonal alone, in
+O(L^2) time and O(L) memory (Parlett, *The Symmetric Eigenvalue Problem*,
+1980, ch. 8).  ``dsterf`` is called through ctypes in the OpenBLAS that
+numpy's wheels bundle; where numpy has no such library, the dense
+``numpy.linalg.eigvalsh`` of the same matrix is used instead.
 
 ``count_zeros_rect`` counts zeros (with multiplicity) inside an axis
 rectangle by accumulating phase increments of the function along the
@@ -21,12 +27,15 @@ the one zero count computed independently of the eigensolve.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import ZeroOnContourError
+from .errors import NonConvergenceError, ZeroOnContourError
 from .evaluation import Evaluator
 from .nevanlinna import SERIES_FORMS
 
@@ -97,14 +106,16 @@ class LineFunction:
         return self(np.asarray(xs, dtype=float)).real
 
     def nodes(self) -> np.ndarray:
-        """All real zeros, ascending, from one eigensolve.
+        """All real zeros, ascending, from one tridiagonal eigensolve.
 
         P kind: rows 0..L of the Jacobi matrix with last diagonal entry
         b_L + a_L g_{L+1} / g_L; Q kind: the once-stripped rows 1..L with
         the same corner.  When g_L = 0 (or the corner overflows) the zeros
         are those of T_L, and the last row and column are dropped.  With
-        ``off = 0`` the node nearest v is set to v exactly.  The eigensolve
-        runs once per line function; each call returns a copy.
+        ``off = 0`` the node nearest v is set to v exactly.  The eigenvalues
+        come from LAPACK ``dsterf`` (Parlett 1980, ch. 8) on the diagonal
+        and off-diagonal; the eigensolve runs once per line function and
+        each call returns a copy.
         """
         if self._nodes is None:
             self._nodes = self._solve()
@@ -118,9 +129,7 @@ class LineFunction:
             diag[-1] += ev.a[L] * (np.float64(g[L + 1].real) / np.float64(g[L].real))
         # an infinite corner sends one zero to infinity: drop its row and column
         n = len(diag) if np.isfinite(diag[-1]) else len(diag) - 1
-        # eigvalsh reads the lower triangle only
-        nodes = np.linalg.eigvalsh(np.diag(diag[:n])
-                                   + np.diag(ev.a[first: first + n - 1], -1))
+        nodes = _tridiagonal_eigvals(diag[:n], ev.a[first: first + n - 1])
         if self.off == 0:  # the factor (x - v) makes v an exact zero
             nodes[np.argmin(np.abs(nodes - self.v))] = self.v
         return nodes
@@ -181,6 +190,63 @@ class LineFunction:
     def _sign(self, xs: np.ndarray) -> np.ndarray:
         # signs, not products of values: those overflow for large |t|
         return np.sign(self.real(xs))
+
+
+# numpy's wheels bundle OpenBLAS beside the package (numpy.libs/ on Linux and
+# Windows, numpy/.dylibs/ on macOS), built with 64-bit LAPACK integers and
+# symbols renamed to scipy_<name>_64_
+_DSTERF_SYMBOL = "scipy_dsterf_64_"
+
+
+@functools.cache
+def _load_dsterf():
+    """LAPACK dsterf from numpy's bundled OpenBLAS, or None."""
+    root = Path(np.__file__).resolve().parent
+    for folder in (root.parent / "numpy.libs", root / ".dylibs"):
+        for path in sorted(folder.glob("*openblas*")):
+            try:
+                fn = getattr(ctypes.CDLL(str(path)), _DSTERF_SYMBOL)
+            except (OSError, AttributeError):
+                continue
+            dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
+            fn.argtypes = [ip, dp, dp, ip]
+            fn.restype = None
+            return fn
+    return None
+
+
+def _tridiagonal_eigvals(d, e) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix (d, e).
+
+    ``d`` is the diagonal (length n), ``e`` the off-diagonal (length n - 1).
+    LAPACK ``dsterf`` when numpy's OpenBLAS provides it, otherwise the
+    dense ``eigvalsh`` of the same matrix.  Raises NonConvergenceError when
+    the solver fails or an eigenvalue is not finite, as a non-finite entry
+    makes it.
+    """
+    d = np.array(d, dtype=np.float64)
+    e = np.array(e, dtype=np.float64)
+    if len(e) != max(len(d) - 1, 0):
+        raise ValueError("the off-diagonal must be one shorter than the diagonal")
+    dsterf = _load_dsterf()
+    if dsterf is None:
+        try:
+            # eigvalsh reads the lower triangle only
+            d = np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1))
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"tridiagonal eigensolve failed: {exc}")
+    else:
+        dp = ctypes.POINTER(ctypes.c_double)
+        info = ctypes.c_int64(0)
+        # overwrites d with the eigenvalues, ascending, and destroys e
+        dsterf(ctypes.c_int64(len(d)), d.ctypes.data_as(dp), e.ctypes.data_as(dp),
+               info)
+        if info.value != 0:
+            raise NonConvergenceError(
+                f"tridiagonal eigensolve failed (dsterf info = {info.value})")
+    if not np.all(np.isfinite(d)):
+        raise NonConvergenceError("tridiagonal eigensolve: non-finite eigenvalue")
+    return d
 
 
 def _crossing(nodes: np.ndarray, edge: float, reach: float, side: str) -> float:

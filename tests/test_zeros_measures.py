@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from indmom import (DiscreteMeasure, ExtensionParam, RootScanConfig,
-                    TruncationPolicy, adjacent_zero_sign, build_measure,
-                    count_zeros_rect, evaluation, export_measure_csv, mass_at,
-                    moment, nev, nevanlinna_line, nextremal_support, stieltjes,
-                    support_function, t_for_point)
-from indmom.errors import SupportPointError, ZeroOnContourError
+from indmom import (DiscreteMeasure, ExtensionParam, JacobiCoefficients,
+                    RootScanConfig, TruncationPolicy, adjacent_zero_sign,
+                    build_measure, count_zeros_rect, evaluation,
+                    export_measure_csv, mass_at, moment, nev, nevanlinna_line,
+                    nextremal_support, stieltjes, support_function,
+                    t_for_point, zeros)
+from indmom.errors import (NonConvergenceError, SupportPointError,
+                           ZeroOnContourError)
 from indmom.evaluation import evaluator_for
 
 
@@ -169,9 +171,9 @@ class TestNodeSets:
 
     def test_one_eigensolve_per_line_function(self, src, pol, monkeypatch):
         solves = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda m: solves.append(len(m)) or eigvalsh(m))
+        solve = zeros._tridiagonal_eigvals
+        monkeypatch.setattr(zeros, "_tridiagonal_eigvals",
+                            lambda d, e: solves.append(len(d)) or solve(d, e))
         build_measure(src, ExtensionParam.finite(0.7),
                       RootScanConfig(window=(-5.0, 5.0)), pol, auto_window=True)
         assert len(solves) == 1
@@ -212,6 +214,73 @@ class TestNodeSets:
                        or (t in ("0", "1e-310") and L % 2 == 0))
             assert (f.g[L] == 0) == (dropped and t != "1e-310")
             assert len(f.nodes()) == size - dropped
+
+
+@pytest.fixture(scope="module")
+def geometric_src(tmp_path_factory):
+    path = tmp_path_factory.mktemp("geo") / "geometric.txt"
+    path.write_text("".join(f"{2.0 ** n!r} 0.0\n" for n in range(320)))
+    return JacobiCoefficients.from_file(str(path))
+
+
+class TestTridiagonalEigvals:
+    def test_lapack_found_where_numpy_bundles_it(self):
+        # a numpy wheel built on 64-bit-integer scipy-openblas ships dsterf
+        lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        bundled = (lapack.get("name") == "scipy-openblas"
+                   and "USE64BITINT" in lapack.get("openblas configuration", ""))
+        assert (zeros._load_dsterf() is not None) == bundled
+
+    # (L, t): a finite corner at both parities; t = 0 at even L and t = inf
+    # at odd L zero g_L and drop the corner
+    @pytest.mark.parametrize("L,t,dropped", [(300, "0.7", False),
+                                             (301, "0.7", False),
+                                             (300, "0", True),
+                                             (301, "inf", True)])
+    @pytest.mark.parametrize("kind", ["p", "q"])
+    @pytest.mark.parametrize("source", ["c=2", "c=3", "2^n"])
+    def test_backends_agree_on_line_functions(self, source, kind, L, t,
+                                              dropped, geometric_src,
+                                              monkeypatch):
+        src = {"c=2": JacobiCoefficients.power_law(2.0),
+               "c=3": JacobiCoefficients.power_law(3.0),
+               "2^n": geometric_src}[source]
+        f = _line(evaluator_for(src, TruncationPolicy(n_max=L)), kind,
+                  ExtensionParam.parse(t))
+        systems = []
+        solve = zeros._tridiagonal_eigvals
+        monkeypatch.setattr(zeros, "_tridiagonal_eigvals",
+                            lambda d, e: systems.append((d, e)) or solve(d, e))
+        f.nodes()
+        monkeypatch.undo()
+        (d, e), = systems
+        assert len(d) == (L + 1 if kind == "p" else L) - dropped
+        dense = np.linalg.eigvalsh(np.diag(d) + np.diag(e, -1))
+        nodes = zeros._tridiagonal_eigvals(d, e)
+        if source == "2^n":
+            assert np.max(np.abs(nodes - dense) / np.abs(dense)) <= 1e-14
+        else:
+            assert nodes.tobytes() == dense.tobytes()
+        monkeypatch.setattr(zeros, "_load_dsterf", lambda: None)
+        assert zeros._tridiagonal_eigvals(d, e).tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("lapack", [True, False])
+    def test_nan_diagonal_raises_non_convergence(self, lapack, monkeypatch):
+        if not lapack:
+            monkeypatch.setattr(zeros, "_load_dsterf", lambda: None)
+        d = np.array([1.0, np.nan, 2.0])
+        with pytest.raises(NonConvergenceError):
+            zeros._tridiagonal_eigvals(d, np.ones(2))
+
+    def test_inputs_untouched_and_small_sizes(self):
+        d, e = np.array([2.0, -1.0, 0.5]), np.array([1.0, 3.0])
+        nodes = zeros._tridiagonal_eigvals(d, e)
+        assert np.all(np.diff(nodes) > 0)
+        assert d.tolist() == [2.0, -1.0, 0.5] and e.tolist() == [1.0, 3.0]
+        assert zeros._tridiagonal_eigvals([4.0], []).tolist() == [4.0]
+        assert len(zeros._tridiagonal_eigvals([], [])) == 0
+        with pytest.raises(ValueError):
+            zeros._tridiagonal_eigvals(d, d)
 
 
 class TestCountZerosRect:
