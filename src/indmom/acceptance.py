@@ -202,13 +202,10 @@ def _membership_pairs(config: RunConfig, rng: np.random.Generator,
     ev = evaluator_for(config.problem, config.truncation)
     pairs = []
     vs = rng.uniform(-2.5, 2.5, 16)
-    _prefetch(config, vs)
     for v in vs:
         zeros = nevanlinna_line(ev, kind, float(v)).nodes()
         zeros = zeros[np.abs(zeros - v) > 1e-6]
-        nearest = zeros[np.argsort(np.abs(zeros - v))][:2]
-        _prefetch(config, nearest)
-        for u in nearest:
+        for u in zeros[np.argsort(np.abs(zeros - v))][:2]:
             coef = pair_coefficient(config.problem, complex(u), complex(v),
                                     config.truncation, case, tol=1e-6)
             if coef is not None:

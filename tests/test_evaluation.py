@@ -351,19 +351,3 @@ def test_sampled_checks_batch_their_points(monkeypatch, check):
     results = getattr(acceptance, check)(config)
     assert all(r.passed for r in results)
     assert len(calls) <= 3, calls
-
-
-@pytest.mark.parametrize("kind", ["D", "A", "B"])
-def test_membership_pairs_batch_their_tables(monkeypatch, kind):
-    config = default_config(truncation=TruncationPolicy(n_max=120))
-    clear_evaluator_cache()
-    visited = []
-    line = acceptance.nevanlinna_line
-    monkeypatch.setattr(acceptance, "nevanlinna_line",
-                        lambda ev, name, v: visited.append(v) or line(ev, name, v))
-    calls = _counting(monkeypatch)
-    rng = np.random.default_rng(config.seed + 8)
-    pairs = acceptance._membership_pairs(config, rng, kind)
-    assert len(pairs) == 5
-    assert calls[0] == 16                  # every candidate v in one batch
-    assert len(calls) <= 1 + len(visited), (calls, visited)
