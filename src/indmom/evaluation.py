@@ -20,28 +20,35 @@ returns arrays sliced at that adaptive index, which is its contract.
 
 Every cached point table comes from :meth:`Evaluator.tables`, which
 computes all the points it misses in one recurrence call.  The standard
-backend, :func:`recurrence_batch`, returns complex128 tables computed in
-explicit real arithmetic, by a per-point loop on Python floats for small
-batches and by the same operations as numpy ufuncs for large ones, so a
-point's table does not depend on its batch.  The extended backend,
+backend, :func:`recurrence_batch`, returns complex128 tables.  Where
+numpy's bundled OpenBLAS provides BLAS ``ztbsv``, each chain at each point
+is one lower triangular banded solve of the recurrence; otherwise the
+recurrence runs in explicit real arithmetic, by a per-point loop on Python
+floats for small batches and by the same operations as numpy ufuncs for
+large ones.  On either path a point's table does not depend on its batch;
+the two paths agree to roundoff.  The extended backend,
 :func:`recurrence_mp`, runs the same real-arithmetic recurrence one point
 at a time on Python integers: the points and coefficients are float64, so
 exact dyadic rationals, and each step keeps ``_GUARD_BITS`` bits beyond
 mpmath's binary precision at ``dps`` digits, rounding to nearest after
 each division by ``a_n``.  Its entries are mpmath ``mpc`` numbers, each
 rounded once to that precision.  Either backend returns the p table, the
-q table or both (``chains``); the array loop and the extended kernel
-compute only the tables returned.
+q table or both (``chains``); all but the fallback's point loop compute
+only the tables returned.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
+from . import _openblas
+from ._openblas import INT
 from .coefficients import JacobiCoefficients
 from .errors import EvaluationOverflowError
 
@@ -49,13 +56,17 @@ _OVERFLOW_LIMIT = 1e150
 _TAIL_MARGIN = 8  # table indices past the shared level, for p/q truncations
 _TABLE_CAPACITY = {"standard": 256, "extended": 16}  # tables per evaluator
 _MAX_EVALUATORS = 8
-# Largest batch run by the per-point loop.  The point loop costs about
-# 0.5 ms per point and the array loop about 7 ms per batch at L = 1009, so
-# they cross at 13-15 points (measured at L = 509 and 1009, 2-core Xeon VM).
+# Largest batch that the fallback (no ztbsv) runs on its per-point loop.
+# The point loop costs about 0.5 ms per point and the array loop about 7 ms
+# per batch at L = 1009, so they cross at 13-15 points (measured at L = 509
+# and 1009, 2-core Xeon VM).
 _SCALAR_BATCH = 12
 # Bits the extended kernel keeps beyond mpmath's precision at ``dps`` digits.
 _GUARD_BITS = 24
 _CHAINS = ("pq", "p", "q")
+# ztbsv(uplo, trans, diag, n, k, band, lda, x, incx) with 64-bit integers
+_ZTBSV_ARGS = (ctypes.c_char_p,) * 3 + (INT, INT, ctypes.c_void_p, INT,
+                                         ctypes.c_void_p, INT)
 
 
 @dataclass(frozen=True)
@@ -145,17 +156,17 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     """p/q tables: shape (upto+1, len(zs)), complex128, C-contiguous.
 
     ``chains`` ("pq", "p" or "q") selects the tables returned; the other is
-    None.  Each step computes the real and imaginary parts with the same
-    IEEE operations in the same order, for example
+    None, and only the chains asked for are computed.  Where numpy's
+    OpenBLAS provides BLAS ``ztbsv``, each (chain, point) table is one
+    lower banded triangular solve (:func:`_banded_solve`), whatever the
+    batch size.  Otherwise the recurrence runs in explicit real arithmetic
+    with the same IEEE operations in the same order, for example
     ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
-    with ``xb = x - b_n``; no complex multiply, which numpy's SIMD loops
-    may fuse.  Batches of at most ``_SCALAR_BATCH`` points run a loop on
-    Python floats per point, larger ones the same operations as in-place
-    ufuncs over the batch, so a point's table is bitwise the same whatever
-    batch computed it, and whichever chains were asked for.  The array
-    loop computes only the chains asked for; the point loop computes both,
-    since one loop over p and q together costs less than two (about 0.5
-    against 0.65 ms per point at L = 1008, 2-core Xeon VM).
+    with ``xb = x - b_n``: batches of at most ``_SCALAR_BATCH`` points on
+    Python floats per point, larger ones as in-place ufuncs over the batch.
+    On either backend a point's table is bitwise the same whatever batch
+    computed it, and whichever chains were asked for; the two backends
+    agree to roundoff, not bitwise.
 
     Raises EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite.
@@ -164,9 +175,12 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
         raise ValueError("chains must be 'pq', 'p' or 'q'")
     zs = np.asarray(zs, dtype=complex)
     npts, k = zs.shape[0], len(chains)
-    R = np.empty((k, upto + 1, npts), dtype=complex)
+    R = np.zeros((k, upto + 1, npts), dtype=complex)
     V = R.view(float).reshape(k, upto + 1, npts, 2)  # [chain, n, point, re|im]
-    if npts <= _SCALAR_BATCH:
+    ztbsv = _ztbsv()
+    if ztbsv is not None:
+        _banded_solve(ztbsv, a, b, zs, upto, R, chains)
+    elif npts <= _SCALAR_BATCH:
         al, bl = a[:upto].tolist(), b[:upto].tolist()
         for j, z in enumerate(zs.tolist()):
             pr, pi, qr, qi = _point_loop(al, bl, z.real, z.imag, upto)
@@ -179,6 +193,42 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
         raise EvaluationOverflowError(
             "evaluation overflow; reduce |z| or use higher precision")
     return _pick(chains, R)
+
+
+def _ztbsv():
+    """BLAS ztbsv from numpy's bundled OpenBLAS, or None."""
+    return _openblas.symbol("ztbsv", *_ZTBSV_ARGS)
+
+
+def _banded_solve(ztbsv, a: np.ndarray, b: np.ndarray, zs: np.ndarray,
+                  upto: int, R: np.ndarray, chains: str) -> None:
+    """Fill the zeroed ``R[chain, :, point]`` by one ``ztbsv`` call each.
+
+    p and q solve the lower triangular system whose row 0 is ``v_0`` and
+    whose row n+1 is ``a_n v_{n+1} + (b_n - z) v_n + a_{n-1} v_{n-1}``,
+    with right-hand side e_0 for p (``p_0 = 1``) and e_1 for q
+    (``a_0 q_1 = 1``).  Its band, stored column-major with leading
+    dimension 3, holds ``(a_{j-1}, b_j - z, a_j)`` in column j (1 in place
+    of ``a_{-1}``); only the middle row depends on z.  Each solution
+    overwrites its right-hand side in place, read with stride ``len(zs)``.
+    """
+    n, npts = upto + 1, zs.shape[0]
+    band = np.zeros((n, 3), dtype=complex)
+    band[0, 0] = 1.0
+    band[1:, 0] = a[:upto]
+    band[: max(upto - 1, 0), 2] = a[: max(upto - 1, 0)]
+    shift = band[:upto, 1]
+    for c, chain in enumerate(chains):
+        if chain == "p":
+            R[c, 0] = 1.0
+        elif upto >= 1:
+            R[c, 1] = 1.0
+    size, k, lda, inc = (ctypes.c_int64(v) for v in (n, 2, 3, npts))
+    A, x0, step = band.ctypes.data, R.ctypes.data, R.itemsize
+    for j, z in enumerate(zs.tolist()):
+        np.subtract(b[:upto], z, out=shift)
+        for c in range(len(chains)):
+            ztbsv(b"L", b"N", b"N", size, k, A, lda, x0 + (c * n * npts + j) * step, inc)
 
 
 def _point_loop(al: List[float], bl: List[float], x: float, y: float,
@@ -348,14 +398,33 @@ def _integer_chain(steps: List[Tuple[int, ...]],
 def abs2(x: np.ndarray) -> np.ndarray:
     """Squared moduli as floats, for complex128 or mpmath (object) arrays.
 
-    Raises EvaluationOverflowError if one exceeds the float range (only an
-    extended-precision table can reach it).
+    An ``mpc`` entry's squared modulus is computed exactly from its integer
+    mantissas and exponents and rounded once to the nearest float.  Raises
+    EvaluationOverflowError if one exceeds the float range (only an
+    extended-precision table can reach it) or an entry is not finite.
     """
-    out = (np.abs(x) ** 2).astype(float, copy=False)
+    if x.dtype == object:
+        try:
+            out = np.array([_mpc_abs2(v) for v in x.flat]).reshape(x.shape)
+        except OverflowError:
+            out = np.full(x.shape, np.inf)
+    else:
+        out = np.abs(x) ** 2
     if not np.isfinite(out).all():
         raise EvaluationOverflowError(
             "evaluation overflow: a squared modulus exceeds the float range")
     return out
+
+
+def _mpc_abs2(v) -> float:
+    """|v|^2 of an mpmath mpc, rounded once; nan for an infinite or nan part."""
+    (_, m, e, _), (_, n, f, _) = v._mpc_
+    if (not m and e) or (not n and f):                # mpmath's special values
+        return math.nan
+    if e > f:
+        m, e, n, f = n, f, m, e
+    s, k = m * m + (n * n << 2 * (f - e)), 2 * e      # |v|^2 = s * 2**k exactly
+    return s / (1 << -k) if k < 0 else float(s << k)  # int division rounds once
 
 
 class Evaluator:

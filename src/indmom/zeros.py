@@ -28,13 +28,13 @@ the one zero count computed independently of the eigensolve.
 from __future__ import annotations
 
 import ctypes
-import functools
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from . import _openblas
+from ._openblas import DOUBLES, INT
 from .errors import NonConvergenceError, ZeroOnContourError
 from .evaluation import Evaluator
 from .nevanlinna import SERIES_FORMS
@@ -192,27 +192,9 @@ class LineFunction:
         return np.sign(self.real(xs))
 
 
-# numpy's wheels bundle OpenBLAS beside the package (numpy.libs/ on Linux and
-# Windows, numpy/.dylibs/ on macOS), built with 64-bit LAPACK integers and
-# symbols renamed to scipy_<name>_64_
-_DSTERF_SYMBOL = "scipy_dsterf_64_"
-
-
-@functools.cache
-def _load_dsterf():
-    """LAPACK dsterf from numpy's bundled OpenBLAS, or None."""
-    root = Path(np.__file__).resolve().parent
-    for folder in (root.parent / "numpy.libs", root / ".dylibs"):
-        for path in sorted(folder.glob("*openblas*")):
-            try:
-                fn = getattr(ctypes.CDLL(str(path)), _DSTERF_SYMBOL)
-            except (OSError, AttributeError):
-                continue
-            dp, ip = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_int64)
-            fn.argtypes = [ip, dp, dp, ip]
-            fn.restype = None
-            return fn
-    return None
+def _dsterf():
+    """LAPACK dsterf(n, d, e, info) from numpy's bundled OpenBLAS, or None."""
+    return _openblas.symbol("dsterf", INT, DOUBLES, DOUBLES, INT)
 
 
 def _tridiagonal_eigvals(d, e) -> np.ndarray:
@@ -228,7 +210,7 @@ def _tridiagonal_eigvals(d, e) -> np.ndarray:
     e = np.array(e, dtype=np.float64)
     if len(e) != max(len(d) - 1, 0):
         raise ValueError("the off-diagonal must be one shorter than the diagonal")
-    dsterf = _load_dsterf()
+    dsterf = _dsterf()
     if dsterf is None:
         try:
             # eigvalsh reads the lower triangle only
@@ -236,11 +218,10 @@ def _tridiagonal_eigvals(d, e) -> np.ndarray:
         except np.linalg.LinAlgError as exc:
             raise NonConvergenceError(f"tridiagonal eigensolve failed: {exc}")
     else:
-        dp = ctypes.POINTER(ctypes.c_double)
         info = ctypes.c_int64(0)
         # overwrites d with the eigenvalues, ascending, and destroys e
-        dsterf(ctypes.c_int64(len(d)), d.ctypes.data_as(dp), e.ctypes.data_as(dp),
-               info)
+        dsterf(ctypes.c_int64(len(d)), d.ctypes.data_as(DOUBLES),
+               e.ctypes.data_as(DOUBLES), info)
         if info.value != 0:
             raise NonConvergenceError(
                 f"tridiagonal eigensolve failed (dsterf info = {info.value})")

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -99,17 +100,63 @@ class TestRecurrenceInvariants:
         assert np.allclose(tab_minus.p, signs * tab_plus.p, atol=1e-14)
 
 
+def _backends(*values):
+    """Each value on the backend that loads (its own id) and on the fallback.
+
+    The fallback, the point and array loops, runs with the ztbsv loader
+    patched to return None; its ids start with "fallback-".
+    """
+    return ([pytest.param(v, "default", id=str(v)) for v in values]
+            + [pytest.param(v, "fallback", id=f"fallback-{v}") for v in values])
+
+
+def _use_backend(monkeypatch, backend):
+    if backend == "fallback":
+        monkeypatch.setattr(evaluation, "_ztbsv", lambda: None)
+
+
+def _counting_ztbsv(monkeypatch):
+    """Calls to the bound ztbsv, recorded; skips where it does not load."""
+    ztbsv = evaluation._ztbsv()
+    if ztbsv is None:
+        pytest.skip("numpy bundles no OpenBLAS with ztbsv")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ztbsv(*args)
+
+    monkeypatch.setattr(evaluation, "_ztbsv", lambda: counted)
+    return calls
+
+
+_OVERFLOW_CASES = [
+    # the ids name the batch sizes that the fallback runs on its two loops
+    ("standard", 1, 1e200, "point_loop"),
+    ("standard", evaluation._SCALAR_BATCH + 1, 1e200, "array_loop"),
+] + [(precision, 1, bad, f"{precision}-{bad}")
+     for precision in ("standard", "extended") for bad in (math.nan, math.inf, 1e300)]
+
+
 class TestErrors:
-    @pytest.mark.parametrize("precision,npts,bad", [
-        pytest.param("standard", 1, 1e200, id="point_loop"),
-        pytest.param("standard", evaluation._SCALAR_BATCH + 1, 1e200, id="array_loop"),
-    ] + [pytest.param(precision, 1, bad, id=f"{precision}-{bad}")
-         for precision in ("standard", "extended")
-         for bad in (math.nan, math.inf, 1e300)])
-    def test_overflow(self, src, pol, precision, npts, bad):
+    @pytest.mark.parametrize("precision,npts,bad,backend", [
+        pytest.param(precision, npts, bad, "default", id=name)
+        for precision, npts, bad, name in _OVERFLOW_CASES
+    ] + [pytest.param(precision, npts, bad, "fallback", id=f"fallback-{name}")
+         for precision, npts, bad, name in _OVERFLOW_CASES if precision == "standard"])
+    def test_overflow(self, src, pol, precision, npts, bad, backend, monkeypatch):
+        _use_backend(monkeypatch, backend)
         zs = [0.1 * k + 0.5j for k in range(npts - 1)] + [bad]
         with pytest.raises(EvaluationOverflowError, match="overflow"):
             Evaluator(src, pol, precision).tables(zs)
+
+    @pytest.mark.parametrize("bad", [math.nan, 1e200])
+    def test_banded_solve_overflow(self, src, pol, bad, monkeypatch):
+        # ztbsv never raises: the bound on the solved tables must
+        calls = _counting_ztbsv(monkeypatch)
+        with pytest.raises(EvaluationOverflowError, match="overflow"):
+            Evaluator(src, pol).tables([0.5j, bad, 1.5])
+        assert len(calls) == 6
 
     def test_cumulative_sum_beyond_float_range(self, src):
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
@@ -169,14 +216,19 @@ def _mp_reference(a, b, z, upto, dps):
 
 
 class TestRecurrenceKernel:
-    @pytest.mark.parametrize("upto", [1, 2, 509, 1009])
-    @pytest.mark.parametrize("source", ["c=2", "alternating_b"])
-    def test_batch_columns_are_bytewise_one_point_tables(self, source, upto):
-        a, b = _source(source).arrays(upto)
+    @pytest.mark.parametrize("upto", [0, 1, 2, 509, 1009])
+    @pytest.mark.parametrize("source,backend", _backends("c=2", "alternating_b"))
+    def test_batch_columns_are_bytewise_one_point_tables(self, source, backend, upto,
+                                                         monkeypatch):
+        _use_backend(monkeypatch, backend)
+        a, b = _source(source).arrays(max(upto, 1))
         zs = _disk_points(3, 58)                           # 64 points
         one = [evaluation.recurrence_batch(a, b, zs[j:j + 1], upto)
                for j in range(len(zs))]
         for chains in ("pq", "p", "q"):
+            empty = evaluation.recurrence_batch(a, b, zs[:0], upto, chains)
+            assert [T is None for T in empty] == ["pq"[k] not in chains for k in range(2)]
+            assert all(T.shape == (upto + 1, 0) for T in empty if T is not None)
             for size in (1, evaluation._SCALAR_BATCH, evaluation._SCALAR_BATCH + 1, 64):
                 for lo in range(0, len(zs), size):
                     tabs = evaluation.recurrence_batch(a, b, zs[lo:lo + size], upto,
@@ -191,18 +243,28 @@ class TestRecurrenceKernel:
                             assert T[:, j].tobytes() == one[lo + j][k][:, 0].tobytes(), \
                                 (chains, size, lo + j)
 
-    @pytest.mark.parametrize("source", ["c=2", "c=3", "alternating_b"])
-    def test_agrees_with_mpmath(self, source):
-        L = 1009
-        a, b = _source(source).arrays(L)
+    @pytest.mark.parametrize("source,backend", _backends("c=2", "c=3", "alternating_b"))
+    def test_agrees_with_mpmath(self, source, backend, monkeypatch):
+        _use_backend(monkeypatch, backend)
         zs = _disk_points(9, 3)
-        P, Q = evaluation.recurrence_batch(a, b, zs, L)
-        for j, z in enumerate(zs):
-            pm, qm = _mp_reference(a, b, z, L, 40)
-            for std, ref in ((P[:, j], pm), (Q[:, j], qm)):
-                ref = np.array([complex(v) for v in ref])
-                scale = np.max(np.abs(ref))
-                assert np.max(np.abs(std - ref)) <= 1e-14 * scale, (z, source)
+        for L in (0, 1, 2, 1009):
+            a, b = _source(source).arrays(max(L, 1))
+            P, Q = evaluation.recurrence_batch(a, b, zs, L)
+            for j, z in enumerate(zs):
+                pm, qm = _mp_reference(a, b, z, L, 40)
+                for std, ref in ((P[:, j], pm), (Q[:, j], qm)):
+                    ref = np.array([complex(v) for v in ref])
+                    scale = np.max(np.abs(ref))
+                    assert np.max(np.abs(std - ref)) <= 1e-14 * scale, (z, source, L)
+
+    @pytest.mark.parametrize("chains", ["pq", "p", "q"])
+    def test_banded_solve_only_the_chains_asked_for(self, chains, monkeypatch):
+        calls = _counting_ztbsv(monkeypatch)
+        a, b = _source("c=2").arrays(200)
+        zs = _disk_points(5, 14)                           # 20 points
+        tabs = evaluation.recurrence_batch(a, b, zs, 200, chains)
+        assert len(calls) == len(zs) * len(chains)
+        assert [T is None for T in tabs] == ["pq"[k] not in chains for k in range(2)]
 
     @pytest.mark.parametrize("dps", [32, 40])
     @pytest.mark.parametrize("source", ["c=2", "c=3", "alternating_b"])
@@ -245,6 +307,26 @@ class TestExtendedPrecision:
         assert float(tab.cum_p2[200]) == pytest.approx(CUM_P2_I_200, rel=1e-12)
         # p_2(i) = (i*p_1(i) - a_0)/a_1 = -1/2 exactly
         assert complex(tab.p[2]) == pytest.approx(-0.5, abs=1e-30)
+
+    def test_abs2_rounds_exact_squares(self):
+        # |v|^2 of each mpc, computed exactly as a Fraction and rounded once
+        rng = np.random.default_rng(6)
+        with mp.workdps(32):
+            parts = [mp.mpf(float(x)) * mp.mpf(10) ** int(k) / 3
+                     for x, k in zip(rng.normal(size=40), rng.integers(-150, 150, 40))]
+            vals = [mp.mpc(re, im) for re, im in zip(parts[::2], parts[1::2])]
+            vals += [mp.mpc(0, parts[0]), mp.mpc(parts[1], 0), mp.mpc(0),
+                     mp.mpc(mp.mpf(2) ** 500 * 3, mp.mpf(2) ** -500)]
+        x = np.array(vals, dtype=object).reshape(2, -1)
+        def frac(u):
+            m, e = u.man_exp
+            return Fraction(int(m)) * Fraction(2) ** int(e)
+
+        exact = [float(frac(v.real) ** 2 + frac(v.imag) ** 2) for v in vals]
+        assert evaluation.abs2(x).ravel().tolist() == exact
+        for bad in (mp.mpc(mp.inf, 1), mp.mpc(1, mp.nan), mp.mpc(mp.mpf(2) ** 520, 0)):
+            with pytest.raises(EvaluationOverflowError, match="overflow"):
+                evaluation.abs2(np.array([mp.mpc(1), bad], dtype=object))
 
 
 def _same_table(t1, t2):
@@ -295,10 +377,17 @@ class TestTableCache:
         assert len(ev._cache) == 256
 
     def test_pq_upto_reads_cached_tables(self, src, monkeypatch):
+        for backend in ("default", "fallback"):
+            with monkeypatch.context() as patch:
+                _use_backend(patch, backend)
+                self._pq_upto_reads_cached_tables(src, patch)
+
+    @staticmethod
+    def _pq_upto_reads_cached_tables(src, monkeypatch):
         pol = TruncationPolicy(n_max=40)
         zs = list(0.2 * np.arange(16) - 1.5 + 0.7j) + [complex(1.5, -0.0)]
         cached = Evaluator(src, pol)
-        cached.tables(zs)                          # one array-loop batch
+        cached.tables(zs)                          # one batch (the array loop's)
         fresh = Evaluator(src, pol)
         calls = _counting(monkeypatch)
         uptos = (0, 1, 37, pol.n_max + 8)

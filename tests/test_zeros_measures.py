@@ -226,10 +226,12 @@ def geometric_src(tmp_path_factory):
 class TestTridiagonalEigvals:
     def test_lapack_found_where_numpy_bundles_it(self):
         # a numpy wheel built on 64-bit-integer scipy-openblas ships dsterf
+        # and the BLAS ztbsv of the recurrence kernel
         lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
         bundled = (lapack.get("name") == "scipy-openblas"
                    and "USE64BITINT" in lapack.get("openblas configuration", ""))
-        assert (zeros._load_dsterf() is not None) == bundled
+        assert (zeros._dsterf() is not None) == bundled
+        assert (evaluation._ztbsv() is not None) == bundled
 
     # (L, t): a finite corner at both parities; t = 0 at even L and t = inf
     # at odd L zero g_L and drop the corner
@@ -261,13 +263,13 @@ class TestTridiagonalEigvals:
             assert np.max(np.abs(nodes - dense) / np.abs(dense)) <= 1e-14
         else:
             assert nodes.tobytes() == dense.tobytes()
-        monkeypatch.setattr(zeros, "_load_dsterf", lambda: None)
+        monkeypatch.setattr(zeros, "_dsterf", lambda: None)
         assert zeros._tridiagonal_eigvals(d, e).tobytes() == dense.tobytes()
 
     @pytest.mark.parametrize("lapack", [True, False])
     def test_nan_diagonal_raises_non_convergence(self, lapack, monkeypatch):
         if not lapack:
-            monkeypatch.setattr(zeros, "_load_dsterf", lambda: None)
+            monkeypatch.setattr(zeros, "_dsterf", lambda: None)
         d = np.array([1.0, np.nan, 2.0])
         with pytest.raises(NonConvergenceError):
             zeros._tridiagonal_eigvals(d, np.ones(2))
