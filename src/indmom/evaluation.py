@@ -19,14 +19,19 @@ computed per point and reported as convergence metadata; ``eval_pq``
 returns arrays sliced at that adaptive index, which is its contract.
 
 Every cached point table comes from :meth:`Evaluator.tables`, which
-computes all the points it misses in one recurrence call.  The standard
-backend, :func:`recurrence_batch`, returns complex128 tables.  Where
-numpy's bundled OpenBLAS provides BLAS ``ztbsv``, each chain at each point
-is one lower triangular banded solve of the recurrence; otherwise the
-recurrence runs in explicit real arithmetic, by a per-point loop on Python
-floats for small batches and by the same operations as numpy ufuncs for
-large ones.  On either path a point's table does not depend on its batch;
-the two paths agree to roundoff.  The extended backend,
+computes the points it misses in recurrence calls small enough to be
+banded batches (below).  The standard backend, :func:`recurrence_batch`,
+returns complex128 tables.  Where numpy's bundled OpenBLAS provides BLAS
+``ztbsv``, each chain at each point of a batch of at most
+``_BANDED_SOLVES`` (chain, point) pairs is one lower triangular banded
+solve of the recurrence; larger batches, and every batch where ``ztbsv``
+does not load, run the recurrence in explicit real arithmetic, by a
+per-point loop on Python floats for small batches and by the same
+operations as numpy ufuncs for large ones.  The two real-arithmetic loops
+are bitwise equal, so on the fallback a point's table never depends on
+its batch; where ``ztbsv`` loads it does not depend on its batch among
+banded batches, which is every batch the table cache makes.  Banded and
+real-arithmetic tables agree to roundoff.  The extended backend,
 :func:`recurrence_mp`, runs the same real-arithmetic recurrence one point
 at a time on Python integers: the points and coefficients are float64, so
 exact dyadic rationals, and each step keeps ``_GUARD_BITS`` bits beyond
@@ -56,11 +61,18 @@ _OVERFLOW_LIMIT = 1e150
 _TAIL_MARGIN = 8  # table indices past the shared level, for p/q truncations
 _TABLE_CAPACITY = {"standard": 256, "extended": 16}  # tables per evaluator
 _MAX_EVALUATORS = 8
-# Largest batch that the fallback (no ztbsv) runs on its per-point loop.
-# The point loop costs about 0.5 ms per point and the array loop about 7 ms
-# per batch at L = 1009, so they cross at 13-15 points (measured at L = 509
-# and 1009, 2-core Xeon VM).
+# Largest batch that the real-arithmetic recurrence runs on its per-point
+# loop; it governs only batches that are not banded solves.  The point loop
+# costs about 0.5 ms per point and the array loop about 7 ms per batch at
+# L = 1009, so they cross at 13-15 points (measured at L = 509 and 1009,
+# 2-core Xeon VM).
 _SCALAR_BATCH = 12
+# Most (chain, point) pairs that recurrence_batch solves as banded systems.
+# A solve costs the same per pair at any batch size, while the array loop's
+# per-row overhead is shared by the batch: they cost the same at 320-448
+# pairs for L = 501, 1001 and 2001, chains p and pq (one BLAS thread,
+# 2-core Xeon VM).
+_BANDED_SOLVES = 384
 # Bits the extended kernel keeps beyond mpmath's precision at ``dps`` digits.
 _GUARD_BITS = 24
 _CHAINS = ("pq", "p", "q")
@@ -157,16 +169,18 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
 
     ``chains`` ("pq", "p" or "q") selects the tables returned; the other is
     None, and only the chains asked for are computed.  Where numpy's
-    OpenBLAS provides BLAS ``ztbsv``, each (chain, point) table is one
-    lower banded triangular solve (:func:`_banded_solve`), whatever the
-    batch size.  Otherwise the recurrence runs in explicit real arithmetic
-    with the same IEEE operations in the same order, for example
+    OpenBLAS provides BLAS ``ztbsv`` and the batch has at most
+    ``_BANDED_SOLVES`` (chain, point) pairs, each (chain, point) table is
+    one lower banded triangular solve (:func:`_banded_solve`).  Otherwise
+    the recurrence runs in explicit real arithmetic with the same IEEE
+    operations in the same order, for example
     ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
     with ``xb = x - b_n``: batches of at most ``_SCALAR_BATCH`` points on
     Python floats per point, larger ones as in-place ufuncs over the batch.
-    On either backend a point's table is bitwise the same whatever batch
-    computed it, and whichever chains were asked for; the two backends
-    agree to roundoff, not bitwise.
+    A point's table is bitwise the same whichever chains were asked for,
+    and whatever batch computed it among banded batches or among
+    real-arithmetic ones; banded and real-arithmetic tables agree to
+    roundoff, not bitwise.
 
     Raises EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite.
@@ -177,7 +191,7 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     npts, k = zs.shape[0], len(chains)
     R = np.zeros((k, upto + 1, npts), dtype=complex)
     V = R.view(float).reshape(k, upto + 1, npts, 2)  # [chain, n, point, re|im]
-    ztbsv = _ztbsv()
+    ztbsv = _ztbsv() if k * npts <= _BANDED_SOLVES else None
     if ztbsv is not None:
         _banded_solve(ztbsv, a, b, zs, upto, R, chains)
     elif npts <= _SCALAR_BATCH:
@@ -482,15 +496,18 @@ class Evaluator:
     def tables(self, zs) -> List[PointTable]:
         """Point tables for every point of the sequence ``zs``, in order.
 
-        Cached tables are looked up; all misses are computed in one
-        recurrence call and enter the cache.
+        Cached tables are looked up; the misses are computed in recurrence
+        calls of at most ``_BANDED_SOLVES // 2`` points, so that each is a
+        banded batch and a cached table does not depend on its batch, and
+        enter the cache.
         """
         keys = [complex(z) for z in zs]
         cache = self._cache
         misses = list(dict.fromkeys(z for z in keys if z not in cache))
-        if misses:
-            P, Q = self._recurrence(misses, self.top)
-            for tab in self._finish_tables(misses, P, Q):
+        step = _BANDED_SOLVES // 2
+        for lo in range(0, len(misses), step):
+            P, Q = self._recurrence(misses[lo:lo + step], self.top)
+            for tab in self._finish_tables(misses[lo:lo + step], P, Q):
                 cache[tab.z] = tab
         for z in keys:
             cache.move_to_end(z)

@@ -266,6 +266,25 @@ class TestRecurrenceKernel:
         assert len(calls) == len(zs) * len(chains)
         assert [T is None for T in tabs] == ["pq"[k] not in chains for k in range(2)]
 
+    @pytest.mark.parametrize("chains", ["pq", "p"])
+    def test_large_batches_run_the_array_loop(self, chains, monkeypatch):
+        calls = _counting_ztbsv(monkeypatch)
+        a, b = _source("c=2").arrays(120)
+        most = evaluation._BANDED_SOLVES // len(chains)
+        zs = _disk_points(6, most - 5)                     # most + 1 points
+        small = evaluation.recurrence_batch(a, b, zs[:most], 120, chains)
+        assert len(calls) == most * len(chains)
+        big = evaluation.recurrence_batch(a, b, zs, 120, chains)
+        assert len(calls) == most * len(chains)            # no solve for big
+        monkeypatch.setattr(evaluation, "_ztbsv", lambda: None)
+        loop = evaluation.recurrence_batch(a, b, zs, 120, chains)
+        for S, T, U in zip(small, big, loop):
+            assert (S is None) == (T is None) == (U is None)
+            if T is not None:
+                assert T.tobytes() == U.tobytes()          # the array loop's bytes
+                scale = np.max(np.abs(S), axis=0)
+                assert (np.max(np.abs(T[:, :most] - S), axis=0) <= 1e-14 * scale).all()
+
     @pytest.mark.parametrize("dps", [32, 40])
     @pytest.mark.parametrize("source", ["c=2", "c=3", "alternating_b"])
     def test_extended_kernel_holds_its_digits(self, source, dps):
@@ -376,6 +395,19 @@ class TestTableCache:
         assert [t.z for t in tabs] == [complex(z) for z in zs]
         assert len(ev._cache) == 256
 
+    def test_cached_tables_do_not_depend_on_the_batch(self, src, monkeypatch):
+        step = evaluation._BANDED_SOLVES // 2
+        pol = TruncationPolicy(n_max=30)
+        zs = _disk_points(11, 2 * step + 5)[: 2 * step + 5]
+        for backend in ("default", "fallback"):
+            with monkeypatch.context() as patch:
+                _use_backend(patch, backend)
+                calls = _counting(patch)
+                tabs = Evaluator(src, pol).tables(zs)
+                assert calls == [step, step, 5]            # banded batches only
+                for z, tab in zip(zs, tabs):
+                    assert _same_table(tab, Evaluator(src, pol).table(z))
+
     def test_pq_upto_reads_cached_tables(self, src, monkeypatch):
         for backend in ("default", "fallback"):
             with monkeypatch.context() as patch:
@@ -387,7 +419,7 @@ class TestTableCache:
         pol = TruncationPolicy(n_max=40)
         zs = list(0.2 * np.arange(16) - 1.5 + 0.7j) + [complex(1.5, -0.0)]
         cached = Evaluator(src, pol)
-        cached.tables(zs)                          # one batch (the array loop's)
+        cached.tables(zs)                          # one batch
         fresh = Evaluator(src, pol)
         calls = _counting(monkeypatch)
         uptos = (0, 1, 37, pol.n_max + 8)
