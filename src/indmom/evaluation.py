@@ -62,10 +62,10 @@ _TAIL_MARGIN = 8  # table indices past the shared level, for p/q truncations
 _TABLE_CAPACITY = {"standard": 256, "extended": 16}  # tables per evaluator
 _MAX_EVALUATORS = 8
 # Largest batch that the real-arithmetic recurrence runs on its per-point
-# loop; it governs only batches that are not banded solves.  The point loop
-# costs about 0.5 ms per point and the array loop about 7 ms per batch at
-# L = 1009, so they cross at 13-15 points (measured at L = 509 and 1009,
-# 2-core Xeon VM).
+# loop.  Where ztbsv loads every batch this small is banded, so it governs
+# only the fallback.  The point loop costs about 0.5 ms per point and the
+# array loop about 7 ms per batch at L = 1009, so they cross at 13-15
+# points (measured at L = 509 and 1009, 2-core Xeon VM).
 _SCALAR_BATCH = 12
 # Most (chain, point) pairs that recurrence_batch solves as banded systems.
 # A solve costs the same per pair at any batch size, while the array loop's
@@ -189,9 +189,10 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
         raise ValueError("chains must be 'pq', 'p' or 'q'")
     zs = np.asarray(zs, dtype=complex)
     npts, k = zs.shape[0], len(chains)
-    R = np.zeros((k, upto + 1, npts), dtype=complex)
-    V = R.view(float).reshape(k, upto + 1, npts, 2)  # [chain, n, point, re|im]
     ztbsv = _ztbsv() if k * npts <= _BANDED_SOLVES else None
+    # the banded solve needs zeroed right-hand sides; the loops write every entry
+    R = (np.empty if ztbsv is None else np.zeros)((k, upto + 1, npts), dtype=complex)
+    V = R.view(float).reshape(k, upto + 1, npts, 2)  # [chain, n, point, re|im]
     if ztbsv is not None:
         _banded_solve(ztbsv, a, b, zs, upto, R, chains)
     elif npts <= _SCALAR_BATCH:
