@@ -177,10 +177,10 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
     with ``xb = x - b_n``: batches of at most ``_SCALAR_BATCH`` points on
     Python floats per point, larger ones as in-place ufuncs over the batch.
-    A point's table is bitwise the same whichever chains were asked for,
-    and whatever batch computed it among banded batches or among
-    real-arithmetic ones; banded and real-arithmetic tables agree to
-    roundoff, not bitwise.
+    Among banded batches, and among real-arithmetic ones, a point's table
+    is bitwise the same whatever batch computed it and whichever chains
+    were asked for; banded and real-arithmetic tables agree to roundoff,
+    not bitwise.
 
     Raises EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite.
@@ -497,10 +497,10 @@ class Evaluator:
     def tables(self, zs) -> List[PointTable]:
         """Point tables for every point of the sequence ``zs``, in order.
 
-        Cached tables are looked up; the misses are computed in recurrence
-        calls of at most ``_BANDED_SOLVES // 2`` points, so that each is a
-        banded batch and a cached table does not depend on its batch, and
-        enter the cache.
+        Cached tables are looked up.  The misses are computed in recurrence
+        calls of at most ``_BANDED_SOLVES // 2`` points and enter the
+        cache; each call is then a banded batch, so a cached table does not
+        depend on its batch.
         """
         keys = [complex(z) for z in zs]
         cache = self._cache
