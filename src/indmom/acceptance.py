@@ -26,7 +26,7 @@ from .nevanlinna import (SERIES_FORMS, composition_residuals, nev, nev_one,
                          partial_quad_arrays, three_point_residual,
                          tilde_relations_residual)
 from .sequences import SeqVector
-from .zeros import RootScanConfig, count_zeros_rect, nevanlinna_line
+from .zeros import count_zeros_rect, nevanlinna_line
 
 __all__ = ["CheckResult", "run_acceptance", "CHECK_NAMES"]
 
@@ -133,13 +133,12 @@ def _check_pick(config: RunConfig) -> List[CheckResult]:
 
 
 def _measures_for(config: RunConfig) -> Dict[str, DiscreteMeasure]:
-    start = RootScanConfig(window=(-5.0, 5.0),
-                           refine_tol=config.scan.refine_tol)
     out = {}
     for label, t in (("0", ExtensionParam.finite(0.0)),
                      ("1", ExtensionParam.finite(1.0)),
                      ("inf", ExtensionParam.infinite())):
-        out[label] = build_measure(config.problem, t, start, config.truncation,
+        out[label] = build_measure(config.problem, t, config.scan,
+                                   config.truncation,
                                    n_check=6, auto_window=True,
                                    precision=config.precision)
     return out
@@ -376,39 +375,36 @@ def _check_tilde(config: RunConfig) -> List[CheckResult]:
                         worst, 1e-8, "10 seeded points")]
 
 
-CHECK_NAMES = [
-    "determinant", "dual_form", "three_point", "pick", "measures",
-    "supports", "stieltjes", "membership", "signs", "extensions", "xi",
-    "tilde",
-]
+def _checks() -> List[tuple]:
+    """(name, check, takes the shared measures) in report order; built per
+    run, so a rebound ``_check_*`` module attribute is the one that runs."""
+    return [
+        ("determinant", _check_determinant, False),
+        ("dual_form", _check_dual_form, False),
+        ("three_point", _check_three_point, False),
+        ("pick", _check_pick, False),
+        ("measures", _check_measures, True),
+        ("supports", _check_supports, True),
+        ("stieltjes", _check_stieltjes, True),
+        ("membership", _check_membership, False),
+        ("signs", _check_signs, False),
+        ("extensions", _check_extensions, True),
+        ("xi", _check_xi, False),
+        ("tilde", _check_tilde, False),
+    ]
+
+
+CHECK_NAMES = [name for name, _, _ in _checks()]
 
 
 def run_acceptance(config: Optional[RunConfig] = None,
                    only: Optional[List[str]] = None) -> List[CheckResult]:
-    """Run the acceptance checks; "measure" checks share built measures."""
+    """Run the acceptance checks; the checks that take measures share one set."""
     cfg = config if config is not None else default_config()
-    selected = set(only) if only else set(CHECK_NAMES)
+    checks = [(check, shared) for name, check, shared in _checks()
+              if not only or name in only]
+    measures = _measures_for(cfg) if any(s for _, s in checks) else None
     results: List[CheckResult] = []
-
-    measures: Optional[Dict[str, DiscreteMeasure]] = None
-    if selected & {"measures", "supports", "stieltjes", "extensions"}:
-        measures = _measures_for(cfg)
-
-    plan: List[tuple] = [
-        ("determinant", lambda: _check_determinant(cfg)),
-        ("dual_form", lambda: _check_dual_form(cfg)),
-        ("three_point", lambda: _check_three_point(cfg)),
-        ("pick", lambda: _check_pick(cfg)),
-        ("measures", lambda: _check_measures(cfg, measures)),
-        ("supports", lambda: _check_supports(cfg, measures)),
-        ("stieltjes", lambda: _check_stieltjes(cfg, measures)),
-        ("membership", lambda: _check_membership(cfg)),
-        ("signs", lambda: _check_signs(cfg)),
-        ("extensions", lambda: _check_extensions(cfg, measures)),
-        ("xi", lambda: _check_xi(cfg)),
-        ("tilde", lambda: _check_tilde(cfg)),
-    ]
-    for name, fn in plan:
-        if name in selected:
-            results.extend(fn())
+    for check, shared in checks:
+        results.extend(check(cfg, measures) if shared else check(cfg))
     return results

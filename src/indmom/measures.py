@@ -29,6 +29,10 @@ __all__ = [
     "build_measure", "stieltjes", "adjacent_zero_sign", "export_measure_csv",
 ]
 
+_TAIL_TOL = 1e-8  # auto_window stops at an annulus adding less to each moment
+_N_NEAREST = 5  # support points nearest lambda that w_twovar averages over
+_AGREEMENT_TOL = 1e-6  # relative spread allowed among their ratios
+
 
 @dataclass(frozen=True)
 class ExtensionParam:
@@ -155,19 +159,17 @@ def _masses_batch(ev: Evaluator, xs: np.ndarray) -> np.ndarray:
 def build_measure(source: JacobiCoefficients, t: ExtensionParam,
                   cfg: RootScanConfig, policy: TruncationPolicy,
                   n_check: int = 6, auto_window: bool = False,
-                  precision: str = "standard",
-                  tail_mass_tol: float = 1e-8,
-                  tail_moment_tol: float = 1e-8,
-                  max_doublings: int = 10) -> DiscreteMeasure:
+                  precision: str = "standard") -> DiscreteMeasure:
     """Construct the window-restricted N-extremal measure for t.
 
-    With ``auto_window`` the window is symmetrized and doubled until the
-    outermost annulus holds at least one support point and contributes
-    less than ``tail_mass_tol`` in mass and ``tail_moment_tol`` to every
-    tracked moment sum (n <= n_check).  The doublings walk the one node
-    set of B + tD and weigh only the nodes of each new annulus; far nodes
-    are never evaluated.  Moment residuals compare the measure's power
-    sums against the Hamburger moments.
+    With ``auto_window`` the window, symmetrized, doubles outward from
+    ``cfg.window`` until its newest annulus holds a support point and adds
+    less than ``_TAIL_TOL`` to every moment sum n <= n_check (n = 0 is the
+    mass), or until it holds every node of B + tD: then the measure is the
+    whole level-L quadrature rule, whose captured mass and moment residuals
+    report its quality.  Only the nodes of each new annulus are weighed.
+    Moment residuals compare the measure's power sums against the
+    Hamburger moments.
     """
     ev = evaluator_for(source, policy, precision)
     f = support_function(ev, t)
@@ -177,21 +179,16 @@ def build_measure(source: JacobiCoefficients, t: ExtensionParam,
         nodes = f.nodes()
         radius = max(abs(window[0]), abs(window[1]), 1.0)
         inside = np.abs(nodes) <= radius
-        for _ in range(max_doublings):
+        while not np.all(inside):
             radius *= 2.0
             new = (np.abs(nodes) <= radius) & ~inside
             inside |= new
             if np.any(new):
                 pts = nodes[new]
                 ms = _masses_batch(ev, pts)
-                ann_mass = float(np.sum(ms))
-                ann_mom = max(float(np.abs(np.sum(ms * pts ** n)))
-                              for n in range(n_check + 1))
-                if ann_mass < tail_mass_tol and ann_mom < tail_moment_tol:
+                if max(float(np.abs(np.sum(ms * pts ** n)))
+                       for n in range(n_check + 1)) < _TAIL_TOL:
                     break
-        else:
-            raise NonConvergenceError(
-                "window doubling did not settle; raise max_doublings or tolerances")
         window = (-radius, radius)
 
     scan = f.zeros(RootScanConfig(window=window, refine_tol=cfg.refine_tol))
@@ -207,15 +204,14 @@ def build_measure(source: JacobiCoefficients, t: ExtensionParam,
 
 
 def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
-              measure: DiscreteMeasure, policy: TruncationPolicy,
-              n_nearest: int = 5,
-              agreement_tol: float = 1e-6) -> StieltjesResult:
+              measure: DiscreteMeasure,
+              policy: TruncationPolicy) -> StieltjesResult:
     """Stieltjes transform w(lam) = integral of 1/(x - lam) three ways.
 
     w_param uses the one-variable parametrization -(A + tC)/(B + tD);
-    w_twovar averages -C(lam, x)/D(lam, x) over the support points nearest
-    lam (their mutual agreement is verified first); w_sum is the
-    window-limited mass sum, reported with its own deviation.
+    w_twovar averages -C(lam, x)/D(lam, x) over the ``_N_NEAREST`` support
+    points nearest lam (their mutual agreement is verified first); w_sum is
+    the window-limited mass sum, reported with its own deviation.
     """
     lam = complex(lam)
     pts = measure.points
@@ -224,7 +220,7 @@ def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
         if dmin < 1e-9 * (1.0 + abs(lam)):
             raise SupportPointError(f"lambda={lam} lies on the support")
     ev = evaluator_for(source, policy)
-    nearest = pts[np.argsort(np.abs(pts - lam))[: n_nearest]]
+    nearest = pts[np.argsort(np.abs(pts - lam))[: _N_NEAREST]]
     ev.tables(np.concatenate([[lam, 0.0], nearest]))
     A, B, C, D = nev_one(source, lam, policy, evaluator=ev)
     if t.is_infinite:
@@ -240,7 +236,7 @@ def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
         vals.append(-q.C / q.D)
     vals = np.array(vals)
     pp_spread = float(np.max(np.abs(vals[:, None] - vals[None, :])))
-    if pp_spread > agreement_tol * (1.0 + abs(w_param)):
+    if pp_spread > _AGREEMENT_TOL * (1.0 + abs(w_param)):
         raise IndmomError(
             f"per-point ratios disagree (spread {pp_spread:.3e}); "
             "support or truncation suspect")

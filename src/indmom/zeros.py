@@ -42,6 +42,8 @@ from .nevanlinna import SERIES_FORMS
 __all__ = ["RootScanConfig", "RootScan", "LineFunction", "nevanlinna_line",
            "count_zeros_rect"]
 
+_MAX_CONTOUR_POINTS = 200000  # contour samples count_zeros_rect may refine to
+
 
 @dataclass(frozen=True)
 class RootScanConfig:
@@ -246,8 +248,7 @@ def nevanlinna_line(ev: Evaluator, name: str, v: float = 0.0) -> LineFunction:
 
 def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
                      rect: Tuple[float, float, float, float],
-                     samples_per_side: int = 64,
-                     max_points: int = 200000) -> int:
+                     samples_per_side: int = 64) -> int:
     """Winding number of F along the rectangle boundary (counterclockwise).
 
     Refines boundary sampling adaptively until every phase increment is
@@ -291,7 +292,7 @@ def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
                 raise ZeroOnContourError(
                     "winding number failed to settle; perturb rectangle")
             return int(round(winding))
-        if len(ts) > max_points:
+        if len(ts) > _MAX_CONTOUR_POINTS:
             raise ZeroOnContourError(
                 "contour refinement exhausted; perturb rectangle")
         mid_ts = 0.5 * (ts[:-1][bad] + ts[1:][bad])

@@ -60,10 +60,12 @@ ZERO_SET_CHECKS = ["measures", "supports", "stieltjes", "membership", "signs",
                    "extensions"]
 
 
-@pytest.mark.parametrize("case", ["c=3", "n_max=301", "alternating_b"])
+@pytest.mark.parametrize("case", ["c=3", "c=4", "c=5", "n_max=301",
+                                  "alternating_b"])
 def test_zero_set_checks_beyond_the_preset(case, tmp_path):
-    if case == "c=3":
-        config = default_config(problem=JacobiCoefficients.power_law(3.0))
+    if case.startswith("c="):
+        config = default_config(
+            problem=JacobiCoefficients.power_law(float(case[2:])))
     elif case == "n_max=301":
         config = default_config(truncation=TruncationPolicy(n_max=301))
     else:

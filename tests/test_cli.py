@@ -2,9 +2,10 @@ from dataclasses import fields, replace
 
 import pytest
 
-from indmom import JacobiCoefficients, RootScanConfig, TruncationPolicy
+from indmom import JacobiCoefficients, RootScanConfig, TruncationPolicy, zeros
 from indmom.cli import main
 from indmom.config import RunConfig, default_config
+from indmom.errors import NonConvergenceError
 from indmom.evaluation import clear_evaluator_cache
 
 
@@ -107,6 +108,16 @@ class TestZeros:
         code, _, _ = run_cli(["--nmax", "200", "zeros", "BtD"], capsys)
         assert code == 2
 
+    def test_failed_eigensolve_exits_3(self, monkeypatch, capsys):
+        def fail(d, e):
+            raise NonConvergenceError("tridiagonal eigensolve failed")
+
+        monkeypatch.setattr(zeros, "_tridiagonal_eigvals", fail)
+        code, _, err = run_cli(
+            ["--window", "-6:6", "--nmax", "200", "zeros", "D"], capsys)
+        assert code == 3
+        assert err.startswith("non-convergence:")
+
 
 class TestXi:
     def test_apply(self, tmp_path, capsys):
@@ -174,9 +185,11 @@ class TestVerify:
         _, warm, _ = run_cli(["--nmax", "120", "verify"], capsys)
         assert cold == warm
 
-    def test_small_level_suite_passes(self, capsys):
-        code, out, err = run_cli(["--nmax", "120", "--seed", "7", "verify"],
-                                 capsys)
+    @pytest.mark.parametrize("problem", [[], ["--c", "4"]],
+                             ids=["preset", "c=4"])
+    def test_small_level_suite_passes(self, problem, capsys):
+        code, out, err = run_cli(
+            problem + ["--nmax", "120", "--seed", "7", "verify"], capsys)
         assert code == 0
         assert "all_checks = PASS" in out
         assert "FAIL" not in err

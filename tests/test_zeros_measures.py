@@ -424,6 +424,19 @@ class TestBuildMeasure:
         assert np.max(m.moment_residuals) < 1e-6
         assert not m.scan_warning
 
+    def test_window_holding_every_node_is_the_whole_quadrature(self, src):
+        # the start window already holds every node, so the walk stops
+        # there and the measure is the whole level-L rule
+        pol = TruncationPolicy(n_max=20)
+        t = ExtensionParam.finite(0.0)
+        cfg = RootScanConfig(window=(-1e6, 1e6))
+        m = build_measure(src, t, cfg, pol, n_check=6, auto_window=True)
+        nodes = support_function(evaluator_for(src, pol), t).nodes()
+        assert m.window == (-1e6, 1e6)
+        assert len(m.points) == len(nodes)
+        assert abs(m.captured_mass - 1.0) < 1e-12
+        assert np.max(m.moment_residuals) < 1e-6
+
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             DiscreteMeasure(t=ExtensionParam.finite(0.0),
