@@ -3,7 +3,9 @@
 numpy's wheels ship OpenBLAS beside the package (``numpy.libs/`` on Linux
 and Windows, ``numpy/.dylibs/`` on macOS), built with 64-bit integers and
 its symbols renamed to ``scipy_<name>_64_``.  Callers bind a routine with
-:func:`symbol` and fall back to numpy where it returns None.
+:func:`symbol` and fall back to numpy where it returns None.  A Fortran
+CHARACTER argument is passed as ``CHAR``, and its length (``LEN``) is
+appended after the other arguments.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 
 INT = ctypes.POINTER(ctypes.c_int64)
 DOUBLES = ctypes.POINTER(ctypes.c_double)
+CHAR = ctypes.c_char_p
+LEN = ctypes.c_size_t
 
 
 @functools.cache

@@ -26,7 +26,7 @@ from .nevanlinna import (SERIES_FORMS, composition_residuals, nev, nev_one,
                          partial_quad_arrays, three_point_residual,
                          tilde_relations_residual)
 from .sequences import SeqVector
-from .zeros import count_zeros_rect, nevanlinna_line
+from .zeros import count_zeros_rect, line_values, nevanlinna_line
 
 __all__ = ["CheckResult", "run_acceptance", "CHECK_NAMES"]
 
@@ -166,12 +166,13 @@ def _check_supports(config: RunConfig,
                        "min distance between t=0 and t=1 supports")]
 
     ev = evaluator_for(config.problem, config.truncation)
+    fs = [support_function(ev, m.t) for m in measures.values()]
     rects = [(0.5, 5.5, 0.4, 3.0), (-7.0, -1.0, -2.5, -0.3), (-3.0, 2.0, 1.0, 4.0)]
     worst = 0
-    for m in measures.values():
-        F = support_function(ev, m.t)
-        for rect in rects:
-            worst = max(worst, abs(count_zeros_rect(F, rect)))
+    for rect in rects:
+        # every B + tD is of kind p: one table per contour point serves all
+        counts = count_zeros_rect(lambda zs: line_values(fs, zs), rect)
+        worst = max(worst, int(np.max(np.abs(counts))))
     out.append(CheckResult("06b_offaxis_zero_counts", worst == 0,
                            float(worst), 0.0,
                            "B+tD winding counts in off-axis rectangles"))
@@ -195,14 +196,15 @@ def _membership_pairs(config: RunConfig, rng: np.random.Generator,
                       kind: str, count: int = 5):
     """Root-found (u, v, coefficient) triples for one combination case.
 
-    u runs over the zeros of D, A or B(., v) nearest v in the full zero set.
+    u runs over the two zeros of D, A or B(., v) nearest v, besides v.
     """
     case = {"D": "pp", "A": "qq", "B": "pq"}[kind]
     ev = evaluator_for(config.problem, config.truncation)
     pairs = []
     vs = rng.uniform(-2.5, 2.5, 16)
     for v in vs:
-        zeros = nevanlinna_line(ev, kind, float(v)).nodes()
+        # v is a node itself: three per side hold the two nearest besides it
+        zeros = nevanlinna_line(ev, kind, float(v)).nodes_near(v, 3)
         zeros = zeros[np.abs(zeros - v) > 1e-6]
         for u in zeros[np.argsort(np.abs(zeros - v))][:2]:
             coef = pair_coefficient(config.problem, complex(u), complex(v),
@@ -289,7 +291,9 @@ def _check_extensions(config: RunConfig,
     # second-kind vector: lambda with A + tC = 0 enters D(T_t), and the
     # first-kind vector at that lambda must stay out
     ev = evaluator_for(src, pol)
-    zeros = t1.combine(nevanlinna_line(ev, "A"), nevanlinna_line(ev, "C")).nodes()
+    # the nearest node is one of the two around 0.5, even at a node 0.5
+    zeros = t1.combine(nevanlinna_line(ev, "A"),
+                       nevanlinna_line(ev, "C")).nodes_near(0.5, 1)
     lamq = float(zeros[np.argmin(np.abs(zeros - 0.5))])
     vq = q_vector(src, lamq, pol)
     vq_in = membership_DTt(src, vq, t1, 1.0j, _MEMBERSHIP_TOL, pol)

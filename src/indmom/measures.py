@@ -252,7 +252,7 @@ def adjacent_zero_sign(source: JacobiCoefficients, v: float, which: str,
                        policy: TruncationPolicy) -> Tuple[float, float]:
     """Adjacent zero below v of D(., v) (case "D") or A(., v) (case "A").
 
-    u is the nearest node below v in the full zero set.  Returns
+    u is the nearest node below v.  Returns
     (u, B(u, v)) for the D case and (u, C(u, v)) for the A case; the sign
     of the returned value is asserted (positive resp. negative).
     """
@@ -260,8 +260,9 @@ def adjacent_zero_sign(source: JacobiCoefficients, v: float, which: str,
         raise ValueError("which must be 'D' (p-pairs) or 'A' (q-pairs)")
     v = float(v)
     ev = evaluator_for(source, policy)
-    zeros = nevanlinna_line(ev, which, v).nodes()
-    below = zeros[zeros < v]  # v itself is an exact node
+    # v itself is an exact node: two per side hold the one below it
+    zeros = nevanlinna_line(ev, which, v).nodes_near(v, 2)
+    below = zeros[zeros < v]
     if not len(below):
         raise IndmomError(f"no zero below v={v}")
     u = float(below.max())

@@ -12,37 +12,54 @@ B + tD and A + tC.  By Christoffel-Darboux
 polynomial: its zeros are simple and real, and they are the eigenvalues of
 one Jacobi matrix with a modified corner entry (Golub-Welsch, Math. Comp.
 23, 1969; Golub, SIAM Rev. 15, 1973).  That matrix is symmetric
-tridiagonal, so its eigenvalues come from LAPACK ``dsterf``, the
-Pal-Walker-Kahan QR iteration on the diagonal and off-diagonal alone, in
-O(L^2) time and O(L) memory (Parlett, *The Symmetric Eigenvalue Problem*,
-1980, ch. 8).  ``dsterf`` is called through ctypes in the OpenBLAS that
-numpy's wheels bundle; where numpy has no such library, the dense
-``numpy.linalg.eigvalsh`` of the same matrix is used instead.
+tridiagonal, and one method builds it for both ways of reading its
+spectrum:
+
+* ``LineFunction.nodes`` returns the whole zero set, from LAPACK
+  ``dsterf``, the Pal-Walker-Kahan QR iteration on the diagonal and
+  off-diagonal alone, in O(L^2) time and O(L) memory (Parlett, *The
+  Symmetric Eigenvalue Problem*, 1980, ch. 8).  The measures read it
+  (``build_measure`` weighs the nodes of its window), as do
+  ``LineFunction.zeros`` and the ``zeros`` command.
+* ``LineFunction.nodes_near`` returns the k nodes on each side of a point,
+  from one Sturm count (LAPACK ``dlarrc``) and bisection of that index
+  range (``dstebz``; Barth, Martin & Wilkinson, Numer. Math. 9, 1967), in
+  O(L) time per node.  The checks that read the zeros next to a point use
+  it: the membership pairs, the adjacent-zero signs and the extension
+  domains.
+
+The routines are called through ctypes in the OpenBLAS that numpy's wheels
+bundle.  Where numpy has no such library, ``nodes`` takes the dense
+``numpy.linalg.eigvalsh`` of the same matrix and ``nodes_near`` the
+matching slice of ``nodes``.
 
 ``count_zeros_rect`` counts zeros (with multiplicity) inside an axis
 rectangle by accumulating phase increments of the function along the
 boundary, refining adaptively until every increment is below pi/2.  It is
-the one zero count computed independently of the eigensolve.
+the one zero count computed independently of the eigensolve; given one row
+of values per function, it counts the zeros of several functions on shared
+contour points.
 """
 
 from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _openblas
-from ._openblas import DOUBLES, INT
+from ._openblas import CHAR, DOUBLES, INT, LEN
 from .errors import NonConvergenceError, ZeroOnContourError
 from .evaluation import Evaluator
 from .nevanlinna import SERIES_FORMS
 
 __all__ = ["RootScanConfig", "RootScan", "LineFunction", "nevanlinna_line",
-           "count_zeros_rect"]
+           "line_values", "count_zeros_rect"]
 
 _MAX_CONTOUR_POINTS = 200000  # contour samples count_zeros_rect may refine to
+_TINY = float(np.finfo(np.float64).tiny)  # LAPACK's DLAMCH('S')
 
 
 @dataclass(frozen=True)
@@ -98,11 +115,7 @@ class LineFunction:
 
     def __call__(self, zs) -> np.ndarray:
         """Values at real or complex points, at the evaluator's precision."""
-        zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-        P, Q = self.ev.tables_batch(zs, self.kind)
-        L = self.ev.level
-        sums = self.g[: L + 1] @ (P if self.kind == "p" else Q)[: L + 1]
-        return np.asarray(self.off + (zs - self.v) * sums, dtype=complex)
+        return line_values([self], zs)[0]
 
     def real(self, xs) -> np.ndarray:
         return self(np.asarray(xs, dtype=float)).real
@@ -110,20 +123,48 @@ class LineFunction:
     def nodes(self) -> np.ndarray:
         """All real zeros, ascending, from one tridiagonal eigensolve.
 
+        The eigenvalues of :meth:`_jacobi`'s matrix come from LAPACK
+        ``dsterf`` (Parlett 1980, ch. 8) on the diagonal and off-diagonal.
+        With ``off = 0`` the node nearest v is set to v exactly.  The
+        eigensolve runs once per line function and each call returns a copy.
+        """
+        if self._nodes is None:
+            d, e = self._jacobi()
+            self._nodes = self._snapped(_tridiagonal_eigvals(d, e), 0, len(d))
+        return self._nodes.copy()
+
+    def nodes_near(self, x: float, k: int) -> np.ndarray:
+        """The k nodes on each side of x, ascending; fewer at either end.
+
+        "Below" counts the nodes <= x by a Sturm count of :meth:`_jacobi`'s
+        matrix, so with m of them the result holds nodes m-k..m+k-1 of
+        :meth:`nodes`, by LAPACK ``dstebz`` bisection (O(L) per node).  At
+        a node x the count may fall on either side of it, so a caller that
+        reads j nodes per side asks for j + 1.  With ``off = 0`` the node
+        nearest v is set to v where the result reaches past v, or to the
+        end of the spectrum, on both sides, as it always does for x = v.
+        Where numpy's OpenBLAS has no ``dstebz``, the same index slice of
+        :meth:`nodes`.
+        """
+        if k < 1:
+            raise ValueError("k must be at least 1")
+        d, e = self._jacobi()
+        near = _tridiagonal_eigvals_near(d, e, float(x), k)
+        if near is None:
+            nodes = self.nodes()
+            m = int(np.searchsorted(nodes, x, side="right"))
+            return nodes[max(m - k, 0): m + k]
+        lo, nodes = near
+        return self._snapped(nodes, lo, len(d))
+
+    def _jacobi(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Diagonal and off-diagonal of the matrix whose eigenvalues are the zeros.
+
         P kind: rows 0..L of the Jacobi matrix with last diagonal entry
         b_L + a_L g_{L+1} / g_L; Q kind: the once-stripped rows 1..L with
         the same corner.  When g_L = 0 (or the corner overflows) the zeros
-        are those of T_L, and the last row and column are dropped.  With
-        ``off = 0`` the node nearest v is set to v exactly.  The eigenvalues
-        come from LAPACK ``dsterf`` (Parlett 1980, ch. 8) on the diagonal
-        and off-diagonal; the eigensolve runs once per line function and
-        each call returns a copy.
+        are those of T_L, and the last row and column are dropped.
         """
-        if self._nodes is None:
-            self._nodes = self._solve()
-        return self._nodes.copy()
-
-    def _solve(self) -> np.ndarray:
         ev, g, L = self.ev, self.g, self.ev.level
         first = 0 if self.kind == "p" else 1
         diag = np.array(ev.b[first: L + 1], dtype=float)
@@ -131,8 +172,19 @@ class LineFunction:
             diag[-1] += ev.a[L] * (np.float64(g[L + 1].real) / np.float64(g[L].real))
         # an infinite corner sends one zero to infinity: drop its row and column
         n = len(diag) if np.isfinite(diag[-1]) else len(diag) - 1
-        nodes = _tridiagonal_eigvals(diag[:n], ev.a[first: first + n - 1])
-        if self.off == 0:  # the factor (x - v) makes v an exact zero
+        return diag[:n], np.array(ev.a[first: first + n - 1], dtype=float)
+
+    def _snapped(self, nodes: np.ndarray, lo: int, n: int) -> np.ndarray:
+        """Nodes lo.. of n, with the node nearest v set to v when off = 0.
+
+        The factor (x - v) makes v an exact zero.  A slice surely holds the
+        node nearest v when it reaches past v, or to the end of the
+        spectrum, on both sides; otherwise it is left as it is.
+        """
+        hi = lo + len(nodes)
+        if (self.off == 0 and len(nodes)
+                and (lo == 0 or nodes[0] <= self.v)
+                and (hi == n or nodes[-1] >= self.v)):
             nodes[np.argmin(np.abs(nodes - self.v))] = self.v
         return nodes
 
@@ -232,6 +284,78 @@ def _tridiagonal_eigvals(d, e) -> np.ndarray:
     return d
 
 
+def _bisection():
+    """LAPACK dlarrc and dstebz from numpy's bundled OpenBLAS, or None.
+
+    Both take Fortran character arguments, whose lengths trail the
+    argument list.
+    """
+    dlarrc = _openblas.symbol("dlarrc", CHAR, INT, DOUBLES, DOUBLES, DOUBLES,
+                              DOUBLES, DOUBLES, INT, INT, INT, INT, LEN)
+    dstebz = _openblas.symbol("dstebz", CHAR, CHAR, INT, DOUBLES, DOUBLES,
+                              INT, INT, DOUBLES, DOUBLES, DOUBLES, INT, INT,
+                              DOUBLES, INT, INT, DOUBLES, INT, INT, LEN, LEN)
+    return None if dlarrc is None or dstebz is None else (dlarrc, dstebz)
+
+
+def _tridiagonal_eigvals_near(d, e, x: float,
+                              k: int) -> Optional[Tuple[int, np.ndarray]]:
+    """(lo, eigenvalues lo..hi-1) of the symmetric tridiagonal (d, e), ascending.
+
+    With m eigenvalues <= x by the Sturm count of LAPACK ``dlarrc``,
+    lo = max(m - k, 0) and hi = min(m + k, n).  ``dstebz`` bisects that
+    index range to full accuracy (ABSTOL = 2 DLAMCH('S'), the smallest
+    normal number doubled).  None where numpy's OpenBLAS lacks the
+    routines.  Raises NonConvergenceError when an entry or an eigenvalue is
+    not finite or the bisection fails.
+    """
+    routines = _bisection()
+    if routines is None:
+        return None
+    dlarrc, dstebz = routines
+    d = np.array(d, dtype=np.float64)
+    # Fortran reads e(1..n-1); the pad keeps the pointer valid at n <= 1
+    e = np.append(np.asarray(e, dtype=np.float64), 0.0)
+    n = len(d)
+    if len(e) != max(n, 1):
+        raise ValueError("the off-diagonal must be one shorter than the diagonal")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise NonConvergenceError("tridiagonal bisection: non-finite matrix entry")
+    if n == 0:
+        return 0, d
+    # dstebz bisects no finer than its minimum pivot DLAMCH('S') max(1, e_j^2):
+    # 6e-8 for the off-diagonal 2^499 of a_n = 2^n at L = 500.  Scaling by a
+    # power of two, which is exact, brings every |e_j| below 1.
+    shift = max(int(np.frexp(np.max(np.abs(e)))[1]), 0)
+    d, e = np.ldexp(d, -shift), np.ldexp(e, -shift)
+    size, lo_count, hi_count, info = (ctypes.c_int64(n), ctypes.c_int64(0),
+                                      ctypes.c_int64(0), ctypes.c_int64(0))
+    at = ctypes.c_double(np.ldexp(x, -shift))
+    pivmin = ctypes.c_double(_TINY)  # the minimum pivot, now that |e_j| < 1
+    dlarrc(b"T", size, at, at, d.ctypes.data_as(DOUBLES),
+           e.ctypes.data_as(DOUBLES), pivmin, ctypes.c_int64(0), lo_count,
+           hi_count, info, 1)
+    lo, hi = max(lo_count.value - k, 0), min(lo_count.value + k, n)
+    found, nsplit = ctypes.c_int64(0), ctypes.c_int64(0)
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = (np.empty(m, dtype=np.int64) for m in (n, n, 3 * n))
+    unused = ctypes.c_double(0.0)
+    dstebz(b"I", b"E", size, unused, unused, ctypes.c_int64(lo + 1),
+           ctypes.c_int64(hi), ctypes.c_double(2 * _TINY),
+           d.ctypes.data_as(DOUBLES), e.ctypes.data_as(DOUBLES), found,
+           nsplit, w.ctypes.data_as(DOUBLES), iblock.ctypes.data_as(INT),
+           isplit.ctypes.data_as(INT), work.ctypes.data_as(DOUBLES),
+           iwork.ctypes.data_as(INT), info, 1, 1)
+    if info.value != 0 or found.value != hi - lo:
+        raise NonConvergenceError(
+            f"tridiagonal bisection failed (dstebz info = {info.value}, "
+            f"{found.value} of {hi - lo} eigenvalues)")
+    nodes = np.ldexp(w[: hi - lo], shift)
+    if not np.all(np.isfinite(nodes)):
+        raise NonConvergenceError("tridiagonal bisection: non-finite eigenvalue")
+    return lo, nodes
+
+
 def _crossing(nodes: np.ndarray, edge: float, reach: float, side: str) -> float:
     """Midpoint of the node gap holding ``edge``, moved at most ``reach`` away."""
     i = int(np.searchsorted(nodes, edge, side=side))
@@ -246,13 +370,32 @@ def nevanlinna_line(ev: Evaluator, name: str, v: float = 0.0) -> LineFunction:
     return LineFunction(ev, kind, getattr(ev.table(complex(v)), anchor), off, v)
 
 
+def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
+    """Values of line functions at real or complex points, one row each.
+
+    The functions share one evaluator and kind, so one table of that kind
+    serves them all.
+    """
+    ev, kind = fs[0].ev, fs[0].kind
+    if any((f.ev, f.kind) != (ev, kind) for f in fs):
+        raise ValueError("only line functions of one evaluator and kind share a table")
+    zs = np.atleast_1d(np.asarray(zs, dtype=complex))
+    P, Q = ev.tables_batch(zs, kind)
+    T = (P if kind == "p" else Q)[: ev.level + 1]
+    return np.array([f.off + (zs - f.v) * (f.g[: ev.level + 1] @ T) for f in fs],
+                    dtype=complex)
+
+
 def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
                      rect: Tuple[float, float, float, float],
-                     samples_per_side: int = 64) -> int:
+                     samples_per_side: int = 64):
     """Winding number of F along the rectangle boundary (counterclockwise).
 
     Refines boundary sampling adaptively until every phase increment is
-    below pi/2.  Raises ZeroOnContourError when |F| on the contour is
+    below pi/2.  Where F returns one row of values per function, the rows
+    share the contour points, which refine until every row's increments
+    are below pi/2, and the result is an integer array of one winding
+    number per row.  Raises ZeroOnContourError when |F| on the contour is
     suspiciously small or refinement fails to settle.
     """
     re_lo, re_hi, im_lo, im_hi = rect
@@ -273,6 +416,8 @@ def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
 
     ts = np.linspace(0.0, 4.0, 4 * samples_per_side + 1)
     vals = np.asarray(F(boundary_point(ts)), dtype=complex)
+    rows = vals.ndim == 2
+    vals = np.atleast_2d(vals)
 
     for _ in range(64):
         mags = np.abs(vals)
@@ -280,24 +425,25 @@ def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
             raise ZeroOnContourError("zero suspected on contour; perturb rectangle")
         # local dip test: |F| may legitimately span many orders of magnitude
         # along a long contour, so compare each sample to its neighbours only
-        neigh = np.maximum(np.roll(mags, 1), np.roll(mags, -1))
+        neigh = np.maximum(np.roll(mags, 1, axis=1), np.roll(mags, -1, axis=1))
         if np.any(mags < 1e-12 * neigh):
             raise ZeroOnContourError("zero suspected on contour; perturb rectangle")
-        dphi = np.angle(vals[1:] / vals[:-1])
-        bad = np.abs(dphi) >= 0.5 * np.pi
+        dphi = np.angle(vals[:, 1:] / vals[:, :-1])
+        bad = np.any(np.abs(dphi) >= 0.5 * np.pi, axis=0)
         if not np.any(bad):
-            total = float(np.sum(dphi))
-            winding = total / (2.0 * np.pi)
-            if abs(winding - round(winding)) > 0.25:
+            winding = np.sum(dphi, axis=1) / (2.0 * np.pi)
+            if np.any(np.abs(winding - np.round(winding)) > 0.25):
                 raise ZeroOnContourError(
                     "winding number failed to settle; perturb rectangle")
-            return int(round(winding))
+            counts = np.round(winding).astype(int)
+            return counts if rows else int(counts[0])
         if len(ts) > _MAX_CONTOUR_POINTS:
             raise ZeroOnContourError(
                 "contour refinement exhausted; perturb rectangle")
         mid_ts = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-        mid_vals = np.asarray(F(boundary_point(mid_ts)), dtype=complex)
+        mid_vals = np.atleast_2d(np.asarray(F(boundary_point(mid_ts)),
+                                            dtype=complex))
         insert_at = np.nonzero(bad)[0] + 1
         ts = np.insert(ts, insert_at, mid_ts)
-        vals = np.insert(vals, insert_at, mid_vals)
+        vals = np.insert(vals, insert_at, mid_vals, axis=1)
     raise ZeroOnContourError("contour refinement did not converge")

@@ -8,7 +8,7 @@ PASS/FAIL line per criterion.
 
 import pytest
 
-from indmom import JacobiCoefficients, TruncationPolicy
+from indmom import JacobiCoefficients, TruncationPolicy, acceptance, zeros
 from indmom.acceptance import run_acceptance
 from indmom.config import default_config
 
@@ -76,3 +76,21 @@ def test_zero_set_checks_beyond_the_preset(case, tmp_path):
     failed = [r.line() for r in run_acceptance(config, only=ZERO_SET_CHECKS)
               if not r.passed]
     assert not failed
+
+
+def test_near_point_checks_make_no_full_solve(monkeypatch):
+    # 08a, 09 and 10a read the nodes next to a point: bisection slices only
+    solves = []
+    solve = zeros._tridiagonal_eigvals
+    monkeypatch.setattr(zeros, "_tridiagonal_eigvals",
+                        lambda d, e: solves.append(len(d)) or solve(d, e))
+    build = acceptance._measures_for
+    monkeypatch.setattr(acceptance, "_measures_for",
+                        lambda cfg: (build(cfg), solves.clear())[0])
+    results = run_acceptance(default_config(),
+                             only=["membership", "signs", "extensions"])
+    assert solves == []
+    checked = {r.name: r.passed for r in results}
+    assert checked["08a_membership_positives"]
+    assert checked["09_adjacent_zero_signs"]
+    assert checked["10a_extension_domain_selects_t"]

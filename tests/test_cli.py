@@ -118,6 +118,15 @@ class TestZeros:
         assert code == 3
         assert err.startswith("non-convergence:")
 
+    def test_failed_bisection_exits_3(self, monkeypatch, capsys):
+        def fail(d, e, x, k):
+            raise NonConvergenceError("tridiagonal bisection failed")
+
+        monkeypatch.setattr(zeros, "_tridiagonal_eigvals_near", fail)
+        code, _, err = run_cli(["--nmax", "200", "verify"], capsys)
+        assert code == 3
+        assert err.startswith("non-convergence:")
+
 
 class TestXi:
     def test_apply(self, tmp_path, capsys):

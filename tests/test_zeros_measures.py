@@ -13,6 +13,7 @@ from indmom import (DiscreteMeasure, ExtensionParam, JacobiCoefficients,
 from indmom.errors import (NonConvergenceError, SupportPointError,
                            ZeroOnContourError)
 from indmom.evaluation import evaluator_for
+from indmom.zeros import line_values
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +232,7 @@ class TestTridiagonalEigvals:
         bundled = (lapack.get("name") == "scipy-openblas"
                    and "USE64BITINT" in lapack.get("openblas configuration", ""))
         assert (zeros._dsterf() is not None) == bundled
+        assert (zeros._bisection() is not None) == bundled
         assert (evaluation._ztbsv() is not None) == bundled
 
     # (L, t): a finite corner at both parities; t = 0 at even L and t = inf
@@ -266,13 +268,36 @@ class TestTridiagonalEigvals:
         monkeypatch.setattr(zeros, "_dsterf", lambda: None)
         assert zeros._tridiagonal_eigvals(d, e).tobytes() == dense.tobytes()
 
-    @pytest.mark.parametrize("lapack", [True, False])
-    def test_nan_diagonal_raises_non_convergence(self, lapack, monkeypatch):
-        if not lapack:
+    @pytest.mark.parametrize("route", ["dsterf", "eigvalsh", "dstebz"])
+    def test_nan_diagonal_raises_non_convergence(self, route, monkeypatch):
+        if route == "eigvalsh":
             monkeypatch.setattr(zeros, "_dsterf", lambda: None)
         d = np.array([1.0, np.nan, 2.0])
         with pytest.raises(NonConvergenceError):
-            zeros._tridiagonal_eigvals(d, np.ones(2))
+            if route == "dstebz":
+                zeros._tridiagonal_eigvals_near(d, np.ones(2), 0.0, 1)
+            else:
+                zeros._tridiagonal_eigvals(d, np.ones(2))
+
+    # dstebz's arguments: 10 is M (eigenvalues found), 12 W, 17 INFO
+    @pytest.mark.parametrize("failure", ["info", "short", "nan"])
+    def test_failed_bisection_raises_non_convergence(self, failure,
+                                                     monkeypatch):
+        dlarrc, dstebz = zeros._bisection()
+
+        def broken(*args):
+            dstebz(*args)
+            if failure == "info":
+                args[17].value = 2
+            elif failure == "short":
+                args[10].value -= 1
+            else:
+                args[12][0] = np.nan
+
+        monkeypatch.setattr(zeros, "_bisection", lambda: (dlarrc, broken))
+        d, e = np.array([2.0, -1.0, 0.5, 3.0]), np.array([1.0, 3.0, 0.5])
+        with pytest.raises(NonConvergenceError):
+            zeros._tridiagonal_eigvals_near(d, e, 0.0, 1)
 
     def test_inputs_untouched_and_small_sizes(self):
         d, e = np.array([2.0, -1.0, 0.5]), np.array([1.0, 3.0])
@@ -283,6 +308,102 @@ class TestTridiagonalEigvals:
         assert len(zeros._tridiagonal_eigvals([], [])) == 0
         with pytest.raises(ValueError):
             zeros._tridiagonal_eigvals(d, d)
+
+    def test_bisection_inputs_untouched_and_small_sizes(self):
+        d, e = np.array([2.0, -1.0, 0.5]), np.array([1.0, 3.0])
+        lo, nodes = zeros._tridiagonal_eigvals_near(d, e, 0.0, 1)
+        full = zeros._tridiagonal_eigvals(d, e)
+        m = int(np.sum(full <= 0.0))
+        assert lo == m - 1
+        assert np.allclose(nodes, full[m - 1: m + 1], rtol=1e-14, atol=0)
+        assert d.tolist() == [2.0, -1.0, 0.5] and e.tolist() == [1.0, 3.0]
+        assert zeros._tridiagonal_eigvals_near([4.0], [], 5.0, 2)[1].tolist() == [4.0]
+        assert zeros._tridiagonal_eigvals_near([4.0], [], 3.0, 1)[1].tolist() == [4.0]
+        assert len(zeros._tridiagonal_eigvals_near([], [], 0.0, 1)[1]) == 0
+        with pytest.raises(ValueError):
+            zeros._tridiagonal_eigvals_near(d, d, 0.0, 1)
+
+
+@pytest.fixture(scope="module")
+def alternating_src(tmp_path_factory):
+    path = tmp_path_factory.mktemp("alt") / "alternating.txt"
+    path.write_text("".join(f"{(n + 1) ** 2} {0.3 * (-1) ** n!r}\n"
+                            for n in range(320)))
+    return JacobiCoefficients.from_file(str(path))
+
+
+# bisection and dsterf agree to a few ulp of each node (at most 1.4e-14
+# relative seen at L = 300-500), and to a few ulp absolute inside [-1, 1],
+# where the top rows of these matrices are O(1)
+NEAR_REL = 1e-13
+
+
+class TestNodesNear:
+    @pytest.fixture(params=["c=2", "c=3", "alternating_b", "2^n"])
+    def near_ev(self, request, alternating_src, geometric_src):
+        src = {"c=2": JacobiCoefficients.power_law(2.0),
+               "c=3": JacobiCoefficients.power_law(3.0),
+               "alternating_b": alternating_src,
+               "2^n": geometric_src}[request.param]
+        return evaluator_for(src, TruncationPolicy(n_max=300))
+
+    @staticmethod
+    def _function(ev, name):
+        if name in ("D", "A"):
+            return nevanlinna_line(ev, name, 0.37)
+        return _line(ev, "p" if name == "BtD" else "q",
+                     ExtensionParam.finite(0.7))
+
+    @pytest.mark.parametrize("name", ["D", "A", "BtD", "AtC"])
+    def test_slices_match_the_full_spectrum(self, near_ev, name):
+        f = self._function(near_ev, name)
+        full = f.nodes()
+        n = len(full)
+        # D(., v) and A(., v) vanish at v = 0.37, snapped to a node
+        at = np.flatnonzero(full == 0.37)[0] if name in ("D", "A") else n // 2
+        cases = [(full[at], 3), (0.5 * (full[at] + full[at + 1]), 2),
+                 (full[0] - 1.0, 2), (full[-1] + 1.0, 2), (full[at], n + 5)]
+        for x, k in cases:
+            near = f.nodes_near(x, k)
+            # the Sturm count of a node x may fall on either side of it
+            counts = {int(np.sum(full < x)), int(np.sum(full <= x))}
+            slices = [full[max(m - k, 0): m + k] for m in counts]
+            assert any(len(ref) == len(near) and np.all(
+                np.abs(near - ref) <= NEAR_REL * np.maximum(np.abs(ref), 1.0))
+                and np.array_equal(near == f.v, ref == f.v)
+                for ref in slices), (x, k)
+            assert np.all(np.diff(near) > 0)
+        # at v the slice reaches past v on both sides and snaps like nodes()
+        if name in ("D", "A"):
+            assert 0.37 in f.nodes_near(0.37, 1)
+
+    def test_large_off_diagonals_keep_small_nodes_accurate(self, tmp_path):
+        # dstebz's minimum pivot would be 6e-8 for the off-diagonal 2^499
+        path = tmp_path / "geometric.txt"
+        path.write_text("".join(f"{2.0 ** n!r} 0.0\n" for n in range(520)))
+        ev = evaluator_for(JacobiCoefficients.from_file(str(path)),
+                           TruncationPolicy(n_max=500))
+        f = _line(ev, "p", ExtensionParam.finite(0.7))
+        full = f.nodes()
+        m = int(np.sum(full <= 0.37))
+        near = f.nodes_near(0.37, 3)
+        ref = full[m - 3: m + 3]
+        assert np.all(np.abs(near - ref) <= NEAR_REL * np.abs(ref))
+
+    @pytest.mark.parametrize("name", ["D", "BtD"])
+    def test_fallback_is_the_slice_of_nodes(self, near_ev, name, monkeypatch):
+        monkeypatch.setattr(zeros, "_bisection", lambda: None)
+        f = self._function(near_ev, name)
+        full = f.nodes()
+        for x, k in ((0.37, 2), (0.0, 1), (full[0] - 1.0, 3), (full[-1], 2),
+                     (0.5, len(full) + 1)):
+            m = int(np.searchsorted(full, x, side="right"))
+            assert (f.nodes_near(x, k).tobytes()
+                    == full[max(m - k, 0): m + k].tobytes())
+
+    def test_k_must_be_positive(self, src, pol):
+        with pytest.raises(ValueError):
+            nevanlinna_line(evaluator_for(src, pol), "D").nodes_near(0.0, 0)
 
 
 class TestCountZerosRect:
@@ -325,6 +446,40 @@ class TestCountZerosRect:
             return (zs - v) * (tv.p[: L + 1] @ P[: L + 1])
 
         assert count_zeros_rect(F, (-5.0, 5.0, -3.0, -0.2)) == 0
+
+    def test_rows_refine_until_every_row_settles(self):
+        # 120 windings need finer sampling than the default 64 per side
+        def F(zs):
+            return np.stack([zs - 0.1, zs ** 120])
+
+        counts = count_zeros_rect(F, (-1.0, 1.0, -1.0, 1.0))
+        assert counts.tolist() == [1, 120]
+        assert count_zeros_rect(lambda zs: zs ** 120, (-1.0, 1.0, -1.0, 1.0)) == 120
+
+    def test_rows_count_each_function(self, src, pol):
+        # the support functions of check 06b on rectangles that straddle the
+        # real axis, where each counts its nodes inside
+        ev = evaluator_for(src, pol)
+        fs = [support_function(ev, ExtensionParam.parse(t))
+              for t in ("0", "1", "inf")]
+        for rect in [(-3.1, 2.6, -1.0, 1.0), (0.4, 7.3, -0.5, 2.0)]:
+            shared = count_zeros_rect(lambda zs: line_values(fs, zs), rect)
+            alone = [count_zeros_rect(f, rect) for f in fs]
+            inside = [int(np.sum((f.nodes() > rect[0]) & (f.nodes() < rect[1])))
+                      for f in fs]
+            assert shared.tolist() == alone == inside
+            assert min(alone) > 0
+
+    def test_line_values_rows_are_the_functions(self, src, pol):
+        ev = evaluator_for(src, pol)
+        fs = [support_function(ev, ExtensionParam.parse(t))
+              for t in ("0", "1", "inf")]
+        zs = np.array([0.3 + 0.2j, 1.0, -2.5 - 1j])
+        rows = line_values(fs, zs)
+        for row, f in zip(rows, fs):
+            assert row.tobytes() == f(zs).tobytes()
+        with pytest.raises(ValueError):
+            line_values([fs[0], nevanlinna_line(ev, "A")], zs)
 
     def test_box_around_found_zero_counts_one(self, src, pol, measure_inf):
         x0 = measure_inf.points[np.argmin(np.abs(measure_inf.points - 2.5))]
