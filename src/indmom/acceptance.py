@@ -14,10 +14,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .config import RunConfig, default_config
+from .config import RunConfig
 from .debranges import diff_quotient_residual, resolvent_residual, xi_apply
-from .domains import (membership_DT, membership_DTt, p_vector,
-                      pair_coefficient, q_vector, residues,
+from .domains import (DEFAULT_MEMBERSHIP_TOL, membership_DT, membership_DTt,
+                      p_vector, pair_coefficient, q_vector, residues,
                       resolvent_combination, second_basepoint)
 from .evaluation import evaluator_for
 from .measures import (DiscreteMeasure, ExtensionParam, adjacent_zero_sign,
@@ -28,9 +28,7 @@ from .nevanlinna import (SERIES_FORMS, composition_residuals, nev, nev_one,
 from .sequences import SeqVector
 from .zeros import count_zeros_rect, line_values, nevanlinna_line
 
-__all__ = ["CheckResult", "run_acceptance", "CHECK_NAMES"]
-
-_MEMBERSHIP_TOL = 1e-7
+__all__ = ["CheckResult", "run_acceptance"]
 
 
 @dataclass(frozen=True)
@@ -236,8 +234,8 @@ def _check_membership(config: RunConfig) -> List[CheckResult]:
                 worst_pos = max(worst_pos,
                                 residues(src, vec, bp, pol).scaled())
             made += 1
-    out = [CheckResult("08a_membership_positives", worst_pos < _MEMBERSHIP_TOL
-                       and made >= 15, worst_pos, _MEMBERSHIP_TOL,
+    out = [CheckResult("08a_membership_positives", worst_pos < DEFAULT_MEMBERSHIP_TOL
+                       and made >= 15, worst_pos, DEFAULT_MEMBERSHIP_TOL,
                        f"{made} root-found pairs across pp/qq/pq cases")]
 
     worst_neg = np.inf
@@ -284,7 +282,7 @@ def _check_extensions(config: RunConfig,
     vp = p_vector(src, lam0, pol)
     t1 = m1.t
     v_in, v_out0, v_outi = (
-        membership_DTt(src, vp, measures[k].t, 1.0j, _MEMBERSHIP_TOL, pol)
+        membership_DTt(src, vp, measures[k].t, 1.0j, DEFAULT_MEMBERSHIP_TOL, pol)
         for k in ("1", "0", "inf"))
     ok_p = v_in.in_domain and not v_out0.in_domain and not v_outi.in_domain
 
@@ -296,14 +294,14 @@ def _check_extensions(config: RunConfig,
                        nevanlinna_line(ev, "C")).nodes_near(0.5, 1)
     lamq = float(zeros[np.argmin(np.abs(zeros - 0.5))])
     vq = q_vector(src, lamq, pol)
-    vq_in = membership_DTt(src, vq, t1, 1.0j, _MEMBERSHIP_TOL, pol)
+    vq_in = membership_DTt(src, vq, t1, 1.0j, DEFAULT_MEMBERSHIP_TOL, pol)
     vp_at_lamq = membership_DTt(src, p_vector(src, lamq, pol), t1, 1.0j,
-                                _MEMBERSHIP_TOL, pol)
+                                DEFAULT_MEMBERSHIP_TOL, pol)
     ok_q = vq_in.in_domain and not vp_at_lamq.in_domain
     q_residual = vq_in.residual
     out.append(CheckResult(
         "10a_extension_domain_selects_t", ok_p and ok_q,
-        max(v_in.residual, q_residual), _MEMBERSHIP_TOL,
+        max(v_in.residual, q_residual), DEFAULT_MEMBERSHIP_TOL,
         "p/q vectors enter exactly the matching D(T_t)"))
 
     rng = np.random.default_rng(config.seed + 10)
@@ -316,8 +314,8 @@ def _check_extensions(config: RunConfig,
             not rc.not_in_closure.in_domain and rc.decomposition.in_domain
         worst = max(worst, rc.verdict.residual, rc.decomposition.residual)
     out.append(CheckResult(
-        "10b_resolvent_combination", ok_all and worst < _MEMBERSHIP_TOL,
-        worst, _MEMBERSHIP_TOL,
+        "10b_resolvent_combination", ok_all and worst < DEFAULT_MEMBERSHIP_TOL,
+        worst, DEFAULT_MEMBERSHIP_TOL,
         "w p + q in D(T_t) \\ D(T); c-coefficient split passes"))
     return out
 
@@ -357,11 +355,11 @@ def _check_xi(config: RunConfig) -> List[CheckResult]:
     ok_mem = True
     for c in vectors[:10]:
         xi = xi_apply(src, c, z0, pol)
-        verdict = membership_DT(src, xi, 1.0j, _MEMBERSHIP_TOL, pol)
+        verdict = membership_DT(src, xi, 1.0j, DEFAULT_MEMBERSHIP_TOL, pol)
         ok_mem = ok_mem and verdict.in_domain
         worst_mem = max(worst_mem, verdict.residual)
     out.append(CheckResult("11d_xi_range_in_domain", ok_mem, worst_mem,
-                           _MEMBERSHIP_TOL,
+                           DEFAULT_MEMBERSHIP_TOL,
                            "xi outputs pass the closure-domain test"))
     return out
 
@@ -398,17 +396,13 @@ def _checks() -> List[tuple]:
     ]
 
 
-CHECK_NAMES = [name for name, _, _ in _checks()]
-
-
-def run_acceptance(config: Optional[RunConfig] = None,
+def run_acceptance(config: RunConfig,
                    only: Optional[List[str]] = None) -> List[CheckResult]:
     """Run the acceptance checks; the checks that take measures share one set."""
-    cfg = config if config is not None else default_config()
     checks = [(check, shared) for name, check, shared in _checks()
               if not only or name in only]
-    measures = _measures_for(cfg) if any(s for _, s in checks) else None
+    measures = _measures_for(config) if any(s for _, s in checks) else None
     results: List[CheckResult] = []
     for check, shared in checks:
-        results.extend(check(cfg, measures) if shared else check(cfg))
+        results.extend(check(config, measures) if shared else check(config))
     return results

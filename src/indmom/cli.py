@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: eval, support, membership, zeros, xi, verify.  A config file
-(INI sections: problem, truncation, scan, run) sets defaults; flags
-override.  Exit codes: 0 success, 1 check failure, 2 usage error,
+(INI sections: problem, truncation, scan, run) overrides RunConfig's
+defaults and flags override it, key by key; an unknown section or key is
+a usage error.  Exit codes: 0 success, 1 check failure, 2 usage error,
 3 numeric non-convergence.
 """
 
@@ -10,20 +11,19 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
 
 from . import __version__
-from .coefficients import JacobiCoefficients
 from .combos import parse_combination
-from .config import (RunConfig, default_config, load_config_file,
+from .config import (RunConfig, load_config_file, merge_settings,
                      parse_complex, parse_window)
 from .debranges import resolvent_residual, xi_apply
-from .domains import membership_DT, membership_DTt, residues
+from .domains import (DEFAULT_MEMBERSHIP_TOL, membership_DT, membership_DTt,
+                      residues)
 from .errors import (IndmomError, NonConvergenceError, SpecStringError)
-from .evaluation import TruncationPolicy, eval_pq, evaluator_for
+from .evaluation import eval_pq, evaluator_for
 from .measures import (ExtensionParam, build_measure, export_measure_csv,
                        stieltjes)
 from .nevanlinna import nev, nev_one
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mem = sub.add_parser("membership", help="membership of a combination spec")
     p_mem.add_argument("spec", help="e.g. 'p(0.5)+(2+1i)*p(1.5)' or "
                                     "'w*p(1+1i)+q(1+1i)@0.5'")
-    p_mem.add_argument("--tol", type=float, default=1e-7)
+    p_mem.add_argument("--tol", type=float, default=DEFAULT_MEMBERSHIP_TOL)
 
     p_zer = sub.add_parser("zeros", help="real zeros and rectangle counts")
     p_zer.add_argument("function", choices=("B", "D", "BtD", "AtC"),
@@ -90,35 +90,25 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _config_from_args(args) -> RunConfig:
-    overrides = {}
-    if args.config:
-        overrides.update(load_config_file(args.config))
-    base = default_config(**overrides)
-
-    problem = base.problem
+def _flag_settings(args) -> dict:
+    """The settings the flags give, by name (see ``config.SETTINGS``)."""
+    flags = {"c": args.c, "n_max": args.nmax, "tail_tol": args.tail_tol,
+             "window": args.window, "precision": args.precision,
+             "seed": args.seed, "out": args.out, "format": args.format}
+    out = {key: value for key, value in flags.items() if value is not None}
+    if "window" in out:
+        out["window"] = parse_window(out["window"])
     if args.problem not in (None, "preset"):
-        problem = JacobiCoefficients.from_file(args.problem)
-    elif args.c is not None:
-        problem = JacobiCoefficients.power_law(args.c)
+        out.update(kind="file", path=args.problem)
+    elif args.problem == "preset" or args.c is not None:
+        out["kind"] = "power_law"
+    return out
 
-    trunc = base.truncation
-    if args.nmax is not None or args.tail_tol is not None:
-        trunc = TruncationPolicy(
-            n_max=args.nmax if args.nmax is not None else trunc.n_max,
-            tail_tol=args.tail_tol if args.tail_tol is not None else trunc.tail_tol,
-            safety=trunc.safety)
 
-    scan = base.scan
-    if args.window is not None:
-        scan = replace(scan, window=parse_window(args.window))
-
-    return RunConfig(
-        problem=problem, truncation=trunc, scan=scan,
-        precision=args.precision if args.precision is not None else base.precision,
-        seed=args.seed if args.seed is not None else base.seed,
-        out=args.out if args.out is not None else base.out,
-        format=args.format if args.format is not None else base.format)
+def _config_from_args(args) -> RunConfig:
+    """The config file's settings, then the flags', over RunConfig's defaults."""
+    from_file = load_config_file(args.config) if args.config else {}
+    return merge_settings(from_file, _flag_settings(args))
 
 
 def _emit(report: Report, cfg: RunConfig) -> None:
@@ -135,22 +125,21 @@ def _new_report(title: str, cfg: RunConfig) -> Report:
 
 def _cmd_eval(args, cfg: RunConfig) -> int:
     rep = _new_report("eval", cfg)
-    pol = cfg.truncation
-    ev = evaluator_for(cfg.problem, pol, cfg.precision)
+    pol, prec = cfg.truncation, cfg.precision
     points = [parse_complex(text) for text in args.points]
     for z in points:
-        pe = eval_pq(cfg.problem, z, pol, cfg.precision)
+        pe = eval_pq(cfg.problem, z, pol, prec)
         key = fmt_complex(z)
         rep.add(f"cum_p2({key})", pe.cum_p2, N=pe.N, tol=pol.tail_tol)
         rep.add(f"cum_q2({key})", pe.cum_q2, N=pe.N, tol=pol.tail_tol)
         rep.add(f"converged({key})", pe.converged, N=pe.N)
-        quad1 = nev_one(cfg.problem, z, pol, evaluator=ev)
+        quad1 = nev_one(cfg.problem, z, pol, prec)
         for name, val in zip("ABCD", quad1):
             rep.add(f"{name}({key})", complex(val), N=pol.n_max, tol=pol.tail_tol)
-        q2 = nev(cfg.problem, z, np.conj(z), pol, evaluator=ev)
+        q2 = nev(cfg.problem, z, np.conj(z), pol, prec)
         rep.add(f"det_residual({key})", q2.det_residual, N=q2.N)
     for u, v in zip(points, points[1:]):
-        q = nev(cfg.problem, u, v, pol, evaluator=ev)
+        q = nev(cfg.problem, u, v, pol, prec)
         pair = f"{fmt_complex(u)},{fmt_complex(v)}"
         for name, val in zip("ABCD", q.as_tuple()):
             rep.add(f"{name}({pair})", complex(val), N=q.N, tol=pol.tail_tol)
@@ -291,7 +280,7 @@ def _cmd_xi(args, cfg: RunConfig) -> int:
     xi = xi_apply(cfg.problem, c, z0, pol)
     res = resolvent_residual(cfg.problem, c, z0, pol)
     verdict = membership_DT(cfg.problem, xi, 1.0j if z0.imag <= 0 else z0,
-                            1e-7, pol)
+                            DEFAULT_MEMBERSHIP_TOL, pol)
     rep = _new_report("xi", cfg)
     rep.add("input_norm", c.norm())
     rep.add("xi_norm", xi.norm(), N=pol.n_max)

@@ -35,6 +35,10 @@ class JacobiCoefficients:
         self._tail = tail
         self._shift = shift
         self._a = self._b = np.empty(0)
+        # computed once: evaluator lookups hash the source on every call
+        self._key = (kind, exponent, self._pairs,
+                     id(tail) if tail is not None else None, shift)
+        self._hash = hash(self._key)
         if kind == "power_law":
             if exponent is None or not exponent > 1:
                 raise ValueError("power-law exponent must be a real > 1")
@@ -140,15 +144,11 @@ class JacobiCoefficients:
 
     # -- identity ----------------------------------------------------------
 
-    def _key(self):
-        return (self.kind, self._exponent, self._pairs,
-                id(self._tail) if self._tail is not None else None, self._shift)
-
     def __eq__(self, other):
-        return isinstance(other, JacobiCoefficients) and self._key() == other._key()
+        return isinstance(other, JacobiCoefficients) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self):
         return f"JacobiCoefficients({self.description})"

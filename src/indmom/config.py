@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 from .coefficients import JacobiCoefficients
@@ -14,11 +14,14 @@ from .zeros import RootScanConfig
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a CLI command needs to run deterministically."""
+    """Everything a CLI command needs to run deterministically.
 
-    problem: JacobiCoefficients
-    truncation: TruncationPolicy
-    scan: RootScanConfig
+    The field defaults are the defaults of every run setting.
+    """
+
+    problem: JacobiCoefficients = JacobiCoefficients.power_law(2.0)
+    truncation: TruncationPolicy = TruncationPolicy()
+    scan: RootScanConfig = RootScanConfig(window=(-40.0, 40.0))
     precision: str = "standard"
     seed: int = 1234
     out: Optional[str] = None
@@ -46,20 +49,6 @@ class RunConfig:
 
     def config_hash(self) -> str:
         return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
-
-
-def default_config(**overrides) -> RunConfig:
-    base = dict(
-        problem=JacobiCoefficients.power_law(2.0),
-        truncation=TruncationPolicy(),
-        scan=RootScanConfig(window=(-40.0, 40.0)),
-        precision="standard",
-        seed=1234,
-        out=None,
-        format="text",
-    )
-    base.update(overrides)
-    return RunConfig(**base)
 
 
 def parse_complex(text: str) -> complex:
@@ -91,43 +80,60 @@ def parse_window(text: str) -> Tuple[float, float]:
     return lo, hi
 
 
+# The run settings by config-file section: name -> parser of its text.
+# The flags give some of the same settings under the same names.
+SETTINGS = {
+    "problem": {"kind": str, "c": float, "path": str},
+    "truncation": {"n_max": int, "tail_tol": float, "safety": float},
+    "scan": {"window": parse_window, "refine_tol": float},
+    "run": {"precision": str, "seed": int, "format": str,
+            "out": lambda text: text or None},
+}
+
+
 def load_config_file(path: str) -> dict:
-    """Read an INI-style config file into keyword overrides for RunConfig."""
+    """The settings an INI-style config file gives, by name.
+
+    An unknown section or key is a ValueError that names it.
+    """
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise FileNotFoundError(path)
+    if cp.defaults():
+        raise ValueError(f"{path}: unknown section [{cp.default_section}]")
     out: dict = {}
-
-    if cp.has_section("problem"):
-        sec = cp["problem"]
-        kind = sec.get("kind", "power_law")
-        if kind == "power_law":
-            out["problem"] = JacobiCoefficients.power_law(sec.getfloat("c", 2.0))
-        elif kind == "file":
-            out["problem"] = JacobiCoefficients.from_file(sec.get("path"))
-        else:
-            raise ValueError(f"unknown problem kind {kind!r} in {path}")
-
-    if cp.has_section("truncation"):
-        sec = cp["truncation"]
-        out["truncation"] = TruncationPolicy(
-            n_max=sec.getint("n_max", 500),
-            tail_tol=sec.getfloat("tail_tol", 1e-3),
-            safety=sec.getfloat("safety", 10.0))
-
-    if cp.has_section("scan"):
-        sec = cp["scan"]
-        out["scan"] = RootScanConfig(
-            window=parse_window(sec.get("window", "-40:40")),
-            refine_tol=sec.getfloat("refine_tol", 1e-11))
-
-    if cp.has_section("run"):
-        sec = cp["run"]
-        out["precision"] = sec.get("precision", "standard")
-        out["seed"] = sec.getint("seed", 1234)
-        fmt = sec.get("format", "text")
-        out["format"] = fmt
-        o = sec.get("out", fallback=None)
-        out["out"] = None if o in (None, "", "-") else o
+    for section in cp.sections():
+        if section not in SETTINGS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+        for key, text in cp[section].items():
+            parse = SETTINGS[section].get(key)
+            if parse is None:
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+            out[key] = parse(text)
     return out
+
+
+def merge_settings(*layers: dict) -> RunConfig:
+    """RunConfig's defaults, overridden key by key by each layer in turn.
+
+    A layer maps setting names (see ``SETTINGS``) to values.  ``kind``
+    selects the problem: "power_law" reads ``c``, "file" reads ``path``.
+    """
+    s = {key: value for layer in layers for key, value in layer.items()}
+    base = RunConfig()
+
+    def given(section: str) -> dict:
+        return {key: s[key] for key in SETTINGS[section] if key in s}
+
+    kind = s.get("kind", "power_law")
+    if kind == "file":
+        if "path" not in s:
+            raise ValueError("problem kind 'file' needs a path")
+        problem = JacobiCoefficients.from_file(s["path"])
+    elif kind == "power_law":
+        problem = JacobiCoefficients.power_law(s["c"]) if "c" in s else base.problem
+    else:
+        raise ValueError(f"unknown problem kind {kind!r}")
+    return replace(base, problem=problem,
+                   truncation=replace(base.truncation, **given("truncation")),
+                   scan=replace(base.scan, **given("scan")), **given("run"))

@@ -125,17 +125,19 @@ def xi_apply(source: JacobiCoefficients, c: SeqVector, z0,
     """Difference-quotient operator: xi_k = sum_{n>k} c_n a_{n,k}(z0).
 
     Exact finite computation; the output has indices 0..M-1 (a single
-    zero entry when c is supported on index 0 alone).
+    zero entry when c is supported on index 0 alone).  Computed as
+    xi_k = p_k sum_{n>k} c_n q_n - q_k sum_{n>k} c_n p_n from two
+    sequential tail sums, in O(M) and in a fixed order.
     """
     z0 = complex(z0)
     M = c.M
     if M == 0:
         return SeqVector(np.zeros(1, dtype=complex))
-    ev = evaluator_for(source, policy)
-    p, q = ev.pq_upto(z0, M)
-    a = _ank_matrix(p, q, M)
-    xi = a[:, : M + 1].T @ c.entries          # xi_k = sum_n c_n a_{n,k}
-    return SeqVector(xi[:M])
+    p, q = evaluator_for(source, policy).pq_upto(z0, M)
+    # tail[k] = sum_{n=k+1}^{M}, for k = 0..M-1
+    tail_q = np.cumsum((c.entries * q)[:0:-1])[::-1]
+    tail_p = np.cumsum((c.entries * p)[:0:-1])[::-1]
+    return SeqVector(p[:M] * tail_q - q[:M] * tail_p)
 
 
 def resolvent_residual(source: JacobiCoefficients, c: SeqVector, z0,

@@ -144,12 +144,9 @@ def s_r_coefficients(source: JacobiCoefficients, lam, z0,
     r+/r- carry C in place of D.
     """
     z0 = _require_upper(z0)
-    ev = evaluator_for(source, policy)
-    lam = complex(lam)
-    norm2 = ev.tables([z0, lam, np.conj(z0)])[0].norm_p2
-    denom = 2j * z0.imag * norm2
-    q_conj = nev(source, lam, np.conj(z0), policy, evaluator=ev)
-    q_plain = nev(source, lam, z0, policy, evaluator=ev)
+    denom = 2j * z0.imag * evaluator_for(source, policy).table(z0).norm_p2
+    q_conj = nev(source, lam, np.conj(z0), policy)
+    q_plain = nev(source, lam, z0, policy)
     s_plus = q_conj.D / denom
     s_minus = -q_plain.D / denom
     r_plus = q_conj.C / denom
@@ -157,13 +154,11 @@ def s_r_coefficients(source: JacobiCoefficients, lam, z0,
     return s_plus, s_minus, r_plus, r_minus
 
 
-def membership_DT(source: JacobiCoefficients, v: SeqVector, z0,
-                  tol: float = DEFAULT_MEMBERSHIP_TOL,
-                  policy: Optional[TruncationPolicy] = None) -> MembershipVerdict:
+def membership_DT(source: JacobiCoefficients, v: SeqVector, z0, tol: float,
+                  policy: TruncationPolicy) -> MembershipVerdict:
     """Test membership in the closure domain via residues at two basepoints."""
-    pol = policy if policy is not None else TruncationPolicy()
     z0 = _require_upper(z0)
-    return _verdict([residues(source, v, bp, pol).scaled()
+    return _verdict([residues(source, v, bp, policy).scaled()
                      for bp in (z0, second_basepoint(z0))], tol, "DT")
 
 
@@ -211,8 +206,7 @@ def _cross_residual(r: Residues, g: Residues, norm_v: float) -> float:
 
 
 def membership_DTt(source: JacobiCoefficients, v: SeqVector, t: ExtensionParam,
-                   z0, tol: float = DEFAULT_MEMBERSHIP_TOL,
-                   policy: Optional[TruncationPolicy] = None) -> MembershipVerdict:
+                   z0, tol: float, policy: TruncationPolicy) -> MembershipVerdict:
     """Test membership in the domain of the self-adjoint extension T_t.
 
     The extension domain adds one direction, spanned by the generator
@@ -220,14 +214,13 @@ def membership_DTt(source: JacobiCoefficients, v: SeqVector, t: ExtensionParam,
     a complex multiple of the generator's, i.e. the 2x2 cross-determinant
     of (alpha, beta) pairs vanishes.  Verified at two basepoints.
     """
-    pol = policy if policy is not None else TruncationPolicy()
     z0 = _require_upper(z0)
-    gen = extension_generator(source, t, pol)
+    gen = extension_generator(source, t, policy)
     nv = v.norm()
     scaled = []
     for bp in (z0, second_basepoint(z0)):
-        r = residues(source, v, bp, pol)
-        g = residues(source, gen, bp, pol)
+        r = residues(source, v, bp, policy)
+        g = residues(source, gen, bp, policy)
         scaled.append(_cross_residual(r, g, nv))
     return _verdict(scaled, tol, f"DTt({t})")
 

@@ -37,13 +37,16 @@ at a time on Python integers: the points and coefficients are float64, so
 exact dyadic rationals, and each step keeps ``_GUARD_BITS`` bits beyond
 mpmath's binary precision at ``dps`` digits, rounding to nearest after
 each division by ``a_n``.  Its entries are mpmath ``mpc`` numbers, each
-rounded once to that precision.  Either backend returns the p table, the
-q table or both (``chains``); all but the fallback's point loop compute
-only the tables returned.
+rounded once to that precision.  Evaluators run it at ``EXTENDED_DPS``
+digits, and arithmetic on their entries runs at the same precision inside
+:func:`working_precision`.  Either backend returns the p table, the q
+table or both (``chains``); all but the fallback's point loop compute only
+the tables returned.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import math
 from collections import OrderedDict
@@ -73,6 +76,8 @@ _SCALAR_BATCH = 12
 # pairs for L = 501, 1001 and 2001, chains p and pq (one BLAS thread,
 # 2-core Xeon VM).
 _BANDED_SOLVES = 384
+# Decimal digits of the extended backend's tables and of their arithmetic.
+EXTENDED_DPS = 32
 # Bits the extended kernel keeps beyond mpmath's precision at ``dps`` digits.
 _GUARD_BITS = 24
 _CHAINS = ("pq", "p", "q")
@@ -442,23 +447,35 @@ def _mpc_abs2(v) -> float:
     return s / (1 << -k) if k < 0 else float(s << k)  # int division rounds once
 
 
+def working_precision(precision: str):
+    """Context for arithmetic on table entries of ``precision`` at that precision.
+
+    Extended entries are mpmath numbers, whose arithmetic runs at mpmath's
+    global precision: the context sets it to ``EXTENDED_DPS`` digits and
+    restores it on exit.  Standard (complex128) entries need none.
+    """
+    if precision == "standard":
+        return contextlib.nullcontext()
+    from mpmath import mp
+    return mp.workdps(EXTENDED_DPS)
+
+
 class Evaluator:
     """Shared-level evaluation cache for one (source, policy, precision).
 
     Point tables reach index ``level + 8`` and are held in an LRU cache of
     ``capacity`` tables (256 in standard precision, 16 in extended, where
     one table is far larger).  ``precision`` is "standard" (complex128) or
-    "extended" (mpmath with ``dps`` digits).
+    "extended" (mpmath with ``EXTENDED_DPS`` digits).
     """
 
     def __init__(self, source: JacobiCoefficients, policy: TruncationPolicy,
-                 precision: str = "standard", dps: int = 32):
+                 precision: str = "standard"):
         if precision not in ("standard", "extended"):
             raise ValueError("precision must be 'standard' or 'extended'")
         self.source = source
         self.policy = policy
         self.precision = precision
-        self.dps = int(dps)
         self.level = policy.n_max
         self.top = self.level + _TAIL_MARGIN
         self.capacity = _TABLE_CAPACITY[precision]
@@ -479,7 +496,7 @@ class Evaluator:
             return recurrence_batch(a, b, zs, upto, chains)
         tabs = {c: np.empty((upto + 1, zs.size), dtype=object) for c in chains}
         for j, z in enumerate(zs):
-            for c, col in zip("pq", recurrence_mp(a, b, z, upto, self.dps, chains)):
+            for c, col in zip("pq", recurrence_mp(a, b, z, upto, EXTENDED_DPS, chains)):
                 if col is not None:
                     tabs[c][:, j] = col
         return tabs.get("p"), tabs.get("q")
@@ -573,11 +590,11 @@ _EVALUATORS: "OrderedDict[tuple, Evaluator]" = OrderedDict()
 
 
 def evaluator_for(source: JacobiCoefficients, policy: TruncationPolicy,
-                  precision: str = "standard", dps: int = 32) -> Evaluator:
-    """Memoized Evaluator per (source, policy, precision, dps), LRU-bounded."""
-    key = (source, policy, precision, dps)
+                  precision: str = "standard") -> Evaluator:
+    """Memoized Evaluator per (source, policy, precision), LRU-bounded."""
+    key = (source, policy, precision)
     if key not in _EVALUATORS:
-        _EVALUATORS[key] = Evaluator(source, policy, precision, dps)
+        _EVALUATORS[key] = Evaluator(source, policy, precision)
         while len(_EVALUATORS) > _MAX_EVALUATORS:
             _EVALUATORS.popitem(last=False)
     _EVALUATORS.move_to_end(key)
@@ -589,9 +606,9 @@ def clear_evaluator_cache() -> None:
 
 
 def eval_pq(source: JacobiCoefficients, z, policy: TruncationPolicy,
-            precision: str = "standard", dps: int = 32) -> PolyEval:
+            precision: str = "standard") -> PolyEval:
     """Evaluate p/q at z, truncating at the policy's adaptive stop index."""
-    ev = evaluator_for(source, policy, precision, dps)
+    ev = evaluator_for(source, policy, precision)
     tab = ev.table(z)
     N = tab.stop_index
     return PolyEval(z=complex(z), p=tab.p[: N + 1].copy(), q=tab.q[: N + 1].copy(),

@@ -130,7 +130,6 @@ def t_for_point(source: JacobiCoefficients, x0: float,
     scale, in which case the point belongs to the t = infinity measure.
     """
     h = 1e-6 * (1.0 + abs(x0))
-    evaluator_for(source, policy).tables([x0, x0 + h, x0 - h, 0.0])
     A, B, C, D = nev_one(source, complex(x0), policy)
     _, _, _, Dp = nev_one(source, complex(x0 + h), policy)
     _, _, _, Dm = nev_one(source, complex(x0 - h), policy)
@@ -219,10 +218,9 @@ def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
         dmin = float(np.min(np.abs(pts - lam)))
         if dmin < 1e-9 * (1.0 + abs(lam)):
             raise SupportPointError(f"lambda={lam} lies on the support")
-    ev = evaluator_for(source, policy)
     nearest = pts[np.argsort(np.abs(pts - lam))[: _N_NEAREST]]
-    ev.tables(np.concatenate([[lam, 0.0], nearest]))
-    A, B, C, D = nev_one(source, lam, policy, evaluator=ev)
+    evaluator_for(source, policy).tables(np.concatenate([[lam, 0.0], nearest]))
+    A, B, C, D = nev_one(source, lam, policy)
     if t.is_infinite:
         w_param = -C / D
     else:
@@ -232,7 +230,7 @@ def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
         raise IndmomError("measure has no support points in window")
     vals = []
     for x in nearest:
-        q = nev(source, lam, complex(x), policy, evaluator=ev)
+        q = nev(source, lam, complex(x), policy)
         vals.append(-q.C / q.D)
     vals = np.array(vals)
     pp_spread = float(np.max(np.abs(vals[:, None] - vals[None, :])))
@@ -266,7 +264,7 @@ def adjacent_zero_sign(source: JacobiCoefficients, v: float, which: str,
     if not len(below):
         raise IndmomError(f"no zero below v={v}")
     u = float(below.max())
-    q = nev(source, complex(u), complex(v), policy, evaluator=ev)
+    q = nev(source, complex(u), complex(v), policy)
     value = float(q.B.real) if which == "D" else float(q.C.real)
     if which == "D" and not value > 0:
         raise IndmomError(f"sign postcondition failed: B({u},{v}) = {value}")

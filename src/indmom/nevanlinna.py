@@ -23,7 +23,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .coefficients import JacobiCoefficients
-from .evaluation import Evaluator, PointTable, TruncationPolicy, evaluator_for
+from .evaluation import (Evaluator, PointTable, TruncationPolicy, evaluator_for,
+                         working_precision)
 
 __all__ = [
     "NevQuad", "TransferMatrix", "ExtendedComplex", "INFINITY",
@@ -52,7 +53,11 @@ class NevQuad:
 
     @property
     def det_residual(self) -> float:
-        return float(abs(self.A * self.D - self.B * self.C - 1.0))
+        # extended values are mpmath numbers, not complex: combine them at
+        # their own precision
+        prec = "standard" if isinstance(self.A, complex) else "extended"
+        with working_precision(prec):
+            return float(abs(self.A * self.D - self.B * self.C - 1.0))
 
 
 @dataclass(frozen=True)
@@ -107,12 +112,6 @@ SERIES_FORMS = {"A": ("q", "q", 0.0), "B": ("p", "q", -1.0),
                 "C": ("q", "p", 1.0), "D": ("p", "p", 0.0)}
 
 
-def _evaluator(source: JacobiCoefficients, policy: Optional[TruncationPolicy],
-               evaluator: Optional[Evaluator]) -> Evaluator:
-    return evaluator if evaluator is not None else evaluator_for(
-        source, policy if policy is not None else TruncationPolicy())
-
-
 def _forms(tu: PointTable, tv: PointTable) -> list:
     """(T at u, S at v, offset) for A, B, C, D in turn."""
     return [(getattr(tu, kind), getattr(tv, anchor), off)
@@ -123,7 +122,8 @@ def _quad(ev: Evaluator, u: complex, v: complex, upto: int, partial: bool):
     """Series and Casorati values of A, B, C, D in turn, and their tables.
 
     At index ``upto`` (series summed with np.dot), or with ``partial`` as
-    arrays over every n <= upto (series summed with np.cumsum).
+    arrays over every n <= upto (series summed with np.cumsum).  Extended
+    tables combine at their precision inside ``working_precision``.
     """
     forms = _forms(*ev.tables([u, v]))
     s = slice(0, upto + 1)
@@ -138,14 +138,13 @@ def _quad(ev: Evaluator, u: complex, v: complex, upto: int, partial: bool):
 
 
 def partial_quad_arrays(source: JacobiCoefficients, u, v, upto: int,
-                        policy: Optional[TruncationPolicy] = None,
-                        evaluator: Optional[Evaluator] = None
+                        policy: TruncationPolicy
                         ) -> Tuple[np.ndarray, np.ndarray]:
     """Series and Casorati partial values for every n <= upto.
 
     Returns two arrays of shape (4, upto+1) ordered (A_n, B_n, C_n, D_n).
     """
-    ev = _evaluator(source, policy, evaluator)
+    ev = evaluator_for(source, policy)
     if not 0 <= upto <= ev.level:
         raise ValueError(f"upto={upto} outside 0..{ev.level}")
     ser, cas, _ = _quad(ev, complex(u), complex(v), upto, partial=True)
@@ -153,88 +152,82 @@ def partial_quad_arrays(source: JacobiCoefficients, u, v, upto: int,
 
 
 def nev_partial(source: JacobiCoefficients, u, v, n: int,
-                policy: Optional[TruncationPolicy] = None,
-                evaluator: Optional[Evaluator] = None) -> NevQuad:
+                policy: TruncationPolicy) -> NevQuad:
     """Partial functions A_n..D_n in both forms; series values are returned.
 
     ``cross_err`` is the max absolute discrepancy between the series and
     Casorati forms over the four functions.
     """
-    ev = _evaluator(source, policy, evaluator)
+    ev = evaluator_for(source, policy)
     if not 0 <= n <= ev.level:
         raise ValueError(f"partial index n={n} outside 0..{ev.level}")
     return _nev_quad(ev, complex(u), complex(v), n, flag=False)
 
 
 def nev(source: JacobiCoefficients, u, v, policy: TruncationPolicy,
-        evaluator: Optional[Evaluator] = None) -> NevQuad:
+        precision: str = "standard") -> NevQuad:
     """Two-variable quadruple at the shared level L = policy.n_max.
 
     ``converged`` reports whether all four series increments fell below
     ``tail_tol * (1 + |value|)`` before the cap; values are the level-L
-    partial sums either way.
+    partial sums either way.  With ``precision="extended"`` the values are
+    mpmath numbers, computed from extended tables at their own precision.
     """
-    ev = _evaluator(source, policy, evaluator)
+    ev = evaluator_for(source, policy, precision)
     return _nev_quad(ev, complex(u), complex(v), ev.level, flag=True)
 
 
 def _nev_quad(ev: Evaluator, u: complex, v: complex, n: int,
               flag: bool) -> NevQuad:
     """The partial quadruple at index n; ``flag`` runs :func:`nev`'s tail test."""
-    ser, cas, forms = _quad(ev, u, v, n, partial=False)
-    cross = max(abs(s - c) for s, c in zip(ser, cas))
-    w, tol = abs(u - v), ev.policy.tail_tol
-    conv = not flag or all(w * abs(T[n] * S[n]) < tol * (1.0 + abs(val))
-                           for (T, S, _), val in zip(forms, ser))
+    with working_precision(ev.precision):
+        ser, cas, forms = _quad(ev, u, v, n, partial=False)
+        cross = max(abs(s - c) for s, c in zip(ser, cas))
+        w, tol = abs(u - v), ev.policy.tail_tol
+        conv = not flag or all(w * abs(T[n] * S[n]) < tol * (1.0 + abs(val))
+                               for (T, S, _), val in zip(forms, ser))
     return NevQuad(u=u, v=v, A=ser[0], B=ser[1], C=ser[2], D=ser[3],
                    N=n, cross_err=float(cross), converged=bool(conv))
 
 
 def nev_one(source: JacobiCoefficients, u, policy: TruncationPolicy,
-            evaluator: Optional[Evaluator] = None
+            precision: str = "standard"
             ) -> Tuple[complex, complex, complex, complex]:
     """One-variable quadruple (A(u), B(u), C(u), D(u)), second variable 0."""
-    q = nev(source, u, 0.0, policy, evaluator=evaluator)
-    return q.as_tuple()
+    return nev(source, u, 0.0, policy, precision).as_tuple()
 
 
 def reconstruct_two_var(source: JacobiCoefficients, u, v,
-                        policy: TruncationPolicy,
-                        evaluator: Optional[Evaluator] = None) -> NevQuad:
+                        policy: TruncationPolicy) -> NevQuad:
     """Two-variable quadruple rebuilt from one-variable values.
 
     Independent cross-check of :func:`nev`:
     A(u,v) = A(u)C(v) - A(v)C(u), B(u,v) = B(u)C(v) - A(v)D(u),
     C(u,v) = A(u)D(v) - B(v)C(u), D(u,v) = B(u)D(v) - B(v)D(u).
     """
-    ev = _evaluator(source, policy, evaluator)
     u, v = complex(u), complex(v)
-    ev.tables([u, v, 0.0])
-    Au, Bu, Cu, Du = nev_one(source, u, policy, evaluator=ev)
-    Av, Bv, Cv, Dv = nev_one(source, v, policy, evaluator=ev)
+    Au, Bu, Cu, Du = nev_one(source, u, policy)
+    Av, Bv, Cv, Dv = nev_one(source, v, policy)
     A2 = Au * Cv - Av * Cu
     B2 = Bu * Cv - Av * Du
     C2 = Au * Dv - Bv * Cu
     D2 = Bu * Dv - Bv * Du
-    direct = nev(source, u, v, policy, evaluator=ev)
+    direct = nev(source, u, v, policy)
     cross = max(abs(A2 - direct.A), abs(B2 - direct.B),
                 abs(C2 - direct.C), abs(D2 - direct.D))
-    return NevQuad(u=u, v=v, A=A2, B=B2, C=C2, D=D2, N=ev.level,
+    return NevQuad(u=u, v=v, A=A2, B=B2, C=C2, D=D2, N=policy.n_max,
                    cross_err=float(cross), converged=direct.converged)
 
 
 def three_point_residual(source: JacobiCoefficients, u, v, w,
-                         policy: TruncationPolicy,
-                         evaluator: Optional[Evaluator] = None) -> float:
+                         policy: TruncationPolicy) -> float:
     """Max residual of the four composition formulas through a waypoint w.
 
     e.g. D(u,v) = D(u,w)C(w,v) - B(u,w)D(w,v).
     """
-    ev = _evaluator(source, policy, evaluator)
-    ev.tables([u, v, w])
-    quv = nev(source, u, v, policy, evaluator=ev)
-    quw = nev(source, u, w, policy, evaluator=ev)
-    qwv = nev(source, w, v, policy, evaluator=ev)
+    quv = nev(source, u, v, policy)
+    quw = nev(source, u, w, policy)
+    qwv = nev(source, w, v, policy)
     res = composition_residuals(quv.as_tuple(), quw.as_tuple(), qwv.as_tuple())
     return float(max(abs(r) for r in res))
 
@@ -249,22 +242,21 @@ def composition_residuals(uv, uw, wv) -> list:
 
 
 def transfer(source: JacobiCoefficients, u, v, n: int,
-             policy: Optional[TruncationPolicy] = None,
-             evaluator: Optional[Evaluator] = None) -> TransferMatrix:
+             policy: TruncationPolicy) -> TransferMatrix:
     """Transfer matrix h_n(u,v) moving polynomial data from v to u."""
-    q = nev_partial(source, u, v, n, policy=policy, evaluator=evaluator)
+    q = nev_partial(source, u, v, n, policy)
     m = np.array([[q.C, q.A], [-q.D, -q.B]], dtype=complex)
     return TransferMatrix(entries=m, u=complex(u), v=complex(v), n=n)
 
 
-def mobius(source: JacobiCoefficients, u, v, z, policy: TruncationPolicy,
-           evaluator: Optional[Evaluator] = None) -> ExtendedComplex:
+def mobius(source: JacobiCoefficients, u, v, z,
+           policy: TruncationPolicy) -> ExtendedComplex:
     """Moebius map z -> (C(u,v) z + A(u,v)) / (-D(u,v) z - B(u,v)).
 
     Operates on the extended plane: ``z`` may be complex or
     :data:`INFINITY`; poles map to :data:`INFINITY`.
     """
-    q = nev(source, u, v, policy, evaluator=evaluator)
+    q = nev(source, u, v, policy)
     if isinstance(z, ExtendedComplex) and z.is_infinity:
         num, den = q.C, -q.D
     else:
@@ -285,24 +277,20 @@ def tilde_relations_residual(source: JacobiCoefficients, u, v,
     A(z) = a_0^{-2} D~(z); C(z) = -b_0 a_0^{-2} D~(z) - B~(z);
     D~(u,v) = a_0^2 A(u,v); B~(u,v) = (v - b_0) A(u,v) - C(u,v).
     """
-    ev = evaluator_for(source, policy)
     trunc = source.truncate_once()
-    evt = evaluator_for(trunc, policy)
     a0, b0 = source.coeffs(0)
     u, v = complex(u), complex(v)
     zz = complex(z) if z is not None else u
-    Lm1 = ev.level - 1
-    for e in (ev, evt):
-        e.tables([zz, 0.0, u, v])
+    Lm1 = policy.n_max - 1
 
-    qz = nev(source, zz, 0.0, policy, evaluator=ev)
-    qzt = nev_partial(trunc, zz, 0.0, Lm1, evaluator=evt)
+    qz = nev(source, zz, 0.0, policy)
+    qzt = nev_partial(trunc, zz, 0.0, Lm1, policy)
     res = [
         abs(qz.A - qzt.D / a0 ** 2),
         abs(qz.C + b0 / a0 ** 2 * qzt.D + qzt.B),
     ]
-    q2 = nev(source, u, v, policy, evaluator=ev)
-    q2t = nev_partial(trunc, u, v, Lm1, evaluator=evt)
+    q2 = nev(source, u, v, policy)
+    q2t = nev_partial(trunc, u, v, Lm1, policy)
     res.append(abs(q2t.D - a0 ** 2 * q2.A))
     res.append(abs(q2t.B - ((v - b0) * q2.A - q2.C)))
     return float(max(res))

@@ -52,7 +52,7 @@ import numpy as np
 from . import _openblas
 from ._openblas import CHAR, DOUBLES, INT, LEN
 from .errors import NonConvergenceError, ZeroOnContourError
-from .evaluation import Evaluator
+from .evaluation import Evaluator, working_precision
 from .nevanlinna import SERIES_FORMS
 
 __all__ = ["RootScanConfig", "RootScan", "LineFunction", "nevanlinna_line",
@@ -107,11 +107,14 @@ class LineFunction:
     def __add__(self, other: "LineFunction") -> "LineFunction":
         if (other.ev, other.kind, other.v) != (self.ev, self.kind, self.v):
             raise ValueError("only line functions of one evaluator, kind and v add")
-        return LineFunction(self.ev, self.kind, self.g + other.g,
-                            self.off + other.off, self.v)
+        with working_precision(self.ev.precision):
+            g = self.g + other.g
+        return LineFunction(self.ev, self.kind, g, self.off + other.off, self.v)
 
     def __rmul__(self, s: float) -> "LineFunction":
-        return LineFunction(self.ev, self.kind, s * self.g, s * self.off, self.v)
+        with working_precision(self.ev.precision):
+            g = s * self.g
+        return LineFunction(self.ev, self.kind, g, s * self.off, self.v)
 
     def __call__(self, zs) -> np.ndarray:
         """Values at real or complex points, at the evaluator's precision."""
@@ -374,7 +377,8 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     """Values of line functions at real or complex points, one row each.
 
     The functions share one evaluator and kind, so one table of that kind
-    serves them all.
+    serves them all.  Values are combined at the evaluator's precision and
+    returned as complex128.
     """
     ev, kind = fs[0].ev, fs[0].kind
     if any((f.ev, f.kind) != (ev, kind) for f in fs):
@@ -382,8 +386,9 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     P, Q = ev.tables_batch(zs, kind)
     T = (P if kind == "p" else Q)[: ev.level + 1]
-    return np.array([f.off + (zs - f.v) * (f.g[: ev.level + 1] @ T) for f in fs],
-                    dtype=complex)
+    with working_precision(ev.precision):
+        return np.array([f.off + (zs - f.v) * (f.g[: ev.level + 1] @ T)
+                         for f in fs], dtype=complex)
 
 
 def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],

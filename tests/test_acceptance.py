@@ -10,12 +10,12 @@ import pytest
 
 from indmom import JacobiCoefficients, TruncationPolicy, acceptance, zeros
 from indmom.acceptance import run_acceptance
-from indmom.config import default_config
+from indmom.config import RunConfig
 
 
 @pytest.fixture(scope="module")
 def results():
-    out = run_acceptance(default_config())
+    out = run_acceptance(RunConfig())
     for r in out:
         print(r.line())
     return {r.name: r for r in out}
@@ -64,15 +64,15 @@ ZERO_SET_CHECKS = ["measures", "supports", "stieltjes", "membership", "signs",
                                   "alternating_b"])
 def test_zero_set_checks_beyond_the_preset(case, tmp_path):
     if case.startswith("c="):
-        config = default_config(
+        config = RunConfig(
             problem=JacobiCoefficients.power_law(float(case[2:])))
     elif case == "n_max=301":
-        config = default_config(truncation=TruncationPolicy(n_max=301))
+        config = RunConfig(truncation=TruncationPolicy(n_max=301))
     else:
         path = tmp_path / "alternating.txt"
         path.write_text("".join(f"{(n + 1) ** 2} {0.3 * (-1) ** n!r}\n"
                                 for n in range(600)))
-        config = default_config(problem=JacobiCoefficients.from_file(str(path)))
+        config = RunConfig(problem=JacobiCoefficients.from_file(str(path)))
     failed = [r.line() for r in run_acceptance(config, only=ZERO_SET_CHECKS)
               if not r.passed]
     assert not failed
@@ -87,7 +87,7 @@ def test_near_point_checks_make_no_full_solve(monkeypatch):
     build = acceptance._measures_for
     monkeypatch.setattr(acceptance, "_measures_for",
                         lambda cfg: (build(cfg), solves.clear())[0])
-    results = run_acceptance(default_config(),
+    results = run_acceptance(RunConfig(),
                              only=["membership", "signs", "extensions"])
     assert solves == []
     checked = {r.name: r.passed for r in results}

@@ -1,10 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
 from indmom import JacobiCoefficients, RootScanConfig, TruncationPolicy, zeros
 from indmom.cli import main
-from indmom.config import RunConfig, default_config
+from indmom.config import RunConfig
 from indmom.errors import NonConvergenceError
 from indmom.evaluation import clear_evaluator_cache
 
@@ -164,6 +168,45 @@ class TestConfigFile:
                              capsys)
         assert code == 2
 
+    @staticmethod
+    def _config(tmp_path, text):
+        path = tmp_path / "run.ini"
+        path.write_text(text)
+        return str(path)
+
+    def test_preset_flag_overrides_a_file_problem(self, tmp_path, capsys):
+        coeffs = tmp_path / "c3.txt"
+        coeffs.write_text("".join(f"{(n + 1) ** 3} 0\n" for n in range(300)))
+        cfg = self._config(tmp_path, f"[problem]\nkind = file\npath = {coeffs}\n")
+        code, out, _ = run_cli(["--config", cfg, "--nmax", "100", "eval", "1"],
+                               capsys)
+        assert code == 0 and f"problem=file({coeffs})" in out
+        code, out, _ = run_cli(["--config", cfg, "--problem", "preset",
+                                "--nmax", "100", "eval", "1"], capsys)
+        assert code == 0 and "problem=power_law(c=2)" in out
+
+    def test_file_kind_without_path_is_usage_error(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, "[problem]\nkind = file\n")
+        code, _, err = run_cli(["--config", cfg, "eval", "1"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "path" in err
+
+    @pytest.mark.parametrize("text, name", [("[truncation]\nnmax = 10\n", "nmax"),
+                                            ("[trunc]\nn_max = 10\n", "trunc")],
+                             ids=["key", "section"])
+    def test_unknown_setting_is_usage_error(self, tmp_path, capsys, text, name):
+        cfg = self._config(tmp_path, text)
+        code, _, err = run_cli(["--config", cfg, "eval", "1"], capsys)
+        assert code == 2
+        assert name in err
+
+    def test_file_and_flag_settings_both_apply(self, tmp_path, capsys):
+        cfg = self._config(tmp_path, "[truncation]\nn_max = 150\n")
+        code, out, _ = run_cli(["--config", cfg, "--tail-tol", "1e-4",
+                                "eval", "1"], capsys)
+        assert code == 0
+        assert "n_max=150 tail_tol=0.0001 " in out
+
 
 # every RunConfig field but the output destination and format shapes the
 # report body, so each must reach the config line and its hash
@@ -181,7 +224,7 @@ HASHED_ALTERNATIVES = {
 @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)
                                   if f.name not in ("out", "format")])
 def test_every_run_field_enters_config_hash(name):
-    base = default_config()
+    base = RunConfig()
     for value in HASHED_ALTERNATIVES[name]:
         assert replace(base, **{name: value}).config_hash() != base.config_hash()
 
@@ -193,6 +236,16 @@ class TestVerify:
         assert code == 0
         _, warm, _ = run_cli(["--nmax", "120", "verify"], capsys)
         assert cold == warm
+
+    def test_report_does_not_depend_on_blas_threads(self):
+        # threaded BLAS reductions may round differently from serial ones
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        outs = [subprocess.run(
+                    [sys.executable, "-m", "indmom.cli", "--nmax", "120", "verify"],
+                    env=dict(env, OPENBLAS_NUM_THREADS=threads), check=True,
+                    capture_output=True, text=True).stdout
+                for threads in ("1", "2")]
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("problem", [[], ["--c", "4"]],
                              ids=["preset", "c=4"])

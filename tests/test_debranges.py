@@ -109,6 +109,14 @@ class TestXiApply:
         want = np.array([q[n] * p[k] - p[n] * q[k] for k in range(n)])
         assert np.allclose(xi.entries, want, atol=1e-14)
 
+    def test_matches_the_coefficient_matrix(self, src, pol):
+        # tail sums against the dense sum over n > k of c_n a_{n,k}
+        rng = np.random.default_rng(7)
+        c = SeqVector(rng.normal(size=61) + 1j * rng.normal(size=61))
+        want = coeff_matrix(src, Z0, c.M, pol).a.T @ c.entries
+        got = xi_apply(src, c, Z0, pol).entries
+        assert np.allclose(got, want[: c.M], rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
     def test_linearity(self, src, pol):
         rng = np.random.default_rng(42)
         c = SeqVector(rng.normal(size=9) + 1j * rng.normal(size=9))

@@ -7,7 +7,7 @@ import pytest
 
 from indmom import (JacobiCoefficients, TruncationPolicy, acceptance, eval_pq,
                     evaluation, p_vector)
-from indmom.config import default_config
+from indmom.config import RunConfig
 from indmom.errors import CoefficientRangeError, EvaluationOverflowError
 from indmom.evaluation import Evaluator, clear_evaluator_cache, evaluator_for
 
@@ -322,7 +322,7 @@ class TestRecurrenceKernel:
 class TestExtendedPrecision:
     def test_matches_rational_oracle(self, src):
         pol = TruncationPolicy(n_max=200)
-        tab = evaluator_for(src, pol, precision="extended", dps=40).table(1j)
+        tab = evaluator_for(src, pol, precision="extended").table(1j)
         assert float(tab.cum_p2[200]) == pytest.approx(CUM_P2_I_200, rel=1e-12)
         # p_2(i) = (i*p_1(i) - a_0)/a_1 = -1/2 exactly
         assert complex(tab.p[2]) == pytest.approx(-0.5, abs=1e-30)
@@ -432,6 +432,14 @@ class TestTableCache:
         cached.pq_upto(zs[0], pol.n_max + 9)       # past the table: computed
         assert len(calls) == len(zs) * len(uptos) + 1
 
+    def test_one_evaluator_per_coefficient_file(self, tmp_path):
+        path = tmp_path / "coeffs.txt"
+        path.write_text("".join(f"{(n + 1) ** 2} 0.5\n" for n in range(80)))
+        first, second = (JacobiCoefficients.from_file(str(path)) for _ in range(2))
+        pol = TruncationPolicy(n_max=50)
+        assert first is not second and hash(first) == hash(second)
+        assert evaluator_for(first, pol) is evaluator_for(second, pol)
+
     def test_evaluators_are_bounded(self, src):
         clear_evaluator_cache()
         for n_max in range(20, 30):
@@ -466,7 +474,7 @@ def _counting(monkeypatch):
 
 @pytest.mark.parametrize("check", ["_check_three_point", "_check_pick"])
 def test_sampled_checks_batch_their_points(monkeypatch, check):
-    config = default_config(truncation=TruncationPolicy(n_max=120))
+    config = RunConfig(truncation=TruncationPolicy(n_max=120))
     clear_evaluator_cache()
     calls = _counting(monkeypatch)
     results = getattr(acceptance, check)(config)

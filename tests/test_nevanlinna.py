@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
-from indmom import (INFINITY, TruncationPolicy, mobius, nev,
-                    nev_one, nev_partial, partial_quad_arrays,
+from indmom import (INFINITY, JacobiCoefficients, TruncationPolicy, mobius,
+                    nev, nev_one, nev_partial, partial_quad_arrays,
                     reconstruct_two_var, three_point_residual,
                     tilde_relations_residual, transfer)
 from indmom.evaluation import evaluator_for
@@ -114,6 +115,27 @@ def test_double_determinant_lemma(vals):
     rhs = d(x, w) * d(y, z)
     scale = max(1.0, abs(lhs), abs(rhs))
     assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+class TestExtendedPrecision:
+    def test_extended_values_combine_at_their_precision(self):
+        # the tables carry 32 digits; combined at 53 bits, |AD - BC - 1|
+        # would be about 1e-13 here, as in standard precision
+        src = JacobiCoefficients.power_law(1.2)
+        pol = TruncationPolicy(n_max=500)
+        u, v = 2.5 + 0.3j, -2.8 + 0.2j
+        q = nev(src, u, v, pol, "extended")
+        assert mp.prec == 53
+        assert q.det_residual < 1e-25 and q.cross_err < 1e-25
+        assert mp.prec == 53
+        std = nev(src, u, v, pol)
+        for x, y in zip(q.as_tuple(), std.as_tuple()):
+            assert abs(complex(x) - y) < 1e-11 * (1 + abs(y))
+
+    def test_nev_one_takes_precision(self, src, pol):
+        one = nev_one(src, 0.4 + 1j, pol, "extended")
+        assert one == nev(src, 0.4 + 1j, 0.0, pol, "extended").as_tuple()
+        assert all(isinstance(x, mp.mpc) for x in one)
 
 
 class TestReconstruction:

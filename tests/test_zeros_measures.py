@@ -51,6 +51,26 @@ class TestRealZeros:
         assert len(std.zeros) == len(ext.zeros)
         assert np.max(np.abs(std.zeros - ext.zeros)) < 1e-9
 
+    def test_extended_line_values_keep_their_digits(self):
+        # B + tD combined and summed at 32 digits matches the extended nev
+        # values to the last bit of the float result; at 53 bits it is off
+        # by 7e-15 relative at x = 30
+        from mpmath import mp
+
+        src = JacobiCoefficients.power_law(1.2)
+        pol = TruncationPolicy(n_max=500)
+        ev = evaluator_for(src, pol, "extended")
+        t = ExtensionParam.finite(0.7)
+        zs = np.array([2.5 + 0.3j, 7.0 + 0.01j, 30.0, 0.3 + 2j])
+        want = []
+        for z in zs:
+            q = nev(src, z, 0.0, pol, "extended")
+            with mp.workdps(32):
+                want.append(complex(q.B + 0.7 * q.D))
+        got = support_function(ev, t)(zs)
+        assert mp.prec == 53
+        assert np.all(np.abs(got - want) <= 2.3e-16 * np.abs(want))
+
     def test_b_zeros_against_fine_extended_oracle(self, src):
         # same level-120 function scanned on a fine grid in mpmath
         import mpmath as mp
