@@ -22,7 +22,9 @@ from .config import (RunConfig, load_config_file, merge_settings,
 from .debranges import resolvent_residual, xi_apply
 from .domains import (DEFAULT_MEMBERSHIP_TOL, membership_DT, membership_DTt,
                       residues)
-from .errors import (IndmomError, NonConvergenceError, SpecStringError)
+from .errors import (BasepointError, CoefficientFileError,
+                     CoefficientRangeError, IndmomError, NonConvergenceError,
+                     SpecStringError)
 from .evaluation import eval_pq, evaluator_for
 from .measures import (ExtensionParam, build_measure, export_measure_csv,
                        stieltjes)
@@ -99,6 +101,9 @@ def _flag_settings(args) -> dict:
     if "window" in out:
         out["window"] = parse_window(out["window"])
     if args.problem not in (None, "preset"):
+        if args.c is not None:
+            raise ValueError("--c names the power law's exponent; it cannot "
+                             "go with a coefficient file")
         out.update(kind="file", path=args.problem)
     elif args.problem == "preset" or args.c is not None:
         out["kind"] = "power_law"
@@ -348,10 +353,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(args, cfg)
-    except SpecStringError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, SpecStringError, BasepointError,
+            CoefficientFileError, CoefficientRangeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:

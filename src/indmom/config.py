@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import re
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
@@ -51,17 +52,24 @@ class RunConfig:
         return hashlib.sha256(self.describe().encode()).hexdigest()[:16]
 
 
+# A leading sign or the sign joining the real and imaginary parts, with the
+# whitespace around it; an exponent's sign is neither.
+_SIGN_SPACE = re.compile(r"(?<![eE])\s*([+-])\s*")
+
+
 def parse_complex(text: str) -> complex:
-    """Parse complex literals written as a+bi (i or j accepted)."""
-    s = text.strip().replace(" ", "")
+    """Parse complex literals written as a+bi (i or j accepted).
+
+    Whitespace may stand only at the ends and around a leading or joining
+    sign: "1 + 2i" and "- 2" parse, "1 2i" is malformed.
+    """
+    s = _SIGN_SPACE.sub(r"\1", text.strip())
     if not s:
         raise ValueError("empty complex literal")
     s = s.replace("i", "j")
     if s == "j":
         s = "1j"
-    elif s.endswith("+j"):
-        s = s[:-1] + "1j"
-    elif s.endswith("-j"):
+    elif s.endswith(("+j", "-j")):
         s = s[:-1] + "1j"
     try:
         return complex(s)

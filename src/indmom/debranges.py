@@ -17,7 +17,7 @@ Both facts are exact for finite c and serve as the module's self-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -88,8 +88,7 @@ def _ank_matrix(p: np.ndarray, q: np.ndarray, N: int) -> np.ndarray:
 
 
 def coeff_matrix(source: JacobiCoefficients, z0, N: int,
-                 policy: TruncationPolicy,
-                 probe: Optional[complex] = None) -> CoeffMatrix:
+                 policy: TruncationPolicy) -> CoeffMatrix:
     """Difference-quotient coefficients a_{n,k}(z0) for n <= N.
 
     Validates the Cauchy-Schwarz entry bound and the expansion
@@ -109,8 +108,7 @@ def coeff_matrix(source: JacobiCoefficients, z0, N: int,
     if np.any(np.abs(a)[mask] > bound[mask] * (1 + 1e-12) + 1e-300):
         raise AssertionError("entry bound violated in coeff_matrix")
 
-    z = probe if probe is not None else z0 + (0.61 - 0.43j) * (1.0 + abs(z0)) * 0.5
-    z = complex(z)
+    z = z0 + (0.61 - 0.43j) * (1.0 + abs(z0)) * 0.5
     pz, _ = ev.pq_upto(z, N)
     lhs = (pz[: N + 1] - p[: N + 1]) / (z - z0)
     rhs = a[:, : N + 1] @ pz[: N + 1]
@@ -175,8 +173,7 @@ def diff_quotient_residual(source: JacobiCoefficients, c: SeqVector, z0, z,
 
 
 def bound_suite(source: JacobiCoefficients, z0, policy: TruncationPolicy,
-                seed: int = 0, n_vectors: int = 100,
-                vector_top: int = 40) -> List[BoundCheck]:
+                seed: int = 0, n_vectors: int = 100) -> List[BoundCheck]:
     """Evaluate the coefficient and norm inequalities at sampled data.
 
     Checks, with truncated norms at the shared level:
@@ -222,7 +219,7 @@ def bound_suite(source: JacobiCoefficients, z0, policy: TruncationPolicy,
 
     worst_ratio = 0.0
     for _ in range(n_vectors):
-        m = int(rng.integers(1, vector_top))
+        m = int(rng.integers(1, 40))  # unit vectors of 2 to 40 entries
         c = rng.normal(size=m + 1) + 1j * rng.normal(size=m + 1)
         c = c / np.linalg.norm(c)
         xi = xi_apply(source, SeqVector(c), z0, policy)

@@ -6,7 +6,7 @@ class IndmomError(Exception):
 
 
 class CoefficientRangeError(IndmomError):
-    """Coefficient requested beyond explicit data with no tail rule."""
+    """Coefficient requested beyond the data of an explicit source."""
 
 
 class CoefficientFileError(IndmomError):

@@ -30,12 +30,9 @@ class SeqVector:
         return float(np.linalg.norm(self.entries))
 
     @classmethod
-    def basis(cls, n: int, length: int | None = None) -> "SeqVector":
+    def basis(cls, n: int) -> "SeqVector":
         """Standard basis vector e_n."""
-        size = (length if length is not None else n + 1)
-        if size < n + 1:
-            raise ValueError("length too small for basis index")
-        e = np.zeros(size, dtype=complex)
+        e = np.zeros(n + 1, dtype=complex)
         e[n] = 1.0
         return cls(e)
 

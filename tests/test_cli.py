@@ -8,7 +8,7 @@ import pytest
 
 from indmom import JacobiCoefficients, RootScanConfig, TruncationPolicy, zeros
 from indmom.cli import main
-from indmom.config import RunConfig
+from indmom.config import RunConfig, parse_complex
 from indmom.errors import NonConvergenceError
 from indmom.evaluation import clear_evaluator_cache
 
@@ -59,6 +59,23 @@ class TestSupport:
         assert (tmp_path / "m.csv.meta").exists()
 
 
+class TestComplexLiterals:
+    @pytest.mark.parametrize("text, value", [("1 + 2i", 1 + 2j), ("- 2", -2),
+                                             (" 0.5i ", 0.5j), ("1e-5 - i", 1e-5 - 1j)])
+    def test_space_around_a_sign(self, text, value):
+        assert parse_complex(text) == value
+
+    @pytest.mark.parametrize("text", ["1 2i", "1 0", "1e - 5", "1 + 2 i"])
+    def test_other_inner_space_is_malformed(self, text):
+        with pytest.raises(ValueError, match="malformed complex literal"):
+            parse_complex(text)
+
+    def test_z0_with_inner_space_is_usage_error(self, capsys):
+        code, _, err = run_cli(["--z0", "1 2i", "membership", "p(0.5)"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "'1 2i'" in err
+
+
 class TestMembership:
     def test_degenerate_zero_vector(self, capsys):
         code, out, _ = run_cli(["membership", "p(0.5)+(-1)*p(0.5)"], capsys)
@@ -78,6 +95,11 @@ class TestMembership:
         assert code == 0
         assert "in_DT = false" in out
         assert "in_DTt(1) = true" in out
+
+    def test_lower_basepoint_is_usage_error(self, capsys):
+        code, _, err = run_cli(["--z0", "0.5-1i", "membership", "p(0.5)"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "upper half-plane" in err
 
     def test_malformed_spec_is_usage_error(self, capsys):
         code, _, err = run_cli(["membership", "p(1)+x(2)"], capsys)
@@ -149,6 +171,32 @@ class TestXi:
         assert code == 2
         assert ":2:" in err
 
+    def test_entry_with_inner_space_is_usage_error(self, tmp_path, capsys):
+        vf = tmp_path / "vec.txt"
+        vf.write_text("1\n0.5 + 0.25i\n1 0\n")
+        code, _, err = run_cli(["xi", str(vf)], capsys)
+        assert code == 2
+        assert f"{vf}:3:" in err
+
+
+class TestBadInput:
+    """Faults in a coefficient file or basepoint are usage errors (exit 2)."""
+
+    def test_malformed_coefficient_file(self, tmp_path, capsys):
+        coeffs = tmp_path / "bad.txt"
+        coeffs.write_text("1 0\n-4 0\n")
+        code, _, err = run_cli(["--problem", str(coeffs), "eval", "1"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and f"{coeffs}:2:" in err
+
+    def test_coefficient_file_too_short(self, tmp_path, capsys):
+        coeffs = tmp_path / "short.txt"
+        coeffs.write_text("".join(f"{(n + 1) ** 2} 0\n" for n in range(100)))
+        code, _, err = run_cli(["--problem", str(coeffs), "--nmax", "100",
+                                "eval", "1"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "range exhausted" in err
+
 
 class TestConfigFile:
     def test_roundtrip(self, tmp_path, capsys):
@@ -200,6 +248,22 @@ class TestConfigFile:
         assert code == 2
         assert name in err
 
+    def test_file_problem_with_c_flag_is_usage_error(self, tmp_path, capsys):
+        coeffs = tmp_path / "c3.txt"
+        coeffs.write_text("".join(f"{(n + 1) ** 3} 0\n" for n in range(300)))
+        code, _, err = run_cli(["--problem", str(coeffs), "--c", "3",
+                                "--nmax", "100", "eval", "1"], capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "--c" in err
+
+    def test_c_flag_overrides_a_config_file_path(self, tmp_path, capsys):
+        coeffs = tmp_path / "c3.txt"
+        coeffs.write_text("".join(f"{(n + 1) ** 3} 0\n" for n in range(300)))
+        cfg = self._config(tmp_path, f"[problem]\nkind = file\npath = {coeffs}\n")
+        code, out, _ = run_cli(["--config", cfg, "--c", "3", "--nmax", "100",
+                                "eval", "1"], capsys)
+        assert code == 0 and "problem=power_law(c=3)" in out
+
     def test_file_and_flag_settings_both_apply(self, tmp_path, capsys):
         cfg = self._config(tmp_path, "[truncation]\nn_max = 150\n")
         code, out, _ = run_cli(["--config", cfg, "--tail-tol", "1e-4",
@@ -246,6 +310,20 @@ class TestVerify:
                     capture_output=True, text=True).stdout
                 for threads in ("1", "2")]
         assert outs[0] == outs[1]
+
+    def test_default_route_imports_no_scipy(self):
+        # scipy costs far more import time and memory than a run's budget;
+        # tests import it themselves, so only a fresh process can tell
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        run = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "indmom.cli",
+             "--nmax", "120", "verify"],
+            env=env, check=True, capture_output=True, text=True)
+        imported = [line.rsplit("|", 1)[-1].strip()
+                    for line in run.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "indmom.acceptance" in imported
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
     @pytest.mark.parametrize("problem", [[], ["--c", "4"]],
                              ids=["preset", "c=4"])

@@ -33,20 +33,34 @@ class TestExplicit:
         with pytest.raises(CoefficientRangeError, match="range exhausted"):
             j.coeffs(5)
 
-    def test_tail_rule(self):
-        j = JacobiCoefficients.explicit([(1.0, 0.0)], tail=lambda n: (n + 1.0, 0.5))
-        assert j.coeffs(0) == (1.0, 0.0)
-        assert j.coeffs(4) == (5.0, 0.5)
-        assert j.max_index() is None
-
     def test_rejects_nonpositive_a(self):
         with pytest.raises(ValueError, match="a_n"):
             JacobiCoefficients.explicit([(0.0, 0.0)])
 
-    def test_tail_validation(self):
-        j = JacobiCoefficients.explicit([(1.0, 0.0)], tail=lambda n: (-1.0, 0.0))
+    def test_rejects_nonfinite_b_with_index(self):
+        with pytest.raises(ValueError, match="pair 1"):
+            JacobiCoefficients.explicit([(1.0, 0.0), (2.0, float("nan"))])
+
+    @pytest.mark.parametrize("pairs", [[], [(1.0, 0.0, 2.0)], [1.0, 2.0]],
+                             ids=["empty", "triple", "flat"])
+    def test_rejects_malformed_pairs(self, pairs):
         with pytest.raises(ValueError):
-            j.coeffs(3)
+            JacobiCoefficients.explicit(pairs)
+
+    def test_arrays_are_read_only_float64(self):
+        j = JacobiCoefficients.explicit([(1, 0), (2, 1)])
+        a, b = j.arrays(1)
+        assert a.dtype == b.dtype == np.float64
+        assert not a.flags.writeable and not b.flags.writeable
+        assert j.coeffs(1) == (2.0, 1.0)
+
+    def test_equal_sources_share_identity(self):
+        pairs = [(1.0, 0.0), (2.0, 1.0)]
+        assert JacobiCoefficients.explicit(pairs) == JacobiCoefficients.explicit(pairs)
+        assert hash(JacobiCoefficients.explicit(pairs)) == hash(
+            JacobiCoefficients.explicit(pairs))
+        assert JacobiCoefficients.explicit(pairs) != JacobiCoefficients.explicit(
+            [(1.0, 0.0), (2.0, 2.0)])
 
 
 class TestTruncateOnce:
@@ -64,6 +78,33 @@ class TestTruncateOnce:
     def test_double_truncation(self, src):
         assert src.truncate_once().truncate_once().coeffs(0) == (9.0, 0.0)
 
+    def test_built_once(self, src):
+        j = JacobiCoefficients.explicit([(1.0, 0.0), (2.0, 1.0), (3.0, 2.0)])
+        assert src.truncate_once() is src.truncate_once()
+        assert j.truncate_once() is j.truncate_once()
+
+    def test_explicit_views_parent_arrays(self, tmp_path):
+        f = tmp_path / "coeffs.txt"
+        f.write_text("".join(f"{(n + 1) ** 2} {0.3 * (-1) ** n}\n" for n in range(20)))
+        src = JacobiCoefficients.from_file(f)
+        a, b = src.arrays(9)
+        ta, tb = src.truncate_once().arrays(8)
+        assert np.shares_memory(a, ta) and np.shares_memory(b, tb)
+        assert ta.tobytes() == a[1:].tobytes() and tb.tobytes() == b[1:].tobytes()
+        assert not ta.flags.writeable
+
+    def test_power_law_truncation_ignores_parent_growth(self):
+        grown = JacobiCoefficients.power_law(1.5)
+        grown.arrays(50)
+        fresh = JacobiCoefficients.power_law(1.5)
+        assert grown.truncate_once() == fresh.truncate_once()
+        assert grown.truncate_once().arrays(10)[0].tobytes() == \
+            fresh.truncate_once().arrays(10)[0].tobytes()
+
+    def test_single_pair_cannot_truncate(self):
+        with pytest.raises(CoefficientRangeError, match="cannot truncate"):
+            JacobiCoefficients.explicit([(1.0, 0.0)]).truncate_once()
+
 
 class TestArrays:
     SOURCES = {
@@ -71,9 +112,8 @@ class TestArrays:
         "c=2": lambda: JacobiCoefficients.power_law(2.0),
         "c=3": lambda: JacobiCoefficients.power_law(3.0),
         "c=1.5 truncated": lambda: JacobiCoefficients.power_law(1.5).truncate_once(),
-        "explicit+tail": lambda: JacobiCoefficients.explicit(
-            [(1.0, 0.5), (2.0, -0.25)],
-            tail=lambda n: ((n + 1.0) ** 1.5, 0.1 * (-1) ** n)),
+        "explicit": lambda: JacobiCoefficients.explicit(
+            [((n + 1.0) ** 1.5, 0.1 * (-1) ** n) for n in range(5001)]),
     }
 
     @pytest.mark.parametrize("name", SOURCES)

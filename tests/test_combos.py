@@ -60,6 +60,7 @@ class TestErrors:
         ("p(1)@", "extension"),
         ("w*p(1)$", "unexpected"),
         ("w p(1)", "followed by"),
+        ("p(1 2)", "malformed complex literal"),
     ])
     def test_malformed(self, bad, pos_hint):
         with pytest.raises(SpecStringError, match=pos_hint):
@@ -72,3 +73,13 @@ class TestErrors:
             assert exc.position == 5
         else:
             pytest.fail("expected SpecStringError")
+
+    def test_inner_space_keeps_position(self):
+        with pytest.raises(SpecStringError) as info:
+            parse_combination("p(0.5)+p(1 2)")
+        assert info.value.position == 9
+
+    def test_spaces_around_signs_parse(self):
+        parsed = parse_combination("p( 1 + 2i )+( - 2)*q(0.5)")
+        assert parsed.terms[0].argument == 1 + 2j
+        assert parsed.terms[1].coefficient == -2
