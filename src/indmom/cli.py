@@ -232,8 +232,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> int:
     if pair is None:
         f = nevanlinna_line(ev, name)
     elif args.t is None:
-        print(f"error: {name} needs --t", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"{name} needs --t")
     else:
         t = ExtensionParam.parse(args.t)
         f = t.combine(*(nevanlinna_line(ev, n) for n in pair))
@@ -244,8 +243,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> int:
     if args.rect:
         parts = args.rect.split(":")
         if len(parts) != 4:
-            print("error: --rect needs re_lo:re_hi:im_lo:im_hi", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--rect needs re_lo:re_hi:im_lo:im_hi")
         rect = tuple(float(p) for p in parts)
         count = count_zeros_rect(f, rect)
         rep.add("rect", args.rect)

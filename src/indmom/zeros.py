@@ -38,12 +38,19 @@ rectangle by accumulating phase increments of the function along the
 boundary, refining adaptively until every increment is below pi/2.  It is
 the one zero count computed independently of the eigensolve; given one row
 of values per function, it counts the zeros of several functions on shared
-contour points.
+contour points.  The longer sides get ``samples_per_side`` intervals and
+the shorter ones as many in proportion to their length, at least 16.  The
+grid is mirror-exact: the top side reuses the bottom side's x values and
+the vertical sides' y values are mirrored about the horizontal midline,
+so a rectangle symmetric about the real axis, as every scan strip is, is
+sampled in exact conjugate pairs.  A line function has real coefficients,
+so f(conj z) = conj f(z), and ``line_values`` evaluates each pair once.
 """
 
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -59,6 +66,7 @@ __all__ = ["RootScanConfig", "RootScan", "LineFunction", "nevanlinna_line",
            "line_values", "count_zeros_rect"]
 
 _MAX_CONTOUR_POINTS = 200000  # contour samples count_zeros_rect may refine to
+_MIN_SIDE_INTERVALS = 16  # fewest contour intervals on a side, before refinement
 _TINY = float(np.finfo(np.float64).tiny)  # LAPACK's DLAMCH('S')
 
 
@@ -93,14 +101,18 @@ class LineFunction:
     g_0..g_{L+1}; it must solve the recurrence at the real point ``v``
     with ``off`` its Casorati constant, as every function built from
     :func:`nevanlinna_line` does, or :meth:`nodes` is not its zero set.
-    Sums of such functions and real multiples of one are again such
-    functions, so ``t.combine(B, D)`` is B + tD.
+    ``g`` and ``off`` must be real (a complex entry with a nonzero
+    imaginary part raises ValueError), so f(conj z) = conj f(z).  Sums of
+    such functions and real multiples of one are again such functions, so
+    ``t.combine(B, D)`` is B + tD.
     """
 
     def __init__(self, ev: Evaluator, kind: str, g: np.ndarray, off,
                  v: float = 0.0):
         if kind not in ("p", "q"):
             raise ValueError("kind must be 'p' or 'q'")
+        if not (_is_real(g) and _is_real(off)):
+            raise ValueError("g and off must be real")
         self.ev, self.kind, self.g, self.off, self.v = ev, kind, g, off, float(v)
         self._nodes: Optional[np.ndarray] = None
 
@@ -249,6 +261,14 @@ class LineFunction:
         return np.sign(self.real(xs))
 
 
+def _is_real(x) -> bool:
+    """No entry of x has a nonzero imaginary part (mpmath entries included)."""
+    x = np.asarray(x)
+    if x.dtype == object:  # np.imag reads 0 for every object entry
+        return all(v.imag == 0 for v in x.flat)
+    return not np.any(np.imag(x))
+
+
 def _dsterf():
     """LAPACK dsterf(n, d, e, info) from numpy's bundled OpenBLAS, or None."""
     return _openblas.symbol("dsterf", INT, DOUBLES, DOUBLES, INT)
@@ -377,18 +397,54 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     """Values of line functions at real or complex points, one row each.
 
     The functions share one evaluator and kind, so one table of that kind
-    serves them all.  Values are combined at the evaluator's precision and
-    returned as complex128.
+    serves them all.  Their coefficients are real, so f(conj z) = conj f(z):
+    each point is evaluated once, at the member of its conjugate pair with
+    Im >= 0 (-0.0 taken as +0.0), and a point below the axis gets the
+    conjugate of that value.  Values are combined at the evaluator's
+    precision and returned as complex128.
     """
     ev, kind = fs[0].ev, fs[0].kind
     if any((f.ev, f.kind) != (ev, kind) for f in fs):
         raise ValueError("only line functions of one evaluator and kind share a table")
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-    P, Q = ev.tables_batch(zs, kind)
+    upper = zs.copy()
+    upper.imag = np.abs(zs.imag)
+    # each distinct upper point once, in order of first appearance: g @ T can
+    # round a column differently at another position, so a batch without
+    # pairs or repeats keeps its values bitwise
+    _, first, back = np.unique(upper, return_index=True, return_inverse=True)
+    keep = np.sort(first)
+    pts = upper[keep]
+    P, Q = ev.tables_batch(pts, kind)
     T = (P if kind == "p" else Q)[: ev.level + 1]
     with working_precision(ev.precision):
-        return np.array([f.off + (zs - f.v) * (f.g[: ev.level + 1] @ T)
+        vals = np.array([f.off + (pts - f.v) * (f.g[: ev.level + 1] @ T)
                          for f in fs], dtype=complex)
+    vals = vals[:, np.searchsorted(keep, first)[back.reshape(-1)]]
+    return np.where(zs.imag < 0, vals.conj(), vals)
+
+
+def _contour(rect: Tuple[float, float, float, float],
+             samples_per_side: int) -> np.ndarray:
+    """:func:`count_zeros_rect`'s first samples, counterclockwise from the
+    lower left corner, which the last point repeats."""
+    re_lo, re_hi, im_lo, im_hi = rect
+    width, height = re_hi - re_lo, im_hi - im_lo
+    longest = max(width, height)
+    nx, ny = (samples_per_side if side == longest else
+              max(_MIN_SIDE_INTERVALS, math.ceil(samples_per_side * side / longest))
+              for side in (width, height))
+    xs = np.linspace(re_lo, re_hi, nx + 1)
+    s = np.linspace(-1.0, 1.0, ny + 1)
+    s = 0.5 * (s - s[::-1])  # exactly odd: s[::-1] == -s
+    ys = 0.5 * (im_lo + im_hi) + 0.5 * height * s
+    ys[0], ys[-1] = im_lo, im_hi
+    # bottom, right, top and left in turn, each from the corner after the last
+    zs = np.empty(2 * (nx + ny) + 1, dtype=complex)
+    zs.real = np.concatenate([xs, np.full(ny, re_hi), xs[-2::-1], np.full(ny, re_lo)])
+    zs.imag = np.concatenate([np.full(nx + 1, im_lo), ys[1:], np.full(nx, im_hi),
+                              ys[-2::-1]])
+    return zs
 
 
 def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
@@ -396,31 +452,31 @@ def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
                      samples_per_side: int = 64):
     """Winding number of F along the rectangle boundary (counterclockwise).
 
-    Refines boundary sampling adaptively until every phase increment is
-    below pi/2.  Where F returns one row of values per function, the rows
-    share the contour points, which refine until every row's increments
-    are below pi/2, and the result is an integer array of one winding
-    number per row.  Raises ZeroOnContourError when |F| on the contour is
-    suspiciously small or refinement fails to settle.
+    The longer sides get ``samples_per_side`` intervals and the shorter
+    ones as many in proportion to their length, rounded up, and at least
+    ``_MIN_SIDE_INTERVALS``.  The top side reuses the bottom side's x
+    values, reversed, and the vertical sides' y values are mirrored about
+    the horizontal midline, so a rectangle symmetric about the real axis is
+    sampled in exact conjugate pairs.  Sampling refines adaptively, by
+    interval midpoints, until every phase increment is below pi/2; an
+    increment and its mirror image are computed alike, so refinement keeps
+    the pairs.  Where F returns one row of values per function, the rows
+    share the contour points, which refine until every row's increments are
+    below pi/2, and the result is an integer array of one winding number
+    per row.  Raises ValueError for a ``samples_per_side`` below 1 or a
+    rectangle that is empty or not finite, and ZeroOnContourError when |F|
+    on the contour is suspiciously small or refinement fails to settle.
     """
+    if samples_per_side < 1:
+        raise ValueError("samples_per_side must be at least 1")
     re_lo, re_hi, im_lo, im_hi = rect
+    if not all(math.isfinite(r) for r in (*rect, re_hi - re_lo, im_hi - im_lo)):
+        raise ValueError("rectangle bounds and side lengths must be finite")
     if not (re_lo < re_hi and im_lo < im_hi):
         raise ValueError("rectangle must have positive width and height")
 
-    def boundary_point(t: np.ndarray) -> np.ndarray:
-        # t in [0,4): bottom, right, top, left edges in order
-        t = np.asarray(t, dtype=float)
-        z = np.empty(t.shape, dtype=complex)
-        seg = np.floor(t).astype(int) % 4
-        frac = t - np.floor(t)
-        z[seg == 0] = re_lo + frac[seg == 0] * (re_hi - re_lo) + 1j * im_lo
-        z[seg == 1] = re_hi + 1j * (im_lo + frac[seg == 1] * (im_hi - im_lo))
-        z[seg == 2] = re_hi - frac[seg == 2] * (re_hi - re_lo) + 1j * im_hi
-        z[seg == 3] = re_lo + 1j * (im_hi - frac[seg == 3] * (im_hi - im_lo))
-        return z
-
-    ts = np.linspace(0.0, 4.0, 4 * samples_per_side + 1)
-    vals = np.asarray(F(boundary_point(ts)), dtype=complex)
+    zs = _contour(rect, samples_per_side)
+    vals = np.asarray(F(zs), dtype=complex)
     rows = vals.ndim == 2
     vals = np.atleast_2d(vals)
 
@@ -433,7 +489,11 @@ def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
         neigh = np.maximum(np.roll(mags, 1, axis=1), np.roll(mags, -1, axis=1))
         if np.any(mags < 1e-12 * neigh):
             raise ZeroOnContourError("zero suspected on contour; perturb rectangle")
-        dphi = np.angle(vals[:, 1:] / vals[:, :-1])
+        # arg(u1 conj(u0)) of unit values in real arithmetic: the mirror image
+        # (conj u1, conj u0) of a step gives bitwise the same increment
+        re, im = vals.real / mags, vals.imag / mags
+        dphi = np.arctan2(re[:, :-1] * im[:, 1:] - im[:, :-1] * re[:, 1:],
+                          re[:, :-1] * re[:, 1:] + im[:, :-1] * im[:, 1:])
         bad = np.any(np.abs(dphi) >= 0.5 * np.pi, axis=0)
         if not np.any(bad):
             winding = np.sum(dphi, axis=1) / (2.0 * np.pi)
@@ -442,13 +502,12 @@ def count_zeros_rect(F: Callable[[np.ndarray], np.ndarray],
                     "winding number failed to settle; perturb rectangle")
             counts = np.round(winding).astype(int)
             return counts if rows else int(counts[0])
-        if len(ts) > _MAX_CONTOUR_POINTS:
+        if len(zs) > _MAX_CONTOUR_POINTS:
             raise ZeroOnContourError(
                 "contour refinement exhausted; perturb rectangle")
-        mid_ts = 0.5 * (ts[:-1][bad] + ts[1:][bad])
-        mid_vals = np.atleast_2d(np.asarray(F(boundary_point(mid_ts)),
-                                            dtype=complex))
+        mids = 0.5 * (zs[:-1][bad] + zs[1:][bad])
+        mid_vals = np.atleast_2d(np.asarray(F(mids), dtype=complex))
         insert_at = np.nonzero(bad)[0] + 1
-        ts = np.insert(ts, insert_at, mid_ts)
+        zs = np.insert(zs, insert_at, mids)
         vals = np.insert(vals, insert_at, mid_vals, axis=1)
     raise ZeroOnContourError("contour refinement did not converge")

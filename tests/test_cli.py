@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -131,8 +132,24 @@ class TestZeros:
         assert f"function = {name}\n" in out
 
     def test_missing_t_is_usage_error(self, capsys):
-        code, _, _ = run_cli(["--nmax", "200", "zeros", "BtD"], capsys)
+        code, _, err = run_cli(["--nmax", "200", "zeros", "BtD"], capsys)
         assert code == 2
+        assert err.startswith("usage error:") and "needs --t" in err
+
+    def test_three_part_rect_is_usage_error(self, capsys):
+        code, _, err = run_cli(["--nmax", "200", "zeros", "D", "--rect=-1:1:1"],
+                               capsys)
+        assert code == 2
+        assert err.startswith("usage error:") and "re_lo:re_hi:im_lo:im_hi" in err
+
+    def test_infinite_rect_is_usage_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["--nmax", "200", "zeros", "B", "--rect=-1:1:-inf:1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and "finite" in err
 
     def test_failed_eigensolve_exits_3(self, monkeypatch, capsys):
         def fail(d, e):
