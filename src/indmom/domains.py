@@ -107,9 +107,7 @@ def extension_generator(source: JacobiCoefficients, t: ExtensionParam,
                         policy: TruncationPolicy) -> SeqVector:
     """Generator of D(T_t) over the closure domain: q_0 + t p_0, or p_0 at infinity."""
     tab = evaluator_for(source, policy).table(0.0)
-    if t.is_infinite:
-        return SeqVector(np.array(tab.p, dtype=complex))
-    return SeqVector(tab.q + t.t * tab.p)
+    return SeqVector(np.array(t.combine(tab.q, tab.p), dtype=complex))
 
 
 def residues(source: JacobiCoefficients, v: SeqVector, z0,
@@ -164,6 +162,9 @@ def membership_DT(source: JacobiCoefficients, v: SeqVector, z0, tol: float,
 
 def _verdict(scaled, tol: float, tag: str) -> MembershipVerdict:
     """The verdict of two basepoints' scaled residuals, which must agree."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("membership tolerance must be finite and positive, "
+                         f"got {tol}")
     in0, in1 = scaled[0] < tol, scaled[1] < tol
     if in0 != in1:
         raise InconclusiveMembershipError(
@@ -250,7 +251,7 @@ def resolvent_combination(source: JacobiCoefficients, t: ExtensionParam,
     verdict = membership_DTt(source, combo, t, z0, tol, policy)
     not_in = membership_DT(source, combo, z0, tol, policy)
     A, B, C, D = nev_one(source, lam, policy)
-    c_coeff = -1.0 / D if t.is_infinite else -1.0 / (B + t.t * D)
+    c_coeff = -1.0 / t.combine(B, D)
     gen = extension_generator(source, t, policy)
     remainder = SeqVector(combo.entries - c_coeff * gen.entries)
     decomposition = membership_DT(source, remainder, z0, tol, policy)

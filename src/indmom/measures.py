@@ -168,8 +168,10 @@ def build_measure(source: JacobiCoefficients, t: ExtensionParam,
     whole level-L quadrature rule, whose captured mass and moment residuals
     report its quality.  Only the nodes of each new annulus are weighed.
     Moment residuals compare the measure's power sums against the
-    Hamburger moments.
+    Hamburger moments.  Raises ValueError for a negative ``n_check``.
     """
+    if n_check < 0:
+        raise ValueError(f"n_check must be at least 0, got {n_check}")
     ev = evaluator_for(source, policy, precision)
     f = support_function(ev, t)
     window = cfg.window
@@ -221,10 +223,7 @@ def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
     nearest = pts[np.argsort(np.abs(pts - lam))[: _N_NEAREST]]
     evaluator_for(source, policy).tables(np.concatenate([[lam, 0.0], nearest]))
     A, B, C, D = nev_one(source, lam, policy)
-    if t.is_infinite:
-        w_param = -C / D
-    else:
-        w_param = -(A + t.t * C) / (B + t.t * D)
+    w_param = -t.combine(A, C) / t.combine(B, D)
 
     if not len(pts):
         raise IndmomError("measure has no support points in window")

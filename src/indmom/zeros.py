@@ -1,16 +1,14 @@
 """Real zero sets of line functions, and argument-principle zero counts.
 
-Every function the package scans on the real line is a *line function* at
-the shared level L::
-
-    f(x) = off + (x - v) * sum_{k<=L} g_k T_k(x),    T = p or q,
-
-with an anchor vector g that solves the three-term recurrence at the real
-point v and ``off`` its matching constant.  That covers A, B, C, D(., v),
-B + tD and A + tC.  By Christoffel-Darboux
-``f(x) = a_L (T_{L+1}(x) g_L - T_L(x) g_{L+1})``, a quasi-orthogonal
-polynomial: its zeros are simple and real, and they are the eigenvalues of
-one Jacobi matrix with a modified corner entry (Golub-Welsch, Math. Comp.
+Every function the package scans on the real line (A, B, C, D(., v),
+B + tD and A + tC) is a *line function* at the shared level L,
+f(x) = a_L (T_{L+1}(x) g_L - T_L(x) g_{L+1}) with T = p or q and g a real
+solution of the three-term recurrence at the real point v: the
+Christoffel-Darboux form of the series in ``nevanlinna``.  A line function
+holds only the corner pair (g_L, g_{L+1}), and its values and its zero set
+both come from that pair.  f is a quasi-orthogonal polynomial: its zeros
+are simple and real, and they are the eigenvalues of one Jacobi matrix
+with the corner entry b_L + a_L g_{L+1} / g_L (Golub-Welsch, Math. Comp.
 23, 1969; Golub, SIAM Rev. 15, 1973).  That matrix is symmetric
 tridiagonal, and one method builds it for both ways of reading its
 spectrum:
@@ -95,22 +93,24 @@ class RootScan:
 
 
 class LineFunction:
-    """x -> off + (x - v) * sum_{k<=L} g_k T_k(x) at the evaluator's level.
+    """x -> a_L (T_{L+1}(x) g_L - T_L(x) g_{L+1}) at the evaluator's level L.
 
-    ``kind`` selects the table T, ``"p"`` or ``"q"``.  ``g`` holds
-    g_0..g_{L+1}; it must solve the recurrence at the real point ``v``
-    with ``off`` its Casorati constant, as every function built from
-    :func:`nevanlinna_line` does, or :meth:`nodes` is not its zero set.
-    ``g`` and ``off`` must be real (a complex entry with a nonzero
-    imaginary part raises ValueError), so f(conj z) = conj f(z).  Sums of
-    such functions and real multiples of one are again such functions, so
-    ``t.combine(B, D)`` is B + tD.
+    ``kind`` selects the table T, ``"p"`` or ``"q"``.  ``g`` is the corner
+    pair (g_L, g_{L+1}) of a solution of the recurrence at the real point
+    ``v``, and ``off`` = f(v) its Casorati constant, as every function built
+    from :func:`nevanlinna_line` has; with ``off = 0`` the node nearest v is
+    set to v exactly.  ``g`` and ``off`` must be real (a complex entry with
+    a nonzero imaginary part raises ValueError), so f(conj z) = conj f(z).
+    Sums of such functions and real multiples of one are again such
+    functions, so ``t.combine(B, D)`` is B + tD.
     """
 
     def __init__(self, ev: Evaluator, kind: str, g: np.ndarray, off,
                  v: float = 0.0):
         if kind not in ("p", "q"):
             raise ValueError("kind must be 'p' or 'q'")
+        if len(g) != 2:
+            raise ValueError("g must be the corner pair (g_L, g_{L+1})")
         if not (_is_real(g) and _is_real(off)):
             raise ValueError("g and off must be real")
         self.ev, self.kind, self.g, self.off, self.v = ev, kind, g, off, float(v)
@@ -180,11 +180,11 @@ class LineFunction:
         the same corner.  When g_L = 0 (or the corner overflows) the zeros
         are those of T_L, and the last row and column are dropped.
         """
-        ev, g, L = self.ev, self.g, self.ev.level
+        ev, (g_L, g_next), L = self.ev, self.g, self.ev.level
         first = 0 if self.kind == "p" else 1
         diag = np.array(ev.b[first: L + 1], dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            diag[-1] += ev.a[L] * (np.float64(g[L + 1].real) / np.float64(g[L].real))
+            diag[-1] += ev.a[L] * (np.float64(g_next.real) / np.float64(g_L.real))
         # an infinite corner sends one zero to infinity: drop its row and column
         n = len(diag) if np.isfinite(diag[-1]) else len(diag) - 1
         return diag[:n], np.array(ev.a[first: first + n - 1], dtype=float)
@@ -192,7 +192,7 @@ class LineFunction:
     def _snapped(self, nodes: np.ndarray, lo: int, n: int) -> np.ndarray:
         """Nodes lo.. of n, with the node nearest v set to v when off = 0.
 
-        The factor (x - v) makes v an exact zero.  A slice surely holds the
+        With off = f(v) = 0, v is an exact zero.  A slice surely holds the
         node nearest v when it reaches past v, or to the end of the
         spectrum, on both sides; otherwise it is left as it is.
         """
@@ -390,18 +390,21 @@ def _crossing(nodes: np.ndarray, edge: float, reach: float, side: str) -> float:
 def nevanlinna_line(ev: Evaluator, name: str, v: float = 0.0) -> LineFunction:
     """u -> A, B, C or D(u, v) at the shared level, for real v."""
     kind, anchor, off = SERIES_FORMS[name]
-    return LineFunction(ev, kind, getattr(ev.table(complex(v)), anchor), off, v)
+    g = getattr(ev.table(complex(v)), anchor)[ev.level: ev.level + 2]
+    return LineFunction(ev, kind, g.copy(), off, v)
 
 
 def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     """Values of line functions at real or complex points, one row each.
 
-    The functions share one evaluator and kind, so one table of that kind
-    serves them all.  Their coefficients are real, so f(conj z) = conj f(z):
-    each point is evaluated once, at the member of its conjugate pair with
-    Im >= 0 (-0.0 taken as +0.0), and a point below the axis gets the
-    conjugate of that value.  Values are combined at the evaluator's
-    precision and returned as complex128.
+    The functions share one evaluator and kind, so rows L and L+1 of one
+    table of that kind serve them all; a value depends on its point and on
+    the table kernel the batch size selects, not on the other points.
+    Their coefficients are real, so f(conj z) = conj f(z): each point is
+    evaluated once, at the member of its conjugate pair with Im >= 0 (-0.0
+    taken as +0.0), and a point below the axis gets the conjugate of that
+    value.  Values are combined at the evaluator's precision and returned
+    as complex128.
     """
     ev, kind = fs[0].ev, fs[0].kind
     if any((f.ev, f.kind) != (ev, kind) for f in fs):
@@ -409,18 +412,14 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     zs = np.atleast_1d(np.asarray(zs, dtype=complex))
     upper = zs.copy()
     upper.imag = np.abs(zs.imag)
-    # each distinct upper point once, in order of first appearance: g @ T can
-    # round a column differently at another position, so a batch without
-    # pairs or repeats keeps its values bitwise
-    _, first, back = np.unique(upper, return_index=True, return_inverse=True)
-    keep = np.sort(first)
-    pts = upper[keep]
+    pts, back = np.unique(upper, return_inverse=True)
     P, Q = ev.tables_batch(pts, kind)
-    T = (P if kind == "p" else Q)[: ev.level + 1]
+    L = ev.level
+    T_L, T_next = (P if kind == "p" else Q)[L: L + 2]
     with working_precision(ev.precision):
-        vals = np.array([f.off + (pts - f.v) * (f.g[: ev.level + 1] @ T)
-                         for f in fs], dtype=complex)
-    vals = vals[:, np.searchsorted(keep, first)[back.reshape(-1)]]
+        vals = np.array([ev.a[L] * (T_next * f.g[0] - T_L * f.g[1]) for f in fs],
+                        dtype=complex)
+    vals = vals[:, back.reshape(-1)]
     return np.where(zs.imag < 0, vals.conj(), vals)
 
 

@@ -8,9 +8,11 @@ PASS/FAIL line per criterion.
 
 import pytest
 
-from indmom import JacobiCoefficients, TruncationPolicy, acceptance, zeros
+from indmom import (JacobiCoefficients, TruncationPolicy, acceptance,
+                    evaluation, zeros)
 from indmom.acceptance import run_acceptance
 from indmom.config import RunConfig
+from indmom.evaluation import clear_evaluator_cache
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +96,27 @@ def test_near_point_checks_make_no_full_solve(monkeypatch):
     assert checked["08a_membership_positives"]
     assert checked["09_adjacent_zero_signs"]
     assert checked["10a_extension_domain_selects_t"]
+
+
+def test_fallback_route_agrees_with_the_blas_route(monkeypatch):
+    # without BLAS ztbsv and LAPACK dsterf, dlarrc and dstebz, tables come
+    # from the real-arithmetic recurrence, node sets from the dense
+    # eigvalsh and nodes near a point from slices of the whole set
+    config = RunConfig(truncation=TruncationPolicy(n_max=120))
+    blas = run_acceptance(config)
+    clear_evaluator_cache()
+    monkeypatch.setattr(evaluation, "_ztbsv", lambda: None)
+    monkeypatch.setattr(zeros, "_dsterf", lambda: None)
+    monkeypatch.setattr(zeros, "_bisection", lambda: None)
+    try:
+        fallback = run_acceptance(config)
+    finally:
+        clear_evaluator_cache()  # no fallback table outlives the test
+    assert [r.name for r in fallback] == [r.name for r in blas] == sorted(
+        EXPECTED_CHECKS)
+    # 04, 06b and 09 have tolerance 0 (sign and count checks): roundoff there
+    for b, f in zip(blas, fallback):
+        assert b.passed and f.passed, (b.line(), f.line())
+        assert abs(f.measured - b.measured) <= (b.tolerance
+                                                + 1e-12 * abs(b.measured)), (
+            b.line(), f.line())

@@ -59,6 +59,13 @@ class TestSupport:
         assert lines[0] == "x,mass"
         assert (tmp_path / "m.csv.meta").exists()
 
+    @pytest.mark.parametrize("extra", [[], ["--no-auto-window"]])
+    def test_negative_n_check_is_usage_error(self, extra, capsys):
+        code, out, err = run_cli(["--nmax", "200", "support", "--n-check",
+                                  "-1", *extra], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: n_check must be at least 0")
+
 
 class TestComplexLiterals:
     @pytest.mark.parametrize("text, value", [("1 + 2i", 1 + 2j), ("- 2", -2),
@@ -96,6 +103,14 @@ class TestMembership:
         assert code == 0
         assert "in_DT = false" in out
         assert "in_DTt(1) = true" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        code, out, err = run_cli(["--nmax", "200", "membership", "p(0.5)",
+                                  "--tol", tol], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: membership tolerance must be "
+                              "finite and positive")
 
     def test_lower_basepoint_is_usage_error(self, capsys):
         code, _, err = run_cli(["--z0", "0.5-1i", "membership", "p(0.5)"], capsys)

@@ -146,6 +146,14 @@ class TestMembershipDT:
         for z0 in (Z0, 0.5 + 1.5j, 2j):
             assert membership_DT(src, vec, z0, TOL, pol).in_domain
 
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, src, pol, tol):
+        vec = SeqVector(np.ones(5, dtype=complex))
+        with pytest.raises(ValueError, match="finite and positive"):
+            membership_DT(src, vec, Z0, tol, pol)
+        with pytest.raises(ValueError, match="finite and positive"):
+            membership_DTt(src, vec, ExtensionParam.finite(1.0), Z0, tol, pol)
+
     def test_negative_controls(self, src, pol):
         rng = np.random.default_rng(34)
         found = 0

@@ -15,6 +15,7 @@ from indmom import (DiscreteMeasure, ExtensionParam, JacobiCoefficients,
 from indmom.errors import (NonConvergenceError, SupportPointError,
                            ZeroOnContourError)
 from indmom.evaluation import Evaluator, evaluator_for
+from indmom.nevanlinna import SERIES_FORMS
 from indmom.zeros import LineFunction, line_values
 
 
@@ -135,6 +136,15 @@ def _line(ev, kind, t):
     return t.combine(*(nevanlinna_line(ev, n) for n in names))
 
 
+def _corner_form(ev, fs, xs):
+    """a_L (T_{L+1} g_L - T_L g_{L+1}) of each line function, one row each."""
+    L = ev.level
+    P, Q = ev.tables_batch(xs, fs[0].kind)
+    T = P if fs[0].kind == "p" else Q
+    return np.array([ev.a[L] * (T[L + 1] * f.g[0] - T[L] * f.g[1]) for f in fs],
+                    dtype=complex)
+
+
 def _check_node_set(f, cfg):
     scan = f.zeros(cfg)
     nodes = f.nodes()
@@ -221,11 +231,38 @@ class TestNodeSets:
         xs = np.array([0.3 + 0.2j, 1.0, -2.5])
         with_kind = f(xs)
         monkeypatch.setattr(evaluation, "recurrence_batch", kernel)
-        P, Q = level_ev.tables_batch(xs)
-        L = level_ev.level
-        sums = f.g[: L + 1] @ (P if kind == "p" else Q)[: L + 1]
         assert asked == [kind]
-        assert with_kind.tobytes() == (f.off + (xs - f.v) * sums).tobytes()
+        assert with_kind.tobytes() == _corner_form(level_ev, [f], xs)[0].tobytes()
+
+    def test_values_do_not_depend_on_the_batch(self, src, pol):
+        # next to a node a value is a small remainder of large terms, so any
+        # rounding that depends on the batch shows there
+        f = support_function(evaluator_for(src, pol), ExtensionParam.finite(1.0))
+        nodes = f.nodes()
+        inside = nodes[(nodes > -40.0) & (nodes < 40.0)]
+        xs = np.concatenate([inside - 1e-11, inside + 1e-11])
+        assert len(xs) == 16
+        alone = np.array([f([x])[0] for x in xs])
+        assert f(xs).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("names", [("B", "D"), ("A", "C")])
+    def test_values_match_the_series_on_strip_points(self, src, pol, names):
+        # the series off + (x - v) sum_{k<=L} g_k T_k(x) on the whole anchor
+        # table is the reference for the corner-pair form
+        ev = evaluator_for(src, pol)
+        L = ev.level
+        (kind, b_anchor, b_off), (_, d_anchor, d_off) = (SERIES_FORMS[n]
+                                                         for n in names)
+        zs = zeros._contour((-40.5, 40.5, -1.0, 1.0), 256)
+        P, Q = ev.tables_batch(zs, kind)
+        T = (P if kind == "p" else Q)[: L + 1]
+        for v in (0.0, 0.7):
+            tab = ev.table(v)
+            for t in map(ExtensionParam.parse, ("0", "1", "-2.5", "inf")):
+                f = t.combine(*(nevanlinna_line(ev, n, v) for n in names))
+                g = t.combine(getattr(tab, b_anchor), getattr(tab, d_anchor))
+                series = t.combine(b_off, d_off) + (zs - v) * (g[: L + 1] @ T)
+                assert np.max(np.abs(f(zs) - series) / np.abs(series)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["p", "q"])
     def test_infinite_corner_drops_a_node(self, level_ev, kind):
@@ -235,7 +272,7 @@ class TestNodeSets:
             f = _line(level_ev, kind, ExtensionParam.parse(t))
             dropped = ((t == "inf" and L % 2)
                        or (t in ("0", "1e-310") and L % 2 == 0))
-            assert (f.g[L] == 0) == (dropped and t != "1e-310")
+            assert (f.g[0] == 0) == (dropped and t != "1e-310")
             assert len(f.nodes()) == size - dropped
 
 
@@ -514,12 +551,10 @@ class TestCountZerosRect:
         zs = rng.uniform(-6, 6, 40) + 1j * rng.uniform(-3, 3, 40)
         assert (line_values(fs, zs.conj()).tobytes()
                 == line_values(fs, zs).conj().tobytes())
-        # at real points, with Im = +0.0 or -0.0, the values are the plain
-        # formula's on a table of the same points
+        # at real points, with Im = +0.0 or -0.0, the values are the
+        # corner-pair formula's on a table of the same points
         xs = rng.uniform(-6, 6, 40)
-        P, Q = ev.tables_batch(xs, fs[0].kind)
-        T = (P if fs[0].kind == "p" else Q)[: ev.level + 1]
-        plain = np.array([f.off + (xs - f.v) * (f.g[: ev.level + 1] @ T) for f in fs])
+        plain = _corner_form(ev, fs, xs)
         below = xs.astype(complex)
         below.imag = -0.0
         assert line_values(fs, xs).tobytes() == plain.tobytes()
@@ -547,6 +582,8 @@ class TestCountZerosRect:
         with pytest.raises(ValueError, match="real"):
             1j * d
         LineFunction(ev, "p", np.array([mpc(1, 0), mpc(2, 0)]), mpc(0, 0))
+        with pytest.raises(ValueError, match="corner pair"):
+            LineFunction(ev, "p", np.zeros(ev.level + 2), 0.0)
         with pytest.raises(ValueError, match="real"):
             LineFunction(ev, "p", np.array([mpc(1, 0), mpc(2, 1e-40)]), 0.0)
 
