@@ -203,13 +203,7 @@ def _cmd_membership(args, cfg: RunConfig) -> int:
     rep.add("spec", args.spec)
     if w_value is not None:
         rep.add("w", w_value, N=pol.n_max)
-    degenerate = vec.norm() == 0.0
-    rep.add("degenerate_zero_vector", degenerate)
-    if degenerate:
-        rep.add("in_DT", True, N=pol.n_max, tol=args.tol)
-        _emit(rep, cfg)
-        return EXIT_OK
-
+    rep.add("degenerate_zero_vector", vec.norm() == 0.0)
     r = residues(src, vec, z0, pol)
     rep.add("residue_alpha", r.alpha, N=r.N)
     rep.add("residue_beta", r.beta, N=r.N)

@@ -78,14 +78,11 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_window(text: str) -> Tuple[float, float]:
-    """Parse `lo:hi` windows."""
+    """Parse `lo:hi` windows; RootScanConfig checks the bounds."""
     parts = text.split(":")
     if len(parts) != 2:
         raise ValueError(f"window must be lo:hi, got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    if not lo < hi:
-        raise ValueError("window must satisfy lo < hi")
-    return lo, hi
+    return float(parts[0]), float(parts[1])
 
 
 # The run settings by config-file section: name -> parser of its text.

@@ -18,20 +18,16 @@ stop index prescribed by the policy (smallest N with
 computed per point and reported as convergence metadata; ``eval_pq``
 returns arrays sliced at that adaptive index, which is its contract.
 
-Every cached point table comes from :meth:`Evaluator.tables`, which
-computes the points it misses in recurrence calls small enough to be
-banded batches (below).  The standard backend, :func:`recurrence_batch`,
-returns complex128 tables.  Where numpy's bundled OpenBLAS provides BLAS
-``ztbsv``, each chain at each point of a batch of at most
-``_BANDED_SOLVES`` (chain, point) pairs is one lower triangular banded
-solve of the recurrence; larger batches, and every batch where ``ztbsv``
-does not load, run the recurrence in explicit real arithmetic, by a
-per-point loop on Python floats for small batches and by the same
-operations as numpy ufuncs for large ones.  The two real-arithmetic loops
-are bitwise equal, so on the fallback a point's table never depends on
-its batch; where ``ztbsv`` loads it does not depend on its batch among
-banded batches, which is every batch the table cache makes.  Banded and
-real-arithmetic tables agree to roundoff.  The extended backend,
+Every cached point table comes from :meth:`Evaluator.tables`.  The
+standard backend, :func:`recurrence_batch`, returns complex128 tables.
+Where numpy's bundled OpenBLAS provides BLAS ``ztbsv``, each chain at each
+point of every batch is one lower triangular banded solve of the
+recurrence.  Where ``ztbsv`` does not load, the fallback runs the
+recurrence in explicit real arithmetic, by a per-point loop on Python
+floats for small batches and by the same operations as numpy ufuncs for
+large ones; the two loops are bitwise equal.  On either route a point's
+table depends only on the point, not on its batch; the two routes agree
+to roundoff.  The extended backend,
 :func:`recurrence_mp`, runs the same real-arithmetic recurrence one point
 at a time on Python integers: the points and coefficients are float64, so
 exact dyadic rationals, and each step keeps ``_GUARD_BITS`` bits beyond
@@ -64,18 +60,13 @@ _OVERFLOW_LIMIT = 1e150
 _TAIL_MARGIN = 8  # table indices past the shared level, for p/q truncations
 _TABLE_CAPACITY = {"standard": 256, "extended": 16}  # tables per evaluator
 _MAX_EVALUATORS = 8
-# Largest batch that the real-arithmetic recurrence runs on its per-point
-# loop.  Where ztbsv loads every batch this small is banded, so it governs
-# only the fallback.  The point loop costs about 0.5 ms per point and the
-# array loop about 7 ms per batch at L = 1009, so they cross at 13-15
-# points (measured at L = 509 and 1009, 2-core Xeon VM).
-_SCALAR_BATCH = 12
-# Most (chain, point) pairs that recurrence_batch solves as banded systems.
-# A solve costs the same per pair at any batch size, while the array loop's
-# per-row overhead is shared by the batch: they cost the same at 320-448
-# pairs for L = 501, 1001 and 2001, chains p and pq (one BLAS thread,
+# Largest batch that the fallback (no ztbsv) runs on its per-point loop;
+# larger ones run the array loop.  Both give the same bits, so a table
+# depends only on its point and the route, never on this choice.  The point
+# loop costs about 0.5 ms per point and the array loop about 7 ms per batch
+# at L = 1009, so they cross at 13-15 points (measured at L = 509 and 1009,
 # 2-core Xeon VM).
-_BANDED_SOLVES = 384
+_SCALAR_BATCH = 12
 # Decimal digits of the extended backend's tables and of their arithmetic.
 EXTENDED_DPS = 32
 # Bits the extended kernel keeps beyond mpmath's precision at ``dps`` digits.
@@ -174,18 +165,16 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
 
     ``chains`` ("pq", "p" or "q") selects the tables returned; the other is
     None, and only the chains asked for are computed.  Where numpy's
-    OpenBLAS provides BLAS ``ztbsv`` and the batch has at most
-    ``_BANDED_SOLVES`` (chain, point) pairs, each (chain, point) table is
-    one lower banded triangular solve (:func:`_banded_solve`).  Otherwise
-    the recurrence runs in explicit real arithmetic with the same IEEE
+    OpenBLAS provides BLAS ``ztbsv``, each (chain, point) table is one lower
+    banded triangular solve (:func:`_banded_solve`).  Otherwise the
+    recurrence runs in explicit real arithmetic with the same IEEE
     operations in the same order, for example
     ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
     with ``xb = x - b_n``: batches of at most ``_SCALAR_BATCH`` points on
     Python floats per point, larger ones as in-place ufuncs over the batch.
-    Among banded batches, and among real-arithmetic ones, a point's table
-    is bitwise the same whatever batch computed it and whichever chains
-    were asked for; banded and real-arithmetic tables agree to roundoff,
-    not bitwise.
+    On a given route a point's table is bitwise the same whatever batch
+    computed it and whichever chains were asked for; banded and
+    real-arithmetic tables agree to roundoff, not bitwise.
 
     Raises EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite.
@@ -194,7 +183,7 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
         raise ValueError("chains must be 'pq', 'p' or 'q'")
     zs = np.asarray(zs, dtype=complex)
     npts, k = zs.shape[0], len(chains)
-    ztbsv = _ztbsv() if k * npts <= _BANDED_SOLVES else None
+    ztbsv = _ztbsv()
     # the banded solve needs zeroed right-hand sides; the loops write every entry
     R = (np.empty if ztbsv is None else np.zeros)((k, upto + 1, npts), dtype=complex)
     V = R.view(float).reshape(k, upto + 1, npts, 2)  # [chain, n, point, re|im]
@@ -514,18 +503,15 @@ class Evaluator:
     def tables(self, zs) -> List[PointTable]:
         """Point tables for every point of the sequence ``zs``, in order.
 
-        Cached tables are looked up.  The misses are computed in recurrence
-        calls of at most ``_BANDED_SOLVES // 2`` points and enter the
-        cache; each call is then a banded batch, so a cached table does not
-        depend on its batch.
+        Cached tables are looked up; the misses are computed in one
+        recurrence call and enter the cache.
         """
         keys = [complex(z) for z in zs]
         cache = self._cache
         misses = list(dict.fromkeys(z for z in keys if z not in cache))
-        step = _BANDED_SOLVES // 2
-        for lo in range(0, len(misses), step):
-            P, Q = self._recurrence(misses[lo:lo + step], self.top)
-            for tab in self._finish_tables(misses[lo:lo + step], P, Q):
+        if misses:
+            P, Q = self._recurrence(misses, self.top)
+            for tab in self._finish_tables(misses, P, Q):
                 cache[tab.z] = tab
         for z in keys:
             cache.move_to_end(z)

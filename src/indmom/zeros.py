@@ -70,17 +70,24 @@ _TINY = float(np.finfo(np.float64).tiny)  # LAPACK's DLAMCH('S')
 
 @dataclass(frozen=True)
 class RootScanConfig:
-    """Window and node tolerance for real zero sets."""
+    """Window and node tolerance for real zero sets.
+
+    The window's bounds must be finite with lo < hi, and ``refine_tol``
+    finite and positive; the constructor raises ValueError otherwise.
+    """
 
     window: Tuple[float, float]
     refine_tol: float = 1e-11
 
     def __post_init__(self):
         lo, hi = self.window
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"window bounds must be finite, got {lo}:{hi}")
         if not lo < hi:
             raise ValueError("window must satisfy lo < hi")
-        if not self.refine_tol > 0:
-            raise ValueError("refine_tol must be positive")
+        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):
+            raise ValueError("refine_tol must be finite and positive, "
+                             f"got {self.refine_tol}")
 
 
 @dataclass(frozen=True)
@@ -398,8 +405,9 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     """Values of line functions at real or complex points, one row each.
 
     The functions share one evaluator and kind, so rows L and L+1 of one
-    table of that kind serve them all; a value depends on its point and on
-    the table kernel the batch size selects, not on the other points.
+    table of that kind serve them all; a value depends only on its point
+    and on the route (banded solves or the fallback), not on the other
+    points.
     Their coefficients are real, so f(conj z) = conj f(z): each point is
     evaluated once, at the member of its conjugate pair with Im >= 0 (-0.0
     taken as +0.0), and a point below the axis gets the conjugate of that

@@ -106,11 +106,13 @@ class TestMembership:
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
     def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
-        code, out, err = run_cli(["--nmax", "200", "membership", "p(0.5)",
-                                  "--tol", tol], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("usage error: membership tolerance must be "
-                              "finite and positive")
+        # the zero vector goes through the same verdict as any other
+        for spec in ("p(0.5)", "p(0.5)-p(0.5)"):
+            code, out, err = run_cli(["--nmax", "200", "membership", spec,
+                                      "--tol", tol], capsys)
+            assert code == 2 and out == "", spec
+            assert err.startswith("usage error: membership tolerance must be "
+                                  "finite and positive"), spec
 
     def test_lower_basepoint_is_usage_error(self, capsys):
         code, _, err = run_cli(["--z0", "0.5-1i", "membership", "p(0.5)"], capsys)
@@ -165,6 +167,11 @@ class TestZeros:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:") and "finite" in err
+
+    def test_infinite_window_is_usage_error(self, capsys):
+        code, out, err = run_cli(["--window=-inf:inf", "zeros", "B"], capsys)
+        assert code == 2 and out == ""
+        assert err == "usage error: window bounds must be finite, got -inf:inf\n"
 
     def test_failed_eigensolve_exits_3(self, monkeypatch, capsys):
         def fail(d, e):
@@ -295,6 +302,21 @@ class TestConfigFile:
         code, out, _ = run_cli(["--config", cfg, "--c", "3", "--nmax", "100",
                                 "eval", "1"], capsys)
         assert code == 0 and "problem=power_law(c=3)" in out
+
+    @pytest.mark.parametrize("text, command, message", [
+        ("window = -inf:inf\n", "support", "window bounds must be finite"),
+        ("window = 3:1\n", "support", "window must satisfy lo < hi"),
+        ("refine_tol = inf\n", "zeros", "refine_tol must be finite and positive"),
+        ("refine_tol = 0\n", "zeros", "refine_tol must be finite and positive"),
+    ], ids=["infinite-window", "reversed-window", "infinite-refine-tol",
+            "zero-refine-tol"])
+    def test_bad_scan_setting_is_usage_error(self, tmp_path, capsys, text, command,
+                                             message):
+        cfg = self._config(tmp_path, "[scan]\n" + text)
+        args = ["--config", cfg, command] + (["B"] if command == "zeros" else [])
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {message}")
 
     def test_file_and_flag_settings_both_apply(self, tmp_path, capsys):
         cfg = self._config(tmp_path, "[truncation]\nn_max = 150\n")

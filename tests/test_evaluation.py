@@ -267,23 +267,26 @@ class TestRecurrenceKernel:
         assert [T is None for T in tabs] == ["pq"[k] not in chains for k in range(2)]
 
     @pytest.mark.parametrize("chains", ["pq", "p"])
-    def test_large_batches_run_the_array_loop(self, chains, monkeypatch):
+    def test_large_batches_are_banded(self, chains, monkeypatch):
         calls = _counting_ztbsv(monkeypatch)
         a, b = _source("c=2").arrays(120)
-        most = evaluation._BANDED_SOLVES // len(chains)
-        zs = _disk_points(6, most - 5)                     # most + 1 points
-        small = evaluation.recurrence_batch(a, b, zs[:most], 120, chains)
-        assert len(calls) == most * len(chains)
+        # 384 // len(chains) + 1 points: one past the 384 (chain, point)
+        # pairs above which the kernel once switched to the array loop
+        npts = {"pq": 193, "p": 385}[chains]
+        zs = _disk_points(6, npts - 6)
         big = evaluation.recurrence_batch(a, b, zs, 120, chains)
-        assert len(calls) == most * len(chains)            # no solve for big
+        assert len(calls) == npts * len(chains)            # one solve per pair
+        one = [evaluation.recurrence_batch(a, b, zs[j:j + 1], 120, chains)
+               for j in range(npts)]
         monkeypatch.setattr(evaluation, "_ztbsv", lambda: None)
         loop = evaluation.recurrence_batch(a, b, zs, 120, chains)
-        for S, T, U in zip(small, big, loop):
-            assert (S is None) == (T is None) == (U is None)
+        for k, (T, U) in enumerate(zip(big, loop)):
+            assert (T is None) == (U is None)
             if T is not None:
-                assert T.tobytes() == U.tobytes()          # the array loop's bytes
-                scale = np.max(np.abs(S), axis=0)
-                assert (np.max(np.abs(T[:, :most] - S), axis=0) <= 1e-14 * scale).all()
+                for j in range(npts):
+                    assert T[:, j].tobytes() == one[j][k][:, 0].tobytes(), j
+                scale = np.max(np.abs(T), axis=0)
+                assert (np.max(np.abs(U - T), axis=0) <= 1e-14 * scale).all()
 
     @pytest.mark.parametrize("dps", [32, 40])
     @pytest.mark.parametrize("source", ["c=2", "c=3", "alternating_b"])
@@ -396,15 +399,14 @@ class TestTableCache:
         assert len(ev._cache) == 256
 
     def test_cached_tables_do_not_depend_on_the_batch(self, src, monkeypatch):
-        step = evaluation._BANDED_SOLVES // 2
         pol = TruncationPolicy(n_max=30)
-        zs = _disk_points(11, 2 * step + 5)[: 2 * step + 5]
+        zs = _disk_points(11, 389)[:389]
         for backend in ("default", "fallback"):
             with monkeypatch.context() as patch:
                 _use_backend(patch, backend)
                 calls = _counting(patch)
                 tabs = Evaluator(src, pol).tables(zs)
-                assert calls == [step, step, 5]            # banded batches only
+                assert calls == [389]                      # all misses in one call
                 for z, tab in zip(zs, tabs):
                     assert _same_table(tab, Evaluator(src, pol).table(z))
 

@@ -244,6 +244,8 @@ class TestNodeSets:
         assert len(xs) == 16
         alone = np.array([f([x])[0] for x in xs])
         assert f(xs).tobytes() == alone.tobytes()
+        crowded = f(np.concatenate([xs, np.linspace(-100.0, 100.0, 400)]))[:16]
+        assert crowded.tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("names", [("B", "D"), ("A", "C")])
     def test_values_match_the_series_on_strip_points(self, src, pol, names):
@@ -652,8 +654,7 @@ class TestCountZerosRect:
     def test_measure_strips_are_banded_batches(self, monkeypatch, c):
         # build_measure's contour strip has 545 samples (256 intervals on
         # each long side, 16 on each short one), and the first evaluation
-        # asks for the 273 with Im >= 0; every evaluation is one banded
-        # batch: at most _BANDED_SOLVES points of the one chain it reads
+        # asks for the 273 with Im >= 0 of the one chain it reads
         asked, strips = [], []
         batch, count = Evaluator.tables_batch, zeros.count_zeros_rect
 
@@ -675,7 +676,6 @@ class TestCountZerosRect:
             build_measure(JacobiCoefficients.power_law(c), ExtensionParam.parse(t),
                           cfg, TruncationPolicy(), auto_window=True)
         assert [strip[0] for strip in strips] == [273] * 3
-        assert max(n for strip in strips for n in strip) <= evaluation._BANDED_SOLVES
 
 
 def _boundary_distance(z: complex, rect) -> float:
