@@ -57,9 +57,10 @@ def _upper(rng: np.random.Generator, n: int,
     return rng.uniform(-3, 3, n) + 1j * rng.uniform(im_lo, im_hi, n)
 
 
-def _prefetch(config: RunConfig, *points, source=None) -> None:
+def _prefetch(config: RunConfig, *points, source=None,
+              precision: str = "standard") -> None:
     """Fill the shared table cache for all of a check's points in one batch."""
-    evaluator_for(source or config.problem, config.truncation).tables(
+    evaluator_for(source or config.problem, config.truncation, precision).tables(
         np.concatenate([np.ravel(p) for p in points]))
 
 
@@ -68,11 +69,11 @@ def _prefetch(config: RunConfig, *points, source=None) -> None:
 def _check_determinant(config: RunConfig) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 1)
     us, vs = _disk(rng, 3.0, 10), _disk(rng, 3.0, 10)
-    _prefetch(config, us, vs)
+    _prefetch(config, us, vs, precision=config.precision)
     worst = 0.0
     for u in us:
         for v in vs:
-            q = nev(config.problem, u, v, config.truncation)
+            q = nev(config.problem, u, v, config.truncation, config.precision)
             worst = max(worst, q.det_residual)
     return [CheckResult("01_determinant_identity", worst < 1e-9, worst, 1e-9,
                         "|AD-BC-1| on 10x10 grid, |u|,|v|<=3")]

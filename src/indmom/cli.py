@@ -148,7 +148,6 @@ def _cmd_eval(args, cfg: RunConfig) -> int:
         pair = f"{fmt_complex(u)},{fmt_complex(v)}"
         for name, val in zip("ABCD", q.as_tuple()):
             rep.add(f"{name}({pair})", complex(val), N=q.N, tol=pol.tail_tol)
-        rep.add(f"cross_err({pair})", q.cross_err, N=q.N)
     _emit(rep, cfg)
     return EXIT_OK
 

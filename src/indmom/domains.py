@@ -129,7 +129,9 @@ def residues(source: JacobiCoefficients, v: SeqVector, z0,
     alpha = np.sum(w_plus[:cut] * p_conj[:cut]) / denom
     w_minus = jv - z0 * vv
     beta = np.sum(w_minus[:cut] * tab.p[:cut]) / (-denom)
-    return Residues(z0=z0, alpha=complex(alpha), beta=complex(beta),
+    # + 0j turns a -0 part (a zero sum over -denom) into +0; any other
+    # part keeps its bits
+    return Residues(z0=z0, alpha=complex(alpha) + 0j, beta=complex(beta) + 0j,
                     norm_input=v.norm(), N=L)
 
 

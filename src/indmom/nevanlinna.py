@@ -1,18 +1,16 @@
 """The Nevanlinna functions A, B, C, D of one and two variables.
 
-Two independent computational forms are kept side by side at every
-truncation index n:
-
-* series form: ``A_n(u,v) = (u-v) sum_{k<=n} q_k(u) q_k(v)`` and its three
-  companions (the B/C series carry the constants -1 and +1);
-* Casorati form: 2x2 determinants in consecutive p/q values scaled by a_n,
-  e.g. ``D_n(u,v) = a_n (p_{n+1}(u) p_n(v) - p_n(u) p_{n+1}(v))``.
-
-The forms agree identically in exact arithmetic, which is the backbone
-cross-check of the module.  All full evaluations are taken at the shared
-level L = policy.n_max so that the determinant identity A D - B C = 1, the
-three-point composition formulas, the one-variable reconstruction and the
-transfer-matrix cocycle hold to roundoff.
+Every value is the Casorati ("corner") form at its truncation index n, a
+2x2 determinant in consecutive p/q values scaled by a_n, e.g.
+``D_n(u,v) = a_n (p_{n+1}(u) p_n(v) - p_n(u) p_{n+1}(v))``: four table
+entries per function.  The series form ``A_n(u,v) = (u-v) sum_{k<=n}
+q_k(u) q_k(v)`` and its three companions (the B/C series carry the
+constants -1 and +1) agree with it identically in exact arithmetic; it is
+summed only by :func:`partial_quad_arrays`, the reference the acceptance
+suite compares the corner form with.  All full evaluations are taken at
+the shared level L = policy.n_max so that the determinant identity
+A D - B C = 1, the three-point composition formulas, the one-variable
+reconstruction and the transfer-matrix cocycle hold to roundoff.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ class NevQuad:
     C: complex
     D: complex
     N: int
-    cross_err: float
     converged: bool
 
     def as_tuple(self) -> Tuple[complex, complex, complex, complex]:
@@ -103,10 +100,10 @@ class ExtendedComplex:
 INFINITY = ExtendedComplex(None)
 
 
-# name -> (kind, anchor, offset): the series form
-#   X_n(u, v) = offset + (u - v) sum_{k<=n} T_k(u) S_k(v)
-# and the Casorati form
-#   X_n(u, v) = a_n (T_{n+1}(u) S_n(v) - T_n(u) S_{n+1}(v)),
+# name -> (kind, anchor, offset): the corner form
+#   X_n(u, v) = a_n (T_{n+1}(u) S_n(v) - T_n(u) S_{n+1}(v))
+# and the series form
+#   X_n(u, v) = offset + (u - v) sum_{k<=n} T_k(u) S_k(v),
 # with T the kind table at u and S the anchor table at v.
 SERIES_FORMS = {"A": ("q", "q", 0.0), "B": ("p", "q", -1.0),
                 "C": ("q", "p", 1.0), "D": ("p", "p", 0.0)}
@@ -118,46 +115,37 @@ def _forms(tu: PointTable, tv: PointTable) -> list:
             for kind, anchor, off in SERIES_FORMS.values()]
 
 
-def _quad(ev: Evaluator, u: complex, v: complex, upto: int, partial: bool):
-    """Series and Casorati values of A, B, C, D in turn, and their tables.
-
-    At index ``upto`` (series summed with np.dot), or with ``partial`` as
-    arrays over every n <= upto (series summed with np.cumsum).  Extended
-    tables combine at their precision inside ``working_precision``.
-    """
-    forms = _forms(*ev.tables([u, v]))
-    s = slice(0, upto + 1)
-    n, n1 = (s, slice(1, upto + 2)) if partial else (upto, upto + 1)
-    ser, cas = [], []
-    for T, S, off in forms:
-        val = (u - v) * (np.cumsum(T[s] * S[s]) if partial else np.dot(T[s], S[s]))
-        # A and D carry no constant: adding 0.0 would flip a zero's sign
-        ser.append(off + val if off else val)
-        cas.append(ev.a[n] * (T[n1] * S[n] - T[n] * S[n1]))
-    return ser, cas, forms
+def _corners(a: np.ndarray, forms: list, n, n1) -> list:
+    """Corner values of A, B, C, D at index n, with n1 = n + 1 (or slices)."""
+    return [a[n] * (T[n1] * S[n] - T[n] * S[n1]) for T, S, _ in forms]
 
 
 def partial_quad_arrays(source: JacobiCoefficients, u, v, upto: int,
                         policy: TruncationPolicy
                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """Series and Casorati partial values for every n <= upto.
+    """Series and corner partial values for every n <= upto.
 
-    Returns two arrays of shape (4, upto+1) ordered (A_n, B_n, C_n, D_n).
+    Returns two arrays of shape (4, upto+1) ordered (A_n, B_n, C_n, D_n):
+    the series summed with np.cumsum, then the corner form.  This is the
+    one place the series is summed; :func:`nev` returns the corner form.
     """
     ev = evaluator_for(source, policy)
     if not 0 <= upto <= ev.level:
         raise ValueError(f"upto={upto} outside 0..{ev.level}")
-    ser, cas, _ = _quad(ev, complex(u), complex(v), upto, partial=True)
-    return np.stack(ser), np.stack(cas)
+    u, v = complex(u), complex(v)
+    forms = _forms(*ev.tables([u, v]))
+    s = slice(0, upto + 1)
+    ser = []
+    for T, S, off in forms:
+        val = (u - v) * np.cumsum(T[s] * S[s])
+        # A and D carry no constant: adding 0.0 would flip a zero's sign
+        ser.append(off + val if off else val)
+    return np.stack(ser), np.stack(_corners(ev.a, forms, s, slice(1, upto + 2)))
 
 
 def nev_partial(source: JacobiCoefficients, u, v, n: int,
                 policy: TruncationPolicy) -> NevQuad:
-    """Partial functions A_n..D_n in both forms; series values are returned.
-
-    ``cross_err`` is the max absolute discrepancy between the series and
-    Casorati forms over the four functions.
-    """
+    """Partial functions A_n..D_n in the corner form."""
     ev = evaluator_for(source, policy)
     if not 0 <= n <= ev.level:
         raise ValueError(f"partial index n={n} outside 0..{ev.level}")
@@ -168,10 +156,12 @@ def nev(source: JacobiCoefficients, u, v, policy: TruncationPolicy,
         precision: str = "standard") -> NevQuad:
     """Two-variable quadruple at the shared level L = policy.n_max.
 
-    ``converged`` reports whether all four series increments fell below
-    ``tail_tol * (1 + |value|)`` before the cap; values are the level-L
-    partial sums either way.  With ``precision="extended"`` the values are
-    mpmath numbers, computed from extended tables at their own precision.
+    Values are the corner form at L, four table entries per function.
+    ``converged`` reports whether all four series increments
+    ``|u - v| |T_L(u) S_L(v)|`` fell below ``tail_tol * (1 + |value|)``;
+    the values are the level-L ones either way.  With
+    ``precision="extended"`` the values are mpmath numbers, computed from
+    extended tables at their own precision.
     """
     ev = evaluator_for(source, policy, precision)
     return _nev_quad(ev, complex(u), complex(v), ev.level, flag=True)
@@ -179,15 +169,22 @@ def nev(source: JacobiCoefficients, u, v, policy: TruncationPolicy,
 
 def _nev_quad(ev: Evaluator, u: complex, v: complex, n: int,
               flag: bool) -> NevQuad:
-    """The partial quadruple at index n; ``flag`` runs :func:`nev`'s tail test."""
+    """The corner quadruple at index n; ``flag`` runs :func:`nev`'s tail test."""
     with working_precision(ev.precision):
-        ser, cas, forms = _quad(ev, u, v, n, partial=False)
-        cross = max(abs(s - c) for s, c in zip(ser, cas))
+        forms = _forms(*ev.tables([u, v]))
+        if u != v:
+            vals = _corners(ev.a, forms, n, n + 1)
+        elif ev.precision == "standard":
+            # the series' exact values: (u - v) times its sum vanishes
+            vals = [complex(off) for *_, off in forms]
+        else:
+            from mpmath import mpc
+            vals = [mpc(off) for *_, off in forms]
         w, tol = abs(u - v), ev.policy.tail_tol
         conv = not flag or all(w * abs(T[n] * S[n]) < tol * (1.0 + abs(val))
-                               for (T, S, _), val in zip(forms, ser))
-    return NevQuad(u=u, v=v, A=ser[0], B=ser[1], C=ser[2], D=ser[3],
-                   N=n, cross_err=float(cross), converged=bool(conv))
+                               for (T, S, _), val in zip(forms, vals))
+    return NevQuad(u=u, v=v, A=vals[0], B=vals[1], C=vals[2], D=vals[3],
+                   N=n, converged=bool(conv))
 
 
 def nev_one(source: JacobiCoefficients, u, policy: TruncationPolicy,
@@ -204,19 +201,15 @@ def reconstruct_two_var(source: JacobiCoefficients, u, v,
     Independent cross-check of :func:`nev`:
     A(u,v) = A(u)C(v) - A(v)C(u), B(u,v) = B(u)C(v) - A(v)D(u),
     C(u,v) = A(u)D(v) - B(v)C(u), D(u,v) = B(u)D(v) - B(v)D(u).
+    ``converged`` holds when both one-variable quadruples converged.
     """
     u, v = complex(u), complex(v)
-    Au, Bu, Cu, Du = nev_one(source, u, policy)
-    Av, Bv, Cv, Dv = nev_one(source, v, policy)
-    A2 = Au * Cv - Av * Cu
-    B2 = Bu * Cv - Av * Du
-    C2 = Au * Dv - Bv * Cu
-    D2 = Bu * Dv - Bv * Du
-    direct = nev(source, u, v, policy)
-    cross = max(abs(A2 - direct.A), abs(B2 - direct.B),
-                abs(C2 - direct.C), abs(D2 - direct.D))
-    return NevQuad(u=u, v=v, A=A2, B=B2, C=C2, D=D2, N=policy.n_max,
-                   cross_err=float(cross), converged=direct.converged)
+    qu, qv = nev(source, u, 0.0, policy), nev(source, v, 0.0, policy)
+    Au, Bu, Cu, Du = qu.as_tuple()
+    Av, Bv, Cv, Dv = qv.as_tuple()
+    return NevQuad(u=u, v=v, A=Au * Cv - Av * Cu, B=Bu * Cv - Av * Du,
+                   C=Au * Dv - Bv * Cu, D=Bu * Dv - Bv * Du, N=policy.n_max,
+                   converged=qu.converged and qv.converged)
 
 
 def three_point_residual(source: JacobiCoefficients, u, v, w,

@@ -80,6 +80,14 @@ def test_zero_set_checks_beyond_the_preset(case, tmp_path):
     assert not failed
 
 
+def test_extended_precision_reaches_the_determinant_check():
+    # in double precision 01 reads 3.4e-7 here: |AD| + |BC| reaches 3e9
+    config = RunConfig(problem=JacobiCoefficients.power_law(1.2),
+                       precision="extended")
+    (r,) = run_acceptance(config, only=["determinant"])
+    assert r.passed and r.measured < 1e-20, r.line()
+
+
 def test_near_point_checks_make_no_full_solve(monkeypatch):
     # 08a, 09 and 10a read the nodes next to a point: bisection slices only
     solves = []

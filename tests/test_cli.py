@@ -26,7 +26,7 @@ class TestEval:
         assert code == 0
         assert "cum_p2(1+0i)" in out
         assert "det_residual" in out
-        assert "cross_err(1+0i,0+0.5i)" in out  # two-variable pair block
+        assert "D(1+0i,0+0.5i)" in out  # two-variable pair block
         assert "[N=" in out  # every data line carries truncation metadata
 
     def test_reports_are_byte_identical(self, capsys):
@@ -90,6 +90,12 @@ class TestMembership:
         assert code == 0
         assert "degenerate_zero_vector = true" in out
         assert "in_DT = true" in out
+
+    def test_zero_vector_residues_read_plus_zero(self, capsys):
+        code, out, _ = run_cli(["membership", "p(0.5)-p(0.5)"], capsys)
+        assert code == 0
+        assert "residue_alpha = 0+0i [N=500]" in out
+        assert "residue_beta = 0+0i [N=500]" in out
 
     def test_eigenvector_truncation_rejected(self, capsys):
         code, out, _ = run_cli(["--nmax", "200", "membership", "p(0.7)"],

@@ -8,7 +8,8 @@ from indmom import (INFINITY, JacobiCoefficients, TruncationPolicy, mobius,
                     nev, nev_one, nev_partial, partial_quad_arrays,
                     reconstruct_two_var, three_point_residual,
                     tilde_relations_residual, transfer)
-from indmom.evaluation import evaluator_for
+from indmom.evaluation import evaluator_for, working_precision
+from indmom.nevanlinna import SERIES_FORMS
 
 # mpmath dps=50 partial sums, frozen: (A, B, C, D) at (u, v) = (1, -1), n = 50
 ORACLE_N50 = (2.4476339793768908, 1.7668524514546552,
@@ -18,12 +19,19 @@ ORACLE_ONEVAR_300 = (1.4222738636614701, 0.46007008703702163,
                      0.86667151011657641, 0.98344606677295040)
 
 
+def _series_gap(src, pol, q, n):
+    """Largest |corner - series| over A..D of q, the series from
+    partial_quad_arrays at index n."""
+    ser, _ = partial_quad_arrays(src, q.u, q.v, n, pol)
+    return np.max(np.abs(np.array(q.as_tuple()) - ser[:, n]))
+
+
 class TestDiagonalAndTrivia:
     @pytest.mark.parametrize("u", [0.0, 1.5, -0.3 + 2j])
     def test_diagonal_values(self, src, pol, u):
         q = nev(src, u, u, pol)
         assert (q.A, q.B, q.C, q.D) == (0.0, -1.0, 1.0, 0.0)
-        assert q.cross_err < 1e-12
+        assert _series_gap(src, pol, q, pol.n_max) < 1e-12
 
     def test_b0_is_minus_one(self, src, pol):
         q = nev_partial(src, 0.9 - 0.2j, 1.4 + 0.8j, 0, pol)
@@ -40,7 +48,7 @@ class TestOracles:
         for got, want in zip(q.as_tuple(), ORACLE_N50):
             assert got.real == pytest.approx(want, rel=1e-12)
             assert abs(got.imag) < 1e-14
-        assert q.cross_err < 1e-12
+        assert _series_gap(src, pol, q, 50) < 1e-12
 
     def test_one_variable_at_level_300(self, src):
         pol = TruncationPolicy(n_max=300)
@@ -117,6 +125,19 @@ def test_double_determinant_lemma(vals):
     assert abs(lhs - rhs) <= 1e-10 * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2.0, 3.0]),
+       st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+       st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
+def test_corner_form_matches_the_series_at_level(c, u, v):
+    src, pol = JacobiCoefficients.power_law(c), TruncationPolicy()
+    q = nev(src, u, v, pol)
+    ser, _ = partial_quad_arrays(src, u, v, pol.n_max, pol)
+    ser = ser[:, -1]
+    assert np.all(np.abs(np.array(q.as_tuple()) - ser)
+                  <= 1e-12 * (1 + np.abs(ser)))
+
+
 class TestExtendedPrecision:
     def test_extended_values_combine_at_their_precision(self):
         # the tables carry 32 digits; combined at 53 bits, |AD - BC - 1|
@@ -126,7 +147,16 @@ class TestExtendedPrecision:
         u, v = 2.5 + 0.3j, -2.8 + 0.2j
         q = nev(src, u, v, pol, "extended")
         assert mp.prec == 53
-        assert q.det_residual < 1e-25 and q.cross_err < 1e-25
+        # the series from the same tables, u - v taken in mpmath: formed
+        # in float64 it would hold the series to about 1e-16 relative
+        tu, tv = evaluator_for(src, pol, "extended").tables([u, v])
+        s = slice(0, pol.n_max + 1)
+        with working_precision("extended"):
+            d = mp.mpc(u) - mp.mpc(v)
+            ser = [off + d * np.dot(getattr(tu, k)[s], getattr(tv, a)[s])
+                   for k, a, off in SERIES_FORMS.values()]
+            gap = max(abs(x - y) for x, y in zip(q.as_tuple(), ser))
+        assert q.det_residual < 1e-25 and gap < 1e-25
         assert mp.prec == 53
         std = nev(src, u, v, pol)
         for x, y in zip(q.as_tuple(), std.as_tuple()):
@@ -153,7 +183,7 @@ class TestReconstruction:
 
     def test_matches_direct(self, src, pol):
         q = reconstruct_two_var(src, 1.0, -1.0, pol)
-        assert q.cross_err < 1e-9
+        assert _series_gap(src, pol, q, pol.n_max) < 1e-9
 
 
 class TestTransfer:
