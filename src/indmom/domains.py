@@ -28,7 +28,7 @@ import numpy as np
 from .coefficients import JacobiCoefficients
 from .errors import (BasepointError, InconclusiveMembershipError,
                      SupportPointError)
-from .evaluation import TruncationPolicy, evaluator_for
+from .evaluation import Evaluator, TruncationPolicy, evaluator_for
 from .measures import DiscreteMeasure, ExtensionParam, stieltjes
 from .nevanlinna import nev, nev_one
 from .sequences import SeqVector, apply_jacobi
@@ -114,25 +114,36 @@ def residues(source: JacobiCoefficients, v: SeqVector, z0,
              policy: TruncationPolicy) -> Residues:
     """Deficiency coefficients of v at basepoint z0 (Im z0 > 0)."""
     z0 = _require_upper(z0)
-    ev = evaluator_for(source, policy)
-    L = ev.level
-    tab = ev.table(z0)
-    norm2 = tab.norm_p2
+    return _residues(evaluator_for(source, policy), _applied(source, v), z0)
+
+
+def _applied(source: JacobiCoefficients,
+             v: SeqVector) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(J v, v zero-padded to the length of J v, ||v||): what residues read of v."""
     jv = apply_jacobi(source, v).entries          # indices 0..M+1
     vv = np.zeros(jv.size, dtype=complex)
     vv[: v.entries.size] = v.entries
-    cut = min(jv.size, L + 1)
+    return jv, vv, v.norm()
 
-    p_conj = np.conj(tab.p)                        # p_n(conj z0)
-    denom = 2j * z0.imag * norm2
+
+def _residues(ev: Evaluator, applied: Tuple[np.ndarray, np.ndarray, float],
+              z0: complex) -> Residues:
+    """:func:`residues` of a vector given as :func:`_applied`, z0 checked."""
+    jv, vv, norm_input = applied
+    L = ev.level
+    tab = ev.table(z0)
+    cut = min(jv.size, L + 1)
+    jv, vv, p = jv[:cut], vv[:cut], tab.p[:cut]
+
+    denom = 2j * z0.imag * tab.norm_p2
     w_plus = jv - np.conj(z0) * vv
-    alpha = np.sum(w_plus[:cut] * p_conj[:cut]) / denom
+    alpha = np.sum(w_plus * np.conj(p)) / denom    # p_n(conj z0) = conj p_n(z0)
     w_minus = jv - z0 * vv
-    beta = np.sum(w_minus[:cut] * tab.p[:cut]) / (-denom)
+    beta = np.sum(w_minus * p) / (-denom)
     # + 0j turns a -0 part (a zero sum over -denom) into +0; any other
     # part keeps its bits
     return Residues(z0=z0, alpha=complex(alpha) + 0j, beta=complex(beta) + 0j,
-                    norm_input=v.norm(), N=L)
+                    norm_input=norm_input, N=L)
 
 
 def s_r_coefficients(source: JacobiCoefficients, lam, z0,
@@ -158,7 +169,8 @@ def membership_DT(source: JacobiCoefficients, v: SeqVector, z0, tol: float,
                   policy: TruncationPolicy) -> MembershipVerdict:
     """Test membership in the closure domain via residues at two basepoints."""
     z0 = _require_upper(z0)
-    return _verdict([residues(source, v, bp, policy).scaled()
+    ev, applied = evaluator_for(source, policy), _applied(source, v)
+    return _verdict([_residues(ev, applied, bp).scaled()
                      for bp in (z0, second_basepoint(z0))], tol, "DT")
 
 
@@ -218,13 +230,11 @@ def membership_DTt(source: JacobiCoefficients, v: SeqVector, t: ExtensionParam,
     of (alpha, beta) pairs vanishes.  Verified at two basepoints.
     """
     z0 = _require_upper(z0)
-    gen = extension_generator(source, t, policy)
-    nv = v.norm()
-    scaled = []
-    for bp in (z0, second_basepoint(z0)):
-        r = residues(source, v, bp, policy)
-        g = residues(source, gen, bp, policy)
-        scaled.append(_cross_residual(r, g, nv))
+    ev = evaluator_for(source, policy)
+    av = _applied(source, v)
+    ag = _applied(source, extension_generator(source, t, policy))
+    scaled = [_cross_residual(_residues(ev, av, bp), _residues(ev, ag, bp), av[2])
+              for bp in (z0, second_basepoint(z0))]
     return _verdict(scaled, tol, f"DTt({t})")
 
 

@@ -18,26 +18,39 @@ stop index prescribed by the policy (smallest N with
 computed per point and reported as convergence metadata; ``eval_pq``
 returns arrays sliced at that adaptive index, which is its contract.
 
-Every cached point table comes from :meth:`Evaluator.tables`.  The
-standard backend, :func:`recurrence_batch`, returns complex128 tables.
-Where numpy's bundled OpenBLAS provides BLAS ``ztbsv``, each chain at each
-point of every batch is one lower triangular banded solve of the
-recurrence.  Where ``ztbsv`` does not load, the fallback runs the
-recurrence in explicit real arithmetic, by a per-point loop on Python
-floats for small batches and by the same operations as numpy ufuncs for
-large ones; the two loops are bitwise equal.  On either route a point's
-table depends only on the point, not on its batch; the two routes agree
-to roundoff.  The extended backend,
-:func:`recurrence_mp`, runs the same real-arithmetic recurrence one point
-at a time on Python integers: the points and coefficients are float64, so
+Layout
+------
+Both backends fill one point-major block of shape ``(chains, points,
+upto+1)``: each chain at each point is one contiguous row.  The standard
+backend, :func:`_solve_block`, fills it with complex128 values.  Where
+numpy's bundled OpenBLAS provides BLAS ``ztbsv``, each row is one lower
+triangular banded solve of the recurrence at unit stride.  Where ``ztbsv``
+does not load, the fallback runs the recurrence in explicit real
+arithmetic, by a per-point loop on Python floats for small batches and by
+the same operations as numpy ufuncs for large ones; the two loops are
+bitwise equal.  On either route a row depends only on its point, not on
+its batch; the two routes agree to roundoff.  The extended backend,
+:func:`_mp_block`, runs the same real-arithmetic recurrence one point at a
+time on Python integers: the points and coefficients are float64, so
 exact dyadic rationals, and each step keeps ``_GUARD_BITS`` bits beyond
 mpmath's binary precision at ``dps`` digits, rounding to nearest after
-each division by ``a_n``.  Its entries are mpmath ``mpc`` numbers, each
-rounded once to that precision.  Evaluators run it at ``EXTENDED_DPS``
-digits, and arithmetic on their entries runs at the same precision inside
-:func:`working_precision`.  Either backend returns the p table, the q
-table or both (``chains``); all but the fallback's point loop compute only
-the tables returned.
+each division by ``a_n``.  The integer chain hands each value straight to
+the rounding step, which emits its mpmath ``mpc`` entry, rounded once to
+that precision, and in the same pass its squared modulus from the rounded
+mantissas.  Evaluators run it at ``EXTENDED_DPS`` digits, and arithmetic
+on their entries runs at the same precision inside
+:func:`working_precision`.  Either backend computes the p rows, the q rows
+or both (``chains``); all but the fallback's point loop compute only the
+rows returned.
+
+Point tables are finished from the block in one pass over the batch
+(:meth:`Evaluator._finish_tables`): the squared moduli (``np.abs(R) ** 2``
+in standard precision, the backend's in extended), one cumulative sum
+along the rows and the stop indices of all points at once; each table then
+copies its rows.  :func:`recurrence_batch` and
+:meth:`Evaluator.tables_batch` return chain-major tables of shape
+``(upto+1, points)``, one transpose copy of the block;
+:func:`recurrence_mp` returns the block's rows at its one point.
 """
 
 from __future__ import annotations
@@ -47,7 +60,7 @@ import ctypes
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -124,10 +137,10 @@ class PolyEval:
 class PointTable:
     """Internal: full-level recurrence data at one point.
 
-    Read-only arrays run through index ``level + 8``: the Casorati forms
-    read index ``level + 1`` and the p/q truncations of the membership
-    tests end at ``level + 8``.  ``cums`` are cumulative sums of
-    ``|p_k|^2`` / ``|q_k|^2`` through each index.
+    Read-only arrays, each owning its data, run through index ``level +
+    8``: the Casorati forms read index ``level + 1`` and the p/q
+    truncations of the membership tests end at ``level + 8``.  ``cums``
+    are cumulative sums of ``|p_k|^2`` / ``|q_k|^2`` through each index.
     """
 
     z: complex
@@ -164,17 +177,35 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     """p/q tables: shape (upto+1, len(zs)), complex128, C-contiguous.
 
     ``chains`` ("pq", "p" or "q") selects the tables returned; the other is
-    None, and only the chains asked for are computed.  Where numpy's
-    OpenBLAS provides BLAS ``ztbsv``, each (chain, point) table is one lower
-    banded triangular solve (:func:`_banded_solve`).  Otherwise the
-    recurrence runs in explicit real arithmetic with the same IEEE
-    operations in the same order, for example
+    None, and only the chains asked for are computed.  The tables are one
+    transpose copy of :func:`_solve_block`'s block, so column j is bitwise
+    that block's row for point j.
+    """
+    return _pick(chains, _solve_block(a, b, zs, upto, chains, chain_major=True))
+
+
+def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
+                 chains: str, chain_major: bool = False) -> np.ndarray:
+    """p/q values as a point-major block: shape (len(chains), len(zs), upto+1).
+
+    Row ``[c, j]`` is chain ``chains[c]`` at ``zs[j]``, contiguous,
+    complex128.  Where numpy's OpenBLAS provides BLAS ``ztbsv``, each row
+    is one lower banded triangular solve (:func:`_banded_solve`).
+    Otherwise the recurrence runs in explicit real arithmetic with the same
+    IEEE operations in the same order, for example
     ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
     with ``xb = x - b_n``: batches of at most ``_SCALAR_BATCH`` points on
     Python floats per point, larger ones as in-place ufuncs over the batch.
-    On a given route a point's table is bitwise the same whatever batch
+    On a given route a point's row is bitwise the same whatever batch
     computed it and whichever chains were asked for; banded and
-    real-arithmetic tables agree to roundoff, not bitwise.
+    real-arithmetic rows agree to roundoff, not bitwise.
+
+    With ``chain_major`` the result is instead the block's transpose copy,
+    shape (len(chains), upto+1, len(zs)), C-contiguous.  The copy and the
+    block share one allocation: as two allocations of that size, freed
+    together, they crossed glibc malloc's trim threshold, which handed the
+    memory back to the system after every call, and the next call faulted
+    it in again.
 
     Raises EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite.
@@ -182,26 +213,32 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     if chains not in _CHAINS:
         raise ValueError("chains must be 'pq', 'p' or 'q'")
     zs = np.asarray(zs, dtype=complex)
-    npts, k = zs.shape[0], len(chains)
+    npts, k, n = zs.shape[0], len(chains), upto + 1
+    size = k * npts * n
     ztbsv = _ztbsv()
-    # the banded solve needs zeroed right-hand sides; the loops write every entry
-    R = (np.empty if ztbsv is None else np.zeros)((k, upto + 1, npts), dtype=complex)
-    V = R.view(float).reshape(k, upto + 1, npts, 2)  # [chain, n, point, re|im]
+    buf = np.empty((2 if chain_major else 1) * size, dtype=complex)
+    R = buf[buf.size - size:].reshape(k, npts, n)
+    V = R.view(float).reshape(k, npts, n, 2)          # [chain, point, n, re|im]
     if ztbsv is not None:
+        R.fill(0.0)             # the banded solve needs zeroed right-hand sides
         _banded_solve(ztbsv, a, b, zs, upto, R, chains)
     elif npts <= _SCALAR_BATCH:
         al, bl = a[:upto].tolist(), b[:upto].tolist()
         for j, z in enumerate(zs.tolist()):
             pr, pi, qr, qi = _point_loop(al, bl, z.real, z.imag, upto)
             for c, chain in enumerate(chains):
-                V[c, :, j, 0], V[c, :, j, 1] = (pr, pi) if chain == "p" else (qr, qi)
+                V[c, j, :, 0], V[c, j, :, 1] = (pr, pi) if chain == "p" else (qr, qi)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
             _array_loop(a, b, zs, upto, V, chains)
     if R.size and not (-_OVERFLOW_LIMIT <= V.min() and V.max() <= _OVERFLOW_LIMIT):
         raise EvaluationOverflowError(
             "evaluation overflow; reduce |z| or use higher precision")
-    return _pick(chains, R)
+    if not chain_major:
+        return R
+    T = buf[:size].reshape(k, n, npts)
+    np.copyto(T, R.transpose(0, 2, 1))
+    return T
 
 
 def _ztbsv():
@@ -211,7 +248,7 @@ def _ztbsv():
 
 def _banded_solve(ztbsv, a: np.ndarray, b: np.ndarray, zs: np.ndarray,
                   upto: int, R: np.ndarray, chains: str) -> None:
-    """Fill the zeroed ``R[chain, :, point]`` by one ``ztbsv`` call each.
+    """Fill the zeroed rows ``R[chain, point]`` by one ``ztbsv`` call each.
 
     p and q solve the lower triangular system whose row 0 is ``v_0`` and
     whose row n+1 is ``a_n v_{n+1} + (b_n - z) v_n + a_{n-1} v_{n-1}``,
@@ -219,7 +256,7 @@ def _banded_solve(ztbsv, a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     (``a_0 q_1 = 1``).  Its band, stored column-major with leading
     dimension 3, holds ``(a_{j-1}, b_j - z, a_j)`` in column j (1 in place
     of ``a_{-1}``); only the middle row depends on z.  Each solution
-    overwrites its right-hand side in place, read with stride ``len(zs)``.
+    overwrites its right-hand side, a contiguous row, in place.
     """
     n, npts = upto + 1, zs.shape[0]
     band = np.zeros((n, 3), dtype=complex)
@@ -229,15 +266,15 @@ def _banded_solve(ztbsv, a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     shift = band[:upto, 1]
     for c, chain in enumerate(chains):
         if chain == "p":
-            R[c, 0] = 1.0
+            R[c, :, 0] = 1.0
         elif upto >= 1:
-            R[c, 1] = 1.0
-    size, k, lda, inc = (ctypes.c_int64(v) for v in (n, 2, 3, npts))
-    A, x0, step = band.ctypes.data, R.ctypes.data, R.itemsize
+            R[c, :, 1] = 1.0
+    size, k, lda, inc = (ctypes.c_int64(v) for v in (n, 2, 3, 1))
+    A, x0, step = band.ctypes.data, R.ctypes.data, n * R.itemsize
     for j, z in enumerate(zs.tolist()):
         np.subtract(b[:upto], z, out=shift)
         for c in range(len(chains)):
-            ztbsv(b"L", b"N", b"N", size, k, A, lda, x0 + (c * n * npts + j) * step, inc)
+            ztbsv(b"L", b"N", b"N", size, k, A, lda, x0 + (c * npts + j) * step, inc)
 
 
 def _point_loop(al: List[float], bl: List[float], x: float, y: float,
@@ -291,9 +328,9 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
         elif upto >= 1:
             cur[0, c] = 1.0 / a[0]
             cur[1, c] = 0.0 / a[0]
-    V[:, 0, :, 0], V[:, 0, :, 1] = prev
+    V[:, :, 0, 0], V[:, :, 0, 1] = prev
     if upto >= 1:
-        V[:, 1, :, 0], V[:, 1, :, 1] = cur
+        V[:, :, 1, 0], V[:, :, 1, 1] = cur
     xb, t = np.empty(shape), np.empty(shape)
     for n in range(1, upto):
         np.subtract(x, b[n], out=xb)
@@ -303,7 +340,7 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
         np.multiply(a[n - 1], prev, out=t)
         np.subtract(new, t, out=new)
         np.divide(new, a[n], out=new)
-        V[:, n + 1, :, 0], V[:, n + 1, :, 1] = new
+        V[:, :, n + 1, 0], V[:, :, n + 1, 1] = new
         prev, cur, new = cur, new, prev
 
 
@@ -311,37 +348,52 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
                   chains: str = "pq") -> Pair:
     """Extended-precision p/q arrays at one point: object arrays of mpmath mpc.
 
-    The point loop's recurrence, run on Python integers.  ``z`` and the
+    The entries of :func:`_mp_block` at the one point ``z``.  ``chains``
+    works as in :func:`recurrence_batch`.
+
+    Raises EvaluationOverflowError if z or a coefficient is not finite.
+    """
+    R, _ = _mp_block(a, b, [complex(z)], upto, dps, chains, squares=False)
+    return _pick(chains, R[:, 0])
+
+
+def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int, chains: str,
+              squares: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Extended-precision block and its squared moduli, point by point.
+
+    Both have shape (len(chains), len(zs), upto+1): mpmath ``mpc`` entries
+    (object dtype) and floats; without ``squares`` the second is None.  The
+    point loop's recurrence runs on Python integers.  The points and the
     coefficients are float64, so exact dyadic rationals; each value is an
     integer pair (Re, Im) times a power of two, and the current and
     previous values of a chain share that exponent.  A step computes
     ``a_n v_{n+1}`` exactly, divides by ``a_n`` keeping ``prec +
     _GUARD_BITS`` bits, where ``prec`` is mpmath's binary precision at
-    ``dps`` digits, and rounds to nearest.  Each entry is rounded to
-    nearest at ``prec`` bits once, when the ``mpc`` is made.  ``chains``
-    works as in :func:`recurrence_batch`.
+    ``dps`` digits, and rounds to nearest.  Each value goes straight to
+    :func:`_round_chain`, which rounds it to nearest at ``prec`` bits once
+    and, with ``squares``, takes its squared modulus from the rounded parts
+    (inf beyond the float range).
 
-    Raises EvaluationOverflowError if z or a coefficient is not finite.
+    Raises EvaluationOverflowError if a point or a coefficient is not finite.
     """
-    from mpmath import mp
-    from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+    from mpmath.libmp import dps_to_prec
 
     if chains not in _CHAINS:
         raise ValueError("chains must be 'pq', 'p' or 'q'")
-    z, a, b = complex(z), a[:upto], b[:upto]
-    if not (np.isfinite(z) and np.isfinite(a).all() and np.isfinite(b).all()):
+    zs, a, b = np.asarray(zs, dtype=complex).reshape(-1), a[:upto], b[:upto]
+    if not (np.isfinite(zs).all() and np.isfinite(a).all() and np.isfinite(b).all()):
         raise EvaluationOverflowError(
             "evaluation overflow: the point or a coefficient is not finite")
     prec = dps_to_prec(dps)
-    steps = _integer_steps(a, b, z, prec + _GUARD_BITS)
-    make, rnd = mp.make_mpc, round_nearest
-    out = []
-    for chain in chains:
-        col = np.empty(upto + 1, dtype=object)
-        col[:] = [make((from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)))
-                  for re, im, e in _integer_chain(steps, chain)]
-        out.append(col)
-    return _pick(chains, out)
+    shape = (len(chains), zs.size, upto + 1)
+    R, R2 = np.empty(shape, dtype=object), (np.empty(shape) if squares else None)
+    for j, z in enumerate(zs.tolist()):
+        steps = _integer_steps(a, b, z, prec + _GUARD_BITS)
+        for c, chain in enumerate(chains):
+            R[c, j], sq = _round_chain(_integer_chain(steps, chain), prec, squares)
+            if squares:
+                R2[c, j] = sq
+    return R, R2
 
 
 def _dyadics(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -372,12 +424,11 @@ def _integer_steps(a: np.ndarray, b: np.ndarray, z: complex,
             for bn, am, d, f in zip(B, A, m[3: n + 3].tolist(), e[3: n + 3].tolist())]
 
 
-def _integer_chain(steps: List[Tuple[int, ...]],
-                   chain: str) -> List[Tuple[int, int, int]]:
-    """(Re, Im, e) with v_n = (Re + i Im) * 2**e for v = p or q, n = 0..upto."""
+def _integer_chain(steps: List[Tuple[int, ...]], chain: str):
+    """Yields (Re, Im, e) with v_n = (Re + i Im) * 2**e for v = p or q, n = 0..upto."""
     # v_{-1} = 0 for p and -1 for q, so the first step gives p_1 and q_1
     re, im, rep, imp, e = (1, 0, 0, 0, 0) if chain == "p" else (0, 0, -1, 0, 0)
-    out = [(re, im, e)]
+    yield re, im, e
     for X, Y, A, d, bits, de in steps:
         nre = X * re - Y * im - A * rep
         nim = X * im + Y * re - A * imp
@@ -400,8 +451,44 @@ def _integer_chain(steps: List[Tuple[int, ...]],
         else:                                   # v_{n+1} = 0 at the same e
             rep, imp = re, im
         re, im = nre, nim
-        out.append((re, im, e))
-    return out
+        yield re, im, e
+
+
+def _round_chain(values: Iterable[Tuple[int, int, int]], prec: int,
+                 squares: bool = True) -> Tuple[list, Optional[List[float]]]:
+    """mpc entries and squared moduli of values (Re + i Im) * 2**e.
+
+    Each part is rounded to nearest at ``prec`` bits, ties to even, by
+    mpmath's ``normalize``: the same raw mpf as ``from_man_exp(part, e,
+    prec, round_nearest)``.  The squared modulus is computed exactly from
+    the rounded parts and rounded once (:func:`_square_sum`); without
+    ``squares`` none is computed and the second result is None.
+    """
+    from mpmath import mp
+    from mpmath.libmp import normalize, round_nearest
+
+    make, rnd = mp.make_mpc, round_nearest
+    out, sq = [], ([] if squares else None)
+    for re, im, e in values:
+        r = (normalize(1, -re, e, (-re).bit_length(), prec, rnd) if re < 0
+             else normalize(0, re, e, re.bit_length(), prec, rnd))
+        i = (normalize(1, -im, e, (-im).bit_length(), prec, rnd) if im < 0
+             else normalize(0, im, e, im.bit_length(), prec, rnd))
+        out.append(make((r, i)))
+        if squares:
+            sq.append(_square_sum(r[1], r[2], i[1], i[2]))
+    return out, sq
+
+
+def _square_sum(m: int, e: int, n: int, f: int) -> float:
+    """(m * 2**e)**2 + (n * 2**f)**2 rounded once to a float; inf beyond its range."""
+    if e > f:
+        m, e, n, f = n, f, m, e
+    s, k = m * m + (n * n << 2 * (f - e)), 2 * e      # the sum is s * 2**k exactly
+    try:
+        return s / (1 << -k) if k < 0 else float(s << k)  # int division rounds once
+    except OverflowError:
+        return math.inf
 
 
 def abs2(x: np.ndarray) -> np.ndarray:
@@ -413,10 +500,7 @@ def abs2(x: np.ndarray) -> np.ndarray:
     extended-precision table can reach it) or an entry is not finite.
     """
     if x.dtype == object:
-        try:
-            out = np.array([_mpc_abs2(v) for v in x.flat]).reshape(x.shape)
-        except OverflowError:
-            out = np.full(x.shape, np.inf)
+        out = np.array([_mpc_abs2(v) for v in x.flat], dtype=float).reshape(x.shape)
     else:
         out = np.abs(x) ** 2
     if not np.isfinite(out).all():
@@ -430,10 +514,7 @@ def _mpc_abs2(v) -> float:
     (_, m, e, _), (_, n, f, _) = v._mpc_
     if (not m and e) or (not n and f):                # mpmath's special values
         return math.nan
-    if e > f:
-        m, e, n, f = n, f, m, e
-    s, k = m * m + (n * n << 2 * (f - e)), 2 * e      # |v|^2 = s * 2**k exactly
-    return s / (1 << -k) if k < 0 else float(s << k)  # int division rounds once
+    return _square_sum(m, e, n, f)
 
 
 def working_precision(precision: str):
@@ -471,24 +552,27 @@ class Evaluator:
         self.a, self.b = source.arrays(self.top)
         self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
 
-    def _recurrence(self, zs, upto: int, chains: str = "pq") -> Pair:
-        """(P, Q) tables of shape (upto+1, len(zs)) at the evaluator's precision.
+    def _recurrence(self, zs, upto: int, chains: str = "pq", chain_major: bool = False,
+                    squares: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """(R, R2): the point-major block through index upto and its squares.
 
-        The one place that chooses between the complex128 batch kernel and
-        the per-point integer kernel (object dtype of mpmath ``mpc``).
-        ``chains`` selects the tables computed, as in
-        :func:`recurrence_batch`.
+        The one place that chooses between the complex128 batch kernel
+        (:func:`_solve_block`) and the per-point integer kernel
+        (:func:`_mp_block`, object dtype of mpmath ``mpc``).  R has shape
+        (len(chains), len(zs), upto+1); with ``chain_major`` it is instead
+        the block's transpose copy, shape (len(chains), upto+1, len(zs)),
+        C-contiguous.  R2 holds the block's squared moduli when ``squares``
+        is set, else None: one ``np.abs(R) ** 2`` pass (the expression
+        :func:`abs2` uses) in standard precision, the extended kernel's own
+        in extended.
         """
         a, b = self.source.arrays(max(upto, 1))
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         if self.precision == "standard":
-            return recurrence_batch(a, b, zs, upto, chains)
-        tabs = {c: np.empty((upto + 1, zs.size), dtype=object) for c in chains}
-        for j, z in enumerate(zs):
-            for c, col in zip("pq", recurrence_mp(a, b, z, upto, EXTENDED_DPS, chains)):
-                if col is not None:
-                    tabs[c][:, j] = col
-        return tabs.get("p"), tabs.get("q")
+            R = _solve_block(a, b, zs, upto, chains, chain_major)
+            return R, (np.abs(R) ** 2 if squares else None)
+        R, R2 = _mp_block(a, b, zs, upto, EXTENDED_DPS, chains, squares)
+        return (np.ascontiguousarray(R.transpose(0, 2, 1)) if chain_major else R), R2
 
     # -- point tables ------------------------------------------------------
 
@@ -510,8 +594,8 @@ class Evaluator:
         cache = self._cache
         misses = list(dict.fromkeys(z for z in keys if z not in cache))
         if misses:
-            P, Q = self._recurrence(misses, self.top)
-            for tab in self._finish_tables(misses, P, Q):
+            R, R2 = self._recurrence(misses, self.top, squares=True)
+            for tab in self._finish_tables(misses, R, R2):
                 cache[tab.z] = tab
         for z in keys:
             cache.move_to_end(z)
@@ -525,31 +609,43 @@ class Evaluator:
 
         ``chains`` selects the tables computed; the other is None.
         """
-        return self._recurrence(zs, self.level + 1, chains)
+        T, _ = self._recurrence(zs, self.level + 1, chains, chain_major=True)
+        return _pick(chains, T)
 
-    def _finish_tables(self, zs: List[complex], P: np.ndarray,
-                       Q: np.ndarray) -> List[PointTable]:
-        ab2, qb2 = abs2(P), abs2(Q)
+    def _finish_tables(self, zs: List[complex], R: np.ndarray,
+                       R2: np.ndarray) -> List[PointTable]:
+        """Point tables from a (p, q) block and its squared moduli.
+
+        ``R`` and ``R2`` have shape (2, len(zs), top+1), row ``[c, j]``
+        holding chain c at ``zs[j]``.  One pass serves the batch: one
+        cumulative sum along the rows, and the stop rule over all points at
+        once, whose first passing index each point then reads.  Each table
+        copies its rows, so none keeps the block alive.
+
+        Raises EvaluationOverflowError if a squared modulus or a cumulative
+        sum is not finite.
+        """
         with np.errstate(over="ignore"):
-            cum_p2, cum_q2 = np.cumsum(ab2, axis=0), np.cumsum(qb2, axis=0)
-        if not (np.isfinite(cum_p2[-1]).all() and np.isfinite(cum_q2[-1]).all()):
+            cums = np.add.accumulate(R2, axis=2)
+        if not np.isfinite(cums[:, :, -1]).all():
+            what = "cumulative sum" if np.isfinite(R2).all() else "squared modulus"
             raise EvaluationOverflowError(
-                "evaluation overflow: a cumulative sum exceeds the float range")
-        inc = ab2 + qb2
+                f"evaluation overflow: a {what} exceeds the float range")
         L, pol = self.level, self.policy
-        ok = pol.safety * inc[: L + 1] < pol.tail_tol * (cum_p2 + cum_q2)[: L + 1]
-        ok[:2] = False  # keep at least p_0..p_2 so the initial data is visible
-        converged = ok.any(axis=0)
-        stops = np.where(converged, ok.argmax(axis=0), L)
+        inc = R2[0, :, : L + 1] + R2[1, :, : L + 1]
+        total = cums[0, :, : L + 1] + cums[1, :, : L + 1]
+        ok = pol.safety * inc < pol.tail_tol * total
+        ok[:, :2] = False  # keep at least p_0..p_2 so the initial data is visible
         out = []
-        for j, z in enumerate(zs):
-            # contiguous copies: reductions over strided views round differently
-            cols = [np.ascontiguousarray(x[:, j]) for x in (P, Q, cum_p2, cum_q2)]
-            for col in cols:
-                col.flags.writeable = False
-            out.append(PointTable(z, *cols, stop_index=int(stops[j]),
-                                  converged=bool(converged[j]),
-                                  tail_est=float(inc[stops[j], j]), level=L))
+        for j, (z, stop) in enumerate(zip(zs, ok.argmax(axis=1).tolist())):
+            converged = bool(ok[j, stop])
+            if not converged:
+                stop = L
+            rows = R[0, j].copy(), R[1, j].copy(), cums[0, j].copy(), cums[1, j].copy()
+            for row in rows:
+                row.flags.writeable = False
+            out.append(PointTable(z, *rows, stop_index=stop, converged=converged,
+                                  tail_est=float(inc[j, stop]), level=L))
         return out
 
     # -- raw values beyond the shared level --------------------------------
@@ -568,8 +664,8 @@ class Evaluator:
         if tab is not None and upto <= self.top:
             self._cache.move_to_end(z)
             return tab.p[: upto + 1], tab.q[: upto + 1]
-        P, Q = self._recurrence([z], upto)
-        return P[:, 0], Q[:, 0]
+        R, _ = self._recurrence([z], upto)
+        return R[0, 0], R[1, 0]
 
 
 _EVALUATORS: "OrderedDict[tuple, Evaluator]" = OrderedDict()

@@ -80,12 +80,23 @@ def test_zero_set_checks_beyond_the_preset(case, tmp_path):
     assert not failed
 
 
-def test_extended_precision_reaches_the_determinant_check():
+def test_extended_precision_reaches_the_determinant_check(monkeypatch):
     # in double precision 01 reads 3.4e-7 here: |AD| + |BC| reaches 3e9
     config = RunConfig(problem=JacobiCoefficients.power_law(1.2),
                        precision="extended")
+    clear_evaluator_cache()
+    points = []                                 # one integer recurrence per table
+    steps = evaluation._integer_steps
+
+    def counted(a, b, z, width):
+        points.append(z)
+        return steps(a, b, z, width)
+
+    monkeypatch.setattr(evaluation, "_integer_steps", counted)
     (r,) = run_acceptance(config, only=["determinant"])
     assert r.passed and r.measured < 1e-20, r.line()
+    # 20 points, more than an extended evaluator's 16 tables: each built once
+    assert len(points) == len(set(points)) == 20
 
 
 def test_near_point_checks_make_no_full_solve(monkeypatch):

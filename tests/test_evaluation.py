@@ -160,9 +160,9 @@ class TestErrors:
 
     def test_cumulative_sum_beyond_float_range(self, src):
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
-        P = np.full((ev.top + 1, 1), mp.mpc(1e154), dtype=object)  # |.|^2 finite
+        R = np.full((2, 1, ev.top + 1), mp.mpc(1e154), dtype=object)  # |.|^2 finite
         with pytest.raises(EvaluationOverflowError, match="cumulative"):
-            ev._finish_tables([0j], P, P)
+            ev._finish_tables([0j], R, evaluation.abs2(R))
 
     def test_extended_rejects_non_finite_coefficients(self):
         a = np.array([1.0, 4.0, math.inf, 16.0])
@@ -330,6 +330,38 @@ class TestExtendedPrecision:
         # p_2(i) = (i*p_1(i) - a_0)/a_1 = -1/2 exactly
         assert complex(tab.p[2]) == pytest.approx(-0.5, abs=1e-30)
 
+    @pytest.mark.parametrize("source", ["c=2", "alternating_b"])
+    def test_entries_are_rounded_once(self, source):
+        # each entry against mpmath's rounding of its unrounded chain value,
+        # and its squared modulus against the exact square of those parts
+        from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+
+        prec, L = dps_to_prec(evaluation.EXTENDED_DPS), 1009
+        half = 1 << (prec - 1)                  # least mantissa of prec bits
+        values = [                              # (Re, Im, e) at the rounding's edges
+            (2 * (half + 2) + 1, -(2 * (half + 1) + 1), -7),   # ties to even
+            ((1 << (prec + 1)) - 1, 0, 3),      # rounds up to 2**(prec+1): bc = 1
+            (0, -(4 * half + 5), -200), (0, 0, 9), (-12, 40, 0),
+            (-(1 << 500) - 1, 3, -900),
+        ]
+        a, b = _source(source).arrays(L)
+        for z in (0.3 + 0.9j, -1.1 - 2.0j, complex(1.5, 0.0), 0j):   # real z: Im = 0
+            steps = evaluation._integer_steps(a[:L], b[:L], z,
+                                              prec + evaluation._GUARD_BITS)
+            for chain in "pq":                  # q_0 = 0
+                values += list(evaluation._integer_chain(steps, chain))
+        got, squares = evaluation._round_chain(values, prec)
+        assert len(got) == len(squares) == len(values)
+        for (re, im, e), v, sq in zip(values, got, squares):
+            parts = (from_man_exp(re, e, prec, round_nearest),
+                     from_man_exp(im, e, prec, round_nearest))
+            assert isinstance(v, mp.mpc) and v._mpc_ == parts, (re, im, e)
+            exact = sum(Fraction((-1) ** s * m) ** 2 * Fraction(2) ** (2 * x)
+                        for s, m, x, _ in parts)
+            assert sq == float(exact), (re, im, e)
+        assert got[1]._mpc_[0] == (0, 1, prec + 4, 1)
+        assert evaluation._round_chain([(1, 1, 600)], prec)[1] == [math.inf]
+
     def test_abs2_rounds_exact_squares(self):
         # |v|^2 of each mpc, computed exactly as a Fraction and rounded once
         rng = np.random.default_rng(6)
@@ -405,10 +437,16 @@ class TestTableCache:
             with monkeypatch.context() as patch:
                 _use_backend(patch, backend)
                 calls = _counting(patch)
-                tabs = Evaluator(src, pol).tables(zs)
-                assert calls == [389]                      # all misses in one call
-                for z, tab in zip(zs, tabs):
-                    assert _same_table(tab, Evaluator(src, pol).table(z))
+                for size in (1, 2, 13, 300, 389):
+                    calls.clear()
+                    tabs = Evaluator(src, pol).tables(zs[:size])
+                    assert calls == [size]                 # all misses in one call
+                    for z, tab in zip(zs, tabs):
+                        assert _same_table(tab, Evaluator(src, pol).table(z))
+                        # each table owns its rows: none keeps a batch block alive
+                        for x in (tab.p, tab.q, tab.cum_p2, tab.cum_q2):
+                            assert x.flags.c_contiguous and x.flags.owndata
+                            assert not x.flags.writeable
 
     def test_pq_upto_reads_cached_tables(self, src, monkeypatch):
         for backend in ("default", "fallback"):
@@ -463,14 +501,15 @@ class TestTableCache:
 
 
 def _counting(monkeypatch):
+    """Points of each standard kernel call, recorded."""
     calls = []
-    kernel = evaluation.recurrence_batch
+    kernel = evaluation._solve_block
 
-    def counted(a, b, zs, upto, chains="pq"):
+    def counted(a, b, zs, upto, *rest):
         calls.append(len(zs))
-        return kernel(a, b, zs, upto, chains)
+        return kernel(a, b, zs, upto, *rest)
 
-    monkeypatch.setattr(evaluation, "recurrence_batch", counted)
+    monkeypatch.setattr(evaluation, "_solve_block", counted)
     return calls
 
 

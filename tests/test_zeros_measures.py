@@ -221,16 +221,16 @@ class TestNodeSets:
     def test_values_compute_only_their_chain(self, level_ev, kind, monkeypatch):
         f = _line(level_ev, kind, ExtensionParam.finite(0.7))
         asked = []
-        kernel = evaluation.recurrence_batch
+        kernel = evaluation._solve_block
 
-        def counted(a, b, zs, upto, chains="pq"):
+        def counted(a, b, zs, upto, chains, *rest):
             asked.append(chains)
-            return kernel(a, b, zs, upto, chains)
+            return kernel(a, b, zs, upto, chains, *rest)
 
-        monkeypatch.setattr(evaluation, "recurrence_batch", counted)
+        monkeypatch.setattr(evaluation, "_solve_block", counted)
         xs = np.array([0.3 + 0.2j, 1.0, -2.5])
         with_kind = f(xs)
-        monkeypatch.setattr(evaluation, "recurrence_batch", kernel)
+        monkeypatch.setattr(evaluation, "_solve_block", kernel)
         assert asked == [kind]
         assert with_kind.tobytes() == _corner_form(level_ev, [f], xs)[0].tobytes()
 
