@@ -28,20 +28,22 @@ triangular banded solve of the recurrence at unit stride.  Where ``ztbsv``
 does not load, the fallback runs the recurrence in explicit real
 arithmetic, by a per-point loop on Python floats for small batches and by
 the same operations as numpy ufuncs for large ones; the two loops are
-bitwise equal.  On either route a row depends only on its point, not on
-its batch; the two routes agree to roundoff.  The extended backend,
-:func:`_mp_block`, runs the same real-arithmetic recurrence one point at a
-time on Python integers: the points and coefficients are float64, so
-exact dyadic rationals, and each step keeps ``_GUARD_BITS`` bits beyond
-mpmath's binary precision at ``dps`` digits, rounding to nearest after
-each division by ``a_n``.  The integer chain hands each value straight to
-the rounding step, which emits its mpmath ``mpc`` entry, rounded once to
-that precision, and in the same pass its squared modulus from the rounded
-mantissas.  Evaluators run it at ``EXTENDED_DPS`` digits, and arithmetic
-on their entries runs at the same precision inside
-:func:`working_precision`.  Either backend computes the p rows, the q rows
-or both (``chains``); all but the fallback's point loop compute only the
-rows returned.
+bitwise equal.  The ufunc loop computes one index for the whole batch at
+a time, so it writes chain-major rows, contiguous across the batch, and
+its block is one transpose copy of them.  On either route a row depends
+only on its point, not on its batch; the two routes agree to roundoff.
+The extended backend, :func:`_mp_block`, runs the same real-arithmetic
+recurrence one point at a time on Python integers: the points and
+coefficients are float64, so exact dyadic rationals, and each step keeps
+``_GUARD_BITS`` bits beyond mpmath's binary precision at ``dps`` digits,
+rounding to nearest after each division by ``a_n``.  The integer chain
+hands each value straight to the rounding step, which emits its mpmath
+``mpc`` entry, rounded once to that precision, and in the same pass its
+squared modulus from the rounded mantissas.  Evaluators run it at
+``EXTENDED_DPS`` digits, and arithmetic on their entries runs at the same
+precision inside :func:`working_precision`.  Either backend computes the
+p rows, the q rows or both (``chains``); all but the fallback's point
+loop compute only the rows returned.
 
 Point tables are finished from the block in one pass over the batch
 (:meth:`Evaluator._finish_tables`): the squared moduli (``np.abs(R) ** 2``
@@ -49,8 +51,9 @@ in standard precision, the backend's in extended), one cumulative sum
 along the rows and the stop indices of all points at once; each table then
 copies its rows.  :func:`recurrence_batch` and
 :meth:`Evaluator.tables_batch` return chain-major tables of shape
-``(upto+1, points)``, one transpose copy of the block;
-:func:`recurrence_mp` returns the block's rows at its one point.
+``(upto+1, points)``, one transpose copy of the block (the ufunc loop's
+own rows on that route); :func:`recurrence_mp` returns the block's rows at
+its one point.
 """
 
 from __future__ import annotations
@@ -177,9 +180,9 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     """p/q tables: shape (upto+1, len(zs)), complex128, C-contiguous.
 
     ``chains`` ("pq", "p" or "q") selects the tables returned; the other is
-    None, and only the chains asked for are computed.  The tables are one
-    transpose copy of :func:`_solve_block`'s block, so column j is bitwise
-    that block's row for point j.
+    None, and only the chains asked for are computed.  The tables are the
+    transpose of :func:`_solve_block`'s block, so column j is bitwise that
+    block's row for point j.
     """
     return _pick(chains, _solve_block(a, b, zs, upto, chains, chain_major=True))
 
@@ -200,12 +203,14 @@ def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
     computed it and whichever chains were asked for; banded and
     real-arithmetic rows agree to roundoff, not bitwise.
 
-    With ``chain_major`` the result is instead the block's transpose copy,
-    shape (len(chains), upto+1, len(zs)), C-contiguous.  The copy and the
-    block share one allocation: as two allocations of that size, freed
-    together, they crossed glibc malloc's trim threshold, which handed the
-    memory back to the system after every call, and the next call faulted
-    it in again.
+    With ``chain_major`` the result is instead the block's transpose,
+    shape (len(chains), upto+1, len(zs)), C-contiguous.  The array loop
+    writes its rows in that chain-major layout, where each row is
+    contiguous across the batch; every other route writes the block.  A
+    result in the other layout is one transpose copy, made in the same
+    allocation: as two allocations of that size, freed together, they
+    crossed glibc malloc's trim threshold, which handed the memory back to
+    the system after every call, and the next call faulted it in again.
 
     Raises EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite.
@@ -216,13 +221,15 @@ def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
     npts, k, n = zs.shape[0], len(chains), upto + 1
     size = k * npts * n
     ztbsv = _ztbsv()
-    buf = np.empty((2 if chain_major else 1) * size, dtype=complex)
-    R = buf[buf.size - size:].reshape(k, npts, n)
-    V = R.view(float).reshape(k, npts, n, 2)          # [chain, point, n, re|im]
+    array = ztbsv is None and npts > _SCALAR_BATCH    # rows come chain-major
+    buf = np.empty(size * (1 if chain_major == array else 2), dtype=complex)
+    R = buf[buf.size - size:].reshape(k, npts, n)     # the block
+    T = buf[:size].reshape(k, n, npts)                # its transpose
     if ztbsv is not None:
         R.fill(0.0)             # the banded solve needs zeroed right-hand sides
         _banded_solve(ztbsv, a, b, zs, upto, R, chains)
-    elif npts <= _SCALAR_BATCH:
+    elif not array:
+        V = R.view(float).reshape(k, npts, n, 2)      # [chain, point, n, re|im]
         al, bl = a[:upto].tolist(), b[:upto].tolist()
         for j, z in enumerate(zs.tolist()):
             pr, pi, qr, qi = _point_loop(al, bl, z.real, z.imag, upto)
@@ -230,15 +237,16 @@ def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
                 V[c, j, :, 0], V[c, j, :, 1] = (pr, pi) if chain == "p" else (qr, qi)
     else:
         with np.errstate(over="ignore", invalid="ignore"):
-            _array_loop(a, b, zs, upto, V, chains)
-    if R.size and not (-_OVERFLOW_LIMIT <= V.min() and V.max() <= _OVERFLOW_LIMIT):
+            _array_loop(a, b, zs, upto, T.view(float).reshape(k, n, npts, 2), chains)
+    done, other = (T, R) if array else (R, T)
+    V = done.view(float)
+    if V.size and not (-_OVERFLOW_LIMIT <= V.min() and V.max() <= _OVERFLOW_LIMIT):
         raise EvaluationOverflowError(
             "evaluation overflow; reduce |z| or use higher precision")
-    if not chain_major:
-        return R
-    T = buf[:size].reshape(k, n, npts)
-    np.copyto(T, R.transpose(0, 2, 1))
-    return T
+    if chain_major == array:
+        return done
+    np.copyto(other, done.transpose(0, 2, 1))
+    return other
 
 
 def _ztbsv():
@@ -310,9 +318,10 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
     """The point loop's operations as in-place ufuncs over a batch.
 
     Rows are computed in three rolling (re|im, chain, point) buffers, where
-    every operand is contiguous, and each new row is copied into ``V``.
-    The real and imaginary parts are updated together: ``ys = [-y, y]``
-    multiplies the swapped parts ``[Im, Re]``.
+    every operand is contiguous, and each new row is copied into ``V``,
+    indexed [chain, n, point, re|im].  The real and imaginary parts are
+    updated together: ``ys = [-y, y]`` multiplies the swapped parts
+    ``[Im, Re]``.
     """
     shape = (2, len(chains), zs.shape[0])
     x = np.ascontiguousarray(np.broadcast_to(zs.real, shape))
@@ -328,9 +337,9 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
         elif upto >= 1:
             cur[0, c] = 1.0 / a[0]
             cur[1, c] = 0.0 / a[0]
-    V[:, :, 0, 0], V[:, :, 0, 1] = prev
+    V[:, 0, :, 0], V[:, 0, :, 1] = prev
     if upto >= 1:
-        V[:, :, 1, 0], V[:, :, 1, 1] = cur
+        V[:, 1, :, 0], V[:, 1, :, 1] = cur
     xb, t = np.empty(shape), np.empty(shape)
     for n in range(1, upto):
         np.subtract(x, b[n], out=xb)
@@ -340,7 +349,7 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
         np.multiply(a[n - 1], prev, out=t)
         np.subtract(new, t, out=new)
         np.divide(new, a[n], out=new)
-        V[:, :, n + 1, 0], V[:, :, n + 1, 1] = new
+        V[:, n + 1, :, 0], V[:, n + 1, :, 1] = new
         prev, cur, new = cur, new, prev
 
 
@@ -353,26 +362,26 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
 
     Raises EvaluationOverflowError if z or a coefficient is not finite.
     """
-    R, _ = _mp_block(a, b, [complex(z)], upto, dps, chains, squares=False)
+    R, _ = _mp_block(a, b, [complex(z)], upto, dps, chains)
     return _pick(chains, R[:, 0])
 
 
-def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int, chains: str,
-              squares: bool = True) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int,
+              chains: str) -> Tuple[np.ndarray, np.ndarray]:
     """Extended-precision block and its squared moduli, point by point.
 
     Both have shape (len(chains), len(zs), upto+1): mpmath ``mpc`` entries
-    (object dtype) and floats; without ``squares`` the second is None.  The
-    point loop's recurrence runs on Python integers.  The points and the
-    coefficients are float64, so exact dyadic rationals; each value is an
-    integer pair (Re, Im) times a power of two, and the current and
-    previous values of a chain share that exponent.  A step computes
+    (object dtype) and floats.  The point loop's recurrence runs on Python
+    integers.  The points and the coefficients are float64, so exact
+    dyadic rationals; each value is an integer pair (Re, Im) times a power
+    of two, and the current and previous values of a chain share that
+    exponent.  A step computes
     ``a_n v_{n+1}`` exactly, divides by ``a_n`` keeping ``prec +
     _GUARD_BITS`` bits, where ``prec`` is mpmath's binary precision at
     ``dps`` digits, and rounds to nearest.  Each value goes straight to
     :func:`_round_chain`, which rounds it to nearest at ``prec`` bits once
-    and, with ``squares``, takes its squared modulus from the rounded parts
-    (inf beyond the float range).
+    and takes its squared modulus from the rounded parts (inf beyond the
+    float range).
 
     Raises EvaluationOverflowError if a point or a coefficient is not finite.
     """
@@ -386,13 +395,11 @@ def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int, chains: str
             "evaluation overflow: the point or a coefficient is not finite")
     prec = dps_to_prec(dps)
     shape = (len(chains), zs.size, upto + 1)
-    R, R2 = np.empty(shape, dtype=object), (np.empty(shape) if squares else None)
+    R, R2 = np.empty(shape, dtype=object), np.empty(shape)
     for j, z in enumerate(zs.tolist()):
         steps = _integer_steps(a, b, z, prec + _GUARD_BITS)
         for c, chain in enumerate(chains):
-            R[c, j], sq = _round_chain(_integer_chain(steps, chain), prec, squares)
-            if squares:
-                R2[c, j] = sq
+            R[c, j], R2[c, j] = _round_chain(_integer_chain(steps, chain), prec)
     return R, R2
 
 
@@ -454,29 +461,27 @@ def _integer_chain(steps: List[Tuple[int, ...]], chain: str):
         yield re, im, e
 
 
-def _round_chain(values: Iterable[Tuple[int, int, int]], prec: int,
-                 squares: bool = True) -> Tuple[list, Optional[List[float]]]:
+def _round_chain(values: Iterable[Tuple[int, int, int]],
+                 prec: int) -> Tuple[list, List[float]]:
     """mpc entries and squared moduli of values (Re + i Im) * 2**e.
 
     Each part is rounded to nearest at ``prec`` bits, ties to even, by
     mpmath's ``normalize``: the same raw mpf as ``from_man_exp(part, e,
     prec, round_nearest)``.  The squared modulus is computed exactly from
-    the rounded parts and rounded once (:func:`_square_sum`); without
-    ``squares`` none is computed and the second result is None.
+    the rounded parts and rounded once (:func:`_square_sum`).
     """
     from mpmath import mp
     from mpmath.libmp import normalize, round_nearest
 
     make, rnd = mp.make_mpc, round_nearest
-    out, sq = [], ([] if squares else None)
+    out, sq = [], []
     for re, im, e in values:
         r = (normalize(1, -re, e, (-re).bit_length(), prec, rnd) if re < 0
              else normalize(0, re, e, re.bit_length(), prec, rnd))
         i = (normalize(1, -im, e, (-im).bit_length(), prec, rnd) if im < 0
              else normalize(0, im, e, im.bit_length(), prec, rnd))
         out.append(make((r, i)))
-        if squares:
-            sq.append(_square_sum(r[1], r[2], i[1], i[2]))
+        sq.append(_square_sum(r[1], r[2], i[1], i[2]))
     return out, sq
 
 
@@ -552,8 +557,8 @@ class Evaluator:
         self.a, self.b = source.arrays(self.top)
         self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
 
-    def _recurrence(self, zs, upto: int, chains: str = "pq", chain_major: bool = False,
-                    squares: bool = False) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def _recurrence(self, zs, upto: int, chains: str = "pq", chain_major: bool = False
+                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """(R, R2): the point-major block through index upto and its squares.
 
         The one place that chooses between the complex128 batch kernel
@@ -561,17 +566,14 @@ class Evaluator:
         (:func:`_mp_block`, object dtype of mpmath ``mpc``).  R has shape
         (len(chains), len(zs), upto+1); with ``chain_major`` it is instead
         the block's transpose copy, shape (len(chains), upto+1, len(zs)),
-        C-contiguous.  R2 holds the block's squared moduli when ``squares``
-        is set, else None: one ``np.abs(R) ** 2`` pass (the expression
-        :func:`abs2` uses) in standard precision, the extended kernel's own
-        in extended.
+        C-contiguous.  R2 holds the extended kernel's squared moduli of
+        the block; it is None in standard precision.
         """
         a, b = self.source.arrays(max(upto, 1))
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         if self.precision == "standard":
-            R = _solve_block(a, b, zs, upto, chains, chain_major)
-            return R, (np.abs(R) ** 2 if squares else None)
-        R, R2 = _mp_block(a, b, zs, upto, EXTENDED_DPS, chains, squares)
+            return _solve_block(a, b, zs, upto, chains, chain_major), None
+        R, R2 = _mp_block(a, b, zs, upto, EXTENDED_DPS, chains)
         return (np.ascontiguousarray(R.transpose(0, 2, 1)) if chain_major else R), R2
 
     # -- point tables ------------------------------------------------------
@@ -594,7 +596,9 @@ class Evaluator:
         cache = self._cache
         misses = list(dict.fromkeys(z for z in keys if z not in cache))
         if misses:
-            R, R2 = self._recurrence(misses, self.top, squares=True)
+            R, R2 = self._recurrence(misses, self.top)
+            if R2 is None:
+                R2 = np.abs(R) ** 2              # the expression abs2 uses
             for tab in self._finish_tables(misses, R, R2):
                 cache[tab.z] = tab
         for z in keys:
