@@ -33,11 +33,18 @@ __all__ = ["CheckResult", "run_acceptance"]
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict; ``precision`` is the precision it computed at.
+
+    Only checks 01 and 05 compute at ``config.precision``; the others run
+    in standard precision (06a, 07 and 10 read the measures of check 05).
+    """
+
     name: str
     passed: bool
     measured: float
     tolerance: float
     detail: str = ""
+    precision: str = "standard"
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -78,7 +85,7 @@ def _check_determinant(config: RunConfig) -> List[CheckResult]:
             q = nev(config.problem, u, v, config.truncation, config.precision)
             worst = max(worst, q.det_residual)
     return [CheckResult("01_determinant_identity", worst < 1e-9, worst, 1e-9,
-                        "|AD-BC-1| on 10x10 grid, |u|,|v|<=3")]
+                        "|AD-BC-1| on 10x10 grid, |u|,|v|<=3", config.precision)]
 
 
 def _check_dual_form(config: RunConfig) -> List[CheckResult]:
@@ -153,7 +160,7 @@ def _check_measures(config: RunConfig,
         results.append(CheckResult(
             f"05_moment_reconstruction_t={label}", worst < 1e-6, worst, 1e-6,
             f"window={m.window[0]:g}:{m.window[1]:g}, "
-            f"{len(m.points)} points, n<=6"))
+            f"{len(m.points)} points, n<=6", config.precision))
     return results
 
 

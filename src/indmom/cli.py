@@ -293,6 +293,9 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
     results = run_acceptance(cfg)
     rep = _new_report("verify", cfg)
+    if cfg.precision != "standard":     # the header's precision reaches only these
+        rep.add(f"{cfg.precision}_precision_checks",
+                " ".join(r.name for r in results if r.precision == cfg.precision))
     all_pass = True
     for r in results:
         rep.add(r.name, "PASS" if r.passed else "FAIL",

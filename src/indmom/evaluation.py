@@ -36,24 +36,28 @@ The extended backend, :func:`_mp_block`, runs the same real-arithmetic
 recurrence one point at a time on Python integers: the points and
 coefficients are float64, so exact dyadic rationals, and each step keeps
 ``_GUARD_BITS`` bits beyond mpmath's binary precision at ``dps`` digits,
-rounding to nearest after each division by ``a_n``.  The integer chain
-hands each value straight to the rounding step, which emits its mpmath
-``mpc`` entry, rounded once to that precision, and in the same pass its
-squared modulus from the rounded mantissas.  Evaluators run it at
-``EXTENDED_DPS`` digits, and arithmetic on their entries runs at the same
-precision inside :func:`working_precision`.  Either backend computes the
-p rows, the q rows or both (``chains``); all but the fallback's point
-loop compute only the rows returned.
+rounding to nearest after each division by ``a_n``.  Each row's values
+are then rounded once to that precision, by mpmath's ``normalize``
+inlined, and emitted as integers: a signed mantissa and an exponent for
+each part, held by an :class:`ExtendedRow`, and the squared modulus
+computed from the rounded parts.  No Python object is kept per entry; an
+entry becomes an mpmath ``mpc`` only when it is read.  Evaluators run the
+kernel at ``EXTENDED_DPS`` digits, and arithmetic on their entries runs
+at the same precision inside :func:`working_precision`.  Either backend
+computes the p rows, the q rows or both (``chains``); all but the
+fallback's point loop compute only the rows returned.
 
 Point tables are finished from the block in one pass over the batch
 (:meth:`Evaluator._finish_tables`): the squared moduli (``np.abs(R) ** 2``
 in standard precision, the backend's in extended), one cumulative sum
 along the rows and the stop indices of all points at once; each table then
-copies its rows.  :func:`recurrence_batch` and
-:meth:`Evaluator.tables_batch` return chain-major tables of shape
-``(upto+1, points)``, one transpose copy of the block (the ufunc loop's
-own rows on that route); :func:`recurrence_mp` returns the block's rows at
-its one point.
+copies its rows, and an extended table holds its two :class:`ExtendedRow`
+as they are.  :func:`recurrence_batch` and :meth:`Evaluator.tables_batch`
+return chain-major tables of shape ``(upto+1, points)``, one transpose
+copy of the block (the ufunc loop's own rows on that route);
+:func:`recurrence_mp` returns the rows at its one point.  In extended
+precision these, like an uncached :meth:`Evaluator.pq_upto`, are object
+arrays of ``mpc`` built from the whole rows.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ import ctypes
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,6 +91,8 @@ _SCALAR_BATCH = 12
 EXTENDED_DPS = 32
 # Bits the extended kernel keeps beyond mpmath's precision at ``dps`` digits.
 _GUARD_BITS = 24
+# Below this a scaled float can round twice; squared moduli there divide exactly.
+_NORMAL_EDGE = 2.0 ** -1021
 _CHAINS = ("pq", "p", "q")
 # ztbsv(uplo, trans, diag, n, k, band, lda, x, incx) with 64-bit integers
 _ZTBSV_ARGS = (ctypes.c_char_p,) * 3 + (INT, INT, ctypes.c_void_p, INT,
@@ -140,15 +146,18 @@ class PolyEval:
 class PointTable:
     """Internal: full-level recurrence data at one point.
 
-    Read-only arrays, each owning its data, run through index ``level +
+    Read-only rows, each owning its data, run through index ``level +
     8``: the Casorati forms read index ``level + 1`` and the p/q
     truncations of the membership tests end at ``level + 8``.  ``cums``
     are cumulative sums of ``|p_k|^2`` / ``|q_k|^2`` through each index.
+    In standard precision ``p`` and ``q`` are complex128 arrays; in
+    extended precision they are :class:`ExtendedRow`, which read as mpmath
+    ``mpc`` by index and as object arrays of them by slice.
     """
 
     z: complex
-    p: np.ndarray
-    q: np.ndarray
+    p: Union[np.ndarray, "ExtendedRow"]
+    q: Union[np.ndarray, "ExtendedRow"]
     cum_p2: np.ndarray
     cum_q2: np.ndarray
     stop_index: int
@@ -164,6 +173,43 @@ class PointTable:
     @property
     def norm_q2(self) -> float:
         return float(self.cum_q2[self.level])
+
+
+class ExtendedRow:
+    """Internal: a read-only row of extended-precision entries.
+
+    Entry n is ``RM[n] * 2**RE[n] + i IM[n] * 2**IE[n]``: signed
+    mantissas, rounded to the kernel's precision with trailing zero bits
+    stripped, and their exponents (0 for a zero part).  Reading an int
+    index gives an mpmath ``mpc``, and reading a slice an object ndarray of
+    them; the row keeps no object per entry.
+    """
+
+    __slots__ = ("_parts", "_make")
+
+    def __init__(self, RM: List[int], RE: List[int], IM: List[int], IE: List[int]):
+        from mpmath import mp
+
+        self._parts = (RM, RE, IM, IE)
+        self._make = mp.make_mpc
+
+    def __len__(self) -> int:
+        return len(self._parts[0])
+
+    def __getitem__(self, k):
+        RM, RE, IM, IE = self._parts
+        if not isinstance(k, slice):
+            return self._make(_raw_mpc(RM[k], RE[k], IM[k], IE[k]))
+        vals = list(map(self._make, map(_raw_mpc, RM[k], RE[k], IM[k], IE[k])))
+        out = np.empty(len(vals), dtype=object)
+        out[:] = vals
+        return out
+
+
+def _raw_mpc(rm: int, re: int, im: int, ie: int) -> tuple:
+    """mpmath's raw mpc of rm * 2**re + i im * 2**ie, for normalized parts."""
+    return ((1, -rm, re, (-rm).bit_length()) if rm < 0 else (0, rm, re, rm.bit_length()),
+            (1, -im, ie, (-im).bit_length()) if im < 0 else (0, im, ie, im.bit_length()))
 
 
 Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
@@ -362,26 +408,26 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
 
     Raises EvaluationOverflowError if z or a coefficient is not finite.
     """
-    R, _ = _mp_block(a, b, [complex(z)], upto, dps, chains)
-    return _pick(chains, R[:, 0])
+    rows, _ = _mp_block(a, b, [complex(z)], upto, dps, chains)
+    return _pick(chains, [chain[0][:] for chain in rows])
 
 
 def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int,
-              chains: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Extended-precision block and its squared moduli, point by point.
+              chains: str) -> Tuple[List[List["ExtendedRow"]], np.ndarray]:
+    """Extended-precision rows and their squared moduli, point by point.
 
-    Both have shape (len(chains), len(zs), upto+1): mpmath ``mpc`` entries
-    (object dtype) and floats.  The point loop's recurrence runs on Python
-    integers.  The points and the coefficients are float64, so exact
-    dyadic rationals; each value is an integer pair (Re, Im) times a power
-    of two, and the current and previous values of a chain share that
-    exponent.  A step computes
-    ``a_n v_{n+1}`` exactly, divides by ``a_n`` keeping ``prec +
-    _GUARD_BITS`` bits, where ``prec`` is mpmath's binary precision at
-    ``dps`` digits, and rounds to nearest.  Each value goes straight to
-    :func:`_round_chain`, which rounds it to nearest at ``prec`` bits once
-    and takes its squared modulus from the rounded parts (inf beyond the
-    float range).
+    ``rows[c][j]`` is chain ``chains[c]`` at ``zs[j]``, an
+    :class:`ExtendedRow` of upto+1 entries; the squared moduli are floats
+    of shape (len(chains), len(zs), upto+1).  The point loop's recurrence
+    runs on Python integers.  The points and the coefficients are float64,
+    so exact dyadic rationals; each value is an integer pair (Re, Im) times
+    a power of two, and the current and previous values of a chain share
+    that exponent.  A step computes ``a_n v_{n+1}`` exactly, divides by
+    ``a_n`` keeping ``prec + _GUARD_BITS`` bits, where ``prec`` is mpmath's
+    binary precision at ``dps`` digits, and rounds to nearest.
+    :func:`_round_row` then rounds each value to nearest at ``prec`` bits
+    once and takes its squared modulus from the rounded parts (inf beyond
+    the float range).
 
     Raises EvaluationOverflowError if a point or a coefficient is not finite.
     """
@@ -394,13 +440,13 @@ def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int,
         raise EvaluationOverflowError(
             "evaluation overflow: the point or a coefficient is not finite")
     prec = dps_to_prec(dps)
-    shape = (len(chains), zs.size, upto + 1)
-    R, R2 = np.empty(shape, dtype=object), np.empty(shape)
+    rows = [[None] * zs.size for _ in chains]
+    R2 = np.empty((len(chains), zs.size, upto + 1))
     for j, z in enumerate(zs.tolist()):
         steps = _integer_steps(a, b, z, prec + _GUARD_BITS)
         for c, chain in enumerate(chains):
-            R[c, j], R2[c, j] = _round_chain(_integer_chain(steps, chain), prec)
-    return R, R2
+            rows[c][j], R2[c, j] = _round_row(*_integer_chain(steps, chain), prec)
+    return rows, R2
 
 
 def _dyadics(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -412,34 +458,38 @@ def _dyadics(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _integer_steps(a: np.ndarray, b: np.ndarray, z: complex,
-                   width: int) -> List[Tuple[int, ...]]:
-    """The recurrence steps at z = x + iy as integers.
+                   width: int) -> tuple:
+    """The recurrence steps at z = x + iy as integers, one list per quantity.
 
     Step n gives ``a_n v_{n+1} = (x - b_n + iy) v_n - a_{n-1} v_{n-1}``
     (with ``a_{-1} = 1``).  Every coefficient is a float64, so an integer
-    times ``2**e0`` for the least exponent e0 among them.  A step's tuple
-    holds those integers X, Y, A for ``x - b_n``, ``y`` and ``a_{n-1}``,
-    the odd mantissa d of ``a_n = d * 2**f``, ``width + bits(d)`` and
-    ``e0 - f``.
+    times ``2**e0`` for the least exponent e0 among them.  Returns Y for
+    ``y`` and, per step, lists of those integers X and A for ``x - b_n`` and
+    ``a_{n-1}``, of the odd mantissa d of ``a_n = d * 2**f``, of ``width +
+    bits(d)`` and of ``e0 - f``.
     """
     n = len(b)
     m, e = _dyadics(np.concatenate([[z.real, z.imag, 1.0], a, b]))
     e0 = int(e[m != 0].min())                         # <= 0: a_{-1} = 1
     ints = [v << k for v, k in zip(m.tolist(), (e - e0).tolist())]
     x, y, A, B = ints[0], ints[1], ints[2: n + 3], ints[n + 3:]
-    return [(x - bn, y, am, d, width + d.bit_length(), e0 - f)
-            for bn, am, d, f in zip(B, A, m[3: n + 3].tolist(), e[3: n + 3].tolist())]
+    d = m[3: n + 3].tolist()
+    return (y, [x - bn for bn in B], A, d, [width + v.bit_length() for v in d],
+            [e0 - f for f in e[3: n + 3].tolist()])
 
 
-def _integer_chain(steps: List[Tuple[int, ...]], chain: str):
-    """Yields (Re, Im, e) with v_n = (Re + i Im) * 2**e for v = p or q, n = 0..upto."""
+def _integer_chain(steps: tuple, chain: str) -> Tuple[List[int], List[int], List[int]]:
+    """Lists Re, Im, e with v_n = (Re[n] + i Im[n]) * 2**e[n] for v = p or q, n = 0..upto."""
+    Y, *per_step = steps
     # v_{-1} = 0 for p and -1 for q, so the first step gives p_1 and q_1
     re, im, rep, imp, e = (1, 0, 0, 0, 0) if chain == "p" else (0, 0, -1, 0, 0)
-    yield re, im, e
-    for X, Y, A, d, bits, de in steps:
+    RE, IM, E = [re], [im], [e]
+    for X, A, d, bits, de in zip(*per_step):
         nre = X * re - Y * im - A * rep
         nim = X * im + Y * re - A * imp
-        nb = max(nre.bit_length(), nim.bit_length())
+        nb, t = nre.bit_length(), nim.bit_length()
+        if t > nb:
+            nb = t
         if nb:
             s = bits - nb                       # the quotient keeps `width` bits
             if s >= 0:
@@ -458,31 +508,49 @@ def _integer_chain(steps: List[Tuple[int, ...]], chain: str):
         else:                                   # v_{n+1} = 0 at the same e
             rep, imp = re, im
         re, im = nre, nim
-        yield re, im, e
+        RE.append(re)
+        IM.append(im)
+        E.append(e)
+    return RE, IM, E
 
 
-def _round_chain(values: Iterable[Tuple[int, int, int]],
-                 prec: int) -> Tuple[list, List[float]]:
-    """mpc entries and squared moduli of values (Re + i Im) * 2**e.
+def _round_row(RE: List[int], IM: List[int], E: List[int],
+               prec: int) -> Tuple["ExtendedRow", List[float]]:
+    """The row of values (RE[n] + i IM[n]) * 2**E[n] and their squared moduli.
 
-    Each part is rounded to nearest at ``prec`` bits, ties to even, by
-    mpmath's ``normalize``: the same raw mpf as ``from_man_exp(part, e,
-    prec, round_nearest)``.  The squared modulus is computed exactly from
-    the rounded parts and rounded once (:func:`_square_sum`).
+    Each part is rounded by :func:`_round_parts`; the squared modulus is
+    computed exactly from the rounded parts and rounded once
+    (:func:`_square_sum`).
     """
-    from mpmath import mp
-    from mpmath.libmp import normalize, round_nearest
+    parts = _round_parts(RE, E, prec) + _round_parts(IM, E, prec)
+    return ExtendedRow(*parts), list(map(_square_sum, *parts))
 
-    make, rnd = mp.make_mpc, round_nearest
-    out, sq = [], []
-    for re, im, e in values:
-        r = (normalize(1, -re, e, (-re).bit_length(), prec, rnd) if re < 0
-             else normalize(0, re, e, re.bit_length(), prec, rnd))
-        i = (normalize(1, -im, e, (-im).bit_length(), prec, rnd) if im < 0
-             else normalize(0, im, e, im.bit_length(), prec, rnd))
-        out.append(make((r, i)))
-        sq.append(_square_sum(r[1], r[2], i[1], i[2]))
-    return out, sq
+
+def _round_parts(V: List[int], E: List[int], prec: int) -> Tuple[List[int], List[int]]:
+    """Signed mantissas and exponents of V[n] * 2**E[n] rounded to ``prec`` bits.
+
+    Rounds to nearest, ties to even, and strips trailing zero bits:
+    mpmath's ``normalize``, inlined, so each (mantissa, exponent) is the
+    raw mpf of ``from_man_exp(V[n], E[n], prec, round_nearest)``, with
+    exponent 0 for zero.
+    """
+    M, X = [], []
+    for v, e in zip(V, E):
+        m = -v if v < 0 else v
+        n = m.bit_length() - prec
+        if n > 0:
+            t = m >> (n - 1)                    # the kept bits and the half bit
+            m = (t >> 1) + 1 if t & 1 and (t & 2 or m != t << (n - 1)) else t >> 1
+            e += n
+        if m:
+            t = (m & -m).bit_length() - 1       # trailing zero bits
+            m >>= t
+            e += t
+        else:
+            e = 0
+        M.append(-m if v < 0 else m)
+        X.append(e)
+    return M, X
 
 
 def _square_sum(m: int, e: int, n: int, f: int) -> float:
@@ -491,6 +559,11 @@ def _square_sum(m: int, e: int, n: int, f: int) -> float:
         m, e, n, f = n, f, m, e
     s, k = m * m + (n * n << 2 * (f - e)), 2 * e      # the sum is s * 2**k exactly
     try:
+        if s.bit_length() < 1000:
+            # float(s) rounds once, and a normal result scales it exactly
+            x = math.ldexp(s, k)
+            if x >= _NORMAL_EDGE:
+                return x
         return s / (1 << -k) if k < 0 else float(s << k)  # int division rounds once
     except OverflowError:
         return math.inf
@@ -558,23 +631,32 @@ class Evaluator:
         self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
 
     def _recurrence(self, zs, upto: int, chains: str = "pq", chain_major: bool = False
-                    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """(R, R2): the point-major block through index upto and its squares.
+                    ) -> Tuple[object, Optional[np.ndarray]]:
+        """(R, R2): the rows through index upto at each point, and their squares.
 
         The one place that chooses between the complex128 batch kernel
         (:func:`_solve_block`) and the per-point integer kernel
-        (:func:`_mp_block`, object dtype of mpmath ``mpc``).  R has shape
-        (len(chains), len(zs), upto+1); with ``chain_major`` it is instead
-        the block's transpose copy, shape (len(chains), upto+1, len(zs)),
-        C-contiguous.  R2 holds the extended kernel's squared moduli of
-        the block; it is None in standard precision.
+        (:func:`_mp_block`).  ``R[c][j]`` is chain ``chains[c]`` at
+        ``zs[j]``: a row of the complex128 block of shape (len(chains),
+        len(zs), upto+1), or an :class:`ExtendedRow`.  With
+        ``chain_major`` R is instead an array of shape (len(chains),
+        upto+1, len(zs)), C-contiguous: the standard block's transpose
+        copy, or the extended rows' entries as mpmath ``mpc`` (object
+        dtype).  R2 holds the extended kernel's squared moduli of the rows;
+        it is None in standard precision.
         """
         a, b = self.source.arrays(max(upto, 1))
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         if self.precision == "standard":
             return _solve_block(a, b, zs, upto, chains, chain_major), None
-        R, R2 = _mp_block(a, b, zs, upto, EXTENDED_DPS, chains)
-        return (np.ascontiguousarray(R.transpose(0, 2, 1)) if chain_major else R), R2
+        rows, R2 = _mp_block(a, b, zs, upto, EXTENDED_DPS, chains)
+        if not chain_major:
+            return rows, R2
+        T = np.empty((len(chains), upto + 1, zs.size), dtype=object)
+        for c, chain in enumerate(rows):
+            for j, row in enumerate(chain):
+                T[c, :, j] = row[:]
+        return T, R2
 
     # -- point tables ------------------------------------------------------
 
@@ -616,15 +698,17 @@ class Evaluator:
         T, _ = self._recurrence(zs, self.level + 1, chains, chain_major=True)
         return _pick(chains, T)
 
-    def _finish_tables(self, zs: List[complex], R: np.ndarray,
+    def _finish_tables(self, zs: List[complex], R,
                        R2: np.ndarray) -> List[PointTable]:
-        """Point tables from a (p, q) block and its squared moduli.
+        """Point tables from (p, q) rows and their squared moduli.
 
-        ``R`` and ``R2`` have shape (2, len(zs), top+1), row ``[c, j]``
-        holding chain c at ``zs[j]``.  One pass serves the batch: one
-        cumulative sum along the rows, and the stop rule over all points at
-        once, whose first passing index each point then reads.  Each table
-        copies its rows, so none keeps the block alive.
+        ``R[c][j]`` holds chain c at ``zs[j]``, a row of a complex128 block
+        or an :class:`ExtendedRow`, and ``R2`` has shape (2, len(zs),
+        top+1).  One pass serves the batch: one cumulative sum along the
+        rows, and the stop rule over all points at once, whose first
+        passing index each point then reads.  Each table copies its arrays,
+        so none keeps the block alive; an extended row is read-only and
+        owned by its table already.
 
         Raises EvaluationOverflowError if a squared modulus or a cumulative
         sum is not finite.
@@ -645,9 +729,7 @@ class Evaluator:
             converged = bool(ok[j, stop])
             if not converged:
                 stop = L
-            rows = R[0, j].copy(), R[1, j].copy(), cums[0, j].copy(), cums[1, j].copy()
-            for row in rows:
-                row.flags.writeable = False
+            rows = map(_own, (R[0][j], R[1][j], cums[0, j], cums[1, j]))
             out.append(PointTable(z, *rows, stop_index=stop, converged=converged,
                                   tail_est=float(inc[j, stop]), level=L))
         return out
@@ -669,7 +751,16 @@ class Evaluator:
             self._cache.move_to_end(z)
             return tab.p[: upto + 1], tab.q[: upto + 1]
         R, _ = self._recurrence([z], upto)
-        return R[0, 0], R[1, 0]
+        return R[0][0][:], R[1][0][:]           # an extended row's slice is an array
+
+
+def _own(row):
+    """A read-only copy of an array row; an :class:`ExtendedRow` is one already."""
+    if isinstance(row, ExtendedRow):
+        return row
+    row = row.copy()
+    row.flags.writeable = False
+    return row
 
 
 _EVALUATORS: "OrderedDict[tuple, Evaluator]" = OrderedDict()

@@ -385,6 +385,19 @@ class TestVerify:
         assert "indmom.acceptance" in imported
         assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
+    def test_extended_report_names_the_checks_at_its_precision(self, capsys):
+        # the header reads precision=extended, but only 01 and 05 compute there
+        code, out, _ = run_cli(["--precision", "extended", "--nmax", "120", "verify"],
+                               capsys)
+        assert code == 0
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        assert rows[0] == ("extended_precision_checks = 01_determinant_identity "
+                           + " ".join(f"05_moment_reconstruction_t={t}"
+                                      for t in ("0", "1", "inf")))
+        assert all("precision" not in row for row in rows[1:])
+        _, out, _ = run_cli(["--nmax", "120", "verify"], capsys)
+        assert "precision_checks" not in out
+
     @pytest.mark.parametrize("problem", [[], ["--c", "4"]],
                              ids=["preset", "c=4"])
     def test_small_level_suite_passes(self, problem, capsys):

@@ -160,9 +160,12 @@ class TestErrors:
 
     def test_cumulative_sum_beyond_float_range(self, src):
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
-        R = np.full((2, 1, ev.top + 1), mp.mpc(1e154), dtype=object)  # |.|^2 finite
+        n, (m, e) = ev.top + 1, mp.mpf(1e154).man_exp            # |.|^2 finite
+        row, squares = evaluation._round_row([int(m)] * n, [0] * n, [int(e)] * n,
+                                             mp.mp.prec)
+        assert np.isfinite(squares).all()
         with pytest.raises(EvaluationOverflowError, match="cumulative"):
-            ev._finish_tables([0j], R, evaluation.abs2(R))
+            ev._finish_tables([0j], [[row], [row]], np.array([[squares], [squares]]))
 
     def test_extended_rejects_non_finite_coefficients(self):
         a = np.array([1.0, 4.0, math.inf, 16.0])
@@ -332,7 +335,7 @@ class TestExtendedPrecision:
 
     @pytest.mark.parametrize("source", ["c=2", "alternating_b"])
     def test_entries_are_rounded_once(self, source):
-        # each entry against mpmath's rounding of its unrounded chain value,
+        # each part against mpmath's rounding of its unrounded chain value,
         # and its squared modulus against the exact square of those parts
         from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
@@ -349,18 +352,68 @@ class TestExtendedPrecision:
             steps = evaluation._integer_steps(a[:L], b[:L], z,
                                               prec + evaluation._GUARD_BITS)
             for chain in "pq":                  # q_0 = 0
-                values += list(evaluation._integer_chain(steps, chain))
-        got, squares = evaluation._round_chain(values, prec)
-        assert len(got) == len(squares) == len(values)
-        for (re, im, e), v, sq in zip(values, got, squares):
+                values += zip(*evaluation._integer_chain(steps, chain))
+        row, squares = evaluation._round_row(*map(list, zip(*values)), prec)
+        assert isinstance(row, evaluation.ExtendedRow)
+        assert len(row) == len(squares) == len(values)
+        for k, (re, im, e) in enumerate(values):
             parts = (from_man_exp(re, e, prec, round_nearest),
                      from_man_exp(im, e, prec, round_nearest))
+            v = row[k]
             assert isinstance(v, mp.mpc) and v._mpc_ == parts, (re, im, e)
             exact = sum(Fraction((-1) ** s * m) ** 2 * Fraction(2) ** (2 * x)
                         for s, m, x, _ in parts)
-            assert sq == float(exact), (re, im, e)
-        assert got[1]._mpc_[0] == (0, 1, prec + 4, 1)
-        assert evaluation._round_chain([(1, 1, 600)], prec)[1] == [math.inf]
+            assert squares[k] == float(exact), (re, im, e)
+        assert row[1]._mpc_[0] == (0, 1, prec + 4, 1)
+        assert evaluation._round_row([1], [1], [600], prec)[1] == [math.inf]
+
+    @pytest.mark.parametrize("dps", [32, 40])
+    def test_entries_agree_on_every_route(self, src, dps, monkeypatch):
+        # an entry is the same mpc read by int index or by slice from a
+        # cached table, from recurrence_mp, from tables_batch and from
+        # pq_upto beyond the cache
+        monkeypatch.setattr(evaluation, "EXTENDED_DPS", dps)
+        ev = Evaluator(src, TruncationPolicy(n_max=60), "extended")
+        zs = [0.3 + 0.9j, -1.1 - 2.0j, complex(1.5, 0.0), 0j]
+        tabs, batch = ev.tables(zs), ev.tables_batch(zs)
+        upto = ev.top + 3
+        a, b = src.arrays(upto)
+        for j, (z, tab) in enumerate(zip(zs, tabs)):
+            fresh = evaluation.recurrence_mp(a, b, z, upto, dps)
+            beyond = ev.pq_upto(z, upto)
+            for row, T, F, U in zip((tab.p, tab.q), batch, fresh, beyond):
+                assert isinstance(row, evaluation.ExtendedRow) and len(row) == ev.top + 1
+                by_index = [row[k] for k in range(len(row))]
+                assert all(isinstance(v, mp.mpc) for v in by_index)
+                want = [v._mpc_ for v in by_index]
+                for got in (row[:], F[: ev.top + 1], U[: ev.top + 1]):
+                    assert got.dtype == object and [v._mpc_ for v in got] == want
+                assert [v._mpc_ for v in T[:, j]] == want[: ev.level + 2]
+                assert [v._mpc_ for v in row[5:-3:7]] == want[5:-3:7]
+                assert row[-1]._mpc_ == want[-1]
+                assert row[np.int64(7)]._mpc_ == want[7]
+
+    def test_extended_tables_leave_the_collector_idle(self, src):
+        # an extended table keeps no Python object per entry, so building
+        # many of them starts (almost) no cyclic garbage collection
+        import gc
+
+        ev = Evaluator(src, TruncationPolicy(n_max=500), "extended")
+        ev.table(0.5j)                          # warm: imports and first allocations
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            for z in 0.05 * np.arange(32) + 0.3j:
+                ev.table(z)
+        finally:
+            gc.callbacks.remove(count)
+        assert len(started) <= 3, started
 
     def test_abs2_rounds_exact_squares(self):
         # |v|^2 of each mpc, computed exactly as a Fraction and rounded once
@@ -371,12 +424,17 @@ class TestExtendedPrecision:
             vals = [mp.mpc(re, im) for re, im in zip(parts[::2], parts[1::2])]
             vals += [mp.mpc(0, parts[0]), mp.mpc(parts[1], 0), mp.mpc(0),
                      mp.mpc(mp.mpf(2) ** 500 * 3, mp.mpf(2) ** -500)]
+            # just above half the least subnormal, where a float of the
+            # exact sum, scaled, would round twice to 0
+            edge = mp.ldexp(2 ** 60 + 1, -598), mp.ldexp(1, -538)
+            vals += [mp.mpc(*edge), mp.mpc(*edge[::-1])]
         x = np.array(vals, dtype=object).reshape(2, -1)
         def frac(u):
             m, e = u.man_exp
             return Fraction(int(m)) * Fraction(2) ** int(e)
 
         exact = [float(frac(v.real) ** 2 + frac(v.imag) ** 2) for v in vals]
+        assert exact[-2:] == [math.ulp(0.0)] * 2
         assert evaluation.abs2(x).ravel().tolist() == exact
         for bad in (mp.mpc(mp.inf, 1), mp.mpc(1, mp.nan), mp.mpc(mp.mpf(2) ** 520, 0)):
             with pytest.raises(EvaluationOverflowError, match="overflow"):
@@ -384,10 +442,11 @@ class TestExtendedPrecision:
 
 
 def _same_table(t1, t2):
-    """Bitwise equality of two point tables (complex128 or mpmath entries)."""
+    """Bitwise equality of two point tables (complex128 or extended rows)."""
     def same(x, y):
-        if x.dtype == object:
-            return x.shape == y.shape and all(u == w for u, w in zip(x, y))
+        if isinstance(x, evaluation.ExtendedRow):
+            return (isinstance(y, evaluation.ExtendedRow) and len(x) == len(y)
+                    and all(x[k]._mpc_ == y[k]._mpc_ for k in range(len(x))))
         return x.dtype == y.dtype and x.tobytes() == y.tobytes()
     return (t1.z == t2.z and t1.stop_index == t2.stop_index
             and t1.converged == t2.converged and t1.tail_est == t2.tail_est
