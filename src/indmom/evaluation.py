@@ -36,14 +36,17 @@ The extended backend, :func:`_mp_block`, runs the same real-arithmetic
 recurrence one point at a time on Python integers: the points and
 coefficients are float64, so exact dyadic rationals, and each step keeps
 ``_GUARD_BITS`` bits beyond mpmath's binary precision at ``dps`` digits,
-rounding to nearest after each division by ``a_n``.  Each row's values
-are then rounded once to that precision, by mpmath's ``normalize``
-inlined, and emitted as integers: a signed mantissa and an exponent for
-each part, held by an :class:`ExtendedRow`, and the squared modulus
-computed from the rounded parts.  No Python object is kept per entry; an
-entry becomes an mpmath ``mpc`` only when it is read.  Evaluators run the
-kernel at ``EXTENDED_DPS`` digits, and arithmetic on their entries runs
-at the same precision inside :func:`working_precision`.  Either backend
+rounding to nearest after each division by ``a_n``.  An
+:class:`ExtendedRow` holds each row's values as the kernel left them,
+integer parts and a shared exponent, and rounds an entry once to that
+precision, by mpmath's ``normalize`` inlined, only when it is read: an
+entry becomes an mpmath ``mpc`` then.  A row keeps no Python object per
+entry, only the rounded parts of the entries read by int index.  The
+squared moduli of the rounded values, where a caller reads them, come
+from one more pass over the unrounded chain (:func:`_squares`), bitwise
+what squaring the rounded parts gives.  Evaluators run the kernel at
+``EXTENDED_DPS`` digits, and arithmetic on their entries runs at the
+same precision inside :func:`working_precision`.  Either backend
 computes the p rows, the q rows or both (``chains``); all but the
 fallback's point loop compute only the rows returned.
 
@@ -54,10 +57,13 @@ along the rows and the stop indices of all points at once; each table then
 copies its rows, and an extended table holds its two :class:`ExtendedRow`
 as they are.  :func:`recurrence_batch` and :meth:`Evaluator.tables_batch`
 return chain-major tables of shape ``(upto+1, points)``, one transpose
-copy of the block (the ufunc loop's own rows on that route);
-:func:`recurrence_mp` returns the rows at its one point.  In extended
-precision these, like an uncached :meth:`Evaluator.pq_upto`, are object
-arrays of ``mpc`` built from the whole rows.
+copy of the block (the ufunc loop's own rows on that route), or only
+the rows from a given index on; :func:`recurrence_mp` returns the rows at
+its one point.  In extended precision these, like an uncached
+:meth:`Evaluator.pq_upto`, are object arrays of ``mpc`` built from the
+rows returned.  :meth:`Evaluator.squares_batch` returns the squared
+moduli of the p rows, which in extended precision are the kernel's, with
+no entry built.
 """
 
 from __future__ import annotations
@@ -178,38 +184,41 @@ class PointTable:
 class ExtendedRow:
     """Internal: a read-only row of extended-precision entries.
 
-    Entry n is ``RM[n] * 2**RE[n] + i IM[n] * 2**IE[n]``: signed
-    mantissas, rounded to the kernel's precision with trailing zero bits
-    stripped, and their exponents (0 for a zero part).  Reading an int
-    index gives an mpmath ``mpc``, and reading a slice an object ndarray of
-    them; the row keeps no object per entry.
+    Entry n is ``(RE[n] + i IM[n]) * 2**E[n]``, the integer kernel's value
+    before rounding, and reads as that value with each part rounded to
+    nearest at ``prec`` bits (:func:`_round_mpf`).  Reading an int index
+    gives an mpmath ``mpc``, and reading a slice an object ndarray of them;
+    only the entries read are rounded.  The row keeps no object per entry
+    but the rounded parts of those read by int index, which the corner
+    forms read again and again.
     """
 
-    __slots__ = ("_parts", "_make")
+    __slots__ = ("_re", "_im", "_e", "_prec", "_make", "_read")
 
-    def __init__(self, RM: List[int], RE: List[int], IM: List[int], IE: List[int]):
+    def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int):
         from mpmath import mp
 
-        self._parts = (RM, RE, IM, IE)
+        self._re, self._im, self._e, self._prec = RE, IM, E, prec
         self._make = mp.make_mpc
+        self._read = {}
 
     def __len__(self) -> int:
-        return len(self._parts[0])
+        return len(self._e)
 
     def __getitem__(self, k):
-        RM, RE, IM, IE = self._parts
+        prec = self._prec
         if not isinstance(k, slice):
-            return self._make(_raw_mpc(RM[k], RE[k], IM[k], IE[k]))
-        vals = list(map(self._make, map(_raw_mpc, RM[k], RE[k], IM[k], IE[k])))
+            raw = self._read.get(k)
+            if raw is None:
+                e = self._e[k]
+                raw = self._read[k] = (_round_mpf(self._re[k], e, prec),
+                                       _round_mpf(self._im[k], e, prec))
+            return self._make(raw)
+        vals = [self._make((_round_mpf(re, e, prec), _round_mpf(im, e, prec)))
+                for re, im, e in zip(self._re[k], self._im[k], self._e[k])]
         out = np.empty(len(vals), dtype=object)
         out[:] = vals
         return out
-
-
-def _raw_mpc(rm: int, re: int, im: int, ie: int) -> tuple:
-    """mpmath's raw mpc of rm * 2**re + i im * 2**ie, for normalized parts."""
-    return ((1, -rm, re, (-rm).bit_length()) if rm < 0 else (0, rm, re, rm.bit_length()),
-            (1, -im, ie, (-im).bit_length()) if im < 0 else (0, im, ie, im.bit_length()))
 
 
 Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
@@ -412,22 +421,25 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
     return _pick(chains, [chain[0][:] for chain in rows])
 
 
-def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int,
-              chains: str) -> Tuple[List[List["ExtendedRow"]], np.ndarray]:
-    """Extended-precision rows and their squared moduli, point by point.
+def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int, chains: str,
+              squares: bool = False
+              ) -> Tuple[List[List["ExtendedRow"]], Optional[np.ndarray]]:
+    """Extended-precision rows, point by point, and their squared moduli.
 
     ``rows[c][j]`` is chain ``chains[c]`` at ``zs[j]``, an
     :class:`ExtendedRow` of upto+1 entries; the squared moduli are floats
-    of shape (len(chains), len(zs), upto+1).  The point loop's recurrence
+    of shape (len(chains), len(zs), upto+1), or None where ``squares`` is
+    false.  The point loop's recurrence
     runs on Python integers.  The points and the coefficients are float64,
     so exact dyadic rationals; each value is an integer pair (Re, Im) times
     a power of two, and the current and previous values of a chain share
     that exponent.  A step computes ``a_n v_{n+1}`` exactly, divides by
     ``a_n`` keeping ``prec + _GUARD_BITS`` bits, where ``prec`` is mpmath's
-    binary precision at ``dps`` digits, and rounds to nearest.
-    :func:`_round_row` then rounds each value to nearest at ``prec`` bits
-    once and takes its squared modulus from the rounded parts (inf beyond
-    the float range).
+    binary precision at ``dps`` digits, and rounds to nearest.  A row
+    holds these values unrounded and rounds an entry to nearest at ``prec``
+    bits when it is read; the squared moduli are those of the rounded
+    values, taken in one more pass over the unrounded chain
+    (:func:`_squares`; inf beyond the float range).
 
     Raises EvaluationOverflowError if a point or a coefficient is not finite.
     """
@@ -441,11 +453,14 @@ def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int,
             "evaluation overflow: the point or a coefficient is not finite")
     prec = dps_to_prec(dps)
     rows = [[None] * zs.size for _ in chains]
-    R2 = np.empty((len(chains), zs.size, upto + 1))
+    R2 = np.empty((len(chains), zs.size, upto + 1)) if squares else None
     for j, z in enumerate(zs.tolist()):
         steps = _integer_steps(a, b, z, prec + _GUARD_BITS)
         for c, chain in enumerate(chains):
-            rows[c][j], R2[c, j] = _round_row(*_integer_chain(steps, chain), prec)
+            RE, IM, E = _integer_chain(steps, chain)
+            rows[c][j] = ExtendedRow(RE, IM, E, prec)
+            if squares:
+                R2[c, j] = _squares(RE, IM, E, prec)
     return rows, R2
 
 
@@ -514,43 +529,56 @@ def _integer_chain(steps: tuple, chain: str) -> Tuple[List[int], List[int], List
     return RE, IM, E
 
 
-def _round_row(RE: List[int], IM: List[int], E: List[int],
-               prec: int) -> Tuple["ExtendedRow", List[float]]:
-    """The row of values (RE[n] + i IM[n]) * 2**E[n] and their squared moduli.
+def _round_mpf(v: int, e: int, prec: int) -> tuple:
+    """mpmath's raw mpf of ``from_man_exp(v, e, prec, round_nearest)``.
 
-    Each part is rounded by :func:`_round_parts`; the squared modulus is
-    computed exactly from the rounded parts and rounded once
-    (:func:`_square_sum`).
+    v * 2**e rounded to nearest at ``prec`` bits, ties to even, with
+    trailing zero bits stripped: mpmath's ``normalize``, inlined.
     """
-    parts = _round_parts(RE, E, prec) + _round_parts(IM, E, prec)
-    return ExtendedRow(*parts), list(map(_square_sum, *parts))
+    m = -v if v < 0 else v
+    n = m.bit_length() - prec
+    if n > 0:
+        t = m >> (n - 1)                        # the kept bits and the half bit
+        m = (t >> 1) + 1 if t & 1 and (t & 2 or m != t << (n - 1)) else t >> 1
+        e += n
+    if not m:
+        return (0, 0, 0, 0)                     # mpmath's zero
+    t = (m & -m).bit_length() - 1               # trailing zero bits
+    m >>= t
+    return (1 if v < 0 else 0, m, e + t, m.bit_length())
 
 
-def _round_parts(V: List[int], E: List[int], prec: int) -> Tuple[List[int], List[int]]:
-    """Signed mantissas and exponents of V[n] * 2**E[n] rounded to ``prec`` bits.
+def _squares(RE: List[int], IM: List[int], E: List[int], prec: int) -> List[float]:
+    """Squared moduli of the values (RE[n] + i IM[n]) * 2**E[n] rounded as read.
 
-    Rounds to nearest, ties to even, and strips trailing zero bits:
-    mpmath's ``normalize``, inlined, so each (mantissa, exponent) is the
-    raw mpf of ``from_man_exp(V[n], E[n], prec, round_nearest)``, with
-    exponent 0 for zero.
+    Each is the exact ``Re'^2 + Im'^2`` of the parts rounded by
+    :func:`_round_mpf`, rounded once to a float (inf beyond its range), and
+    is taken from the unrounded parts where that is certain to give the
+    same float.  With ``s = RE^2 + IM^2`` of ``b`` bits, rounding both parts
+    moves the sum by less than ``D = 2**(b + 2 - prec)``, and by nothing
+    where both fit in ``prec`` bits, as they do if ``b <= 2 prec``.
+    Rounding is monotone, so where ``float(s - D) == float(s + D)`` that
+    float is the rounded sum, and scaling it by ``2**(2 E)`` is exact where
+    the result is normal.  Every other value (within D of a rounding
+    midpoint, subnormal, near or past the float range, or with ``b >=
+    1000``) is :func:`_square_sum` of the rounded parts.
     """
-    M, X = [], []
-    for v, e in zip(V, E):
-        m = -v if v < 0 else v
-        n = m.bit_length() - prec
-        if n > 0:
-            t = m >> (n - 1)                    # the kept bits and the half bit
-            m = (t >> 1) + 1 if t & 1 and (t & 2 or m != t << (n - 1)) else t >> 1
-            e += n
-        if m:
-            t = (m & -m).bit_length() - 1       # trailing zero bits
-            m >>= t
-            e += t
-        else:
-            e = 0
-        M.append(-m if v < 0 else m)
-        X.append(e)
-    return M, X
+    out = []
+    for re, im, e in zip(RE, IM, E):
+        s = re * re + im * im
+        b = s.bit_length()
+        if b < 1000 and b + 2 * e < 1024:
+            d = 1 << (b + 2 - prec) if b > 2 * prec else 0
+            x = float(s - d)
+            if x == float(s + d):
+                x = math.ldexp(x, 2 * e)
+                if x >= _NORMAL_EDGE:
+                    out.append(x)
+                    continue
+        _, m, f, _ = _round_mpf(re, e, prec)
+        _, n, g, _ = _round_mpf(im, e, prec)
+        out.append(_square_sum(m, f, n, g))
+    return out
 
 
 def _square_sum(m: int, e: int, n: int, f: int) -> float:
@@ -570,29 +598,19 @@ def _square_sum(m: int, e: int, n: int, f: int) -> float:
 
 
 def abs2(x: np.ndarray) -> np.ndarray:
-    """Squared moduli as floats, for complex128 or mpmath (object) arrays.
+    """Squared moduli of a complex128 array as floats.
 
-    An ``mpc`` entry's squared modulus is computed exactly from its integer
-    mantissas and exponents and rounded once to the nearest float.  Raises
-    EvaluationOverflowError if one exceeds the float range (only an
-    extended-precision table can reach it) or an entry is not finite.
+    Raises EvaluationOverflowError if one is not finite.
     """
-    if x.dtype == object:
-        out = np.array([_mpc_abs2(v) for v in x.flat], dtype=float).reshape(x.shape)
-    else:
-        out = np.abs(x) ** 2
-    if not np.isfinite(out).all():
+    return _finite(np.abs(x) ** 2)
+
+
+def _finite(squares: np.ndarray) -> np.ndarray:
+    """``squares``, checked: EvaluationOverflowError if one is not finite."""
+    if not np.isfinite(squares).all():
         raise EvaluationOverflowError(
             "evaluation overflow: a squared modulus exceeds the float range")
-    return out
-
-
-def _mpc_abs2(v) -> float:
-    """|v|^2 of an mpmath mpc, rounded once; nan for an infinite or nan part."""
-    (_, m, e, _), (_, n, f, _) = v._mpc_
-    if (not m and e) or (not n and f):                # mpmath's special values
-        return math.nan
-    return _square_sum(m, e, n, f)
+    return squares
 
 
 def working_precision(precision: str):
@@ -630,7 +648,8 @@ class Evaluator:
         self.a, self.b = source.arrays(self.top)
         self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
 
-    def _recurrence(self, zs, upto: int, chains: str = "pq", chain_major: bool = False
+    def _recurrence(self, zs, upto: int, chains: str = "pq", chain_major: bool = False,
+                    first: int = 0, squares: bool = False
                     ) -> Tuple[object, Optional[np.ndarray]]:
         """(R, R2): the rows through index upto at each point, and their squares.
 
@@ -640,22 +659,25 @@ class Evaluator:
         ``zs[j]``: a row of the complex128 block of shape (len(chains),
         len(zs), upto+1), or an :class:`ExtendedRow`.  With
         ``chain_major`` R is instead an array of shape (len(chains),
-        upto+1, len(zs)), C-contiguous: the standard block's transpose
+        upto+1-first, len(zs)) holding rows ``first..upto`` of each chain,
+        each chain C-contiguous: a view of the standard block's transpose
         copy, or the extended rows' entries as mpmath ``mpc`` (object
-        dtype).  R2 holds the extended kernel's squared moduli of the rows;
-        it is None in standard precision.
+        dtype), built for those rows only.  With ``squares`` R2 holds the
+        extended kernel's squared moduli of the whole rows, shaped like the
+        block; it is None otherwise and in standard precision.
         """
         a, b = self.source.arrays(max(upto, 1))
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         if self.precision == "standard":
-            return _solve_block(a, b, zs, upto, chains, chain_major), None
-        rows, R2 = _mp_block(a, b, zs, upto, EXTENDED_DPS, chains)
+            R = _solve_block(a, b, zs, upto, chains, chain_major)
+            return (R[:, first:] if chain_major else R), None
+        rows, R2 = _mp_block(a, b, zs, upto, EXTENDED_DPS, chains, squares)
         if not chain_major:
             return rows, R2
-        T = np.empty((len(chains), upto + 1, zs.size), dtype=object)
+        T = np.empty((len(chains), upto + 1 - first, zs.size), dtype=object)
         for c, chain in enumerate(rows):
             for j, row in enumerate(chain):
-                T[c, :, j] = row[:]
+                T[c, :, j] = row[first:]
         return T, R2
 
     # -- point tables ------------------------------------------------------
@@ -678,7 +700,7 @@ class Evaluator:
         cache = self._cache
         misses = list(dict.fromkeys(z for z in keys if z not in cache))
         if misses:
-            R, R2 = self._recurrence(misses, self.top)
+            R, R2 = self._recurrence(misses, self.top, squares=True)
             if R2 is None:
                 R2 = np.abs(R) ** 2              # the expression abs2 uses
             for tab in self._finish_tables(misses, R, R2):
@@ -690,13 +712,29 @@ class Evaluator:
             cache.popitem(last=False)
         return out
 
-    def tables_batch(self, zs, chains: str = "pq") -> Pair:
-        """Uncached (P, Q) tables through index level + 1 for an array of points.
+    def tables_batch(self, zs, chains: str = "pq", first: int = 0) -> Pair:
+        """Uncached (P, Q) tables, rows first..level+1, for an array of points.
 
-        ``chains`` selects the tables computed; the other is None.
+        ``chains`` selects the tables computed; the other is None.  Row k of
+        a table is index ``first + k`` at every point.
         """
-        T, _ = self._recurrence(zs, self.level + 1, chains, chain_major=True)
+        T, _ = self._recurrence(zs, self.level + 1, chains, chain_major=True,
+                                first=first)
         return _pick(chains, T)
+
+    def squares_batch(self, zs, upto: int) -> np.ndarray:
+        """|p_k|^2 for k = 0..upto at an array of points, upto <= level + 1.
+
+        Shape (upto+1, len(zs)), C-contiguous: :func:`abs2` of the rows of
+        :meth:`tables_batch` in standard precision, and the extended
+        kernel's squared moduli in extended precision, where no entry is
+        built.  Raises EvaluationOverflowError if one is not finite.
+        """
+        if self.precision == "standard":
+            P, _ = self.tables_batch(zs, "p")
+            return abs2(P[: upto + 1])
+        _, R2 = self._recurrence(zs, upto, "p", squares=True)
+        return _finite(np.ascontiguousarray(R2[0].T))
 
     def _finish_tables(self, zs: List[complex], R,
                        R2: np.ndarray) -> List[PointTable]:

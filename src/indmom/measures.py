@@ -18,7 +18,7 @@ import numpy as np
 
 from .coefficients import JacobiCoefficients
 from .errors import IndmomError, NonConvergenceError, SupportPointError
-from .evaluation import Evaluator, TruncationPolicy, abs2, evaluator_for
+from .evaluation import Evaluator, TruncationPolicy, evaluator_for
 from .nevanlinna import nev, nev_one
 from .sequences import moment
 from .zeros import LineFunction, RootScan, RootScanConfig, nevanlinna_line
@@ -151,8 +151,7 @@ def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
 
 
 def _masses_batch(ev: Evaluator, xs: np.ndarray) -> np.ndarray:
-    P, _ = ev.tables_batch(xs, "p")
-    return 1.0 / np.sum(abs2(P[: ev.level + 1]), axis=0)
+    return 1.0 / np.sum(ev.squares_batch(xs, ev.level), axis=0)
 
 
 def build_measure(source: JacobiCoefficients, t: ExtensionParam,

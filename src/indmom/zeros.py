@@ -405,9 +405,9 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     """Values of line functions at real or complex points, one row each.
 
     The functions share one evaluator and kind, so rows L and L+1 of one
-    table of that kind serve them all; a value depends only on its point
-    and on the route (banded solves or the fallback), not on the other
-    points.
+    table of that kind serve them all, and are the only rows read; a
+    value depends only on its point and on the route (banded solves or
+    the fallback), not on the other points.
     Their coefficients are real, so f(conj z) = conj f(z): each point is
     evaluated once, at the member of its conjugate pair with Im >= 0 (-0.0
     taken as +0.0), and a point below the axis gets the conjugate of that
@@ -421,9 +421,9 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     upper = zs.copy()
     upper.imag = np.abs(zs.imag)
     pts, back = np.unique(upper, return_inverse=True)
-    P, Q = ev.tables_batch(pts, kind)
     L = ev.level
-    T_L, T_next = (P if kind == "p" else Q)[L: L + 2]
+    P, Q = ev.tables_batch(pts, kind, L)
+    T_L, T_next = P if kind == "p" else Q
     with working_precision(ev.precision):
         vals = np.array([ev.a[L] * (T_next * f.g[0] - T_L * f.g[1]) for f in fs],
                         dtype=complex)

@@ -4,6 +4,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indmom import (JacobiCoefficients, TruncationPolicy, acceptance, eval_pq,
                     evaluation, p_vector)
@@ -161,8 +163,7 @@ class TestErrors:
     def test_cumulative_sum_beyond_float_range(self, src):
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
         n, (m, e) = ev.top + 1, mp.mpf(1e154).man_exp            # |.|^2 finite
-        row, squares = evaluation._round_row([int(m)] * n, [0] * n, [int(e)] * n,
-                                             mp.mp.prec)
+        row, squares = _extended_row([int(m)] * n, [0] * n, [int(e)] * n, mp.mp.prec)
         assert np.isfinite(squares).all()
         with pytest.raises(EvaluationOverflowError, match="cumulative"):
             ev._finish_tables([0j], [[row], [row]], np.array([[squares], [squares]]))
@@ -216,6 +217,12 @@ def _mp_reference(a, b, z, upto, dps):
             p.append(((zm - bm[n]) * p[n] - am[n - 1] * p[n - 1]) / am[n])
             q.append(((zm - bm[n]) * q[n] - am[n - 1] * q[n - 1]) / am[n])
     return p, q
+
+
+def _extended_row(RE, IM, E, prec):
+    """The kernel's row of the values (RE[n] + i IM[n]) * 2**E[n] and its squares."""
+    return (evaluation.ExtendedRow(RE, IM, E, prec),
+            evaluation._squares(RE, IM, E, prec))
 
 
 class TestRecurrenceKernel:
@@ -353,7 +360,7 @@ class TestExtendedPrecision:
                                               prec + evaluation._GUARD_BITS)
             for chain in "pq":                  # q_0 = 0
                 values += zip(*evaluation._integer_chain(steps, chain))
-        row, squares = evaluation._round_row(*map(list, zip(*values)), prec)
+        row, squares = _extended_row(*map(list, zip(*values)), prec)
         assert isinstance(row, evaluation.ExtendedRow)
         assert len(row) == len(squares) == len(values)
         for k, (re, im, e) in enumerate(values):
@@ -365,7 +372,7 @@ class TestExtendedPrecision:
                         for s, m, x, _ in parts)
             assert squares[k] == float(exact), (re, im, e)
         assert row[1]._mpc_[0] == (0, 1, prec + 4, 1)
-        assert evaluation._round_row([1], [1], [600], prec)[1] == [math.inf]
+        assert _extended_row([1], [1], [600], prec)[1] == [math.inf]
 
     @pytest.mark.parametrize("dps", [32, 40])
     def test_entries_agree_on_every_route(self, src, dps, monkeypatch):
@@ -415,8 +422,60 @@ class TestExtendedPrecision:
             gc.callbacks.remove(count)
         assert len(started) <= 3, started
 
-    def test_abs2_rounds_exact_squares(self):
-        # |v|^2 of each mpc, computed exactly as a Fraction and rounded once
+    def test_squares_fall_back_off_the_certificate(self, src, monkeypatch):
+        # each squared modulus against the exact square of the rounded
+        # parts, where the unrounded parts cannot certify it: within D of a
+        # float rounding midpoint, subnormal, at the 2**-1075 edge, past the
+        # float range and at 1000 bits or more; these all take the fallback
+        from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+
+        prec = dps_to_prec(evaluation.EXTENDED_DPS)
+        fallbacks, square_sum = [], evaluation._square_sum
+
+        def counted(*parts):
+            fallbacks.append(parts)
+            return square_sum(*parts)
+
+        monkeypatch.setattr(evaluation, "_square_sum", counted)
+
+        def exact(re, im, e):
+            parts = (from_man_exp(re, e, prec, round_nearest),
+                     from_man_exp(im, e, prec, round_nearest))
+            value = sum(Fraction(m) ** 2 * Fraction(2) ** (2 * x) for _, m, x, _ in parts)
+            try:
+                return float(value)
+            except OverflowError:
+                return math.inf
+
+        # Re^2 + Im^2 within 2 Re + 1 < D of a midpoint between 53-bit floats
+        mid = (2 * ((1 << 52) + 12345) + 1) << 213
+        near = [(math.isqrt(mid - im * im), im, e)
+                for im in (0, 3 << 128, -(1 << 120)) for e in (-90, 0, 7)]
+        for re, im, e in near:
+            s = re * re + im * im
+            assert re.bit_length() > prec and abs(s - mid) < 1 << (s.bit_length() + 2 - prec)
+        edge = [(2 ** 60 + 1, 2 ** 60, -598), (2 ** 60, 2 ** 60 + 1, -598)]
+        falling = near + edge + [
+            ((1 << 133) + 12345, -7, -660),     # subnormal
+            (1 << 90, 3 << 60, -700),           # subnormal, parts of prec bits
+            (1, 1, -538),                       # exactly 2**-1075: ties to even, 0
+            (1, -1, 600), (1 << 520, 0, 0), (1, 0, 520),     # past the float range
+            ((1 << 133) + 1, 0, 379),           # 2**1024 and a little more
+            ((1 << 600) - 1, 5, -600),          # 1000 bits or more
+        ]
+        for k, (re, im, e) in enumerate(falling):
+            got = evaluation._squares([re], [im], [e], prec)
+            assert got == [exact(re, im, e)], (re, im, e)
+            assert len(fallbacks) == k + 1, (re, im, e)
+        assert [exact(*v) for v in edge] == [math.ulp(0.0)] * 2
+        assert exact(1, 1, -538) == 0.0 and exact(1, 0, 520) == math.inf
+        # the certificate serves values in the normal range, the largest too
+        fallbacks.clear()
+        certified = [((1 << 133) + 1, 0, 378), ((1 << 133) - 1, 1 << 120, -1),
+                     (3 << 100, -(5 << 90), -520), ((1 << 200) + 3, 1 << 133, -500)]
+        got = evaluation._squares(*map(list, zip(*certified)), prec)
+        assert got == [exact(*v) for v in certified] and not fallbacks
+        # parts of a few digits to 10**150, one zero part, and zero
         rng = np.random.default_rng(6)
         with mp.workdps(32):
             parts = [mp.mpf(float(x)) * mp.mpf(10) ** int(k) / 3
@@ -424,21 +483,58 @@ class TestExtendedPrecision:
             vals = [mp.mpc(re, im) for re, im in zip(parts[::2], parts[1::2])]
             vals += [mp.mpc(0, parts[0]), mp.mpc(parts[1], 0), mp.mpc(0),
                      mp.mpc(mp.mpf(2) ** 500 * 3, mp.mpf(2) ** -500)]
-            # just above half the least subnormal, where a float of the
-            # exact sum, scaled, would round twice to 0
-            edge = mp.ldexp(2 ** 60 + 1, -598), mp.ldexp(1, -538)
-            vals += [mp.mpc(*edge), mp.mpc(*edge[::-1])]
-        x = np.array(vals, dtype=object).reshape(2, -1)
-        def frac(u):
-            m, e = u.man_exp
-            return Fraction(int(m)) * Fraction(2) ** int(e)
+        values = []
+        for v in vals:
+            (m, x), (n, y) = v.real.man_exp, v.imag.man_exp
+            f = min(x, y) if m and n else x if m else y
+            values.append((int(m) << int(x - f), int(n) << int(y - f), int(f)))
+        got = evaluation._squares(*map(list, zip(*values)), prec)
+        assert got == [exact(*v) for v in values]
+        # a table whose squares overflow, or a point that is not finite,
+        # raises instead of returning what it cannot hold
+        ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
+        with pytest.raises(EvaluationOverflowError, match="squared modulus"):
+            ev.squares_batch([0.5j, 1e300], ev.level)
+        for bad in (complex(math.inf, 1), complex(1, math.nan)):
+            with pytest.raises(EvaluationOverflowError, match="not finite"):
+                ev.squares_batch([0.5j, bad], ev.level)
 
-        exact = [float(frac(v.real) ** 2 + frac(v.imag) ** 2) for v in vals]
-        assert exact[-2:] == [math.ulp(0.0)] * 2
-        assert evaluation.abs2(x).ravel().tolist() == exact
-        for bad in (mp.mpc(mp.inf, 1), mp.mpc(1, mp.nan), mp.mpc(mp.mpf(2) ** 520, 0)):
-            with pytest.raises(EvaluationOverflowError, match="overflow"):
-                evaluation.abs2(np.array([mp.mpc(1), bad], dtype=object))
+    @settings(max_examples=40, deadline=None)
+    @given(z=st.one_of(
+               st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
+                         st.floats(0, 2.5), st.floats(0, 2 * math.pi)),
+               st.builds(complex, st.floats(-40, 40), st.sampled_from([0.0, -0.0])),
+               st.builds(lambda x, y, s: complex(x, s * y), st.floats(-40, 40),
+                         st.floats(1e-300, 1e-8), st.sampled_from([1, -1]))),
+           source=st.sampled_from(["c=1.2", "c=2", "c=3", "alternating_b"]),
+           upto=st.integers(0, 300), cut=st.tuples(st.integers(-320, 320),
+                                                   st.integers(-320, 320)))
+    def test_entries_round_when_read(self, z, source, upto, cut):
+        # every entry, read by index or by slice, is mpmath's rounding of
+        # the chain's unrounded parts, and every square is the exact square
+        # of those rounded parts, rounded once
+        from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+
+        dps = evaluation.EXTENDED_DPS
+        prec = dps_to_prec(dps)
+        a, b = _source(source).arrays(max(upto, 1))
+        rows, R2 = evaluation._mp_block(a, b, [z], upto, dps, "pq", squares=True)
+        steps = evaluation._integer_steps(a[:upto], b[:upto], z,
+                                          prec + evaluation._GUARD_BITS)
+        for c, chain in enumerate("pq"):
+            row = rows[c][0]
+            want = [(from_man_exp(re, e, prec, round_nearest),
+                     from_man_exp(im, e, prec, round_nearest))
+                    for re, im, e in zip(*evaluation._integer_chain(steps, chain))]
+            assert len(row) == len(want) == upto + 1
+            for _ in range(2):                  # the second time from the row's store
+                assert [row[k]._mpc_ for k in range(upto + 1)] == want
+            assert [row[k]._mpc_ for k in range(-upto - 1, 0)] == want
+            assert [v._mpc_ for v in row[:]] == want
+            assert [v._mpc_ for v in row[cut[0]:cut[1]]] == want[cut[0]:cut[1]]
+            assert [v._mpc_ for v in row[::-3]] == want[::-3]
+            assert R2[c, 0].tolist() == [evaluation._square_sum(m, e, n, f)
+                                         for (_, m, e, _), (_, n, f, _) in want]
 
 
 def _same_table(t1, t2):

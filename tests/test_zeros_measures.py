@@ -564,9 +564,9 @@ class TestCountZerosRect:
         # a conjugate pair is one table
         asked, batch = [], Evaluator.tables_batch
 
-        def counted(self, zs, chains="pq"):
+        def counted(self, zs, chains="pq", first=0):
             asked.append(len(zs))
-            return batch(self, zs, chains)
+            return batch(self, zs, chains, first)
 
         monkeypatch.setattr(Evaluator, "tables_batch", counted)
         line_values(fs, np.concatenate([zs, xs, zs.conj(), below]))
@@ -658,9 +658,9 @@ class TestCountZerosRect:
         asked, strips = [], []
         batch, count = Evaluator.tables_batch, zeros.count_zeros_rect
 
-        def counted(self, zs, chains="pq"):
+        def counted(self, zs, chains="pq", first=0):
             asked.append(len(zs))
-            return batch(self, zs, chains)
+            return batch(self, zs, chains, first)
 
         def strip_count(F, rect, samples_per_side=64):
             start = len(asked)
@@ -861,6 +861,68 @@ class TestBuildMeasure:
                             window=(-2.0, 2.0), captured_mass=-0.1,
                             moment_residuals=np.zeros(1), level=8,
                             scan_warning=False)
+
+
+class TestExtendedReaders:
+    """The extended readers of whole-row batches read only what they use."""
+
+    @staticmethod
+    def _evaluator():
+        return Evaluator(JacobiCoefficients.power_law(1.2), TruncationPolicy(n_max=150),
+                         "extended")
+
+    def test_masses_are_the_whole_row_sums(self):
+        from indmom.measures import _masses_batch
+
+        ev = self._evaluator()
+        nodes = _line(ev, "p", ExtensionParam.finite(1.0)).nodes()
+        xs = np.concatenate([nodes[np.abs(nodes) < 60], [0.25, -3.5]])
+        assert len(xs) > 10
+        L = ev.level
+        for pts in (xs, xs[:1], xs[3:5]):
+            P, _ = ev.tables_batch(pts, "p")
+            # the squared moduli of the entries, as abs2 took them from
+            # object arrays: each exact and rounded once
+            S = np.array([[evaluation._square_sum(m, e, n, f)
+                           for (_, m, e, _), (_, n, f, _) in (v._mpc_ for v in row)]
+                          for row in P[: L + 1]])
+            want = 1.0 / np.sum(S, axis=0)
+            assert _masses_batch(ev, pts).tobytes() == want.tobytes()
+
+    def test_line_values_are_the_whole_row_forms(self):
+        ev = self._evaluator()
+        rng = np.random.default_rng(12)
+        for kind in ("p", "q"):
+            fs = [_line(ev, kind, ExtensionParam.parse(t)) for t in ("0", "1", "inf")]
+            nodes = fs[1].nodes()
+            zs = np.concatenate([nodes[np.abs(nodes) < 60], [0.25, -3.5],
+                                 rng.uniform(-6, 6, 6) + 1j * rng.uniform(0, 3, 6)])
+            assert len(zs) > 15
+            L = ev.level
+            P, Q = ev.tables_batch(zs, kind)
+            T = P if kind == "p" else Q
+            with evaluation.working_precision("extended"):
+                want = np.array([ev.a[L] * (T[L + 1] * f.g[0] - T[L] * f.g[1])
+                                 for f in fs], dtype=complex)
+            assert line_values(fs, zs).tobytes() == want.tobytes()
+
+    def test_extended_measure_reads_no_whole_row(self, monkeypatch):
+        # every slice read from an extended row while a measure is built is
+        # at most the two entries of a corner pair
+        slices, getitem = [], evaluation.ExtendedRow.__getitem__
+
+        def counted(self, k):
+            if isinstance(k, slice):
+                slices.append(len(range(*k.indices(len(self)))))
+            return getitem(self, k)
+
+        monkeypatch.setattr(evaluation.ExtendedRow, "__getitem__", counted)
+        src, pol = JacobiCoefficients.power_law(1.2), TruncationPolicy(n_max=140)
+        for t in ("0", "inf"):
+            m = build_measure(src, ExtensionParam.parse(t), RootScanConfig(window=(-5.0, 5.0)),
+                              pol, n_check=4, auto_window=True, precision="extended")
+            assert len(m.points) > 5
+        assert slices and max(slices) <= 2, slices
 
 
 class TestStieltjes:
