@@ -38,15 +38,15 @@ coefficients are float64, so exact dyadic rationals, and each step keeps
 ``_GUARD_BITS`` bits beyond mpmath's binary precision at ``dps`` digits,
 rounding to nearest after each division by ``a_n``.  An
 :class:`ExtendedRow` holds each row's values as the kernel left them,
-integer parts and a shared exponent, and rounds an entry once to that
-precision, by mpmath's ``normalize`` inlined, only when it is read: an
+integer parts and a shared exponent, and rounds an entry to that
+precision, by mpmath's ``normalize`` inlined, each time it is read: an
 entry becomes an mpmath ``mpc`` then.  A row keeps no Python object per
-entry, only the rounded parts of the entries read by int index.  The
-squared moduli of the rounded values, where a caller reads them, come
-from one more pass over the unrounded chain (:func:`_squares`), bitwise
-what squaring the rounded parts gives.  Evaluators run the kernel at
-``EXTENDED_DPS`` digits, and arithmetic on their entries runs at the
-same precision inside :func:`working_precision`.  Either backend
+entry, so only what is read is paid for.  The squared moduli of the
+rounded values, where a caller reads them, come from one more pass over
+the unrounded chain (:func:`_squares`), bitwise what squaring the
+rounded parts gives.  Evaluators run the kernel at ``EXTENDED_DPS``
+digits, and arithmetic on their entries runs at the same precision
+inside :func:`working_precision`.  Either backend
 computes the p rows, the q rows or both (``chains``); all but the
 fallback's point loop compute only the rows returned.
 
@@ -62,8 +62,8 @@ the rows from a given index on; :func:`recurrence_mp` returns the rows at
 its one point.  In extended precision these, like an uncached
 :meth:`Evaluator.pq_upto`, are object arrays of ``mpc`` built from the
 rows returned.  :meth:`Evaluator.squares_batch` returns the squared
-moduli of the p rows, which in extended precision are the kernel's, with
-no entry built.
+moduli of the p rows through the shared level, which in extended
+precision are the kernel's, with no entry built.
 """
 
 from __future__ import annotations
@@ -188,19 +188,17 @@ class ExtendedRow:
     before rounding, and reads as that value with each part rounded to
     nearest at ``prec`` bits (:func:`_round_mpf`).  Reading an int index
     gives an mpmath ``mpc``, and reading a slice an object ndarray of them;
-    only the entries read are rounded.  The row keeps no object per entry
-    but the rounded parts of those read by int index, which the corner
-    forms read again and again.
+    only the entries read are rounded, on each read.  The row keeps no
+    object per entry.
     """
 
-    __slots__ = ("_re", "_im", "_e", "_prec", "_make", "_read")
+    __slots__ = ("_re", "_im", "_e", "_prec", "_make")
 
     def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int):
         from mpmath import mp
 
         self._re, self._im, self._e, self._prec = RE, IM, E, prec
         self._make = mp.make_mpc
-        self._read = {}
 
     def __len__(self) -> int:
         return len(self._e)
@@ -208,12 +206,9 @@ class ExtendedRow:
     def __getitem__(self, k):
         prec = self._prec
         if not isinstance(k, slice):
-            raw = self._read.get(k)
-            if raw is None:
-                e = self._e[k]
-                raw = self._read[k] = (_round_mpf(self._re[k], e, prec),
-                                       _round_mpf(self._im[k], e, prec))
-            return self._make(raw)
+            e = self._e[k]
+            return self._make((_round_mpf(self._re[k], e, prec),
+                               _round_mpf(self._im[k], e, prec)))
         vals = [self._make((_round_mpf(re, e, prec), _round_mpf(im, e, prec)))
                 for re, im, e in zip(self._re[k], self._im[k], self._e[k])]
         out = np.empty(len(vals), dtype=object)
@@ -567,17 +562,12 @@ def _squares(RE: List[int], IM: List[int], E: List[int], prec: int) -> List[floa
     for re, im, e in zip(RE, IM, E):
         s = re * re + im * im
         b = s.bit_length()
-        if b < 1000 and b + 2 * e < 1024:
-            d = 1 << (b + 2 - prec) if b > 2 * prec else 0
-            x = float(s - d)
-            if x == float(s + d):
-                x = math.ldexp(x, 2 * e)
-                if x >= _NORMAL_EDGE:
-                    out.append(x)
-                    continue
-        _, m, f, _ = _round_mpf(re, e, prec)
-        _, n, g, _ = _round_mpf(im, e, prec)
-        out.append(_square_sum(m, f, n, g))
+        x = _scaled(s, 2 * e, 1 << (b + 2 - prec) if b > 2 * prec else 0)
+        if x is None:
+            _, m, f, _ = _round_mpf(re, e, prec)
+            _, n, g, _ = _round_mpf(im, e, prec)
+            x = _square_sum(m, f, n, g)
+        out.append(x)
     return out
 
 
@@ -586,15 +576,34 @@ def _square_sum(m: int, e: int, n: int, f: int) -> float:
     if e > f:
         m, e, n, f = n, f, m, e
     s, k = m * m + (n * n << 2 * (f - e)), 2 * e      # the sum is s * 2**k exactly
+    x = _scaled(s, k)
+    if x is not None:
+        return x
     try:
-        if s.bit_length() < 1000:
-            # float(s) rounds once, and a normal result scales it exactly
-            x = math.ldexp(s, k)
-            if x >= _NORMAL_EDGE:
-                return x
         return s / (1 << -k) if k < 0 else float(s << k)  # int division rounds once
     except OverflowError:
         return math.inf
+
+
+def _scaled(s: int, k: int, d: int = 0) -> Optional[float]:
+    """s' * 2**k rounded once to a float, for every s' within d of s, or None.
+
+    float(s') is one float where ``float(s - d) == float(s + d)`` (rounding
+    is monotone), as it is at d = 0, and scaling it by 2**k is exact where
+    the result is normal.  None where that is not certain: s of 1000 bits
+    or more, the two floats differ, or the result is subnormal or past the
+    float range.
+    """
+    if s.bit_length() >= 1000:
+        return None
+    x = float(s - d)
+    if d and x != float(s + d):
+        return None
+    try:
+        x = math.ldexp(x, k)
+    except OverflowError:
+        return None
+    return x if x >= _NORMAL_EDGE else None
 
 
 def abs2(x: np.ndarray) -> np.ndarray:
@@ -722,18 +731,18 @@ class Evaluator:
                                 first=first)
         return _pick(chains, T)
 
-    def squares_batch(self, zs, upto: int) -> np.ndarray:
-        """|p_k|^2 for k = 0..upto at an array of points, upto <= level + 1.
+    def squares_batch(self, zs) -> np.ndarray:
+        """|p_k|^2 for k = 0..level at an array of points.
 
-        Shape (upto+1, len(zs)), C-contiguous: :func:`abs2` of the rows of
+        Shape (level+1, len(zs)), C-contiguous: :func:`abs2` of the rows of
         :meth:`tables_batch` in standard precision, and the extended
         kernel's squared moduli in extended precision, where no entry is
         built.  Raises EvaluationOverflowError if one is not finite.
         """
         if self.precision == "standard":
             P, _ = self.tables_batch(zs, "p")
-            return abs2(P[: upto + 1])
-        _, R2 = self._recurrence(zs, upto, "p", squares=True)
+            return abs2(P[: self.level + 1])
+        _, R2 = self._recurrence(zs, self.level, "p", squares=True)
         return _finite(np.ascontiguousarray(R2[0].T))
 
     def _finish_tables(self, zs: List[complex], R,

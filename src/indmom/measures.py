@@ -151,7 +151,7 @@ def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
 
 
 def _masses_batch(ev: Evaluator, xs: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sum(ev.squares_batch(xs, ev.level), axis=0)
+    return 1.0 / np.sum(ev.squares_batch(xs), axis=0)
 
 
 def build_measure(source: JacobiCoefficients, t: ExtensionParam,

@@ -109,15 +109,22 @@ SERIES_FORMS = {"A": ("q", "q", 0.0), "B": ("p", "q", -1.0),
                 "C": ("q", "p", 1.0), "D": ("p", "p", 0.0)}
 
 
-def _forms(tu: PointTable, tv: PointTable) -> list:
-    """(T at u, S at v, offset) for A, B, C, D in turn."""
-    return [(getattr(tu, kind), getattr(tv, anchor), off)
+def _forms(tu: PointTable, tv: PointTable, n, n1) -> list:
+    """(T_n, T_{n1}, S_n, S_{n1}, offset) for A, B, C, D in turn.
+
+    T is the kind table at u and S the anchor table at v; n and n1 are
+    indices or slices.  Each of the eight entries (p and q at u and v, at
+    n and n1) is read once and shared by the forms that use it.
+    """
+    at_u = {"p": (tu.p[n], tu.p[n1]), "q": (tu.q[n], tu.q[n1])}
+    at_v = {"p": (tv.p[n], tv.p[n1]), "q": (tv.q[n], tv.q[n1])}
+    return [(*at_u[kind], *at_v[anchor], off)
             for kind, anchor, off in SERIES_FORMS.values()]
 
 
-def _corners(a: np.ndarray, forms: list, n, n1) -> list:
-    """Corner values of A, B, C, D at index n, with n1 = n + 1 (or slices)."""
-    return [a[n] * (T[n1] * S[n] - T[n] * S[n1]) for T, S, _ in forms]
+def _corners(a_n, forms: list) -> list:
+    """Corner values of A, B, C, D from :func:`_forms` at n, with a_n = a[n]."""
+    return [a_n * (T1 * S0 - T0 * S1) for T0, T1, S0, S1, _ in forms]
 
 
 def partial_quad_arrays(source: JacobiCoefficients, u, v, upto: int,
@@ -133,14 +140,14 @@ def partial_quad_arrays(source: JacobiCoefficients, u, v, upto: int,
     if not 0 <= upto <= ev.level:
         raise ValueError(f"upto={upto} outside 0..{ev.level}")
     u, v = complex(u), complex(v)
-    forms = _forms(*ev.tables([u, v]))
     s = slice(0, upto + 1)
+    forms = _forms(*ev.tables([u, v]), s, slice(1, upto + 2))
     ser = []
-    for T, S, off in forms:
-        val = (u - v) * np.cumsum(T[s] * S[s])
+    for T, _, S, _, off in forms:
+        val = (u - v) * np.cumsum(T * S)
         # A and D carry no constant: adding 0.0 would flip a zero's sign
         ser.append(off + val if off else val)
-    return np.stack(ser), np.stack(_corners(ev.a, forms, s, slice(1, upto + 2)))
+    return np.stack(ser), np.stack(_corners(ev.a[s], forms))
 
 
 def nev_partial(source: JacobiCoefficients, u, v, n: int,
@@ -171,9 +178,9 @@ def _nev_quad(ev: Evaluator, u: complex, v: complex, n: int,
               flag: bool) -> NevQuad:
     """The corner quadruple at index n; ``flag`` runs :func:`nev`'s tail test."""
     with working_precision(ev.precision):
-        forms = _forms(*ev.tables([u, v]))
+        forms = _forms(*ev.tables([u, v]), n, n + 1)
         if u != v:
-            vals = _corners(ev.a, forms, n, n + 1)
+            vals = _corners(ev.a[n], forms)
         elif ev.precision == "standard":
             # the series' exact values: (u - v) times its sum vanishes
             vals = [complex(off) for *_, off in forms]
@@ -181,8 +188,8 @@ def _nev_quad(ev: Evaluator, u: complex, v: complex, n: int,
             from mpmath import mpc
             vals = [mpc(off) for *_, off in forms]
         w, tol = abs(u - v), ev.policy.tail_tol
-        conv = not flag or all(w * abs(T[n] * S[n]) < tol * (1.0 + abs(val))
-                               for (T, S, _), val in zip(forms, vals))
+        conv = not flag or all(w * abs(T * S) < tol * (1.0 + abs(val))
+                               for (T, _, S, _, _), val in zip(forms, vals))
     return NevQuad(u=u, v=v, A=vals[0], B=vals[1], C=vals[2], D=vals[3],
                    N=n, converged=bool(conv))
 

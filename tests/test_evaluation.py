@@ -494,10 +494,10 @@ class TestExtendedPrecision:
         # raises instead of returning what it cannot hold
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
         with pytest.raises(EvaluationOverflowError, match="squared modulus"):
-            ev.squares_batch([0.5j, 1e300], ev.level)
+            ev.squares_batch([0.5j, 1e300])
         for bad in (complex(math.inf, 1), complex(1, math.nan)):
             with pytest.raises(EvaluationOverflowError, match="not finite"):
-                ev.squares_batch([0.5j, bad], ev.level)
+                ev.squares_batch([0.5j, bad])
 
     @settings(max_examples=40, deadline=None)
     @given(z=st.one_of(
@@ -527,7 +527,7 @@ class TestExtendedPrecision:
                      from_man_exp(im, e, prec, round_nearest))
                     for re, im, e in zip(*evaluation._integer_chain(steps, chain))]
             assert len(row) == len(want) == upto + 1
-            for _ in range(2):                  # the second time from the row's store
+            for _ in range(2):                  # each read rounds again, alike
                 assert [row[k]._mpc_ for k in range(upto + 1)] == want
             assert [row[k]._mpc_ for k in range(-upto - 1, 0)] == want
             assert [v._mpc_ for v in row[:]] == want

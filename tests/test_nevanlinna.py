@@ -162,6 +162,33 @@ class TestExtendedPrecision:
         for x, y in zip(q.as_tuple(), std.as_tuple()):
             assert abs(complex(x) - y) < 1e-11 * (1 + abs(y))
 
+    def test_extended_nev_reads_each_entry_once(self, monkeypatch):
+        # an extended entry is rounded on every read, so the corner forms
+        # and the tail test share the eight they need: p and q at u and v,
+        # at L and L + 1
+        from indmom import evaluation
+
+        src, pol = JacobiCoefficients.power_law(1.2), TruncationPolicy(n_max=200)
+        u, v = 0.3 + 0.4j, -0.7 + 0.2j
+        tu, tv = evaluator_for(src, pol, "extended").tables([u, v])
+        reads, getitem = [], evaluation.ExtendedRow.__getitem__
+
+        def counted(self, k):
+            reads.append((id(self), k))
+            return getitem(self, k)
+
+        monkeypatch.setattr(evaluation.ExtendedRow, "__getitem__", counted)
+        q = nev(src, u, v, pol, "extended")
+        L = pol.n_max
+        rows = {id(r) for t in (tu, tv) for r in (t.p, t.q)}
+        assert sorted(reads) == sorted((r, k) for r in rows for k in (L, L + 1))
+        with working_precision("extended"):
+            a = evaluator_for(src, pol, "extended").a[L]
+            want = [a * (getattr(tu, k)[L + 1] * getattr(tv, s)[L]
+                         - getattr(tu, k)[L] * getattr(tv, s)[L + 1])
+                    for k, s, _ in SERIES_FORMS.values()]
+        assert [x._mpc_ for x in q.as_tuple()] == [x._mpc_ for x in want]
+
     def test_nev_one_takes_precision(self, src, pol):
         one = nev_one(src, 0.4 + 1j, pol, "extended")
         assert one == nev(src, 0.4 + 1j, 0.0, pol, "extended").as_tuple()
