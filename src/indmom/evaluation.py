@@ -42,20 +42,26 @@ integer parts and a shared exponent, and rounds an entry to that
 precision, by mpmath's ``normalize`` inlined, each time it is read: an
 entry becomes an mpmath ``mpc`` then.  A row keeps no Python object per
 entry, so only what is read is paid for.  The squared moduli of the
-rounded values, where a caller reads them, come from one more pass over
-the unrounded chain (:func:`_squares`), bitwise what squaring the
-rounded parts gives.  Evaluators run the kernel at ``EXTENDED_DPS``
-digits, and arithmetic on their entries runs at the same precision
-inside :func:`working_precision`.  Either backend
+rounded values of a range of entries, where a caller reads them, come
+from the unrounded parts (:meth:`ExtendedRow.squares`, :func:`_squares`),
+bitwise what squaring the rounded parts gives.  The coefficients are
+split into the kernel's integers once per evaluator
+(:class:`_IntegerCoefficients`); only ``x - b_n``, ``y`` and, where the
+point's parts go lower, a shift are made per point.  Evaluators run the
+kernel at ``EXTENDED_DPS`` digits, and arithmetic on their entries runs
+at the same precision inside :func:`working_precision`.  Either backend
 computes the p rows, the q rows or both (``chains``); all but the
 fallback's point loop compute only the rows returned.
 
-Point tables are finished from the block in one pass over the batch
-(:meth:`Evaluator._finish_tables`): the squared moduli (``np.abs(R) ** 2``
-in standard precision, the backend's in extended), one cumulative sum
-along the rows and the stop indices of all points at once; each table then
-copies its rows, and an extended table holds its two :class:`ExtendedRow`
-as they are.  :func:`recurrence_batch` and :meth:`Evaluator.tables_batch`
+A point table holds its two rows, copied out of the block in standard
+precision and the two :class:`ExtendedRow` as they are in extended, and
+nothing else when it is built.  Its squared moduli, cumulative sums and
+stop index are computed when first read, for the entries that read needs:
+the A, B, C, D corner values read no square, the stop rule squares both
+chains in doubling chunks up to its first passing index, and a norm
+squares one chain through the shared level.  Each sum continues in order
+from the prefix already summed, so every value is bitwise what squaring
+and summing whole rows gives.  :func:`recurrence_batch` and :meth:`Evaluator.tables_batch`
 return chain-major tables of shape ``(upto+1, points)``, one transpose
 copy of the block (the ufunc loop's own rows on that route), or only
 the rows from a given index on; :func:`recurrence_mp` returns the rows at
@@ -99,6 +105,12 @@ EXTENDED_DPS = 32
 _GUARD_BITS = 24
 # Below this a scaled float can round twice; squared moduli there divide exactly.
 _NORMAL_EDGE = 2.0 ** -1021
+# Entries squared by the stop rule's first chunk; each later chunk doubles.
+_STOP_CHUNK = 32
+# An extended row whose sums the bound at construction keeps below
+# 2**_SUM_BITS, so finite, stays unsquared until read; one past it is
+# squared and summed at once.
+_SUM_BITS = 1023
 _CHAINS = ("pq", "p", "q")
 # ztbsv(uplo, trans, diag, n, k, band, lda, x, incx) with 64-bit integers
 _ZTBSV_ARGS = (ctypes.c_char_p,) * 3 + (INT, INT, ctypes.c_void_p, INT,
@@ -148,37 +160,131 @@ class PolyEval:
     converged: bool
 
 
-@dataclass
 class PointTable:
     """Internal: full-level recurrence data at one point.
 
-    Read-only rows, each owning its data, run through index ``level +
-    8``: the Casorati forms read index ``level + 1`` and the p/q
-    truncations of the membership tests end at ``level + 8``.  ``cums``
-    are cumulative sums of ``|p_k|^2`` / ``|q_k|^2`` through each index.
-    In standard precision ``p`` and ``q`` are complex128 arrays; in
-    extended precision they are :class:`ExtendedRow`, which read as mpmath
-    ``mpc`` by index and as object arrays of them by slice.
+    Read-only rows ``p`` and ``q``, each owning its data, run through index
+    ``level + 8``: the Casorati forms read index ``level + 1`` and the p/q
+    truncations of the membership tests end at ``level + 8``.  In standard
+    precision they are complex128 arrays; in extended precision they are
+    :class:`ExtendedRow`, which read as mpmath ``mpc`` by index and as
+    object arrays of them by slice.  Reading the rows squares nothing.
+
+    Every other field is computed on its first read and kept:
+
+    - ``stop_index``, ``converged`` and ``tail_est`` run the policy's stop
+      rule over both chains in doubling chunks from index 0 (the first
+      ``_STOP_CHUNK`` entries, then twice as many, ...) and stop at the
+      chunk that holds the first passing index, or at the shared level;
+    - ``norm_p2`` and ``norm_q2`` sum one chain's squared moduli through
+      the shared level;
+    - ``cum_p2`` and ``cum_q2``, cumulative sums of ``|p_k|^2`` /
+      ``|q_k|^2`` through each index, square the whole chain.
+
+    A read squares only the entries past those already summed: in
+    extended precision about 1 us per entry, in standard precision one
+    numpy pass per chunk.  The values are bitwise those of the whole rows:
+    squares by ``np.abs(row) ** 2`` or :meth:`ExtendedRow.squares`, one
+    sequential ``np.add.accumulate`` per chain, and the stop rule over
+    indices 2..level.
     """
 
-    z: complex
-    p: Union[np.ndarray, "ExtendedRow"]
-    q: Union[np.ndarray, "ExtendedRow"]
-    cum_p2: np.ndarray
-    cum_q2: np.ndarray
-    stop_index: int
-    converged: bool
-    tail_est: float
-    level: int
+    __slots__ = ("z", "p", "q", "level", "_policy", "_cums", "_summed", "_stop")
+
+    def __init__(self, z: complex, p: Union[np.ndarray, "ExtendedRow"],
+                 q: Union[np.ndarray, "ExtendedRow"], policy: TruncationPolicy):
+        self.z, self.p, self.q = z, p, q
+        self.level = policy.n_max
+        self._policy = policy
+        self._cums: List[Optional[np.ndarray]] = [None, None]
+        self._summed = [0, 0]                   # indices summed per chain
+        self._stop: Optional[Tuple[int, bool, float, float, float]] = None
+
+    @property
+    def stop_index(self) -> int:
+        return self._stop_rule()[0]
+
+    @property
+    def converged(self) -> bool:
+        return self._stop_rule()[1]
+
+    @property
+    def tail_est(self) -> float:
+        return self._stop_rule()[2]
+
+    @property
+    def cum_p2(self) -> np.ndarray:
+        return self._sums(0, len(self.p))
+
+    @property
+    def cum_q2(self) -> np.ndarray:
+        return self._sums(1, len(self.q))
 
     @property
     def norm_p2(self) -> float:
         """Squared norm proxy at the shared level."""
-        return float(self.cum_p2[self.level])
+        return float(self._sums(0, self.level + 1)[self.level])
 
     @property
     def norm_q2(self) -> float:
-        return float(self.cum_q2[self.level])
+        return float(self._sums(1, self.level + 1)[self.level])
+
+    def _sums(self, c: int, hi: int, squares: Optional[np.ndarray] = None,
+              lo: int = 0) -> np.ndarray:
+        """Chain c's cumulative sums, computed through index hi - 1 at least.
+
+        The sums continue in order from the prefix already summed.
+        ``squares``, where given, are the chain's squared moduli at indices
+        lo..hi-1, with lo no later than that prefix's end.  Only the
+        computed prefix of the array returned holds sums; once the whole
+        chain is summed it is read-only.
+        """
+        cum, done = self._cums[c], self._summed[c]
+        if hi <= done:
+            return cum
+        if cum is None:
+            cum = self._cums[c] = np.empty(len(self.p))
+        part = cum[done:hi]
+        part[:] = (squares[done - lo:] if squares is not None
+                   else _row_squares((self.p, self.q)[c], done, hi))
+        if done:
+            part[0] += cum[done - 1]
+        np.add.accumulate(part, out=part)
+        self._summed[c] = hi
+        if hi == len(cum):
+            cum.flags.writeable = False
+        return cum
+
+    def _stop_rule(self) -> Tuple[int, bool, float, float, float]:
+        """(stop_index, converged, tail_est, cum_p2[N], cum_q2[N]) at N = stop_index.
+
+        Found on the first read and kept.
+
+        The rule ``safety * inc < tail_tol * total`` with ``inc = |p_n|^2 +
+        |q_n|^2`` and ``total = cum_p2[n] + cum_q2[n]`` runs chunk by chunk
+        over n = 2..level; p_0..p_2 are always kept, so the initial data is
+        visible.  Without a passing index the level is the stop index and
+        the table has not converged.
+        """
+        if self._stop is not None:
+            return self._stop
+        L, pol = self.level, self._policy
+        lo, size = 0, _STOP_CHUNK
+        while True:
+            hi = min(lo + size, L + 1)
+            sp, sq = (_row_squares(row, lo, hi) for row in (self.p, self.q))
+            inc = sp + sq
+            cp, cq = self._sums(0, hi, sp, lo), self._sums(1, hi, sq, lo)
+            ok = pol.safety * inc < pol.tail_tol * (cp[lo:hi] + cq[lo:hi])
+            if lo < 2:
+                ok[: 2 - lo] = False
+            k = int(ok.argmax())
+            if ok[k] or hi > L:
+                n = lo + k if ok[k] else L
+                self._stop = (n, bool(ok[k]), float(inc[n - lo]), float(cp[n]),
+                              float(cq[n]))
+                return self._stop
+            lo, size = hi, 2 * size
 
 
 class ExtendedRow:
@@ -189,15 +295,17 @@ class ExtendedRow:
     nearest at ``prec`` bits (:func:`_round_mpf`).  Reading an int index
     gives an mpmath ``mpc``, and reading a slice an object ndarray of them;
     only the entries read are rounded, on each read.  The row keeps no
-    object per entry.
+    object per entry.  ``bits`` bounds the bit length of every RE[n] and
+    IM[n].
     """
 
-    __slots__ = ("_re", "_im", "_e", "_prec", "_make")
+    __slots__ = ("_re", "_im", "_e", "_prec", "_bits", "_make")
 
-    def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int):
+    def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int,
+                 bits: int):
         from mpmath import mp
 
-        self._re, self._im, self._e, self._prec = RE, IM, E, prec
+        self._re, self._im, self._e, self._prec, self._bits = RE, IM, E, prec, bits
         self._make = mp.make_mpc
 
     def __len__(self) -> int:
@@ -214,6 +322,35 @@ class ExtendedRow:
         out = np.empty(len(vals), dtype=object)
         out[:] = vals
         return out
+
+    def squares(self, lo: int, hi: int) -> np.ndarray:
+        """Squared moduli of entries lo..hi-1 as read, by :func:`_squares`.
+
+        Floats, inf beyond the float range; no entry is built.
+        """
+        return np.array(_squares(self._re[lo:hi], self._im[lo:hi], self._e[lo:hi],
+                                 self._prec), dtype=float)
+
+    def magnitude_bits(self) -> int:
+        """k with |Re| and |Im| at most 2**k for every entry as read.
+
+        An entry's parts, of at most ``bits`` bits times ``2**e`` before
+        rounding, round to at most ``2**(bits + e)``; k takes the largest
+        exponent.
+        """
+        return self._bits + max(self._e)
+
+
+def _abs_squares(x: np.ndarray) -> np.ndarray:
+    """Squared moduli of a complex128 array: ``np.abs(x) ** 2``."""
+    return np.abs(x) ** 2
+
+
+def _row_squares(row: Union[np.ndarray, ExtendedRow], lo: int, hi: int) -> np.ndarray:
+    """Squared moduli of a table row's entries lo..hi-1, as floats."""
+    if isinstance(row, ExtendedRow):
+        return row.squares(lo, hi)
+    return _abs_squares(row[lo:hi])
 
 
 Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
@@ -412,51 +549,42 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
 
     Raises EvaluationOverflowError if z or a coefficient is not finite.
     """
-    rows, _ = _mp_block(a, b, [complex(z)], upto, dps, chains)
+    rows = _mp_block(_IntegerCoefficients(a[:upto], b[:upto], dps), [complex(z)], upto,
+                     chains)
     return _pick(chains, [chain[0][:] for chain in rows])
 
 
-def _mp_block(a: np.ndarray, b: np.ndarray, zs, upto: int, dps: int, chains: str,
-              squares: bool = False
-              ) -> Tuple[List[List["ExtendedRow"]], Optional[np.ndarray]]:
-    """Extended-precision rows, point by point, and their squared moduli.
+def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int, chains: str
+              ) -> List[List["ExtendedRow"]]:
+    """Extended-precision rows, point by point.
 
     ``rows[c][j]`` is chain ``chains[c]`` at ``zs[j]``, an
-    :class:`ExtendedRow` of upto+1 entries; the squared moduli are floats
-    of shape (len(chains), len(zs), upto+1), or None where ``squares`` is
-    false.  The point loop's recurrence
-    runs on Python integers.  The points and the coefficients are float64,
-    so exact dyadic rationals; each value is an integer pair (Re, Im) times
-    a power of two, and the current and previous values of a chain share
-    that exponent.  A step computes ``a_n v_{n+1}`` exactly, divides by
-    ``a_n`` keeping ``prec + _GUARD_BITS`` bits, where ``prec`` is mpmath's
-    binary precision at ``dps`` digits, and rounds to nearest.  A row
-    holds these values unrounded and rounds an entry to nearest at ``prec``
-    bits when it is read; the squared moduli are those of the rounded
-    values, taken in one more pass over the unrounded chain
-    (:func:`_squares`; inf beyond the float range).
+    :class:`ExtendedRow` of upto+1 entries for the first ``upto`` steps of
+    ``coeffs``.  The point loop's recurrence runs on Python integers.  The
+    points and the coefficients are float64, so exact dyadic rationals;
+    each value is an integer pair (Re, Im) times a power of two, and the
+    current and previous values of a chain share that exponent.  A step
+    computes ``a_n v_{n+1}`` exactly, divides by ``a_n`` keeping ``prec +
+    _GUARD_BITS`` bits, where ``prec`` is mpmath's binary precision at the
+    coefficients' ``dps`` digits, and rounds to nearest.  A row holds these
+    values unrounded and rounds an entry to nearest at ``prec`` bits when
+    it is read.
 
-    Raises EvaluationOverflowError if a point or a coefficient is not finite.
+    Raises EvaluationOverflowError if a point is not finite.
     """
-    from mpmath.libmp import dps_to_prec
-
     if chains not in _CHAINS:
         raise ValueError("chains must be 'pq', 'p' or 'q'")
-    zs, a, b = np.asarray(zs, dtype=complex).reshape(-1), a[:upto], b[:upto]
-    if not (np.isfinite(zs).all() and np.isfinite(a).all() and np.isfinite(b).all()):
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    if not np.isfinite(zs).all():
         raise EvaluationOverflowError(
             "evaluation overflow: the point or a coefficient is not finite")
-    prec = dps_to_prec(dps)
     rows = [[None] * zs.size for _ in chains]
-    R2 = np.empty((len(chains), zs.size, upto + 1)) if squares else None
+    bits = coeffs.prec + _GUARD_BITS + 2        # see _integer_chain
     for j, z in enumerate(zs.tolist()):
-        steps = _integer_steps(a, b, z, prec + _GUARD_BITS)
+        steps = coeffs.steps(z, upto)
         for c, chain in enumerate(chains):
-            RE, IM, E = _integer_chain(steps, chain)
-            rows[c][j] = ExtendedRow(RE, IM, E, prec)
-            if squares:
-                R2[c, j] = _squares(RE, IM, E, prec)
-    return rows, R2
+            rows[c][j] = ExtendedRow(*_integer_chain(steps, chain), coeffs.prec, bits)
+    return rows
 
 
 def _dyadics(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -467,29 +595,70 @@ def _dyadics(v: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return m >> t, np.where(m != 0, e - 53 + t, 0)
 
 
-def _integer_steps(a: np.ndarray, b: np.ndarray, z: complex,
-                   width: int) -> tuple:
-    """The recurrence steps at z = x + iy as integers, one list per quantity.
+class _IntegerCoefficients:
+    """Internal: a_0..a_{n-1} and b_0..b_{n-1} split once for the integer kernel.
 
-    Step n gives ``a_n v_{n+1} = (x - b_n + iy) v_n - a_{n-1} v_{n-1}``
-    (with ``a_{-1} = 1``).  Every coefficient is a float64, so an integer
-    times ``2**e0`` for the least exponent e0 among them.  Returns Y for
-    ``y`` and, per step, lists of those integers X and A for ``x - b_n`` and
-    ``a_{n-1}``, of the odd mantissa d of ``a_n = d * 2**f``, of ``width +
-    bits(d)`` and of ``e0 - f``.
+    ``a`` and ``b`` hold ``n`` coefficients each.
+
+    Step k of the recurrence at z = x + iy gives ``a_k v_{k+1} = (x - b_k
+    + iy) v_k - a_{k-1} v_{k-1}`` (with ``a_{-1} = 1``).  Every coefficient
+    and part of z is a float64, so an integer times ``2**e0`` for the least
+    exponent e0 among the nonzero ones (:func:`_dyadics`).  The
+    coefficients are split here once and kept as integers at their own
+    least exponent; a point whose parts go lower shifts them to its e0 on
+    each call.  Only that shift, ``x - b_k`` and ``y`` are made per point.
+
+    The kernel's values do not depend on e0 otherwise: lowering it by D
+    scales X, Y and A, so every numerator, by ``2**D``, and lowers ``e0 -
+    f`` by D, which leaves each step's exponent shift ``k = s - (e0 - f)``
+    and its rounded quotient as they were (d is odd, so rounding a shifted
+    numerator and dividing by a shifted d agree).  So one split of n
+    coefficients serves every ``upto <= n`` steps, bitwise as a split of
+    ``upto`` would.
     """
-    n = len(b)
-    m, e = _dyadics(np.concatenate([[z.real, z.imag, 1.0], a, b]))
-    e0 = int(e[m != 0].min())                         # <= 0: a_{-1} = 1
-    ints = [v << k for v, k in zip(m.tolist(), (e - e0).tolist())]
-    x, y, A, B = ints[0], ints[1], ints[2: n + 3], ints[n + 3:]
-    d = m[3: n + 3].tolist()
-    return (y, [x - bn for bn in B], A, d, [width + v.bit_length() for v in d],
-            [e0 - f for f in e[3: n + 3].tolist()])
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, dps: int):
+        from mpmath.libmp import dps_to_prec
+
+        if not (np.isfinite(a).all() and np.isfinite(b).all()):
+            raise EvaluationOverflowError(
+                "evaluation overflow: the point or a coefficient is not finite")
+        n = self.n = len(b)
+        self.prec = dps_to_prec(dps)
+        m, e = _dyadics(np.concatenate([[1.0], a, b]))
+        e0 = self._e0 = int(e[m != 0].min())          # <= 0: a_{-1} = 1
+        ints = [v << k for v, k in zip(m.tolist(), (e - e0).tolist())]
+        self._A, self._B = ints[:n], ints[n + 1:]
+        self._d = m[1: n + 1].tolist()
+        self._bits = [self.prec + _GUARD_BITS + v.bit_length() for v in self._d]
+        self._de = [e0 - f for f in e[1: n + 1].tolist()]
+
+    def steps(self, z: complex, upto: int) -> tuple:
+        """The first ``upto`` recurrence steps at z as integers, one list per quantity.
+
+        Returns Y for ``y`` and, per step, lists of the integers X and A for
+        ``x - b_k`` and ``a_{k-1}``, of the odd mantissa d of ``a_k = d *
+        2**f``, of ``width + bits(d)`` and of ``e0 - f``, where width is
+        ``prec + _GUARD_BITS``.
+        """
+        m, e = (v.tolist() for v in _dyadics(np.array([z.real, z.imag])))
+        e0 = min([self._e0] + [k for v, k in zip(m, e) if v])
+        A, B, de = self._A[:upto], self._B[:upto], self._de[:upto]
+        s = self._e0 - e0
+        if s:
+            A, B, de = [v << s for v in A], [v << s for v in B], [v - s for v in de]
+        x, y = (v << (k - e0) for v, k in zip(m, e))
+        return (y, [x - bn for bn in B], A, self._d[:upto], self._bits[:upto], de)
 
 
 def _integer_chain(steps: tuple, chain: str) -> Tuple[List[int], List[int], List[int]]:
-    """Lists Re, Im, e with v_n = (Re[n] + i Im[n]) * 2**e[n] for v = p or q, n = 0..upto."""
+    """Lists Re, Im, e with v_n = (Re[n] + i Im[n]) * 2**e[n] for v = p or q, n = 0..upto.
+
+    Each part has at most ``width + 2`` bits: a step divides a numerator of
+    ``width + bits(d)`` bits by ``d`` or by ``d`` shifted as far as the
+    numerator falls short, so the rounded quotient is at most
+    ``2**(width + 1)`` in size.
+    """
     Y, *per_step = steps
     # v_{-1} = 0 for p and -1 for q, so the first step gives p_1 and q_1
     re, im, rep, imp, e = (1, 0, 0, 0, 0) if chain == "p" else (0, 0, -1, 0, 0)
@@ -611,7 +780,7 @@ def abs2(x: np.ndarray) -> np.ndarray:
 
     Raises EvaluationOverflowError if one is not finite.
     """
-    return _finite(np.abs(x) ** 2)
+    return _finite(_abs_squares(x))
 
 
 def _finite(squares: np.ndarray) -> np.ndarray:
@@ -656,11 +825,11 @@ class Evaluator:
         self.capacity = _TABLE_CAPACITY[precision]
         self.a, self.b = source.arrays(self.top)
         self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
+        self._split: Optional[_IntegerCoefficients] = None
 
     def _recurrence(self, zs, upto: int, chains: str = "pq", chain_major: bool = False,
-                    first: int = 0, squares: bool = False
-                    ) -> Tuple[object, Optional[np.ndarray]]:
-        """(R, R2): the rows through index upto at each point, and their squares.
+                    first: int = 0):
+        """The rows through index upto at each point.
 
         The one place that chooses between the complex128 batch kernel
         (:func:`_solve_block`) and the per-point integer kernel
@@ -671,23 +840,34 @@ class Evaluator:
         upto+1-first, len(zs)) holding rows ``first..upto`` of each chain,
         each chain C-contiguous: a view of the standard block's transpose
         copy, or the extended rows' entries as mpmath ``mpc`` (object
-        dtype), built for those rows only.  With ``squares`` R2 holds the
-        extended kernel's squared moduli of the whole rows, shaped like the
-        block; it is None otherwise and in standard precision.
+        dtype), built for those rows only.
         """
-        a, b = self.source.arrays(max(upto, 1))
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         if self.precision == "standard":
+            a, b = self.source.arrays(max(upto, 1))
             R = _solve_block(a, b, zs, upto, chains, chain_major)
-            return (R[:, first:] if chain_major else R), None
-        rows, R2 = _mp_block(a, b, zs, upto, EXTENDED_DPS, chains, squares)
+            return R[:, first:] if chain_major else R
+        rows = _mp_block(self._coefficients(upto), zs, upto, chains)
         if not chain_major:
-            return rows, R2
+            return rows
         T = np.empty((len(chains), upto + 1 - first, zs.size), dtype=object)
         for c, chain in enumerate(rows):
             for j, row in enumerate(chain):
                 T[c, :, j] = row[first:]
-        return T, R2
+        return T
+
+    def _coefficients(self, upto: int) -> _IntegerCoefficients:
+        """The integer kernel's coefficients for at least ``upto`` steps.
+
+        One split serves every shorter run (:class:`_IntegerCoefficients`),
+        so it is made once, for the tables' ``top`` steps, and again only
+        where a longer run is asked for.
+        """
+        if self._split is None or self._split.n < upto:
+            n = max(upto, self.top)
+            a, b = self.source.arrays(n)
+            self._split = _IntegerCoefficients(a[:n], b[:n], EXTENDED_DPS)
+        return self._split
 
     # -- point tables ------------------------------------------------------
 
@@ -703,16 +883,26 @@ class Evaluator:
         """Point tables for every point of the sequence ``zs``, in order.
 
         Cached tables are looked up; the misses are computed in one
-        recurrence call and enter the cache.
+        recurrence call and enter the cache.  A new table holds its rows
+        only (see :class:`PointTable`), except where an extended row's
+        sums could leave the float range (:func:`_sum_unbounded`).
+
+        Raises EvaluationOverflowError if a value, a squared modulus or a
+        cumulative sum of a new table is not finite.
         """
         keys = [complex(z) for z in zs]
         cache = self._cache
         misses = list(dict.fromkeys(z for z in keys if z not in cache))
         if misses:
-            R, R2 = self._recurrence(misses, self.top, squares=True)
-            if R2 is None:
-                R2 = np.abs(R) ** 2              # the expression abs2 uses
-            for tab in self._finish_tables(misses, R, R2):
+            R = self._recurrence(misses, self.top)
+            new = [PointTable(z, _own(p), _own(q), self.policy)
+                   for z, p, q in zip(misses, *R)]
+            # A standard part is at most _OVERFLOW_LIMIT (_solve_block
+            # checks), so a square is at most 2e300 and a sum at most
+            # (top + 1) * 2e300, below the float maximum while top < 8e7.
+            if self.precision == "extended":
+                _sum_unbounded(new)
+            for tab in new:
                 cache[tab.z] = tab
         for z in keys:
             cache.move_to_end(z)
@@ -727,59 +917,26 @@ class Evaluator:
         ``chains`` selects the tables computed; the other is None.  Row k of
         a table is index ``first + k`` at every point.
         """
-        T, _ = self._recurrence(zs, self.level + 1, chains, chain_major=True,
-                                first=first)
-        return _pick(chains, T)
+        return _pick(chains, self._recurrence(zs, self.level + 1, chains,
+                                              chain_major=True, first=first))
 
     def squares_batch(self, zs) -> np.ndarray:
         """|p_k|^2 for k = 0..level at an array of points.
 
         Shape (level+1, len(zs)), C-contiguous: :func:`abs2` of the rows of
-        :meth:`tables_batch` in standard precision, and the extended
-        kernel's squared moduli in extended precision, where no entry is
+        :meth:`tables_batch` in standard precision, and
+        :meth:`ExtendedRow.squares` of the extended rows, where no entry is
         built.  Raises EvaluationOverflowError if one is not finite.
         """
+        n = self.level + 1
         if self.precision == "standard":
             P, _ = self.tables_batch(zs, "p")
-            return abs2(P[: self.level + 1])
-        _, R2 = self._recurrence(zs, self.level, "p", squares=True)
-        return _finite(np.ascontiguousarray(R2[0].T))
-
-    def _finish_tables(self, zs: List[complex], R,
-                       R2: np.ndarray) -> List[PointTable]:
-        """Point tables from (p, q) rows and their squared moduli.
-
-        ``R[c][j]`` holds chain c at ``zs[j]``, a row of a complex128 block
-        or an :class:`ExtendedRow`, and ``R2`` has shape (2, len(zs),
-        top+1).  One pass serves the batch: one cumulative sum along the
-        rows, and the stop rule over all points at once, whose first
-        passing index each point then reads.  Each table copies its arrays,
-        so none keeps the block alive; an extended row is read-only and
-        owned by its table already.
-
-        Raises EvaluationOverflowError if a squared modulus or a cumulative
-        sum is not finite.
-        """
-        with np.errstate(over="ignore"):
-            cums = np.add.accumulate(R2, axis=2)
-        if not np.isfinite(cums[:, :, -1]).all():
-            what = "cumulative sum" if np.isfinite(R2).all() else "squared modulus"
-            raise EvaluationOverflowError(
-                f"evaluation overflow: a {what} exceeds the float range")
-        L, pol = self.level, self.policy
-        inc = R2[0, :, : L + 1] + R2[1, :, : L + 1]
-        total = cums[0, :, : L + 1] + cums[1, :, : L + 1]
-        ok = pol.safety * inc < pol.tail_tol * total
-        ok[:, :2] = False  # keep at least p_0..p_2 so the initial data is visible
-        out = []
-        for j, (z, stop) in enumerate(zip(zs, ok.argmax(axis=1).tolist())):
-            converged = bool(ok[j, stop])
-            if not converged:
-                stop = L
-            rows = map(_own, (R[0][j], R[1][j], cums[0, j], cums[1, j]))
-            out.append(PointTable(z, *rows, stop_index=stop, converged=converged,
-                                  tail_est=float(inc[j, stop]), level=L))
-        return out
+            return abs2(P[:n])
+        (rows,) = self._recurrence(zs, self.level, "p")
+        S = np.empty((n, len(rows)))
+        for j, row in enumerate(rows):
+            S[:, j] = row.squares(0, n)
+        return _finite(S)
 
     # -- raw values beyond the shared level --------------------------------
 
@@ -797,8 +954,37 @@ class Evaluator:
         if tab is not None and upto <= self.top:
             self._cache.move_to_end(z)
             return tab.p[: upto + 1], tab.q[: upto + 1]
-        R, _ = self._recurrence([z], upto)
+        R = self._recurrence([z], upto)
         return R[0][0][:], R[1][0][:]           # an extended row's slice is an array
+
+
+def _sum_unbounded(tables: List[PointTable]) -> None:
+    """Square and sum at once each extended row whose sums could overflow.
+
+    A row of n entries whose parts are at most ``2**k``
+    (:meth:`ExtendedRow.magnitude_bits`) has squared moduli of at most
+    ``2**(2k + 1)``, and its sums stay below ``2**(2k + 1 + bits(n))``.
+    Where that bound is at most ``2**_SUM_BITS`` the row is left to be
+    squared when read; every other row is squared and summed whole here.
+
+    Raises EvaluationOverflowError if one of those sums is not finite,
+    naming a squared modulus if one of those is not finite either.
+    """
+    squares_ok = sums_ok = True
+    for tab in tables:
+        n = len(tab.p)
+        for c, row in enumerate((tab.p, tab.q)):
+            if 2 * row.magnitude_bits() + 1 + n.bit_length() <= _SUM_BITS:
+                continue
+            squares = row.squares(0, n)
+            with np.errstate(over="ignore"):
+                cum = tab._sums(c, n, squares)
+            squares_ok = squares_ok and bool(np.isfinite(squares).all())
+            sums_ok = sums_ok and bool(np.isfinite(cum[-1]))
+    if not sums_ok:
+        what = "cumulative sum" if squares_ok else "squared modulus"
+        raise EvaluationOverflowError(
+            f"evaluation overflow: a {what} exceeds the float range")
 
 
 def _own(row):
@@ -834,7 +1020,7 @@ def eval_pq(source: JacobiCoefficients, z, policy: TruncationPolicy,
     """Evaluate p/q at z, truncating at the policy's adaptive stop index."""
     ev = evaluator_for(source, policy, precision)
     tab = ev.table(z)
-    N = tab.stop_index
+    N, converged, tail_est, cum_p2, cum_q2 = tab._stop_rule()
     return PolyEval(z=complex(z), p=tab.p[: N + 1].copy(), q=tab.q[: N + 1].copy(),
-                    cum_p2=float(tab.cum_p2[N]), cum_q2=float(tab.cum_q2[N]),
-                    N=N, tail_est=tab.tail_est, converged=tab.converged)
+                    cum_p2=cum_p2, cum_q2=cum_q2, N=N, tail_est=tail_est,
+                    converged=converged)

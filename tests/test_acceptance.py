@@ -86,13 +86,13 @@ def test_extended_precision_reaches_the_determinant_check(monkeypatch):
                        precision="extended")
     clear_evaluator_cache()
     points = []                                 # one integer recurrence per table
-    steps = evaluation._integer_steps
+    steps = evaluation._IntegerCoefficients.steps
 
-    def counted(a, b, z, width):
+    def counted(coeffs, z, upto):
         points.append(z)
-        return steps(a, b, z, width)
+        return steps(coeffs, z, upto)
 
-    monkeypatch.setattr(evaluation, "_integer_steps", counted)
+    monkeypatch.setattr(evaluation._IntegerCoefficients, "steps", counted)
     (r,) = run_acceptance(config, only=["determinant"])
     assert r.passed and r.measured < 1e-20, r.line()
     # 20 points, more than an extended evaluator's 16 tables: each built once

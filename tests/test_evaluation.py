@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -160,13 +161,14 @@ class TestErrors:
             Evaluator(src, pol).tables([0.5j, bad, 1.5])
         assert len(calls) == 6
 
-    def test_cumulative_sum_beyond_float_range(self, src):
+    def test_cumulative_sum_beyond_float_range(self, src, monkeypatch):
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
         n, (m, e) = ev.top + 1, mp.mpf(1e154).man_exp            # |.|^2 finite
         row, squares = _extended_row([int(m)] * n, [0] * n, [int(e)] * n, mp.mp.prec)
         assert np.isfinite(squares).all()
+        monkeypatch.setattr(ev, "_recurrence", lambda zs, upto: [[row], [row]])
         with pytest.raises(EvaluationOverflowError, match="cumulative"):
-            ev._finish_tables([0j], [[row], [row]], np.array([[squares], [squares]]))
+            ev.tables([0j])
 
     def test_extended_rejects_non_finite_coefficients(self):
         a = np.array([1.0, 4.0, math.inf, 16.0])
@@ -219,9 +221,29 @@ def _mp_reference(a, b, z, upto, dps):
     return p, q
 
 
+def _reference_steps(a, b, z, width):
+    """The integer kernel's steps at z, split from scratch at the point.
+
+    Per step k: integers X and A for x - b_k and a_{k-1} (a_{-1} = 1) times
+    2**-e0, for e0 the least exponent of z's parts and the coefficients,
+    the odd mantissa d of a_k = d * 2**f, width + bits(d) and e0 - f.  A
+    runs on to a_{n-1}, one entry past the last step, which the kernel
+    does not read.
+    """
+    n = len(b)
+    m, e = evaluation._dyadics(np.concatenate([[z.real, z.imag, 1.0], a, b]))
+    e0 = int(e[m != 0].min())
+    ints = [v << k for v, k in zip(m.tolist(), (e - e0).tolist())]
+    x, y, A, B = ints[0], ints[1], ints[2: n + 3], ints[n + 3:]
+    d = m[3: n + 3].tolist()
+    return (y, [x - bn for bn in B], A, d, [width + v.bit_length() for v in d],
+            [e0 - f for f in e[3: n + 3].tolist()])
+
+
 def _extended_row(RE, IM, E, prec):
     """The kernel's row of the values (RE[n] + i IM[n]) * 2**E[n] and its squares."""
-    return (evaluation.ExtendedRow(RE, IM, E, prec),
+    bits = max(abs(v).bit_length() for v in RE + IM)
+    return (evaluation.ExtendedRow(RE, IM, E, prec, bits),
             evaluation._squares(RE, IM, E, prec))
 
 
@@ -356,8 +378,8 @@ class TestExtendedPrecision:
         ]
         a, b = _source(source).arrays(L)
         for z in (0.3 + 0.9j, -1.1 - 2.0j, complex(1.5, 0.0), 0j):   # real z: Im = 0
-            steps = evaluation._integer_steps(a[:L], b[:L], z,
-                                              prec + evaluation._GUARD_BITS)
+            steps = evaluation._IntegerCoefficients(a[:L], b[:L],
+                                                    evaluation.EXTENDED_DPS).steps(z, L)
             for chain in "pq":                  # q_0 = 0
                 values += zip(*evaluation._integer_chain(steps, chain))
         row, squares = _extended_row(*map(list, zip(*values)), prec)
@@ -499,6 +521,29 @@ class TestExtendedPrecision:
             with pytest.raises(EvaluationOverflowError, match="not finite"):
                 ev.squares_batch([0.5j, bad])
 
+    @pytest.mark.parametrize("source", ["c=1.2", "c=2", "alternating_b"])
+    def test_coefficients_split_once_give_the_entries_of_each_point(self, source):
+        # the evaluator's one split, cut to each length and shifted for
+        # points whose parts go below its least exponent, against a split
+        # of that length at each point: the least exponents differ, the
+        # entries do not
+        from mpmath.libmp import dps_to_prec
+
+        ev = Evaluator(_source(source), TruncationPolicy(n_max=200), "extended")
+        width = dps_to_prec(evaluation.EXTENDED_DPS) + evaluation._GUARD_BITS
+        zs = list(_disk_points(13, 20)) + [0j, 1e-300 + 0.5j, 2.0 ** -1074, 40 + 3j,
+                                           complex(3.0, 2.0 ** 60)]
+        for upto in (0, 1, ev.level, ev.top, ev.top + 40):
+            a, b = (v[:upto] for v in ev.source.arrays(upto))
+            coeffs = ev._coefficients(upto)
+            for z in map(complex, zs):
+                got = coeffs.steps(z, upto)
+                want = _reference_steps(a, b, z, width)
+                for chain in "pq":
+                    assert (evaluation._integer_chain(got, chain)
+                            == evaluation._integer_chain(want, chain)), (upto, z, chain)
+        assert coeffs is ev._coefficients(ev.level) and coeffs.n == ev.top + 40
+
     @settings(max_examples=40, deadline=None)
     @given(z=st.one_of(
                st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
@@ -518,9 +563,9 @@ class TestExtendedPrecision:
         dps = evaluation.EXTENDED_DPS
         prec = dps_to_prec(dps)
         a, b = _source(source).arrays(max(upto, 1))
-        rows, R2 = evaluation._mp_block(a, b, [z], upto, dps, "pq", squares=True)
-        steps = evaluation._integer_steps(a[:upto], b[:upto], z,
-                                          prec + evaluation._GUARD_BITS)
+        coeffs = evaluation._IntegerCoefficients(a[:upto], b[:upto], dps)
+        rows = evaluation._mp_block(coeffs, [z], upto, "pq")
+        steps = coeffs.steps(z, upto)
         for c, chain in enumerate("pq"):
             row = rows[c][0]
             want = [(from_man_exp(re, e, prec, round_nearest),
@@ -533,8 +578,11 @@ class TestExtendedPrecision:
             assert [v._mpc_ for v in row[:]] == want
             assert [v._mpc_ for v in row[cut[0]:cut[1]]] == want[cut[0]:cut[1]]
             assert [v._mpc_ for v in row[::-3]] == want[::-3]
-            assert R2[c, 0].tolist() == [evaluation._square_sum(m, e, n, f)
-                                         for (_, m, e, _), (_, n, f, _) in want]
+            squares = [evaluation._square_sum(m, e, n, f)
+                       for (_, m, e, _), (_, n, f, _) in want]
+            assert row.squares(0, upto + 1).tolist() == squares
+            lo, hi = sorted(k % (upto + 1) for k in cut)
+            assert row.squares(lo, hi).tolist() == squares[lo:hi]
 
 
 def _same_table(t1, t2):
@@ -548,6 +596,142 @@ def _same_table(t1, t2):
             and t1.converged == t2.converged and t1.tail_est == t2.tail_est
             and all(same(getattr(t1, k), getattr(t2, k))
                     for k in ("p", "q", "cum_p2", "cum_q2")))
+
+
+# The field each table is first read by: the stop rule, the whole sums or a norm.
+_READ_ORDERS = ["stop_index", "cum_q2", "norm_p2"]
+
+
+def _assert_eager_fields(tab, pol):
+    """Every lazy field of a table equals the whole-row formula on its rows.
+
+    The squares are ``np.abs(row) ** 2`` or ``_squares`` of the whole row,
+    the sums one sequential ``np.add.accumulate`` per chain, and the stop
+    rule runs over indices 0..level with 0 and 1 excluded.
+    """
+    rows = (tab.p, tab.q)
+    if isinstance(tab.p, evaluation.ExtendedRow):
+        R2 = np.array([evaluation._squares(r._re, r._im, r._e, r._prec) for r in rows])
+    else:
+        R2 = np.abs(np.array(rows)) ** 2
+    cums = np.add.accumulate(R2, axis=1)
+    L = pol.n_max
+    inc, total = R2[0, : L + 1] + R2[1, : L + 1], cums[0, : L + 1] + cums[1, : L + 1]
+    ok = pol.safety * inc < pol.tail_tol * total
+    ok[:2] = False
+    stop = int(ok.argmax())
+    converged = bool(ok[stop])
+    stop = stop if converged else L
+    assert (tab.stop_index, tab.converged, tab.tail_est) == (stop, converged,
+                                                             float(inc[stop]))
+    assert tab.cum_p2.tobytes() == cums[0].tobytes()
+    assert tab.cum_q2.tobytes() == cums[1].tobytes()
+    assert (tab.norm_p2, tab.norm_q2) == (float(cums[0, L]), float(cums[1, L]))
+    return stop, cums
+
+
+class TestLazyFields:
+    @pytest.mark.parametrize("first", _READ_ORDERS + ["eval_pq"])
+    @pytest.mark.parametrize("n_max", [60, 500])
+    @pytest.mark.parametrize("source", ["c=1.2", "c=2", "c=3", "alternating_b"])
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    def test_lazy_fields_are_the_eager_formulas(self, precision, source, n_max, first):
+        src, pol = _source(source), TruncationPolicy(n_max=n_max)
+        zs = [0j, complex(1.5, 0.0), complex(-2.0, -0.0), 0.3 + 0.4j, -1.1 - 2.0j]
+        clear_evaluator_cache()
+        ev = evaluator_for(src, pol, precision)
+        for z in zs:
+            if first == "eval_pq":
+                pe = eval_pq(src, z, pol, precision)
+            else:
+                getattr(ev.table(z), first)
+            tab = ev.table(z)
+            N, cums = _assert_eager_fields(tab, pol)
+            if first == "eval_pq":
+                assert (pe.N, pe.converged, pe.tail_est) == (N, tab.converged, tab.tail_est)
+                assert (pe.cum_p2, pe.cum_q2) == (float(cums[0, N]), float(cums[1, N]))
+                for got, row in zip((pe.p, pe.q), (tab.p, tab.q)):
+                    assert len(got) == N + 1
+                    if precision == "standard":
+                        assert got.tobytes() == row[: N + 1].tobytes()
+                    else:
+                        assert [v._mpc_ for v in got] == [row[k]._mpc_ for k in range(N + 1)]
+
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    def test_the_stop_rule_keeps_the_initial_data(self, src, precision):
+        # so loose a rule passes at index 0, but p_0..p_2 are always kept
+        pol = TruncationPolicy(n_max=60, tail_tol=10.0, safety=1.0)
+        for z in (0j, 0.3 + 0.4j):
+            tab = Evaluator(src, pol, precision).table(z)
+            assert tab.stop_index == 2 and tab.converged
+            _assert_eager_fields(tab, pol)
+
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    def test_a_fresh_table_squares_only_what_its_reader_needs(self, precision,
+                                                              monkeypatch):
+        from indmom import nev
+
+        src, pol = _source("c=2"), TruncationPolicy(n_max=1000)
+        L = pol.n_max
+        counts = _counting_squares(monkeypatch)
+        clear_evaluator_cache()
+        ev = evaluator_for(src, pol, precision)
+        nev(src, 0.3 + 0.4j, -1.1 + 0.2j, pol, precision)
+        assert counts == []
+        # eval_pq squares both chains through the end of the chunk that
+        # holds N: at most one doubling chunk past N + 1
+        for z in (0.7 - 0.2j, 2.1 + 1.0j, 0j):
+            counts.clear()
+            N = eval_pq(src, z, pol, precision).N
+            lo, size = 0, evaluation._STOP_CHUNK
+            while lo + size <= N:
+                lo, size = lo + size, 2 * size
+            end = min(lo + size, L + 1)
+            assert end <= N + 1 + size
+            assert sum(counts) == 2 * end, (z, N, counts)
+        # a norm squares its chain through the level, once
+        counts.clear()
+        tab = ev.table(-0.4 + 1.3j)
+        assert tab.norm_p2 == tab.norm_p2
+        assert counts == [L + 1]
+
+    def test_the_overflow_bound(self, src, monkeypatch):
+        # rows of 63 entries with both parts 2**53 - 1 times 2**(k - 53):
+        # the bound clears k = 508 (2k + 1 + bits(63) = 1023), where the
+        # sums are finite, and squares k = 509 at once, where they overflow
+        from mpmath.libmp import dps_to_prec
+
+        ev = Evaluator(src, TruncationPolicy(n_max=54), "extended")
+        n, prec = ev.top + 1, dps_to_prec(evaluation.EXTENDED_DPS)
+        assert n == 63
+
+        def row(k):
+            part = [(1 << 53) - 1] * n
+            return evaluation.ExtendedRow(part, part, [k - 53] * n, prec, 53)
+
+        inside = row(508)
+        assert 2 * inside.magnitude_bits() + 1 + n.bit_length() == evaluation._SUM_BITS
+        monkeypatch.setattr(ev, "_recurrence", lambda zs, upto: [[inside], [inside]])
+        counts = _counting_squares(monkeypatch)
+        (tab,) = ev.tables([0j])
+        assert counts == []
+        assert np.isfinite(tab.cum_p2).all() and np.isfinite(tab.cum_q2).all()
+        assert tab.cum_p2[-1] > 2.0 ** 1022
+        monkeypatch.setattr(ev, "_recurrence", lambda zs, upto: [[row(509)], [row(509)]])
+        with pytest.raises(EvaluationOverflowError, match="cumulative"):
+            ev.tables([1j])
+        assert 1j not in ev._cache
+
+
+def _counting_squares(monkeypatch):
+    """Entries squared per call of the extended and the standard squares helper."""
+    counts = []
+    squares, abs_squares = evaluation._squares, evaluation._abs_squares
+    monkeypatch.setattr(evaluation, "_squares", lambda RE, IM, E, prec: (
+        counts.append(len(RE)) or squares(RE, IM, E, prec)))
+    monkeypatch.setattr(evaluation, "_abs_squares", lambda x: (
+        counts.append(len(x)) or abs_squares(x)))
+    return counts
 
 
 class TestTableCache:
@@ -588,7 +772,7 @@ class TestTableCache:
     def test_cached_tables_do_not_depend_on_the_batch(self, src, monkeypatch):
         pol = TruncationPolicy(n_max=30)
         zs = _disk_points(11, 389)[:389]
-        for backend in ("default", "fallback"):
+        for backend, first in itertools.product(("default", "fallback"), _READ_ORDERS):
             with monkeypatch.context() as patch:
                 _use_backend(patch, backend)
                 calls = _counting(patch)
@@ -597,6 +781,8 @@ class TestTableCache:
                     tabs = Evaluator(src, pol).tables(zs[:size])
                     assert calls == [size]                 # all misses in one call
                     for z, tab in zip(zs, tabs):
+                        getattr(tab, first)
+                        _assert_eager_fields(tab, pol)
                         assert _same_table(tab, Evaluator(src, pol).table(z))
                         # each table owns its rows: none keeps a batch block alive
                         for x in (tab.p, tab.q, tab.cum_p2, tab.cum_q2):
