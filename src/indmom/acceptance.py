@@ -9,6 +9,7 @@ reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -19,6 +20,8 @@ from .debranges import diff_quotient_residual, resolvent_residual, xi_apply
 from .domains import (DEFAULT_MEMBERSHIP_TOL, membership_DT, membership_DTt,
                       p_vector, pair_coefficient, q_vector, residues,
                       resolvent_combination, second_basepoint)
+from .errors import (BasepointError, CoefficientFileError, CoefficientRangeError,
+                     IndmomError, NonConvergenceError, SpecStringError)
 from .evaluation import evaluator_for
 from .measures import (DiscreteMeasure, ExtensionParam, adjacent_zero_sign,
                        build_measure, stieltjes, support_function)
@@ -406,13 +409,38 @@ def _checks() -> List[tuple]:
     ]
 
 
+# Errors that end a run (the CLI's usage and non-convergence exits).
+_ENDS_RUN = (BasepointError, CoefficientFileError, CoefficientRangeError,
+             NonConvergenceError, SpecStringError)
+
+
 def run_acceptance(config: RunConfig,
                    only: Optional[List[str]] = None) -> List[CheckResult]:
-    """Run the acceptance checks; the checks that take measures share one set."""
-    checks = [(check, shared) for name, check, shared in _checks()
+    """Run the acceptance checks; the checks that take measures share one set.
+
+    A group that raises an IndmomError other than those of ``_ENDS_RUN``,
+    or takes the measures where building them raised one, gives one FAIL
+    row ``<group>_raised`` in place of its rows; the other groups still run.
+    """
+    checks = [(name, check, shared) for name, check, shared in _checks()
               if not only or name in only]
-    measures = _measures_for(config) if any(s for _, s in checks) else None
+    measures = None
+    if any(shared for _, _, shared in checks):
+        try:
+            measures = _measures_for(config)
+        except _ENDS_RUN:
+            raise
+        except IndmomError as exc:
+            measures = exc
     results: List[CheckResult] = []
-    for check, shared in checks:
-        results.extend(check(config, measures) if shared else check(config))
+    for name, check, shared in checks:
+        try:
+            if shared and isinstance(measures, IndmomError):
+                raise measures
+            results.extend(check(config, measures) if shared else check(config))
+        except _ENDS_RUN:
+            raise
+        except IndmomError as exc:
+            results.append(CheckResult(f"{name}_raised", False, math.nan, math.nan,
+                                       f"{type(exc).__name__}: {exc}"))
     return results

@@ -20,18 +20,19 @@ returns arrays sliced at that adaptive index, which is its contract.
 
 Layout
 ------
-Both backends fill one point-major block of shape ``(chains, points,
-upto+1)``: each chain at each point is one contiguous row.  The standard
-backend, :func:`_solve_block`, fills it with complex128 values.  Where
-numpy's bundled OpenBLAS provides BLAS ``ztbsv``, each row is one lower
-triangular banded solve of the recurrence at unit stride.  Where ``ztbsv``
-does not load, the fallback runs the recurrence in explicit real
-arithmetic, by a per-point loop on Python floats for small batches and by
-the same operations as numpy ufuncs for large ones; the two loops are
-bitwise equal.  The ufunc loop computes one index for the whole batch at
-a time, so it writes chain-major rows, contiguous across the batch, and
-its block is one transpose copy of them.  On either route a row depends
-only on its point, not on its batch; the two routes agree to roundoff.
+Every batch is read in one layout, a point-major block of shape
+``(chains, points, upto+1)``: each chain at each point is one contiguous
+row.  The standard backend, :func:`_solve_block`, fills it with
+complex128 values.  Where numpy's bundled OpenBLAS provides BLAS
+``ztbsv``, each row is one lower triangular banded solve of the
+recurrence at unit stride.  Where ``ztbsv`` does not load, the fallback
+runs the recurrence in explicit real arithmetic, by a per-point loop on
+Python floats for small batches and by the same operations as numpy
+ufuncs for large ones; the two loops are bitwise equal.  The ufunc loop
+computes one index for the whole batch at a time, so it fills
+chain-major scratch rows, contiguous across the batch, and copies them
+into the block once.  On either route a row depends only on its point,
+not on its batch; the two routes agree to roundoff.
 The extended backend, :func:`_mp_block`, runs the same real-arithmetic
 recurrence one point at a time on Python integers: the points and
 coefficients are float64, so exact dyadic rationals, and each step keeps
@@ -53,23 +54,22 @@ at the same precision inside :func:`working_precision`.  Either backend
 computes the p rows, the q rows or both (``chains``); all but the
 fallback's point loop compute only the rows returned.
 
-A point table holds its two rows, copied out of the block in standard
-precision and the two :class:`ExtendedRow` as they are in extended, and
-nothing else when it is built.  Its squared moduli, cumulative sums and
-stop index are computed when first read, for the entries that read needs:
-the A, B, C, D corner values read no square, the stop rule squares both
-chains in doubling chunks up to its first passing index, and a norm
-squares one chain through the shared level.  Each sum continues in order
-from the prefix already summed, so every value is bitwise what squaring
-and summing whole rows gives.  :func:`recurrence_batch` and :meth:`Evaluator.tables_batch`
-return chain-major tables of shape ``(upto+1, points)``, one transpose
-copy of the block (the ufunc loop's own rows on that route), or only
-the rows from a given index on; :func:`recurrence_mp` returns the rows at
-its one point.  In extended precision these, like an uncached
-:meth:`Evaluator.pq_upto`, are object arrays of ``mpc`` built from the
-rows returned.  :meth:`Evaluator.squares_batch` returns the squared
-moduli of the p rows through the shared level, which in extended
-precision are the kernel's, with no entry built.
+:meth:`Evaluator.rows` is the one reader of a batch, of the standard
+block or an :class:`ExtendedRow` per chain and point: point tables,
+:meth:`Evaluator.pq_upto`, :meth:`Evaluator.squares_batch` (the squared
+moduli of p_0..p_L, one row per point) and :func:`indmom.zeros.line_values`
+read it.  A point table holds its two rows, copied out of the block in
+standard precision and the two :class:`ExtendedRow` as they are in
+extended, and nothing else when it is built.  Its squared moduli,
+cumulative sums and stop index are computed when first read, for the
+entries that read needs: the A, B, C, D corner values read no square, the
+stop rule squares both chains in doubling chunks up to its first passing
+index, and a norm squares one chain through the shared level.  Each sum
+continues in order from the prefix already summed, so every value is
+bitwise what squaring and summing whole rows gives.
+:func:`recurrence_batch` (chain-major tables, one transpose copy of the
+block) and :func:`recurrence_mp` (one point) serve ``bench/`` and the
+kernel tests only.
 """
 
 from __future__ import annotations
@@ -367,15 +367,19 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
     """p/q tables: shape (upto+1, len(zs)), complex128, C-contiguous.
 
     ``chains`` ("pq", "p" or "q") selects the tables returned; the other is
-    None, and only the chains asked for are computed.  The tables are the
-    transpose of :func:`_solve_block`'s block, so column j is bitwise that
-    block's row for point j.
+    None, and only the chains asked for are computed.  The tables are one
+    transpose copy of :func:`_solve_block`'s block, so column j is bitwise
+    that block's row for point j.
+
+    It stays for ``bench/``: ``bench/workloads.py`` times the kernel at
+    fixed batch sizes through it and ``bench/layers.py`` hooks it by name.
     """
-    return _pick(chains, _solve_block(a, b, zs, upto, chains, chain_major=True))
+    T = np.ascontiguousarray(_solve_block(a, b, zs, upto, chains).transpose(0, 2, 1))
+    return _pick(chains, T)
 
 
 def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
-                 chains: str, chain_major: bool = False) -> np.ndarray:
+                 chains: str) -> np.ndarray:
     """p/q values as a point-major block: shape (len(chains), len(zs), upto+1).
 
     Row ``[c, j]`` is chain ``chains[c]`` at ``zs[j]``, contiguous,
@@ -386,18 +390,12 @@ def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
     ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
     with ``xb = x - b_n``: batches of at most ``_SCALAR_BATCH`` points on
     Python floats per point, larger ones as in-place ufuncs over the batch.
+    The ufunc loop fills chain-major scratch rows, each contiguous across
+    the batch, and the block is one copy of them: written straight into
+    the block, one scattered row per step, it ran about 2.5 times slower.
     On a given route a point's row is bitwise the same whatever batch
     computed it and whichever chains were asked for; banded and
     real-arithmetic rows agree to roundoff, not bitwise.
-
-    With ``chain_major`` the result is instead the block's transpose,
-    shape (len(chains), upto+1, len(zs)), C-contiguous.  The array loop
-    writes its rows in that chain-major layout, where each row is
-    contiguous across the batch; every other route writes the block.  A
-    result in the other layout is one transpose copy, made in the same
-    allocation: as two allocations of that size, freed together, they
-    crossed glibc malloc's trim threshold, which handed the memory back to
-    the system after every call, and the next call faulted it in again.
 
     Raises EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite.
@@ -406,16 +404,12 @@ def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
         raise ValueError("chains must be 'pq', 'p' or 'q'")
     zs = np.asarray(zs, dtype=complex)
     npts, k, n = zs.shape[0], len(chains), upto + 1
-    size = k * npts * n
     ztbsv = _ztbsv()
-    array = ztbsv is None and npts > _SCALAR_BATCH    # rows come chain-major
-    buf = np.empty(size * (1 if chain_major == array else 2), dtype=complex)
-    R = buf[buf.size - size:].reshape(k, npts, n)     # the block
-    T = buf[:size].reshape(k, n, npts)                # its transpose
     if ztbsv is not None:
-        R.fill(0.0)             # the banded solve needs zeroed right-hand sides
+        R = np.zeros((k, npts, n), dtype=complex)   # zeroed right-hand sides
         _banded_solve(ztbsv, a, b, zs, upto, R, chains)
-    elif not array:
+    elif npts <= _SCALAR_BATCH:
+        R = np.empty((k, npts, n), dtype=complex)
         V = R.view(float).reshape(k, npts, n, 2)      # [chain, point, n, re|im]
         al, bl = a[:upto].tolist(), b[:upto].tolist()
         for j, z in enumerate(zs.tolist()):
@@ -423,17 +417,15 @@ def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
             for c, chain in enumerate(chains):
                 V[c, j, :, 0], V[c, j, :, 1] = (pr, pi) if chain == "p" else (qr, qi)
     else:
+        T = np.empty((k, n, npts), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             _array_loop(a, b, zs, upto, T.view(float).reshape(k, n, npts, 2), chains)
-    done, other = (T, R) if array else (R, T)
-    V = done.view(float)
+        R = np.ascontiguousarray(T.transpose(0, 2, 1))
+    V = R.view(float)
     if V.size and not (-_OVERFLOW_LIMIT <= V.min() and V.max() <= _OVERFLOW_LIMIT):
         raise EvaluationOverflowError(
             "evaluation overflow; reduce |z| or use higher precision")
-    if chain_major == array:
-        return done
-    np.copyto(other, done.transpose(0, 2, 1))
-    return other
+    return R
 
 
 def _ztbsv():
@@ -545,7 +537,8 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
     """Extended-precision p/q arrays at one point: object arrays of mpmath mpc.
 
     The entries of :func:`_mp_block` at the one point ``z``.  ``chains``
-    works as in :func:`recurrence_batch`.
+    works as in :func:`recurrence_batch`.  It stays for ``bench/``, which
+    times one extended table through it and hooks it by name.
 
     Raises EvaluationOverflowError if z or a coefficient is not finite.
     """
@@ -775,14 +768,6 @@ def _scaled(s: int, k: int, d: int = 0) -> Optional[float]:
     return x if x >= _NORMAL_EDGE else None
 
 
-def abs2(x: np.ndarray) -> np.ndarray:
-    """Squared moduli of a complex128 array as floats.
-
-    Raises EvaluationOverflowError if one is not finite.
-    """
-    return _finite(_abs_squares(x))
-
-
 def _finite(squares: np.ndarray) -> np.ndarray:
     """``squares``, checked: EvaluationOverflowError if one is not finite."""
     if not np.isfinite(squares).all():
@@ -827,34 +812,20 @@ class Evaluator:
         self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
         self._split: Optional[_IntegerCoefficients] = None
 
-    def _recurrence(self, zs, upto: int, chains: str = "pq", chain_major: bool = False,
-                    first: int = 0):
-        """The rows through index upto at each point.
+    def rows(self, zs, upto: int, chains: str = "pq"):
+        """The rows through index upto at each point: the one batch reader.
 
         The one place that chooses between the complex128 batch kernel
         (:func:`_solve_block`) and the per-point integer kernel
         (:func:`_mp_block`).  ``R[c][j]`` is chain ``chains[c]`` at
         ``zs[j]``: a row of the complex128 block of shape (len(chains),
-        len(zs), upto+1), or an :class:`ExtendedRow`.  With
-        ``chain_major`` R is instead an array of shape (len(chains),
-        upto+1-first, len(zs)) holding rows ``first..upto`` of each chain,
-        each chain C-contiguous: a view of the standard block's transpose
-        copy, or the extended rows' entries as mpmath ``mpc`` (object
-        dtype), built for those rows only.
+        len(zs), upto+1), or an :class:`ExtendedRow`.
         """
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         if self.precision == "standard":
             a, b = self.source.arrays(max(upto, 1))
-            R = _solve_block(a, b, zs, upto, chains, chain_major)
-            return R[:, first:] if chain_major else R
-        rows = _mp_block(self._coefficients(upto), zs, upto, chains)
-        if not chain_major:
-            return rows
-        T = np.empty((len(chains), upto + 1 - first, zs.size), dtype=object)
-        for c, chain in enumerate(rows):
-            for j, row in enumerate(chain):
-                T[c, :, j] = row[first:]
-        return T
+            return _solve_block(a, b, zs, upto, chains)
+        return _mp_block(self._coefficients(upto), zs, upto, chains)
 
     def _coefficients(self, upto: int) -> _IntegerCoefficients:
         """The integer kernel's coefficients for at least ``upto`` steps.
@@ -894,7 +865,7 @@ class Evaluator:
         cache = self._cache
         misses = list(dict.fromkeys(z for z in keys if z not in cache))
         if misses:
-            R = self._recurrence(misses, self.top)
+            R = self.rows(misses, self.top)
             new = [PointTable(z, _own(p), _own(q), self.policy)
                    for z, p, q in zip(misses, *R)]
             # A standard part is at most _OVERFLOW_LIMIT (_solve_block
@@ -911,32 +882,17 @@ class Evaluator:
             cache.popitem(last=False)
         return out
 
-    def tables_batch(self, zs, chains: str = "pq", first: int = 0) -> Pair:
-        """Uncached (P, Q) tables, rows first..level+1, for an array of points.
-
-        ``chains`` selects the tables computed; the other is None.  Row k of
-        a table is index ``first + k`` at every point.
-        """
-        return _pick(chains, self._recurrence(zs, self.level + 1, chains,
-                                              chain_major=True, first=first))
-
     def squares_batch(self, zs) -> np.ndarray:
-        """|p_k|^2 for k = 0..level at an array of points.
+        """|p_k|^2 for k = 0..level at an array of points, one row per point.
 
-        Shape (level+1, len(zs)), C-contiguous: :func:`abs2` of the rows of
-        :meth:`tables_batch` in standard precision, and
-        :meth:`ExtendedRow.squares` of the extended rows, where no entry is
-        built.  Raises EvaluationOverflowError if one is not finite.
+        Shape (len(zs), level+1): the p rows squared by ``np.abs(row) ** 2``
+        or :meth:`ExtendedRow.squares`, where no entry is built.  Raises
+        EvaluationOverflowError if one is not finite.
         """
         n = self.level + 1
-        if self.precision == "standard":
-            P, _ = self.tables_batch(zs, "p")
-            return abs2(P[:n])
-        (rows,) = self._recurrence(zs, self.level, "p")
-        S = np.empty((n, len(rows)))
-        for j, row in enumerate(rows):
-            S[:, j] = row.squares(0, n)
-        return _finite(S)
+        (rows,) = self.rows(zs, self.level, "p")
+        return _finite(_abs_squares(rows) if self.precision == "standard" else
+                       np.array([row.squares(0, n) for row in rows]).reshape(-1, n))
 
     # -- raw values beyond the shared level --------------------------------
 
@@ -954,7 +910,7 @@ class Evaluator:
         if tab is not None and upto <= self.top:
             self._cache.move_to_end(z)
             return tab.p[: upto + 1], tab.q[: upto + 1]
-        R = self._recurrence([z], upto)
+        R = self.rows([z], upto)
         return R[0][0][:], R[1][0][:]           # an extended row's slice is an array
 
 

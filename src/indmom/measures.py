@@ -151,7 +151,13 @@ def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
 
 
 def _masses_batch(ev: Evaluator, xs: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sum(ev.squares_batch(xs), axis=0)
+    """:func:`mass_at` at each point, bitwise, whatever the batch.
+
+    Each point's squared moduli are summed in index order by one
+    ``np.add.accumulate``, as :attr:`.evaluation.PointTable.norm_p2` sums them.
+    """
+    S = ev.squares_batch(xs)
+    return 1.0 / np.add.accumulate(S, axis=1, out=S)[:, -1]
 
 
 def build_measure(source: JacobiCoefficients, t: ExtensionParam,

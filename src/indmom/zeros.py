@@ -404,10 +404,10 @@ def nevanlinna_line(ev: Evaluator, name: str, v: float = 0.0) -> LineFunction:
 def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     """Values of line functions at real or complex points, one row each.
 
-    The functions share one evaluator and kind, so rows L and L+1 of one
-    table of that kind serve them all, and are the only rows read; a
-    value depends only on its point and on the route (banded solves or
-    the fallback), not on the other points.
+    The functions share one evaluator and kind, so entries L and L+1 of
+    one row of that kind per point serve them all, and are the only
+    entries read; a value depends only on its point and on the route
+    (banded solves or the fallback), not on the other points.
     Their coefficients are real, so f(conj z) = conj f(z): each point is
     evaluated once, at the member of its conjugate pair with Im >= 0 (-0.0
     taken as +0.0), and a point below the axis gets the conjugate of that
@@ -422,8 +422,12 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     upper.imag = np.abs(zs.imag)
     pts, back = np.unique(upper, return_inverse=True)
     L = ev.level
-    P, Q = ev.tables_batch(pts, kind, L)
-    T_L, T_next = P if kind == "p" else Q
+    (rows,) = ev.rows(pts, L + 1, kind)
+    if ev.precision == "standard":
+        T_L, T_next = rows[:, L:].T.copy()
+    else:
+        T_L, T_next = (np.array([row[k] for row in rows], dtype=object)
+                       for k in (L, L + 1))
     with working_precision(ev.precision):
         vals = np.array([ev.a[L] * (T_next * f.g[0] - T_L * f.g[1]) for f in fs],
                         dtype=complex)

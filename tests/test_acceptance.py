@@ -6,12 +6,17 @@ spec'd tolerance.  ``pytest -s tests/test_acceptance.py`` prints one
 PASS/FAIL line per criterion.
 """
 
+import math
+
 import pytest
 
 from indmom import (JacobiCoefficients, TruncationPolicy, acceptance,
                     evaluation, zeros)
 from indmom.acceptance import run_acceptance
 from indmom.config import RunConfig
+from indmom.errors import (BasepointError, CoefficientFileError,
+                           CoefficientRangeError, EvaluationOverflowError,
+                           IndmomError, NonConvergenceError, ZeroOnContourError)
 from indmom.evaluation import clear_evaluator_cache
 
 
@@ -139,3 +144,32 @@ def test_fallback_route_agrees_with_the_blas_route(monkeypatch):
         assert abs(f.measured - b.measured) <= (b.tolerance
                                                 + 1e-12 * abs(b.measured)), (
             b.line(), f.line())
+
+
+@pytest.mark.parametrize("error", [EvaluationOverflowError, ZeroOnContourError,
+                                   IndmomError])
+def test_measures_that_raise_fail_each_group_that_reads_them(monkeypatch, error):
+    def fail(config):
+        raise error("no measures")
+
+    monkeypatch.setattr(acceptance, "_measures_for", fail)
+    results = run_acceptance(RunConfig(truncation=TruncationPolicy(n_max=120)),
+                             only=["pick", "measures", "supports", "tilde"])
+    assert [r.name for r in results] == ["04_pick_property", "measures_raised",
+                                         "supports_raised",
+                                         "12_truncated_problem_relations"]
+    for r in results[1:3]:
+        assert not r.passed and math.isnan(r.measured) and math.isnan(r.tolerance)
+        assert r.detail == f"{error.__name__}: no measures"
+    assert results[0].passed and results[3].passed
+
+
+@pytest.mark.parametrize("error", [NonConvergenceError, BasepointError,
+                                   CoefficientRangeError, CoefficientFileError])
+def test_errors_that_end_a_run_propagate(monkeypatch, error):
+    def fail(config):
+        raise error("ends the run")
+
+    monkeypatch.setattr(acceptance, "_check_pick", fail)
+    with pytest.raises(error):
+        run_acceptance(RunConfig(truncation=TruncationPolicy(n_max=120)), only=["pick"])

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from indmom import JacobiCoefficients, RootScanConfig, TruncationPolicy, zeros
+from indmom import (JacobiCoefficients, RootScanConfig, TruncationPolicy, acceptance,
+                    zeros)
 from indmom.cli import main
 from indmom.config import RunConfig, parse_complex
-from indmom.errors import NonConvergenceError
+from indmom.errors import InconclusiveMembershipError, NonConvergenceError
 from indmom.evaluation import clear_evaluator_cache
 
 
@@ -397,6 +398,29 @@ class TestVerify:
         assert all("precision" not in row for row in rows[1:])
         _, out, _ = run_cli(["--nmax", "120", "verify"], capsys)
         assert "precision_checks" not in out
+
+    def test_a_raising_group_is_one_fail_row(self, monkeypatch, capsys):
+        # the report completes: the other groups' rows are as in a full run
+        def rows(text):
+            return [line for line in text.splitlines()
+                    if not line.startswith(("#", "all_checks"))]
+
+        _, whole, _ = run_cli(["--nmax", "120", "verify"], capsys)
+
+        def inconclusive(config, measures):
+            raise InconclusiveMembershipError("verdicts disagree")
+
+        monkeypatch.setattr(acceptance, "_check_extensions", inconclusive)
+        code, out, err = run_cli(["--nmax", "120", "verify"], capsys)
+        assert code == 1
+        raised = ["extensions_raised = FAIL [N=120 tol=nan]",
+                  "extensions_raised.measured = nan [N=120 tol=nan]"]
+        assert [r for r in rows(out) if r not in raised] == [
+            r for r in rows(whole) if not r.startswith(("10a_", "10b_"))]
+        assert [r for r in rows(out) if r in raised] == raised
+        assert "all_checks = FAIL" in out.splitlines()
+        assert ("FAIL extensions_raised: measured=nan tol=nan  "
+                "InconclusiveMembershipError: verdicts disagree") in err.splitlines()
 
     @pytest.mark.parametrize("problem", [[], ["--c", "4"]],
                              ids=["preset", "c=4"])

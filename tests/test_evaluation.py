@@ -13,6 +13,7 @@ from indmom import (JacobiCoefficients, TruncationPolicy, acceptance, eval_pq,
 from indmom.config import RunConfig
 from indmom.errors import CoefficientRangeError, EvaluationOverflowError
 from indmom.evaluation import Evaluator, clear_evaluator_cache, evaluator_for
+from indmom.zeros import line_values, nevanlinna_line
 
 # Exact Gaussian-rational recurrence sums at z=i through index 200,
 # computed once with Fraction arithmetic and frozen here.
@@ -166,7 +167,7 @@ class TestErrors:
         n, (m, e) = ev.top + 1, mp.mpf(1e154).man_exp            # |.|^2 finite
         row, squares = _extended_row([int(m)] * n, [0] * n, [int(e)] * n, mp.mp.prec)
         assert np.isfinite(squares).all()
-        monkeypatch.setattr(ev, "_recurrence", lambda zs, upto: [[row], [row]])
+        monkeypatch.setattr(ev, "rows", lambda zs, upto: [[row], [row]])
         with pytest.raises(EvaluationOverflowError, match="cumulative"):
             ev.tables([0j])
 
@@ -399,12 +400,12 @@ class TestExtendedPrecision:
     @pytest.mark.parametrize("dps", [32, 40])
     def test_entries_agree_on_every_route(self, src, dps, monkeypatch):
         # an entry is the same mpc read by int index or by slice from a
-        # cached table, from recurrence_mp, from tables_batch and from
-        # pq_upto beyond the cache
+        # cached table, from recurrence_mp, from the batch reader's rows and
+        # from pq_upto beyond the cache
         monkeypatch.setattr(evaluation, "EXTENDED_DPS", dps)
         ev = Evaluator(src, TruncationPolicy(n_max=60), "extended")
         zs = [0.3 + 0.9j, -1.1 - 2.0j, complex(1.5, 0.0), 0j]
-        tabs, batch = ev.tables(zs), ev.tables_batch(zs)
+        tabs, batch = ev.tables(zs), ev.rows(zs, ev.level + 1)
         upto = ev.top + 3
         a, b = src.arrays(upto)
         for j, (z, tab) in enumerate(zip(zs, tabs)):
@@ -417,7 +418,8 @@ class TestExtendedPrecision:
                 want = [v._mpc_ for v in by_index]
                 for got in (row[:], F[: ev.top + 1], U[: ev.top + 1]):
                     assert got.dtype == object and [v._mpc_ for v in got] == want
-                assert [v._mpc_ for v in T[:, j]] == want[: ev.level + 2]
+                assert len(T[j]) == ev.level + 2
+                assert [T[j][k]._mpc_ for k in range(ev.level + 2)] == want[: ev.level + 2]
                 assert [v._mpc_ for v in row[5:-3:7]] == want[5:-3:7]
                 assert row[-1]._mpc_ == want[-1]
                 assert row[np.int64(7)]._mpc_ == want[7]
@@ -711,13 +713,13 @@ class TestLazyFields:
 
         inside = row(508)
         assert 2 * inside.magnitude_bits() + 1 + n.bit_length() == evaluation._SUM_BITS
-        monkeypatch.setattr(ev, "_recurrence", lambda zs, upto: [[inside], [inside]])
+        monkeypatch.setattr(ev, "rows", lambda zs, upto: [[inside], [inside]])
         counts = _counting_squares(monkeypatch)
         (tab,) = ev.tables([0j])
         assert counts == []
         assert np.isfinite(tab.cum_p2).all() and np.isfinite(tab.cum_q2).all()
         assert tab.cum_p2[-1] > 2.0 ** 1022
-        monkeypatch.setattr(ev, "_recurrence", lambda zs, upto: [[row(509)], [row(509)]])
+        monkeypatch.setattr(ev, "rows", lambda zs, upto: [[row(509)], [row(509)]])
         with pytest.raises(EvaluationOverflowError, match="cumulative"):
             ev.tables([1j])
         assert 1j not in ev._cache
@@ -732,6 +734,21 @@ def _counting_squares(monkeypatch):
     monkeypatch.setattr(evaluation, "_abs_squares", lambda x: (
         counts.append(len(x)) or abs_squares(x)))
     return counts
+
+
+def _assert_batch_readers_are_one_point_calls(ev, zs, sizes):
+    """squares_batch and line_values on the first ``size`` points, for each
+    size, are bitwise their values at each point alone."""
+    lines = [[nevanlinna_line(ev, n) for n in names] for names in ("BD", "AC")]
+    alone = [np.concatenate([ev.squares_batch([z]) for z in zs])]
+    alone += [np.concatenate([line_values(fs, [z]) for z in zs], axis=1) for fs in lines]
+    for size in sizes:
+        batch = [ev.squares_batch(zs[:size])]
+        batch += [line_values(fs, zs[:size]) for fs in lines]
+        assert batch[0].shape == (size, ev.level + 1)
+        assert batch[0].tobytes() == alone[0][:size].tobytes(), size
+        for got, want in zip(batch[1:], alone[1:]):
+            assert got.tobytes() == want[:, :size].tobytes(), size
 
 
 class TestTableCache:
@@ -772,11 +789,12 @@ class TestTableCache:
     def test_cached_tables_do_not_depend_on_the_batch(self, src, monkeypatch):
         pol = TruncationPolicy(n_max=30)
         zs = _disk_points(11, 389)[:389]
-        for backend, first in itertools.product(("default", "fallback"), _READ_ORDERS):
+        sizes = (1, 2, 13, 300, 389)     # point loop, array loop on the fallback
+        for backend in ("default", "fallback"):
             with monkeypatch.context() as patch:
                 _use_backend(patch, backend)
                 calls = _counting(patch)
-                for size in (1, 2, 13, 300, 389):
+                for first, size in itertools.product(_READ_ORDERS, sizes):
                     calls.clear()
                     tabs = Evaluator(src, pol).tables(zs[:size])
                     assert calls == [size]                 # all misses in one call
@@ -788,6 +806,9 @@ class TestTableCache:
                         for x in (tab.p, tab.q, tab.cum_p2, tab.cum_q2):
                             assert x.flags.c_contiguous and x.flags.owndata
                             assert not x.flags.writeable
+                _assert_batch_readers_are_one_point_calls(Evaluator(src, pol), zs, sizes)
+        _assert_batch_readers_are_one_point_calls(Evaluator(src, pol, "extended"),
+                                                  zs[:13], (1, 2, 13))
 
     def test_pq_upto_reads_cached_tables(self, src, monkeypatch):
         for backend in ("default", "fallback"):

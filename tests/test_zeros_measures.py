@@ -139,8 +139,8 @@ def _line(ev, kind, t):
 def _corner_form(ev, fs, xs):
     """a_L (T_{L+1} g_L - T_L g_{L+1}) of each line function, one row each."""
     L = ev.level
-    P, Q = ev.tables_batch(xs, fs[0].kind)
-    T = P if fs[0].kind == "p" else Q
+    (rows,) = ev.rows(xs, L + 1, fs[0].kind)
+    T = rows.T.copy()                           # row k: index k at every point
     return np.array([ev.a[L] * (T[L + 1] * f.g[0] - T[L] * f.g[1]) for f in fs],
                     dtype=complex)
 
@@ -256,8 +256,8 @@ class TestNodeSets:
         (kind, b_anchor, b_off), (_, d_anchor, d_off) = (SERIES_FORMS[n]
                                                          for n in names)
         zs = zeros._contour((-40.5, 40.5, -1.0, 1.0), 256)
-        P, Q = ev.tables_batch(zs, kind)
-        T = (P if kind == "p" else Q)[: L + 1]
+        (rows,) = ev.rows(zs, L, kind)
+        T = rows.T
         for v in (0.0, 0.7):
             tab = ev.table(v)
             for t in map(ExtensionParam.parse, ("0", "1", "-2.5", "inf")):
@@ -490,8 +490,8 @@ class TestCountZerosRect:
 
         def F(zs):
             zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-            P, _ = ev.tables_batch(zs)
-            return (zs - 0.7) * (tv.p[: L + 1] @ P[: L + 1])
+            (P,) = ev.rows(zs, L, "p")
+            return (zs - 0.7) * (tv.p[: L + 1] @ P.T)
 
         assert count_zeros_rect(F, (-4.0, 4.0, 0.3, 3.0)) == 0
 
@@ -503,8 +503,8 @@ class TestCountZerosRect:
 
         def F(zs):
             zs = np.atleast_1d(np.asarray(zs, dtype=complex))
-            P, _ = ev.tables_batch(zs)
-            return (zs - v) * (tv.p[: L + 1] @ P[: L + 1])
+            (P,) = ev.rows(zs, L, "p")
+            return (zs - v) * (tv.p[: L + 1] @ P.T)
 
         assert count_zeros_rect(F, (-5.0, 5.0, -3.0, -0.2)) == 0
 
@@ -561,14 +561,14 @@ class TestCountZerosRect:
         below.imag = -0.0
         assert line_values(fs, xs).tobytes() == plain.tobytes()
         assert line_values(fs, below).tobytes() == plain.tobytes()
-        # a conjugate pair is one table
-        asked, batch = [], Evaluator.tables_batch
+        # a conjugate pair is one row
+        asked, batch = [], Evaluator.rows
 
-        def counted(self, zs, chains="pq", first=0):
+        def counted(self, zs, upto, chains="pq"):
             asked.append(len(zs))
-            return batch(self, zs, chains, first)
+            return batch(self, zs, upto, chains)
 
-        monkeypatch.setattr(Evaluator, "tables_batch", counted)
+        monkeypatch.setattr(Evaluator, "rows", counted)
         line_values(fs, np.concatenate([zs, xs, zs.conj(), below]))
         assert asked == [len(zs) + len(xs)]
 
@@ -656,11 +656,11 @@ class TestCountZerosRect:
         # each long side, 16 on each short one), and the first evaluation
         # asks for the 273 with Im >= 0 of the one chain it reads
         asked, strips = [], []
-        batch, count = Evaluator.tables_batch, zeros.count_zeros_rect
+        batch, count = Evaluator.rows, zeros.count_zeros_rect
 
-        def counted(self, zs, chains="pq", first=0):
+        def counted(self, zs, upto, chains="pq"):
             asked.append(len(zs))
-            return batch(self, zs, chains, first)
+            return batch(self, zs, upto, chains)
 
         def strip_count(F, rect, samples_per_side=64):
             start = len(asked)
@@ -669,7 +669,7 @@ class TestCountZerosRect:
             finally:
                 strips.append(asked[start:])
 
-        monkeypatch.setattr(Evaluator, "tables_batch", counted)
+        monkeypatch.setattr(Evaluator, "rows", counted)
         monkeypatch.setattr(zeros, "count_zeros_rect", strip_count)
         cfg = RootScanConfig(window=(-40.0, 40.0))
         for t in ("0", "1", "inf"):
@@ -821,6 +821,27 @@ class TestMasses:
         assert mass_at(src, x, pol) == pytest.approx(measure_inf.masses[i],
                                                      rel=1e-12)
 
+    @pytest.mark.parametrize("source", ["c=1.5", "c=2", "alternating_b"])
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    def test_a_mass_does_not_depend_on_its_batch(self, source, precision):
+        # a node weighed alone, in a batch and by mass_at: the last bits
+        # show a summation order that depends on the batch, such as a
+        # pairwise sum over one point and an ordered one over more
+        from indmom.measures import _masses_batch
+
+        src = (JacobiCoefficients.explicit([((n + 1.0) ** 2, 0.3 * (-1) ** n)
+                                            for n in range(600)])
+               if source == "alternating_b"
+               else JacobiCoefficients.power_law(float(source[2:])))
+        pol = TruncationPolicy(n_max=500)
+        ev = evaluator_for(src, pol, precision)
+        nodes = _line(ev, "p", ExtensionParam.finite(1.0)).nodes()
+        xs = nodes[np.argsort(np.abs(nodes))[:12]]
+        batch = _masses_batch(ev, xs)
+        alone = np.concatenate([_masses_batch(ev, xs[j: j + 1]) for j in range(len(xs))])
+        at = np.array([mass_at(src, x, pol, precision) for x in xs])
+        assert batch.tobytes() == alone.tobytes() == at.tobytes()
+
 
 class TestBuildMeasure:
     @pytest.mark.parametrize("label", ["0", "1", "inf"])
@@ -880,13 +901,14 @@ class TestExtendedReaders:
         assert len(xs) > 10
         L = ev.level
         for pts in (xs, xs[:1], xs[3:5]):
-            P, _ = ev.tables_batch(pts, "p")
+            (rows,) = ev.rows(pts, L, "p")
             # the squared moduli of the entries, as abs2 took them from
-            # object arrays: each exact and rounded once
+            # object arrays: each exact and rounded once, and summed in
+            # index order at every point
             S = np.array([[evaluation._square_sum(m, e, n, f)
-                           for (_, m, e, _), (_, n, f, _) in (v._mpc_ for v in row)]
-                          for row in P[: L + 1]])
-            want = 1.0 / np.sum(S, axis=0)
+                           for (_, m, e, _), (_, n, f, _) in (v._mpc_ for v in row[:])]
+                          for row in rows])
+            want = 1.0 / np.cumsum(S, axis=1)[:, -1]
             assert _masses_batch(ev, pts).tobytes() == want.tobytes()
 
     def test_line_values_are_the_whole_row_forms(self):
@@ -899,8 +921,8 @@ class TestExtendedReaders:
                                  rng.uniform(-6, 6, 6) + 1j * rng.uniform(0, 3, 6)])
             assert len(zs) > 15
             L = ev.level
-            P, Q = ev.tables_batch(zs, kind)
-            T = P if kind == "p" else Q
+            (rows,) = ev.rows(zs, L + 1, kind)
+            T = np.array([row[:] for row in rows]).T   # row k: index k at every point
             with evaluation.working_precision("extended"):
                 want = np.array([ev.a[L] * (T[L + 1] * f.g[0] - T[L] * f.g[1])
                                  for f in fs], dtype=complex)
