@@ -27,7 +27,7 @@ from .measures import (DiscreteMeasure, ExtensionParam, adjacent_zero_sign,
                        build_measure, stieltjes, support_function)
 from .nevanlinna import (SERIES_FORMS, composition_residuals, nev, nev_one,
                          partial_quad_arrays, three_point_residual,
-                         tilde_relations_residual)
+                         tilde_relations_residual, truncated_policy)
 from .sequences import SeqVector
 from .zeros import count_zeros_rect, line_values, nevanlinna_line
 
@@ -67,11 +67,11 @@ def _upper(rng: np.random.Generator, n: int,
     return rng.uniform(-3, 3, n) + 1j * rng.uniform(im_lo, im_hi, n)
 
 
-def _prefetch(config: RunConfig, *points, source=None,
+def _prefetch(config: RunConfig, *points, source=None, policy=None,
               precision: str = "standard") -> None:
     """Fill the shared table cache for all of a check's points in one batch."""
-    evaluator_for(source or config.problem, config.truncation, precision).tables(
-        np.concatenate([np.ravel(p) for p in points]))
+    evaluator_for(source or config.problem, policy or config.truncation,
+                  precision).tables(np.concatenate([np.ravel(p) for p in points]))
 
 
 # --- criteria ---------------------------------------------------------------
@@ -380,8 +380,9 @@ def _check_xi(config: RunConfig) -> List[CheckResult]:
 def _check_tilde(config: RunConfig) -> List[CheckResult]:
     rng = np.random.default_rng(config.seed + 12)
     points = [_disk(rng, 2.5, 10) for _ in range(3)]
-    for src in (config.problem, config.problem.truncate_once()):
-        _prefetch(config, points, 0.0, source=src)
+    _prefetch(config, points, 0.0)
+    _prefetch(config, points, 0.0, source=config.problem.truncate_once(),
+              policy=truncated_policy(config.truncation))
     worst = 0.0
     for u, v, z in zip(*points):
         worst = max(worst, tilde_relations_residual(config.problem, u, v,

@@ -99,7 +99,9 @@ SETTINGS = {
 def load_config_file(path: str) -> dict:
     """The settings an INI-style config file gives, by name.
 
-    An unknown section or key is a ValueError that names it.
+    An unknown section or key is a ValueError that names it.  So is a
+    ``[problem]`` whose keys disagree: ``path`` without ``kind = file``,
+    or ``c`` with it.
     """
     cp = configparser.ConfigParser()
     if not cp.read(path):
@@ -115,6 +117,12 @@ def load_config_file(path: str) -> dict:
             if parse is None:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
             out[key] = parse(text)
+    is_file = out.get("kind") == "file"
+    if "path" in out and not is_file:
+        raise ValueError(f"{path}: [problem] path needs kind = file")
+    if "c" in out and is_file:
+        raise ValueError(f"{path}: [problem] c names the power law's exponent; "
+                         "it cannot go with kind = file")
     return out
 
 

@@ -54,19 +54,32 @@ at the same precision inside :func:`working_precision`.  Either backend
 computes the p rows, the q rows or both (``chains``); all but the
 fallback's point loop compute only the rows returned.
 
+Squared sums
+------------
+Every squared sum is the in-order sum of the squared moduli of a row's
+entries as read: the stop rule's totals, the norms ``norm_p2`` and
+``norm_q2`` (the domain tests divide by ``norm_p2``) and the N-extremal
+masses, ``1 / norm_p2``.  One pair of helpers takes them all.
+:func:`_squared_moduli` squares a range of entries of some rows, and
+:func:`_running_sums` sums them in index order, continued from a carry;
+sums taken chunk by chunk are then bitwise the sums of the whole row.
+Overflow is raised by the read that needs the square or the sum: an
+extended square, or the last running sum of a row, past the float range
+raises EvaluationOverflowError.  A complex128 square is at most 2e300, so
+standard squares are not checked and standard reads run in numpy's
+default error state (:func:`_summing`).  An extended table whose squares
+overflow is still built and cached, and its corner entries still read.
+
 :meth:`Evaluator.rows` is the one reader of a batch, of the standard
 block or an :class:`ExtendedRow` per chain and point: point tables,
-:meth:`Evaluator.pq_upto`, :meth:`Evaluator.squares_batch` (the squared
-moduli of p_0..p_L, one row per point) and :func:`indmom.zeros.line_values`
-read it.  A point table holds its two rows, copied out of the block in
-standard precision and the two :class:`ExtendedRow` as they are in
-extended, and nothing else when it is built.  Its squared moduli,
-cumulative sums and stop index are computed when first read, for the
-entries that read needs: the A, B, C, D corner values read no square, the
-stop rule squares both chains in doubling chunks up to its first passing
-index, and a norm squares one chain through the shared level.  Each sum
-continues in order from the prefix already summed, so every value is
-bitwise what squaring and summing whole rows gives.
+:meth:`Evaluator.pq_upto`, :meth:`Evaluator.norms_p2` and
+:func:`indmom.zeros.line_values` read it.  A point table holds its two
+rows, copied out of the block in standard precision and the two
+:class:`ExtendedRow` as they are in extended, and nothing else when it is
+built.  It squares only what a read needs: the A, B, C, D corner values
+read no square, the stop rule squares both chains in doubling chunks up
+to its first passing index, and a norm squares one chain through the
+shared level.
 :func:`recurrence_batch` (chain-major tables, one transpose copy of the
 block) and :func:`recurrence_mp` (one point) serve ``bench/`` and the
 kernel tests only.
@@ -107,10 +120,6 @@ _GUARD_BITS = 24
 _NORMAL_EDGE = 2.0 ** -1021
 # Entries squared by the stop rule's first chunk; each later chunk doubles.
 _STOP_CHUNK = 32
-# An extended row whose sums the bound at construction keeps below
-# 2**_SUM_BITS, so finite, stays unsquared until read; one past it is
-# squared and summed at once.
-_SUM_BITS = 1023
 _CHAINS = ("pq", "p", "q")
 # ztbsv(uplo, trans, diag, n, k, band, lda, x, incx) with 64-bit integers
 _ZTBSV_ARGS = (ctypes.c_char_p,) * 3 + (INT, INT, ctypes.c_void_p, INT,
@@ -170,35 +179,27 @@ class PointTable:
     :class:`ExtendedRow`, which read as mpmath ``mpc`` by index and as
     object arrays of them by slice.  Reading the rows squares nothing.
 
-    Every other field is computed on its first read and kept:
+    Squared sums are taken on read, as "Squared sums" above says, so a
+    read that meets a square or a sum past the float range raises
+    EvaluationOverflowError.  Two are kept once read:
 
     - ``stop_index``, ``converged`` and ``tail_est`` run the policy's stop
       rule over both chains in doubling chunks from index 0 (the first
-      ``_STOP_CHUNK`` entries, then twice as many, ...) and stop at the
-      chunk that holds the first passing index, or at the shared level;
-    - ``norm_p2`` and ``norm_q2`` sum one chain's squared moduli through
-      the shared level;
-    - ``cum_p2`` and ``cum_q2``, cumulative sums of ``|p_k|^2`` /
-      ``|q_k|^2`` through each index, square the whole chain.
-
-    A read squares only the entries past those already summed: in
-    extended precision about 1 us per entry, in standard precision one
-    numpy pass per chunk.  The values are bitwise those of the whole rows:
-    squares by ``np.abs(row) ** 2`` or :meth:`ExtendedRow.squares`, one
-    sequential ``np.add.accumulate`` per chain, and the stop rule over
-    indices 2..level.
+      ``_STOP_CHUNK`` entries, then twice as many, ...), carrying each
+      chain's running sum from chunk to chunk, and stop at the chunk that
+      holds the first passing index, or at the shared level;
+    - ``norm_p2`` and ``norm_q2`` sum one chain through the shared level.
     """
 
-    __slots__ = ("z", "p", "q", "level", "_policy", "_cums", "_summed", "_stop")
+    __slots__ = ("z", "p", "q", "level", "_policy", "_stop", "_norms")
 
     def __init__(self, z: complex, p: Union[np.ndarray, "ExtendedRow"],
                  q: Union[np.ndarray, "ExtendedRow"], policy: TruncationPolicy):
         self.z, self.p, self.q = z, p, q
         self.level = policy.n_max
         self._policy = policy
-        self._cums: List[Optional[np.ndarray]] = [None, None]
-        self._summed = [0, 0]                   # indices summed per chain
         self._stop: Optional[Tuple[int, bool, float, float, float]] = None
+        self._norms: List[Optional[float]] = [None, None]
 
     @property
     def stop_index(self) -> int:
@@ -213,47 +214,22 @@ class PointTable:
         return self._stop_rule()[2]
 
     @property
-    def cum_p2(self) -> np.ndarray:
-        return self._sums(0, len(self.p))
-
-    @property
-    def cum_q2(self) -> np.ndarray:
-        return self._sums(1, len(self.q))
-
-    @property
     def norm_p2(self) -> float:
         """Squared norm proxy at the shared level."""
-        return float(self._sums(0, self.level + 1)[self.level])
+        return self._norm(0)
 
     @property
     def norm_q2(self) -> float:
-        return float(self._sums(1, self.level + 1)[self.level])
+        return self._norm(1)
 
-    def _sums(self, c: int, hi: int, squares: Optional[np.ndarray] = None,
-              lo: int = 0) -> np.ndarray:
-        """Chain c's cumulative sums, computed through index hi - 1 at least.
-
-        The sums continue in order from the prefix already summed.
-        ``squares``, where given, are the chain's squared moduli at indices
-        lo..hi-1, with lo no later than that prefix's end.  Only the
-        computed prefix of the array returned holds sums; once the whole
-        chain is summed it is read-only.
-        """
-        cum, done = self._cums[c], self._summed[c]
-        if hi <= done:
-            return cum
-        if cum is None:
-            cum = self._cums[c] = np.empty(len(self.p))
-        part = cum[done:hi]
-        part[:] = (squares[done - lo:] if squares is not None
-                   else _row_squares((self.p, self.q)[c], done, hi))
-        if done:
-            part[0] += cum[done - 1]
-        np.add.accumulate(part, out=part)
-        self._summed[c] = hi
-        if hi == len(cum):
-            cum.flags.writeable = False
-        return cum
+    def _norm(self, c: int) -> float:
+        """sum_{k<=level} |v_k|^2 for chain c (p or q), kept on first read."""
+        if self._norms[c] is None:
+            rows = [(self.p, self.q)[c]]
+            with _summing(rows):
+                S = _running_sums(_squared_moduli(rows, 0, self.level + 1))
+            self._norms[c] = float(S[0, -1])
+        return self._norms[c]
 
     def _stop_rule(self) -> Tuple[int, bool, float, float, float]:
         """(stop_index, converged, tail_est, cum_p2[N], cum_q2[N]) at N = stop_index.
@@ -266,25 +242,32 @@ class PointTable:
         visible.  Without a passing index the level is the stop index and
         the table has not converged.
         """
-        if self._stop is not None:
-            return self._stop
+        if self._stop is None:
+            rows = (self.p, self.q)
+            with _summing(rows):
+                self._stop = self._find_stop(rows)
+        return self._stop
+
+    def _find_stop(self, rows) -> Tuple[int, bool, float, float, float]:
+        """The stop rule over ``rows``, ``(p, q)``, chunk by chunk."""
         L, pol = self.level, self._policy
-        lo, size = 0, _STOP_CHUNK
+        lo, size, carry = 0, _STOP_CHUNK, None
         while True:
             hi = min(lo + size, L + 1)
-            sp, sq = (_row_squares(row, lo, hi) for row in (self.p, self.q))
-            inc = sp + sq
-            cp, cq = self._sums(0, hi, sp, lo), self._sums(1, hi, sq, lo)
-            ok = pol.safety * inc < pol.tail_tol * (cp[lo:hi] + cq[lo:hi])
+            S = _squared_moduli(rows, lo, hi)
+            inc = S[0] + S[1]
+            cp, cq = _running_sums(S, carry)
+            total = cp + cq
+            _finite_sum(total[-1])
+            ok = pol.safety * inc < pol.tail_tol * total
             if lo < 2:
                 ok[: 2 - lo] = False
             k = int(ok.argmax())
             if ok[k] or hi > L:
                 n = lo + k if ok[k] else L
-                self._stop = (n, bool(ok[k]), float(inc[n - lo]), float(cp[n]),
-                              float(cq[n]))
-                return self._stop
-            lo, size = hi, 2 * size
+                return (n, bool(ok[k]), float(inc[n - lo]), float(cp[n - lo]),
+                        float(cq[n - lo]))
+            lo, size, carry = hi, 2 * size, S[:, -1]
 
 
 class ExtendedRow:
@@ -295,17 +278,15 @@ class ExtendedRow:
     nearest at ``prec`` bits (:func:`_round_mpf`).  Reading an int index
     gives an mpmath ``mpc``, and reading a slice an object ndarray of them;
     only the entries read are rounded, on each read.  The row keeps no
-    object per entry.  ``bits`` bounds the bit length of every RE[n] and
-    IM[n].
+    object per entry.
     """
 
-    __slots__ = ("_re", "_im", "_e", "_prec", "_bits", "_make")
+    __slots__ = ("_re", "_im", "_e", "_prec", "_make")
 
-    def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int,
-                 bits: int):
+    def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int):
         from mpmath import mp
 
-        self._re, self._im, self._e, self._prec, self._bits = RE, IM, E, prec, bits
+        self._re, self._im, self._e, self._prec = RE, IM, E, prec
         self._make = mp.make_mpc
 
     def __len__(self) -> int:
@@ -331,26 +312,75 @@ class ExtendedRow:
         return np.array(_squares(self._re[lo:hi], self._im[lo:hi], self._e[lo:hi],
                                  self._prec), dtype=float)
 
-    def magnitude_bits(self) -> int:
-        """k with |Re| and |Im| at most 2**k for every entry as read.
-
-        An entry's parts, of at most ``bits`` bits times ``2**e`` before
-        rounding, round to at most ``2**(bits + e)``; k takes the largest
-        exponent.
-        """
-        return self._bits + max(self._e)
-
 
 def _abs_squares(x: np.ndarray) -> np.ndarray:
     """Squared moduli of a complex128 array: ``np.abs(x) ** 2``."""
     return np.abs(x) ** 2
 
 
-def _row_squares(row: Union[np.ndarray, ExtendedRow], lo: int, hi: int) -> np.ndarray:
-    """Squared moduli of a table row's entries lo..hi-1, as floats."""
-    if isinstance(row, ExtendedRow):
-        return row.squares(lo, hi)
-    return _abs_squares(row[lo:hi])
+def _squared_moduli(rows, lo: int, hi: int) -> np.ndarray:
+    """Squared moduli of entries lo..hi-1 of each row: shape (len(rows), hi - lo).
+
+    ``rows`` is a sequence of table rows, complex128 arrays or
+    :class:`ExtendedRow`, or a 2-D complex128 block of them.  Complex128
+    entries are squared by :func:`_abs_squares`; their parts are at most
+    ``_OVERFLOW_LIMIT`` (:func:`_solve_block`), so each square is finite.
+    Extended entries are squared by :meth:`ExtendedRow.squares`, which
+    builds no entry, and can leave the float range.
+
+    Raises EvaluationOverflowError if an extended square is not finite.
+    """
+    if isinstance(rows, np.ndarray):
+        return _abs_squares(rows[:, lo:hi])
+    S = np.empty((len(rows), hi - lo))
+    for k, row in enumerate(rows):
+        if not isinstance(row, ExtendedRow):
+            S[k] = _abs_squares(row[lo:hi])
+            continue
+        S[k] = row.squares(lo, hi)
+        if not np.isfinite(S[k]).all():
+            raise EvaluationOverflowError(
+                "evaluation overflow: a squared modulus exceeds the float range")
+    return S
+
+
+def _running_sums(squares: np.ndarray, carry=None) -> np.ndarray:
+    """In-order cumulative sums along each row of ``squares``, from ``carry``.
+
+    Entry k of a row becomes ``carry + s_0 + ... + s_k``, added left to
+    right, so sums taken chunk by chunk, each chunk carrying the last sums
+    of the one before, are bitwise the sums of the whole row.  ``carry``,
+    where given, is a float or one per row.  The sums overwrite
+    ``squares``, which are finite and nonnegative (:func:`_squared_moduli`).
+
+    Raises EvaluationOverflowError if a sum is not finite.  A row's sums
+    do not decrease, so only its last is checked.
+    """
+    if carry is not None:
+        squares[:, 0] += carry
+    np.add.accumulate(squares, axis=1, out=squares)
+    _finite_sum(max(squares[:, -1].tolist(), default=0.0))
+    return squares
+
+
+def _finite_sum(total: float) -> None:
+    """Raise EvaluationOverflowError unless ``total``, a sum of squares, is finite."""
+    if not total < math.inf:
+        raise EvaluationOverflowError(
+            "evaluation overflow: a cumulative sum exceeds the float range")
+
+
+def _summing(rows):
+    """The numpy error state for squaring and summing entries of ``rows``.
+
+    Extended squares and sums can leave the float range, where the helpers
+    above raise, so numpy's overflow warning is off for them.  Complex128
+    squares are at most 2e300, so their sums stay finite short of some
+    10**8 entries, and standard rows enter no error state.
+    """
+    if len(rows) and isinstance(rows[0], ExtendedRow):
+        return np.errstate(over="ignore")
+    return contextlib.nullcontext()
 
 
 Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
@@ -572,11 +602,10 @@ def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int, chains: str
         raise EvaluationOverflowError(
             "evaluation overflow: the point or a coefficient is not finite")
     rows = [[None] * zs.size for _ in chains]
-    bits = coeffs.prec + _GUARD_BITS + 2        # see _integer_chain
     for j, z in enumerate(zs.tolist()):
         steps = coeffs.steps(z, upto)
         for c, chain in enumerate(chains):
-            rows[c][j] = ExtendedRow(*_integer_chain(steps, chain), coeffs.prec, bits)
+            rows[c][j] = ExtendedRow(*_integer_chain(steps, chain), coeffs.prec)
     return rows
 
 
@@ -768,14 +797,6 @@ def _scaled(s: int, k: int, d: int = 0) -> Optional[float]:
     return x if x >= _NORMAL_EDGE else None
 
 
-def _finite(squares: np.ndarray) -> np.ndarray:
-    """``squares``, checked: EvaluationOverflowError if one is not finite."""
-    if not np.isfinite(squares).all():
-        raise EvaluationOverflowError(
-            "evaluation overflow: a squared modulus exceeds the float range")
-    return squares
-
-
 def working_precision(precision: str):
     """Context for arithmetic on table entries of ``precision`` at that precision.
 
@@ -855,26 +876,18 @@ class Evaluator:
 
         Cached tables are looked up; the misses are computed in one
         recurrence call and enter the cache.  A new table holds its rows
-        only (see :class:`PointTable`), except where an extended row's
-        sums could leave the float range (:func:`_sum_unbounded`).
+        only (see :class:`PointTable`).
 
-        Raises EvaluationOverflowError if a value, a squared modulus or a
-        cumulative sum of a new table is not finite.
+        Raises EvaluationOverflowError if a standard value of a new table
+        is too large (:func:`_solve_block`) or a point is not finite.
         """
         keys = [complex(z) for z in zs]
         cache = self._cache
         misses = list(dict.fromkeys(z for z in keys if z not in cache))
         if misses:
             R = self.rows(misses, self.top)
-            new = [PointTable(z, _own(p), _own(q), self.policy)
-                   for z, p, q in zip(misses, *R)]
-            # A standard part is at most _OVERFLOW_LIMIT (_solve_block
-            # checks), so a square is at most 2e300 and a sum at most
-            # (top + 1) * 2e300, below the float maximum while top < 8e7.
-            if self.precision == "extended":
-                _sum_unbounded(new)
-            for tab in new:
-                cache[tab.z] = tab
+            for z, p, q in zip(misses, *R):
+                cache[z] = PointTable(z, _own(p), _own(q), self.policy)
         for z in keys:
             cache.move_to_end(z)
         out = [cache[z] for z in keys]
@@ -882,17 +895,15 @@ class Evaluator:
             cache.popitem(last=False)
         return out
 
-    def squares_batch(self, zs) -> np.ndarray:
-        """|p_k|^2 for k = 0..level at an array of points, one row per point.
+    def norms_p2(self, zs) -> np.ndarray:
+        """:attr:`PointTable.norm_p2` at each point, bitwise, whatever the batch.
 
-        Shape (len(zs), level+1): the p rows squared by ``np.abs(row) ** 2``
-        or :meth:`ExtendedRow.squares`, where no entry is built.  Raises
-        EvaluationOverflowError if one is not finite.
+        The p rows through the level are one batch read (:meth:`rows`);
+        no table is built.  Raises EvaluationOverflowError as the norm does.
         """
-        n = self.level + 1
         (rows,) = self.rows(zs, self.level, "p")
-        return _finite(_abs_squares(rows) if self.precision == "standard" else
-                       np.array([row.squares(0, n) for row in rows]).reshape(-1, n))
+        with _summing(rows):
+            return _running_sums(_squared_moduli(rows, 0, self.level + 1))[:, -1]
 
     # -- raw values beyond the shared level --------------------------------
 
@@ -912,35 +923,6 @@ class Evaluator:
             return tab.p[: upto + 1], tab.q[: upto + 1]
         R = self.rows([z], upto)
         return R[0][0][:], R[1][0][:]           # an extended row's slice is an array
-
-
-def _sum_unbounded(tables: List[PointTable]) -> None:
-    """Square and sum at once each extended row whose sums could overflow.
-
-    A row of n entries whose parts are at most ``2**k``
-    (:meth:`ExtendedRow.magnitude_bits`) has squared moduli of at most
-    ``2**(2k + 1)``, and its sums stay below ``2**(2k + 1 + bits(n))``.
-    Where that bound is at most ``2**_SUM_BITS`` the row is left to be
-    squared when read; every other row is squared and summed whole here.
-
-    Raises EvaluationOverflowError if one of those sums is not finite,
-    naming a squared modulus if one of those is not finite either.
-    """
-    squares_ok = sums_ok = True
-    for tab in tables:
-        n = len(tab.p)
-        for c, row in enumerate((tab.p, tab.q)):
-            if 2 * row.magnitude_bits() + 1 + n.bit_length() <= _SUM_BITS:
-                continue
-            squares = row.squares(0, n)
-            with np.errstate(over="ignore"):
-                cum = tab._sums(c, n, squares)
-            squares_ok = squares_ok and bool(np.isfinite(squares).all())
-            sums_ok = sums_ok and bool(np.isfinite(cum[-1]))
-    if not sums_ok:
-        what = "cumulative sum" if squares_ok else "squared modulus"
-        raise EvaluationOverflowError(
-            f"evaluation overflow: a {what} exceeds the float range")
 
 
 def _own(row):

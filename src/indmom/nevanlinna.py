@@ -15,7 +15,7 @@ reconstruction and the transfer-matrix cocycle hold to roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -268,6 +268,16 @@ def mobius(source: JacobiCoefficients, u, v, z,
     return ExtendedComplex(num / den)
 
 
+def truncated_policy(policy: TruncationPolicy) -> TruncationPolicy:
+    """The policy :func:`tilde_relations_residual` reads the truncated problem at.
+
+    Level L - 1, so that its tables end at the truncated index L + 7, the
+    original's L + 8, as far as the original's own tables reach.  At L = 8
+    it is ``policy`` itself, since no level is below 8.
+    """
+    return replace(policy, n_max=policy.n_max - 1) if policy.n_max > 8 else policy
+
+
 def tilde_relations_residual(source: JacobiCoefficients, u, v,
                              policy: TruncationPolicy, z=None) -> float:
     """Residuals linking the once-truncated problem to the original.
@@ -276,21 +286,22 @@ def tilde_relations_residual(source: JacobiCoefficients, u, v,
     matching the one-step index shift of the truncated problem):
     A(z) = a_0^{-2} D~(z); C(z) = -b_0 a_0^{-2} D~(z) - B~(z);
     D~(u,v) = a_0^2 A(u,v); B~(u,v) = (v - b_0) A(u,v) - C(u,v).
+    The truncated problem is read through :func:`truncated_policy`.
     """
     trunc = source.truncate_once()
     a0, b0 = source.coeffs(0)
     u, v = complex(u), complex(v)
     zz = complex(z) if z is not None else u
-    Lm1 = policy.n_max - 1
+    Lm1, tpol = policy.n_max - 1, truncated_policy(policy)
 
     qz = nev(source, zz, 0.0, policy)
-    qzt = nev_partial(trunc, zz, 0.0, Lm1, policy)
+    qzt = nev_partial(trunc, zz, 0.0, Lm1, tpol)
     res = [
         abs(qz.A - qzt.D / a0 ** 2),
         abs(qz.C + b0 / a0 ** 2 * qzt.D + qzt.B),
     ]
     q2 = nev(source, u, v, policy)
-    q2t = nev_partial(trunc, u, v, Lm1, policy)
+    q2t = nev_partial(trunc, u, v, Lm1, tpol)
     res.append(abs(q2t.D - a0 ** 2 * q2.A))
     res.append(abs(q2t.B - ((v - b0) * q2.A - q2.C)))
     return float(max(res))

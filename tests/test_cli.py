@@ -243,6 +243,16 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("usage error:") and "range exhausted" in err
 
+    def test_coefficient_file_to_level_plus_eight_serves_verify(self, tmp_path,
+                                                                capsys):
+        # rows 0..n_max + 8, as far as any table reads, the truncated
+        # problem's tables of check 12 too
+        coeffs = tmp_path / "c2.txt"
+        coeffs.write_text("".join(f"{(n + 1) ** 2} 0\n" for n in range(109)))
+        code, out, _ = run_cli(["--problem", str(coeffs), "--nmax", "100", "verify"],
+                               capsys)
+        assert code == 0 and "all_checks = PASS" in out
+
 
 class TestConfigFile:
     def test_roundtrip(self, tmp_path, capsys):
@@ -284,6 +294,29 @@ class TestConfigFile:
         code, _, err = run_cli(["--config", cfg, "eval", "1"], capsys)
         assert code == 2
         assert err.startswith("usage error:") and "path" in err
+
+    @pytest.mark.parametrize("kind", ["", "kind = power_law\n"],
+                             ids=["no-kind", "power-law"])
+    def test_path_without_file_kind_is_usage_error(self, tmp_path, capsys, kind):
+        # the file would otherwise run the power-law preset in silence
+        coeffs = tmp_path / "c3.txt"
+        coeffs.write_text("".join(f"{(n + 1) ** 3} 0\n" for n in range(300)))
+        cfg = self._config(tmp_path, f"[problem]\n{kind}path = {coeffs}\n")
+        code, out, err = run_cli(["--config", cfg, "--nmax", "100", "eval", "1"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {cfg}:") and "kind = file" in err
+
+    def test_file_kind_with_c_is_usage_error(self, tmp_path, capsys):
+        # as --problem FILE with --c: c would otherwise be dropped in silence
+        coeffs = tmp_path / "c3.txt"
+        coeffs.write_text("".join(f"{(n + 1) ** 3} 0\n" for n in range(300)))
+        cfg = self._config(tmp_path,
+                           f"[problem]\nkind = file\npath = {coeffs}\nc = 3\n")
+        code, out, err = run_cli(["--config", cfg, "--nmax", "100", "eval", "1"],
+                                 capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {cfg}:") and "c names" in err
 
     @pytest.mark.parametrize("text, name", [("[truncation]\nnmax = 10\n", "nmax"),
                                             ("[trunc]\nn_max = 10\n", "trunc")],

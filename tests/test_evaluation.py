@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -42,14 +43,14 @@ class TestStopRule:
     def test_rational_oracle_at_200(self, src):
         pol = TruncationPolicy(n_max=200)
         tab = evaluator_for(src, pol).table(1j)
-        assert tab.cum_p2[200] == pytest.approx(CUM_P2_I_200, rel=1e-13)
-        assert tab.cum_q2[200] == pytest.approx(CUM_Q2_I_200, rel=1e-13)
+        assert _cum(tab, 0)[200] == pytest.approx(CUM_P2_I_200, rel=1e-13)
+        assert _cum(tab, 1)[200] == pytest.approx(CUM_Q2_I_200, rel=1e-13)
 
     def test_adaptive_index_is_smallest(self, src, pol):
         pe = eval_pq(src, 1j, pol)
         tab = evaluator_for(src, pol).table(1j)
         inc = np.abs(tab.p) ** 2 + np.abs(tab.q) ** 2
-        cum = tab.cum_p2 + tab.cum_q2
+        cum = _cum(tab, 0) + _cum(tab, 1)
         ok = pol.safety * inc[: pol.n_max + 1] < pol.tail_tol * cum[: pol.n_max + 1]
         expected = int(np.nonzero(ok[2:])[0][0]) + 2
         assert pe.N == expected
@@ -62,8 +63,8 @@ class TestStopRule:
 
     def test_cums_nondecreasing(self, src, pol):
         tab = evaluator_for(src, pol).table(2.2 - 0.4j)
-        assert np.all(np.diff(tab.cum_p2) >= 0)
-        assert np.all(np.diff(tab.cum_q2) >= 0)
+        assert np.all(np.diff(_cum(tab, 0)) >= 0)
+        assert np.all(np.diff(_cum(tab, 1)) >= 0)
 
     def test_cap_hit_reports_unconverged(self, src):
         tight = TruncationPolicy(n_max=64, tail_tol=1e-12)
@@ -151,8 +152,15 @@ class TestErrors:
     def test_overflow(self, src, pol, precision, npts, bad, backend, monkeypatch):
         _use_backend(monkeypatch, backend)
         zs = [0.1 * k + 0.5j for k in range(npts - 1)] + [bad]
+        ev = Evaluator(src, pol, precision)
+        if precision == "extended" and bad == 1e300:
+            # an extended table at a finite point is built; it raises where it is summed
+            (tab,) = ev.tables(zs)
+            with pytest.raises(EvaluationOverflowError, match="overflow"):
+                tab.stop_index
+            return
         with pytest.raises(EvaluationOverflowError, match="overflow"):
-            Evaluator(src, pol, precision).tables(zs)
+            ev.tables(zs)
 
     @pytest.mark.parametrize("bad", [math.nan, 1e200])
     def test_banded_solve_overflow(self, src, pol, bad, monkeypatch):
@@ -168,8 +176,19 @@ class TestErrors:
         row, squares = _extended_row([int(m)] * n, [0] * n, [int(e)] * n, mp.mp.prec)
         assert np.isfinite(squares).all()
         monkeypatch.setattr(ev, "rows", lambda zs, upto: [[row], [row]])
+        (tab,) = ev.tables([0j])
+        for read in (lambda: tab.stop_index, lambda: tab.norm_p2, lambda: tab.norm_q2,
+                     lambda: _cum(tab, 0)):
+            with pytest.raises(EvaluationOverflowError, match="cumulative"):
+                read()
+        # each chain's sums finite, the stop rule's total of both chains not
+        one, _ = _extended_row([int(m)] + [0] * (n - 1), [0] * n, [int(e)] * n,
+                               mp.mp.prec)
+        monkeypatch.setattr(ev, "rows", lambda zs, upto: [[one], [one]])
+        (tab,) = ev.tables([1j])
+        assert tab.norm_p2 == tab.norm_q2 == squares[0]
         with pytest.raises(EvaluationOverflowError, match="cumulative"):
-            ev.tables([0j])
+            tab.stop_index
 
     def test_extended_rejects_non_finite_coefficients(self):
         a = np.array([1.0, 4.0, math.inf, 16.0])
@@ -241,10 +260,18 @@ def _reference_steps(a, b, z, width):
             [e0 - f for f in e[3: n + 3].tolist()])
 
 
+def _cum(tab, c):
+    """Cumulative sums of |p_k|^2 (c = 0) or |q_k|^2 (c = 1) through each
+    index of a table's whole row, by the package's two squared-sum helpers."""
+    rows = [(tab.p, tab.q)[c]]
+    with evaluation._summing(rows):
+        return evaluation._running_sums(
+            evaluation._squared_moduli(rows, 0, len(rows[0])))[0]
+
+
 def _extended_row(RE, IM, E, prec):
     """The kernel's row of the values (RE[n] + i IM[n]) * 2**E[n] and its squares."""
-    bits = max(abs(v).bit_length() for v in RE + IM)
-    return (evaluation.ExtendedRow(RE, IM, E, prec, bits),
+    return (evaluation.ExtendedRow(RE, IM, E, prec),
             evaluation._squares(RE, IM, E, prec))
 
 
@@ -359,7 +386,7 @@ class TestExtendedPrecision:
     def test_matches_rational_oracle(self, src):
         pol = TruncationPolicy(n_max=200)
         tab = evaluator_for(src, pol, precision="extended").table(1j)
-        assert float(tab.cum_p2[200]) == pytest.approx(CUM_P2_I_200, rel=1e-12)
+        assert float(_cum(tab, 0)[200]) == pytest.approx(CUM_P2_I_200, rel=1e-12)
         # p_2(i) = (i*p_1(i) - a_0)/a_1 = -1/2 exactly
         assert complex(tab.p[2]) == pytest.approx(-0.5, abs=1e-30)
 
@@ -518,10 +545,10 @@ class TestExtendedPrecision:
         # raises instead of returning what it cannot hold
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
         with pytest.raises(EvaluationOverflowError, match="squared modulus"):
-            ev.squares_batch([0.5j, 1e300])
+            ev.norms_p2([0.5j, 1e300])
         for bad in (complex(math.inf, 1), complex(1, math.nan)):
             with pytest.raises(EvaluationOverflowError, match="not finite"):
-                ev.squares_batch([0.5j, bad])
+                ev.norms_p2([0.5j, bad])
 
     @pytest.mark.parametrize("source", ["c=1.2", "c=2", "alternating_b"])
     def test_coefficients_split_once_give_the_entries_of_each_point(self, source):
@@ -596,12 +623,14 @@ def _same_table(t1, t2):
         return x.dtype == y.dtype and x.tobytes() == y.tobytes()
     return (t1.z == t2.z and t1.stop_index == t2.stop_index
             and t1.converged == t2.converged and t1.tail_est == t2.tail_est
-            and all(same(getattr(t1, k), getattr(t2, k))
-                    for k in ("p", "q", "cum_p2", "cum_q2")))
+            and same(t1.p, t2.p) and same(t1.q, t2.q)
+            and all(same(_cum(t1, c), _cum(t2, c)) for c in (0, 1)))
 
 
 # The field each table is first read by: the stop rule, the whole sums or a norm.
-_READ_ORDERS = ["stop_index", "cum_q2", "norm_p2"]
+_READ_ORDERS = {"stop_index": lambda tab: tab.stop_index,
+                "cum_q2": lambda tab: _cum(tab, 1),
+                "norm_p2": lambda tab: tab.norm_p2}
 
 
 def _assert_eager_fields(tab, pol):
@@ -626,14 +655,14 @@ def _assert_eager_fields(tab, pol):
     stop = stop if converged else L
     assert (tab.stop_index, tab.converged, tab.tail_est) == (stop, converged,
                                                              float(inc[stop]))
-    assert tab.cum_p2.tobytes() == cums[0].tobytes()
-    assert tab.cum_q2.tobytes() == cums[1].tobytes()
+    assert _cum(tab, 0).tobytes() == cums[0].tobytes()
+    assert _cum(tab, 1).tobytes() == cums[1].tobytes()
     assert (tab.norm_p2, tab.norm_q2) == (float(cums[0, L]), float(cums[1, L]))
     return stop, cums
 
 
 class TestLazyFields:
-    @pytest.mark.parametrize("first", _READ_ORDERS + ["eval_pq"])
+    @pytest.mark.parametrize("first", list(_READ_ORDERS) + ["eval_pq"])
     @pytest.mark.parametrize("n_max", [60, 500])
     @pytest.mark.parametrize("source", ["c=1.2", "c=2", "c=3", "alternating_b"])
     @pytest.mark.parametrize("precision", ["standard", "extended"])
@@ -646,7 +675,7 @@ class TestLazyFields:
             if first == "eval_pq":
                 pe = eval_pq(src, z, pol, precision)
             else:
-                getattr(ev.table(z), first)
+                _READ_ORDERS[first](ev.table(z))
             tab = ev.table(z)
             N, cums = _assert_eager_fields(tab, pol)
             if first == "eval_pq":
@@ -697,32 +726,28 @@ class TestLazyFields:
         assert tab.norm_p2 == tab.norm_p2
         assert counts == [L + 1]
 
-    def test_the_overflow_bound(self, src, monkeypatch):
-        # rows of 63 entries with both parts 2**53 - 1 times 2**(k - 53):
-        # the bound clears k = 508 (2k + 1 + bits(63) = 1023), where the
-        # sums are finite, and squares k = 509 at once, where they overflow
-        from mpmath.libmp import dps_to_prec
+    def test_an_overflowing_table_raises_where_a_sum_is_read(self, src):
+        # an extended table whose squared moduli leave the float range is
+        # built and cached and its corner values read; each reader of a
+        # square or a sum raises
+        from indmom import mass_at, nev
 
-        ev = Evaluator(src, TruncationPolicy(n_max=54), "extended")
-        n, prec = ev.top + 1, dps_to_prec(evaluation.EXTENDED_DPS)
-        assert n == 63
-
-        def row(k):
-            part = [(1 << 53) - 1] * n
-            return evaluation.ExtendedRow(part, part, [k - 53] * n, prec, 53)
-
-        inside = row(508)
-        assert 2 * inside.magnitude_bits() + 1 + n.bit_length() == evaluation._SUM_BITS
-        monkeypatch.setattr(ev, "rows", lambda zs, upto: [[inside], [inside]])
-        counts = _counting_squares(monkeypatch)
-        (tab,) = ev.tables([0j])
-        assert counts == []
-        assert np.isfinite(tab.cum_p2).all() and np.isfinite(tab.cum_q2).all()
-        assert tab.cum_p2[-1] > 2.0 ** 1022
-        monkeypatch.setattr(ev, "rows", lambda zs, upto: [[row(509)], [row(509)]])
-        with pytest.raises(EvaluationOverflowError, match="cumulative"):
-            ev.tables([1j])
-        assert 1j not in ev._cache
+        pol = TruncationPolicy(n_max=500)
+        z = 1e5 + 0.5j
+        message = re.escape(
+            "evaluation overflow: a squared modulus exceeds the float range")
+        clear_evaluator_cache()
+        ev = evaluator_for(src, pol, "extended")
+        tab = ev.table(z)
+        assert ev._cache[z] is tab
+        q = nev(src, z, 0.5j, pol, "extended")
+        assert all(isinstance(getattr(q, f), mp.mpc) for f in "ABCD")
+        reads = [lambda: eval_pq(src, z, pol, "extended"), lambda: tab.norm_p2,
+                 lambda: tab.converged, lambda: mass_at(src, z, pol, "extended")]
+        for read in reads:
+            with pytest.raises(EvaluationOverflowError, match=message):
+                read()
+        assert ev.table(z) is tab
 
 
 def _counting_squares(monkeypatch):
@@ -737,15 +762,18 @@ def _counting_squares(monkeypatch):
 
 
 def _assert_batch_readers_are_one_point_calls(ev, zs, sizes):
-    """squares_batch and line_values on the first ``size`` points, for each
-    size, are bitwise their values at each point alone."""
+    """norms_p2 and line_values on the first ``size`` points, for each size,
+    are bitwise their values at each point alone; norms_p2 is bitwise the
+    point tables' norm_p2 too."""
     lines = [[nevanlinna_line(ev, n) for n in names] for names in ("BD", "AC")]
-    alone = [np.concatenate([ev.squares_batch([z]) for z in zs])]
+    alone = [np.concatenate([ev.norms_p2([z]) for z in zs])]
     alone += [np.concatenate([line_values(fs, [z]) for z in zs], axis=1) for fs in lines]
+    tables = np.array([tab.norm_p2 for tab in ev.tables(zs)])
+    assert alone[0].tobytes() == tables.tobytes()
     for size in sizes:
-        batch = [ev.squares_batch(zs[:size])]
+        batch = [ev.norms_p2(zs[:size])]
         batch += [line_values(fs, zs[:size]) for fs in lines]
-        assert batch[0].shape == (size, ev.level + 1)
+        assert batch[0].shape == (size,)
         assert batch[0].tobytes() == alone[0][:size].tobytes(), size
         for got, want in zip(batch[1:], alone[1:]):
             assert got.tobytes() == want[:, :size].tobytes(), size
@@ -799,11 +827,11 @@ class TestTableCache:
                     tabs = Evaluator(src, pol).tables(zs[:size])
                     assert calls == [size]                 # all misses in one call
                     for z, tab in zip(zs, tabs):
-                        getattr(tab, first)
+                        _READ_ORDERS[first](tab)
                         _assert_eager_fields(tab, pol)
                         assert _same_table(tab, Evaluator(src, pol).table(z))
                         # each table owns its rows: none keeps a batch block alive
-                        for x in (tab.p, tab.q, tab.cum_p2, tab.cum_q2):
+                        for x in (tab.p, tab.q):
                             assert x.flags.c_contiguous and x.flags.owndata
                             assert not x.flags.writeable
                 _assert_batch_readers_are_one_point_calls(Evaluator(src, pol), zs, sizes)
