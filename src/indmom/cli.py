@@ -272,6 +272,10 @@ def _cmd_xi(args, cfg: RunConfig) -> int:
     c = SeqVector.from_entries(entries)
     z0 = parse_complex(args.z0) if args.z0 is not None else 1.0j
     pol = cfg.truncation
+    if c.M > pol.n_max:     # the residues sum to n_max: a longer vector is not judged
+        print(f"error: the vector's top index {c.M} exceeds n_max = {pol.n_max}",
+              file=sys.stderr)
+        return EXIT_USAGE
 
     xi = xi_apply(cfg.problem, c, z0, pol)
     res = resolvent_residual(cfg.problem, c, z0, pol)

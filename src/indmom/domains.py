@@ -121,9 +121,7 @@ def _applied(source: JacobiCoefficients,
              v: SeqVector) -> Tuple[np.ndarray, np.ndarray, float]:
     """(J v, v zero-padded to the length of J v, ||v||): what residues read of v."""
     jv = apply_jacobi(source, v).entries          # indices 0..M+1
-    vv = np.zeros(jv.size, dtype=complex)
-    vv[: v.entries.size] = v.entries
-    return jv, vv, v.norm()
+    return jv, v.padded(jv.size), v.norm()
 
 
 def _residues(ev: Evaluator, applied: Tuple[np.ndarray, np.ndarray, float],

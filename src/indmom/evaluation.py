@@ -41,16 +41,18 @@ rounding to nearest after each division by ``a_n``.  An
 :class:`ExtendedRow` holds each row's values as the kernel left them,
 integer parts and a shared exponent, and rounds an entry to that
 precision, by mpmath's ``normalize`` inlined, each time it is read: an
-entry becomes an mpmath ``mpc`` then.  A row keeps no Python object per
-entry, so only what is read is paid for.  The squared moduli of the
-rounded values of a range of entries, where a caller reads them, come
-from the unrounded parts (:meth:`ExtendedRow.squares`, :func:`_squares`),
-bitwise what squaring the rounded parts gives.  The coefficients are
-split into the kernel's integers once per evaluator
-(:class:`_IntegerCoefficients`); only ``x - b_n``, ``y`` and, where the
-point's parts go lower, a shift are made per point.  Evaluators run the
-kernel at ``EXTENDED_DPS`` digits, and arithmetic on their entries runs
-at the same precision inside :func:`working_precision`.  Either backend
+entry becomes a complex number of :func:`_mp_context` at that precision
+then.  A row keeps no Python object per entry, so only what is read is
+paid for.  The squared moduli of the rounded values of a range of
+entries, where a caller reads them, come from the unrounded parts
+(:meth:`ExtendedRow.squares`, :func:`_squares`), bitwise what squaring
+the rounded parts gives.  The coefficients are split into the kernel's
+integers once per evaluator (:class:`_IntegerCoefficients`); only ``x -
+b_n``, ``y`` and, where the point's parts go lower, a shift are made per
+point.  Evaluators run the kernel at ``EXTENDED_DPS`` digits.  An
+entry's context carries its precision, so arithmetic on it runs at that
+precision wherever it happens, in this package or a caller's code, and
+mpmath's global precision is neither read nor set.  Either backend
 computes the p rows, the q rows or both (``chains``); all but the
 fallback's point loop compute only the rows returned.
 
@@ -89,6 +91,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -176,8 +179,9 @@ class PointTable:
     ``level + 8``: the Casorati forms read index ``level + 1`` and the p/q
     truncations of the membership tests end at ``level + 8``.  In standard
     precision they are complex128 arrays; in extended precision they are
-    :class:`ExtendedRow`, which read as mpmath ``mpc`` by index and as
-    object arrays of them by slice.  Reading the rows squares nothing.
+    :class:`ExtendedRow`, which read as complex numbers of
+    :func:`_mp_context` by index and as object arrays of them by slice.
+    Reading the rows squares nothing.
 
     Squared sums are taken on read, as "Squared sums" above says, so a
     read that meets a square or a sum past the float range raises
@@ -276,18 +280,16 @@ class ExtendedRow:
     Entry n is ``(RE[n] + i IM[n]) * 2**E[n]``, the integer kernel's value
     before rounding, and reads as that value with each part rounded to
     nearest at ``prec`` bits (:func:`_round_mpf`).  Reading an int index
-    gives an mpmath ``mpc``, and reading a slice an object ndarray of them;
-    only the entries read are rounded, on each read.  The row keeps no
-    object per entry.
+    gives a complex number of ``_mp_context(prec)``, and reading a slice an
+    object ndarray of them; only the entries read are rounded, on each
+    read.  The row keeps no object per entry.
     """
 
     __slots__ = ("_re", "_im", "_e", "_prec", "_make")
 
     def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int):
-        from mpmath import mp
-
         self._re, self._im, self._e, self._prec = RE, IM, E, prec
-        self._make = mp.make_mpc
+        self._make = _mp_context(prec).make_mpc
 
     def __len__(self) -> int:
         return len(self._e)
@@ -311,6 +313,22 @@ class ExtendedRow:
         """
         return np.array(_squares(self._re[lo:hi], self._im[lo:hi], self._e[lo:hi],
                                  self._prec), dtype=float)
+
+
+@functools.lru_cache(maxsize=8)
+def _mp_context(prec: int):
+    """A private mpmath context at ``prec`` bits, made once per precision.
+
+    Extended entries are its numbers, so arithmetic on them runs at
+    ``prec`` bits wherever it happens, as mpmath runs an operation at the
+    precision of its left operand's context.  mpmath's global context, whose
+    precision every thread shares, is left as it is.
+    """
+    from mpmath import MPContext
+
+    ctx = MPContext()
+    ctx.prec = prec
+    return ctx
 
 
 def _abs_squares(x: np.ndarray) -> np.ndarray:
@@ -564,11 +582,12 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
 
 def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
                   chains: str = "pq") -> Pair:
-    """Extended-precision p/q arrays at one point: object arrays of mpmath mpc.
+    """Extended-precision p/q arrays at one point, in the context at ``dps`` digits.
 
-    The entries of :func:`_mp_block` at the one point ``z``.  ``chains``
-    works as in :func:`recurrence_batch`.  It stays for ``bench/``, which
-    times one extended table through it and hooks it by name.
+    The entries of :func:`_mp_block` at the one point ``z``, object arrays
+    of complex numbers of :func:`_mp_context`.  ``chains`` works as in
+    :func:`recurrence_batch`.  It stays for ``bench/``, which times one
+    extended table through it and hooks it by name.
 
     Raises EvaluationOverflowError if z or a coefficient is not finite.
     """
@@ -797,26 +816,13 @@ def _scaled(s: int, k: int, d: int = 0) -> Optional[float]:
     return x if x >= _NORMAL_EDGE else None
 
 
-def working_precision(precision: str):
-    """Context for arithmetic on table entries of ``precision`` at that precision.
-
-    Extended entries are mpmath numbers, whose arithmetic runs at mpmath's
-    global precision: the context sets it to ``EXTENDED_DPS`` digits and
-    restores it on exit.  Standard (complex128) entries need none.
-    """
-    if precision == "standard":
-        return contextlib.nullcontext()
-    from mpmath import mp
-    return mp.workdps(EXTENDED_DPS)
-
-
 class Evaluator:
     """Shared-level evaluation cache for one (source, policy, precision).
 
     Point tables reach index ``level + 8`` and are held in an LRU cache of
     ``capacity`` tables (256 in standard precision, 16 in extended, where
     one table is far larger).  ``precision`` is "standard" (complex128) or
-    "extended" (mpmath with ``EXTENDED_DPS`` digits).
+    "extended" (mpmath numbers at ``EXTENDED_DPS`` digits).
     """
 
     def __init__(self, source: JacobiCoefficients, policy: TruncationPolicy,

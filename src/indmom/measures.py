@@ -150,11 +150,6 @@ def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
     return 1.0 / tab.norm_p2
 
 
-def _masses_batch(ev: Evaluator, xs: np.ndarray) -> np.ndarray:
-    """:func:`mass_at` at each point, bitwise, whatever the batch."""
-    return 1.0 / ev.norms_p2(xs)
-
-
 def build_measure(source: JacobiCoefficients, t: ExtensionParam,
                   cfg: RootScanConfig, policy: TruncationPolicy,
                   n_check: int = 6, auto_window: bool = False,
@@ -186,7 +181,7 @@ def build_measure(source: JacobiCoefficients, t: ExtensionParam,
             inside |= new
             if np.any(new):
                 pts = nodes[new]
-                ms = _masses_batch(ev, pts)
+                ms = 1.0 / ev.norms_p2(pts)
                 if max(float(np.abs(np.sum(ms * pts ** n)))
                        for n in range(n_check + 1)) < _TAIL_TOL:
                     break
@@ -194,7 +189,7 @@ def build_measure(source: JacobiCoefficients, t: ExtensionParam,
 
     scan = f.zeros(RootScanConfig(window=window, refine_tol=cfg.refine_tol))
     points = scan.zeros
-    masses = _masses_batch(ev, points)
+    masses = 1.0 / ev.norms_p2(points)
     captured = float(np.sum(masses))
     residuals = np.array([
         abs(float(np.sum(masses * points ** n)) - moment(source, n))

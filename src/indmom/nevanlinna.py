@@ -21,8 +21,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .coefficients import JacobiCoefficients
-from .evaluation import (Evaluator, PointTable, TruncationPolicy, evaluator_for,
-                         working_precision)
+from .evaluation import Evaluator, PointTable, TruncationPolicy, evaluator_for
 
 __all__ = [
     "NevQuad", "TransferMatrix", "ExtendedComplex", "INFINITY",
@@ -50,11 +49,7 @@ class NevQuad:
 
     @property
     def det_residual(self) -> float:
-        # extended values are mpmath numbers, not complex: combine them at
-        # their own precision
-        prec = "standard" if isinstance(self.A, complex) else "extended"
-        with working_precision(prec):
-            return float(abs(self.A * self.D - self.B * self.C - 1.0))
+        return float(abs(self.A * self.D - self.B * self.C - 1.0))
 
 
 @dataclass(frozen=True)
@@ -167,8 +162,8 @@ def nev(source: JacobiCoefficients, u, v, policy: TruncationPolicy,
     ``converged`` reports whether all four series increments
     ``|u - v| |T_L(u) S_L(v)|`` fell below ``tail_tol * (1 + |value|)``;
     the values are the level-L ones either way.  With
-    ``precision="extended"`` the values are mpmath numbers, computed from
-    extended tables at their own precision.
+    ``precision="extended"`` the values are the extended tables' mpmath
+    numbers, which carry their precision into any arithmetic on them.
     """
     ev = evaluator_for(source, policy, precision)
     return _nev_quad(ev, complex(u), complex(v), ev.level, flag=True)
@@ -177,19 +172,16 @@ def nev(source: JacobiCoefficients, u, v, policy: TruncationPolicy,
 def _nev_quad(ev: Evaluator, u: complex, v: complex, n: int,
               flag: bool) -> NevQuad:
     """The corner quadruple at index n; ``flag`` runs :func:`nev`'s tail test."""
-    with working_precision(ev.precision):
-        forms = _forms(*ev.tables([u, v]), n, n + 1)
-        if u != v:
-            vals = _corners(ev.a[n], forms)
-        elif ev.precision == "standard":
-            # the series' exact values: (u - v) times its sum vanishes
-            vals = [complex(off) for *_, off in forms]
-        else:
-            from mpmath import mpc
-            vals = [mpc(off) for *_, off in forms]
-        w, tol = abs(u - v), ev.policy.tail_tol
-        conv = not flag or all(w * abs(T * S) < tol * (1.0 + abs(val))
-                               for (T, _, S, _, _), val in zip(forms, vals))
+    forms = _forms(*ev.tables([u, v]), n, n + 1)
+    if u != v:
+        vals = _corners(ev.a[n], forms)
+    else:
+        # the series' exact values, in the entries' type: (u - v) times its
+        # sum vanishes
+        vals = [type(T0)(off) for T0, *_, off in forms]
+    w, tol = abs(u - v), ev.policy.tail_tol
+    conv = not flag or all(w * abs(T * S) < tol * (1.0 + abs(val))
+                           for (T, _, S, _, _), val in zip(forms, vals))
     return NevQuad(u=u, v=v, A=vals[0], B=vals[1], C=vals[2], D=vals[3],
                    N=n, converged=bool(conv))
 

@@ -57,7 +57,7 @@ import numpy as np
 from . import _openblas
 from ._openblas import CHAR, DOUBLES, INT, LEN
 from .errors import NonConvergenceError, ZeroOnContourError
-from .evaluation import Evaluator, working_precision
+from .evaluation import Evaluator
 from .nevanlinna import SERIES_FORMS
 
 __all__ = ["RootScanConfig", "RootScan", "LineFunction", "nevanlinna_line",
@@ -126,14 +126,11 @@ class LineFunction:
     def __add__(self, other: "LineFunction") -> "LineFunction":
         if (other.ev, other.kind, other.v) != (self.ev, self.kind, self.v):
             raise ValueError("only line functions of one evaluator, kind and v add")
-        with working_precision(self.ev.precision):
-            g = self.g + other.g
-        return LineFunction(self.ev, self.kind, g, self.off + other.off, self.v)
+        return LineFunction(self.ev, self.kind, self.g + other.g, self.off + other.off,
+                            self.v)
 
     def __rmul__(self, s: float) -> "LineFunction":
-        with working_precision(self.ev.precision):
-            g = s * self.g
-        return LineFunction(self.ev, self.kind, g, s * self.off, self.v)
+        return LineFunction(self.ev, self.kind, s * self.g, s * self.off, self.v)
 
     def __call__(self, zs) -> np.ndarray:
         """Values at real or complex points, at the evaluator's precision."""
@@ -428,9 +425,8 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     else:
         T_L, T_next = (np.array([row[k] for row in rows], dtype=object)
                        for k in (L, L + 1))
-    with working_precision(ev.precision):
-        vals = np.array([ev.a[L] * (T_next * f.g[0] - T_L * f.g[1]) for f in fs],
-                        dtype=complex)
+    vals = np.array([ev.a[L] * (T_next * f.g[0] - T_L * f.g[1]) for f in fs],
+                    dtype=complex)
     vals = vals[:, back.reshape(-1)]
     return np.where(zs.imag < 0, vals.conj(), vals)
 

@@ -225,6 +225,20 @@ class TestXi:
         assert f"{vf}:3:" in err
 
 
+    def test_vector_past_the_level_is_usage_error(self, tmp_path, capsys):
+        # residues are summed to n_max, so a longer vector would get a
+        # verdict its sums cannot give; at a level reaching its top index
+        # it is finite and so in D(T)
+        vf = tmp_path / "vec.txt"
+        vf.write_text("".join(f"{(k % 7) - 3}+{(k % 5) / 4}i\n" for k in range(60)))
+        code, _, err = run_cli(["--nmax", "20", "xi", str(vf)], capsys)
+        assert code == 2
+        assert "top index 59 exceeds n_max = 20" in err
+        code, out, _ = run_cli(["--nmax", "59", "xi", str(vf)], capsys)
+        assert code == 0
+        assert "xi_in_DT = true" in out
+
+
 class TestBadInput:
     """Faults in a coefficient file or basepoint are usage errors (exit 2)."""
 
@@ -454,6 +468,13 @@ class TestVerify:
         assert "all_checks = FAIL" in out.splitlines()
         assert ("FAIL extensions_raised: measured=nan tol=nan  "
                 "InconclusiveMembershipError: verdicts disagree") in err.splitlines()
+
+    def test_level_below_a_hundred_draws_vectors_it_can_judge(self, capsys):
+        # check 11 draws top indices up to min(100, n_max)
+        code, out, err = run_cli(["--nmax", "20", "verify"], capsys)
+        assert code == 0
+        assert "all_checks = PASS" in out
+        assert "50 seeded finite vectors, M<=20" in err
 
     @pytest.mark.parametrize("problem", [[], ["--c", "4"]],
                              ids=["preset", "c=4"])

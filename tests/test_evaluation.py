@@ -241,6 +241,11 @@ def _mp_reference(a, b, z, upto, dps):
     return p, q
 
 
+def _at_digits(v, dps=evaluation.EXTENDED_DPS):
+    """v is a complex number of an mpmath context at dps digits."""
+    return isinstance(v, v.context.mpc) and v.context.dps == dps
+
+
 def _reference_steps(a, b, z, width):
     """The integer kernel's steps at z, split from scratch at the point.
 
@@ -364,11 +369,17 @@ class TestRecurrenceKernel:
                 tol = mp.mpf(10) ** (1 - dps)
                 for chain, g, r in zip("pq", got, ref):
                     assert g.dtype == object and len(g) == L + 1
-                    assert all(isinstance(v, mp.mpc) for v in g)
+                    assert all(_at_digits(v, dps) for v in g)
                     mags = [abs(v) for v in r]
                     for n in range(L + 1):
                         scale = max(mags[n], mags[n - 1] if n else 0)
                         assert abs(g[n] - r[n]) <= tol * scale, (z, chain, n)
+
+    def test_extended_entries_belong_to_a_context_at_their_digits(self, src):
+        a, b = src.arrays(50)
+        for row in evaluation.recurrence_mp(a, b, 0.3 + 0.9j, 50, dps=40):
+            assert all(_at_digits(v, 40) and v.context is not mp.mp for v in row)
+        assert mp.mp.dps == 15
 
     @pytest.mark.parametrize("chains", ["p", "q"])
     def test_extended_chains_are_the_full_tables(self, src, chains):
@@ -417,7 +428,7 @@ class TestExtendedPrecision:
             parts = (from_man_exp(re, e, prec, round_nearest),
                      from_man_exp(im, e, prec, round_nearest))
             v = row[k]
-            assert isinstance(v, mp.mpc) and v._mpc_ == parts, (re, im, e)
+            assert _at_digits(v) and v._mpc_ == parts, (re, im, e)
             exact = sum(Fraction((-1) ** s * m) ** 2 * Fraction(2) ** (2 * x)
                         for s, m, x, _ in parts)
             assert squares[k] == float(exact), (re, im, e)
@@ -441,7 +452,7 @@ class TestExtendedPrecision:
             for row, T, F, U in zip((tab.p, tab.q), batch, fresh, beyond):
                 assert isinstance(row, evaluation.ExtendedRow) and len(row) == ev.top + 1
                 by_index = [row[k] for k in range(len(row))]
-                assert all(isinstance(v, mp.mpc) for v in by_index)
+                assert all(_at_digits(v, dps) for v in by_index)
                 want = [v._mpc_ for v in by_index]
                 for got in (row[:], F[: ev.top + 1], U[: ev.top + 1]):
                     assert got.dtype == object and [v._mpc_ for v in got] == want
@@ -741,7 +752,7 @@ class TestLazyFields:
         tab = ev.table(z)
         assert ev._cache[z] is tab
         q = nev(src, z, 0.5j, pol, "extended")
-        assert all(isinstance(getattr(q, f), mp.mpc) for f in "ABCD")
+        assert all(_at_digits(getattr(q, f)) for f in "ABCD")
         reads = [lambda: eval_pq(src, z, pol, "extended"), lambda: tab.norm_p2,
                  lambda: tab.converged, lambda: mass_at(src, z, pol, "extended")]
         for read in reads:

@@ -8,7 +8,7 @@ from indmom import (INFINITY, JacobiCoefficients, TruncationPolicy, mobius,
                     nev, nev_one, nev_partial, partial_quad_arrays,
                     reconstruct_two_var, three_point_residual,
                     tilde_relations_residual, transfer)
-from indmom.evaluation import evaluator_for, working_precision
+from indmom.evaluation import EXTENDED_DPS, evaluator_for
 from indmom.nevanlinna import SERIES_FORMS
 
 # mpmath dps=50 partial sums, frozen: (A, B, C, D) at (u, v) = (1, -1), n = 50
@@ -151,7 +151,7 @@ class TestExtendedPrecision:
         # in float64 it would hold the series to about 1e-16 relative
         tu, tv = evaluator_for(src, pol, "extended").tables([u, v])
         s = slice(0, pol.n_max + 1)
-        with working_precision("extended"):
+        with mp.workdps(32):
             d = mp.mpc(u) - mp.mpc(v)
             ser = [off + d * np.dot(getattr(tu, k)[s], getattr(tv, a)[s])
                    for k, a, off in SERIES_FORMS.values()]
@@ -182,17 +182,25 @@ class TestExtendedPrecision:
         L = pol.n_max
         rows = {id(r) for t in (tu, tv) for r in (t.p, t.q)}
         assert sorted(reads) == sorted((r, k) for r in rows for k in (L, L + 1))
-        with working_precision("extended"):
+        with mp.workdps(32):
             a = evaluator_for(src, pol, "extended").a[L]
             want = [a * (getattr(tu, k)[L + 1] * getattr(tv, s)[L]
                          - getattr(tu, k)[L] * getattr(tv, s)[L + 1])
                     for k, s, _ in SERIES_FORMS.values()]
         assert [x._mpc_ for x in q.as_tuple()] == [x._mpc_ for x in want]
 
+    def test_extended_values_carry_their_precision(self):
+        # arithmetic on extended values outside the package runs at their
+        # digits: at mpmath's global 15 this residual reads 0.0
+        src = JacobiCoefficients.power_law(1.2)
+        q = nev(src, 1.3 + 0.7j, -2.1 + 0.4j, TruncationPolicy(n_max=500), "extended")
+        residual = float(abs(q.A * q.D - q.B * q.C - 1))
+        assert residual == q.det_residual and residual < 1e-25
+
     def test_nev_one_takes_precision(self, src, pol):
         one = nev_one(src, 0.4 + 1j, pol, "extended")
         assert one == nev(src, 0.4 + 1j, 0.0, pol, "extended").as_tuple()
-        assert all(isinstance(x, mp.mpc) for x in one)
+        assert all(x.context.dps == EXTENDED_DPS for x in one)
 
 
 class TestReconstruction:

@@ -827,8 +827,6 @@ class TestMasses:
         # a node weighed alone, in a batch and by mass_at: the last bits
         # show a summation order that depends on the batch, such as a
         # pairwise sum over one point and an ordered one over more
-        from indmom.measures import _masses_batch
-
         src = (JacobiCoefficients.explicit([((n + 1.0) ** 2, 0.3 * (-1) ** n)
                                             for n in range(600)])
                if source == "alternating_b"
@@ -837,8 +835,8 @@ class TestMasses:
         ev = evaluator_for(src, pol, precision)
         nodes = _line(ev, "p", ExtensionParam.finite(1.0)).nodes()
         xs = nodes[np.argsort(np.abs(nodes))[:12]]
-        batch = _masses_batch(ev, xs)
-        alone = np.concatenate([_masses_batch(ev, xs[j: j + 1]) for j in range(len(xs))])
+        batch = 1.0 / ev.norms_p2(xs)
+        alone = np.concatenate([1.0 / ev.norms_p2(xs[j: j + 1]) for j in range(len(xs))])
         at = np.array([mass_at(src, x, pol, precision) for x in xs])
         assert batch.tobytes() == alone.tobytes() == at.tobytes()
 
@@ -893,8 +891,6 @@ class TestExtendedReaders:
                          "extended")
 
     def test_masses_are_the_whole_row_sums(self):
-        from indmom.measures import _masses_batch
-
         ev = self._evaluator()
         nodes = _line(ev, "p", ExtensionParam.finite(1.0)).nodes()
         xs = np.concatenate([nodes[np.abs(nodes) < 60], [0.25, -3.5]])
@@ -909,7 +905,7 @@ class TestExtendedReaders:
                            for (_, m, e, _), (_, n, f, _) in (v._mpc_ for v in row[:])]
                           for row in rows])
             want = 1.0 / np.cumsum(S, axis=1)[:, -1]
-            assert _masses_batch(ev, pts).tobytes() == want.tobytes()
+            assert (1.0 / ev.norms_p2(pts)).tobytes() == want.tobytes()
 
     def test_line_values_are_the_whole_row_forms(self):
         ev = self._evaluator()
@@ -923,9 +919,8 @@ class TestExtendedReaders:
             L = ev.level
             (rows,) = ev.rows(zs, L + 1, kind)
             T = np.array([row[:] for row in rows]).T   # row k: index k at every point
-            with evaluation.working_precision("extended"):
-                want = np.array([ev.a[L] * (T[L + 1] * f.g[0] - T[L] * f.g[1])
-                                 for f in fs], dtype=complex)
+            want = np.array([ev.a[L] * (T[L + 1] * f.g[0] - T[L] * f.g[1])
+                             for f in fs], dtype=complex)
             assert line_values(fs, zs).tobytes() == want.tobytes()
 
     def test_extended_measure_reads_no_whole_row(self, monkeypatch):
@@ -945,6 +940,28 @@ class TestExtendedReaders:
                               pol, n_check=4, auto_window=True, precision="extended")
             assert len(m.points) > 5
         assert slices and max(slices) <= 2, slices
+
+
+    def test_extended_routes_leave_the_global_precision(self, monkeypatch):
+        # extended values carry their own precision: nothing sets mpmath's
+        # global one, which every thread shares
+        from mpmath import mp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath's global precision was set")
+
+        monkeypatch.setattr(mp, "workdps", refuse)
+        monkeypatch.setattr(mp, "workprec", refuse)
+        src, pol = JacobiCoefficients.power_law(1.2), TruncationPolicy(n_max=140)
+        ev = Evaluator(src, pol, "extended")
+        q = nev(src, 0.3 + 0.4j, -0.7 + 0.2j, pol, "extended")
+        assert q.det_residual < 1e-25
+        m = build_measure(src, ExtensionParam.finite(1.0), RootScanConfig(window=(-5.0, 5.0)),
+                          pol, n_check=4, auto_window=True, precision="extended")
+        assert len(m.points) > 5
+        fs = [_line(ev, "p", ExtensionParam.parse(t)) for t in ("0", "1", "inf")]
+        assert np.isfinite(line_values(fs, [0.25, 2.0 + 1.0j])).all()
+        assert mp.prec == 53
 
 
 class TestStieltjes:
