@@ -20,13 +20,11 @@ from .domains import (MembershipVerdict, Residues, ResolventCombination,
 from .evaluation import PolyEval, TruncationPolicy, eval_pq
 from .measures import (DiscreteMeasure, ExtensionParam, StieltjesResult,
                        adjacent_zero_sign, build_measure, export_measure_csv,
-                       mass_at, nextremal_support, stieltjes,
+                       mass_at, mobius, nextremal_support, stieltjes,
                        support_function, t_for_point)
-from .nevanlinna import (INFINITY, ExtendedComplex, NevQuad, TransferMatrix,
-                         mobius, nev, nev_one, nev_partial,
+from .nevanlinna import (NevQuad, nev, nev_one, nev_partial,
                          partial_quad_arrays, reconstruct_two_var,
-                         three_point_residual, transfer,
-                         tilde_relations_residual)
+                         three_point_residual, tilde_relations_residual)
 from .sequences import SeqVector, apply_jacobi, moment
 from .zeros import (LineFunction, RootScan, RootScanConfig, count_zeros_rect,
                     nevanlinna_line)
@@ -34,15 +32,14 @@ from .zeros import (LineFunction, RootScan, RootScanConfig, count_zeros_rect,
 __all__ = [
     "JacobiCoefficients", "TruncationPolicy", "PolyEval", "eval_pq",
     "SeqVector", "apply_jacobi", "moment",
-    "NevQuad", "TransferMatrix", "ExtendedComplex", "INFINITY",
-    "nev", "nev_one", "nev_partial", "partial_quad_arrays",
-    "reconstruct_two_var", "three_point_residual", "transfer", "mobius",
-    "tilde_relations_residual",
+    "NevQuad", "nev", "nev_one", "nev_partial", "partial_quad_arrays",
+    "reconstruct_two_var", "three_point_residual", "tilde_relations_residual",
     "RootScan", "RootScanConfig", "LineFunction", "nevanlinna_line",
     "count_zeros_rect",
     "ExtensionParam", "DiscreteMeasure", "StieltjesResult",
     "support_function", "nextremal_support", "t_for_point", "mass_at",
-    "build_measure", "stieltjes", "adjacent_zero_sign", "export_measure_csv",
+    "build_measure", "mobius", "stieltjes", "adjacent_zero_sign",
+    "export_measure_csv",
     "Residues", "MembershipVerdict", "ResolventCombination",
     "residues", "s_r_coefficients", "membership_DT", "membership_DTt",
     "pair_coefficient", "resolvent_combination", "p_vector", "q_vector",

@@ -26,8 +26,8 @@ from .errors import (BasepointError, CoefficientFileError,
                      CoefficientRangeError, IndmomError, NonConvergenceError,
                      SpecStringError)
 from .evaluation import eval_pq, evaluator_for
-from .measures import (ExtensionParam, build_measure, export_measure_csv,
-                       stieltjes)
+from .measures import (ExtensionParam, _require_off_support, build_measure,
+                       export_measure_csv, mobius, support_function)
 from .nevanlinna import nev, nev_one
 from .report import Report, fmt_complex, fmt_float
 from .sequences import SeqVector
@@ -181,18 +181,20 @@ def _cmd_membership(args, cfg: RunConfig) -> int:
     src = cfg.problem
     z0 = parse_complex(args.z0) if args.z0 is not None else 1.0j
 
+    ev = evaluator_for(src, pol)
     w_value: Optional[complex] = None
     if parsed.uses_w:
         if parsed.t is None:
             raise SpecStringError("w coefficient needs an '@t' extension suffix",
                                   len(args.spec))
         lam = next(t.argument for t in parsed.terms if t.coefficient == "w")
-        measure = build_measure(src, parsed.t, cfg.scan, pol,
-                                auto_window=True, precision=cfg.precision)
-        w_value = stieltjes(src, parsed.t, lam, measure, pol).w_param
+        # the support node nearest lam is one of the two around Re lam
+        _require_off_support(
+            support_function(ev, parsed.t).nodes_near(lam.real, 1), lam)
+        w_value = mobius(src, lam, 0.0, parsed.t, pol)
 
     vec: Optional[SeqVector] = None
-    tabs = evaluator_for(src, pol).tables([t.argument for t in parsed.terms])
+    tabs = ev.tables([t.argument for t in parsed.terms])
     for term, tab in zip(parsed.terms, tabs):
         coef = w_value if term.coefficient == "w" else term.coefficient
         piece = SeqVector(coef * getattr(tab, term.kind))

@@ -26,10 +26,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .coefficients import JacobiCoefficients
-from .errors import (BasepointError, InconclusiveMembershipError,
-                     SupportPointError)
+from .errors import BasepointError, InconclusiveMembershipError
 from .evaluation import Evaluator, TruncationPolicy, evaluator_for
-from .measures import DiscreteMeasure, ExtensionParam, stieltjes
+from .measures import (DiscreteMeasure, ExtensionParam, _require_off_support,
+                       mobius)
 from .nevanlinna import nev, nev_one
 from .sequences import SeqVector, apply_jacobi
 
@@ -244,17 +244,15 @@ def resolvent_combination(source: JacobiCoefficients, t: ExtensionParam,
                           ) -> ResolventCombination:
     """Build w p_lam + q_lam and verify its place in the domain lattice.
 
-    The combination lies in D(T_t) but not in the closure domain; its
-    component along the generator g_t has coefficient
+    w is :func:`mobius` of t at (lam, 0); lam on the measure's support is
+    refused.  The combination lies in D(T_t) but not in the closure
+    domain; its component along the generator g_t has coefficient
     c = -1/(B(lam) + t D(lam)) (or -1/D(lam) at infinity), so subtracting
     c g_t must pass the closure-domain test.
     """
     lam = complex(lam)
-    if len(measure.points):
-        if float(np.min(np.abs(measure.points - lam))) < 1e-9 * (1 + abs(lam)):
-            raise SupportPointError(f"lambda={lam} lies on the support")
-    st = stieltjes(source, t, lam, measure, policy)
-    w = st.w_param
+    _require_off_support(measure.points, lam)
+    w = mobius(source, lam, 0.0, t, policy)
     vp = p_vector(source, lam, policy)
     vq = q_vector(source, lam, policy)
     combo = SeqVector(w * vp.entries + vq.entries)

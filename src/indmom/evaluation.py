@@ -90,6 +90,7 @@ kernel tests only.
 from __future__ import annotations
 
 import contextlib
+import copyreg
 import ctypes
 import functools
 import math
@@ -322,13 +323,28 @@ def _mp_context(prec: int):
     Extended entries are its numbers, so arithmetic on them runs at
     ``prec`` bits wherever it happens, as mpmath runs an operation at the
     precision of its left operand's context.  mpmath's global context, whose
-    precision every thread shares, is left as it is.
+    precision every thread shares, is left as it is.  The context's own
+    ``mpc`` and ``mpf`` classes pickle by their raw parts and ``prec``
+    (:func:`_mpc_at`, :func:`_mpf_at`), since pickle cannot find them by
+    name.
     """
     from mpmath import MPContext
 
     ctx = MPContext()
     ctx.prec = prec
+    copyreg.pickle(ctx.mpc, lambda x: (_mpc_at, (prec, x._mpc_)))
+    copyreg.pickle(ctx.mpf, lambda x: (_mpf_at, (prec, x._mpf_)))
     return ctx
+
+
+def _mpc_at(prec: int, parts):
+    """The complex number of ``_mp_context(prec)`` with raw parts ``parts``."""
+    return _mp_context(prec).make_mpc(parts)
+
+
+def _mpf_at(prec: int, parts):
+    """The real number of ``_mp_context(prec)`` with raw parts ``parts``."""
+    return _mp_context(prec).make_mpf(parts)
 
 
 def _abs_squares(x: np.ndarray) -> np.ndarray:

@@ -5,7 +5,10 @@ is the real zero set of B + tD (of D alone for t = infinity) and the mass
 at a support point x is 1 / sum_k p_k(x)^2.  At the shared truncation
 level these are exactly the nodes and Christoffel weights of a
 quasi-orthogonal quadrature rule, so truncated moments reproduce the
-Hamburger moments to roundoff once the window is wide enough.
+Hamburger moments to roundoff once the window is wide enough.  The
+measure's Stieltjes transform at lambda is the Moebius map of t,
+w = -(A + tC)/(B + tD) at (lambda, 0) (Nevanlinna's parametrization),
+which :func:`mobius` alone computes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from .zeros import LineFunction, RootScan, RootScanConfig, nevanlinna_line
 __all__ = [
     "ExtensionParam", "DiscreteMeasure", "StieltjesResult",
     "support_function", "nextremal_support", "t_for_point", "mass_at",
-    "build_measure", "stieltjes", "adjacent_zero_sign", "export_measure_csv",
+    "build_measure", "mobius", "stieltjes", "adjacent_zero_sign",
+    "export_measure_csv",
 ]
 
 _TAIL_TOL = 1e-8  # auto_window stops at an annulus adding less to each moment
@@ -199,26 +203,50 @@ def build_measure(source: JacobiCoefficients, t: ExtensionParam,
                            level=ev.level, scan_warning=scan.warning)
 
 
+def _require_off_support(points: np.ndarray, lam: complex) -> None:
+    """Raise SupportPointError where lam lies within 1e-9 (1 + |lam|) of a point."""
+    if len(points) and \
+            float(np.min(np.abs(points - lam))) < 1e-9 * (1.0 + abs(lam)):
+        raise SupportPointError(f"lambda={lam} lies on the support")
+
+
+def mobius(source: JacobiCoefficients, u, v, t,
+           policy: TruncationPolicy) -> complex:
+    """Moebius map t -> -(A(u,v) + tC(u,v)) / (B(u,v) + tD(u,v)).
+
+    ``t`` is an :class:`ExtensionParam` (infinity maps to -C/D) or a
+    complex number.  At v = 0 and a real t, the image is the Stieltjes
+    transform at u of the N-extremal measure of t.  Raises
+    SupportPointError where the denominator is exactly zero.
+    """
+    q = nev(source, u, v, policy)
+    if isinstance(t, ExtensionParam):
+        num, den = t.combine(q.A, q.C), t.combine(q.B, q.D)
+    else:
+        t = complex(t)
+        num, den = q.A + t * q.C, q.B + t * q.D
+    if den == 0:
+        raise SupportPointError(f"t={t} is a pole of the map at "
+                                f"({complex(u)}, {complex(v)})")
+    return complex(-num / den)
+
+
 def stieltjes(source: JacobiCoefficients, t: ExtensionParam, lam: complex,
               measure: DiscreteMeasure,
               policy: TruncationPolicy) -> StieltjesResult:
     """Stieltjes transform w(lam) = integral of 1/(x - lam) three ways.
 
-    w_param uses the one-variable parametrization -(A + tC)/(B + tD);
+    w_param is :func:`mobius` of t at (lam, 0);
     w_twovar averages -C(lam, x)/D(lam, x) over the ``_N_NEAREST`` support
     points nearest lam (their mutual agreement is verified first); w_sum is
     the window-limited mass sum, reported with its own deviation.
     """
     lam = complex(lam)
     pts = measure.points
-    if len(pts):
-        dmin = float(np.min(np.abs(pts - lam)))
-        if dmin < 1e-9 * (1.0 + abs(lam)):
-            raise SupportPointError(f"lambda={lam} lies on the support")
+    _require_off_support(pts, lam)
     nearest = pts[np.argsort(np.abs(pts - lam))[: _N_NEAREST]]
     evaluator_for(source, policy).tables(np.concatenate([[lam, 0.0], nearest]))
-    A, B, C, D = nev_one(source, lam, policy)
-    w_param = -t.combine(A, C) / t.combine(B, D)
+    w_param = mobius(source, lam, 0.0, t, policy)
 
     if not len(pts):
         raise IndmomError("measure has no support points in window")

@@ -16,7 +16,7 @@ reconstruction and the transfer-matrix cocycle hold to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -24,10 +24,8 @@ from .coefficients import JacobiCoefficients
 from .evaluation import Evaluator, PointTable, TruncationPolicy, evaluator_for
 
 __all__ = [
-    "NevQuad", "TransferMatrix", "ExtendedComplex", "INFINITY",
-    "nev", "nev_partial", "nev_one", "partial_quad_arrays",
-    "reconstruct_two_var", "three_point_residual", "transfer", "mobius",
-    "tilde_relations_residual",
+    "NevQuad", "nev", "nev_partial", "nev_one", "partial_quad_arrays",
+    "reconstruct_two_var", "three_point_residual", "tilde_relations_residual",
 ]
 
 
@@ -50,49 +48,6 @@ class NevQuad:
     @property
     def det_residual(self) -> float:
         return float(abs(self.A * self.D - self.B * self.C - 1.0))
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """2x2 determinant-one matrix h_n(u,v) = [[C_n, A_n], [-D_n, -B_n]]."""
-
-    entries: np.ndarray
-    u: complex
-    v: complex
-    n: int
-
-    def det(self) -> complex:
-        e = self.entries
-        return e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
-
-
-class ExtendedComplex:
-    """A point of the extended complex plane (tagged infinity, no sentinels)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: Optional[complex]):
-        self.value = None if value is None else complex(value)
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.value is None
-
-    def __eq__(self, other):
-        if isinstance(other, ExtendedComplex):
-            return self.value == other.value
-        if other is None:
-            return False
-        return self.value is not None and self.value == complex(other)
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __repr__(self):
-        return "ExtendedComplex(inf)" if self.is_infinity else f"ExtendedComplex({self.value})"
-
-
-INFINITY = ExtendedComplex(None)
 
 
 # name -> (kind, anchor, offset): the corner form
@@ -231,33 +186,6 @@ def composition_residuals(uv, uw, wv) -> list:
     A3, B3, C3, D3 = uv
     return [A3 - (C1 * A2 - A1 * B2), B3 - (D1 * A2 - B1 * B2),
             C3 - (C1 * C2 - A1 * D2), D3 - (D1 * C2 - B1 * D2)]
-
-
-def transfer(source: JacobiCoefficients, u, v, n: int,
-             policy: TruncationPolicy) -> TransferMatrix:
-    """Transfer matrix h_n(u,v) moving polynomial data from v to u."""
-    q = nev_partial(source, u, v, n, policy)
-    m = np.array([[q.C, q.A], [-q.D, -q.B]], dtype=complex)
-    return TransferMatrix(entries=m, u=complex(u), v=complex(v), n=n)
-
-
-def mobius(source: JacobiCoefficients, u, v, z,
-           policy: TruncationPolicy) -> ExtendedComplex:
-    """Moebius map z -> (C(u,v) z + A(u,v)) / (-D(u,v) z - B(u,v)).
-
-    Operates on the extended plane: ``z`` may be complex or
-    :data:`INFINITY`; poles map to :data:`INFINITY`.
-    """
-    q = nev(source, u, v, policy)
-    if isinstance(z, ExtendedComplex) and z.is_infinity:
-        num, den = q.C, -q.D
-    else:
-        zc = z.value if isinstance(z, ExtendedComplex) else complex(z)
-        num = q.C * zc + q.A
-        den = -q.D * zc - q.B
-    if den == 0:
-        return INFINITY
-    return ExtendedComplex(num / den)
 
 
 def truncated_policy(policy: TruncationPolicy) -> TruncationPolicy:

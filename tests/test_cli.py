@@ -111,7 +111,16 @@ class TestMembership:
         assert "in_DT = false" in out
         assert "in_DTt(1) = true" in out
 
-    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    # a support node of t = 1 at L = 200 inside the auto window, and one
+    # past it
+    @pytest.mark.parametrize("lam", ["16.52100129662582", "-658.6594873311622"])
+    def test_w_on_the_support_is_refused(self, lam, capsys):
+        code, out, err = run_cli(
+            ["--nmax", "200", "membership", f"w*p({lam})+q({lam})@1"], capsys)
+        assert code == 1 and out == ""
+        assert "lies on the support" in err
+
+    @pytest.mark.parametrize("tol",["nan", "-1", "0", "inf"])
     def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
         # the zero vector goes through the same verdict as any other
         for spec in ("p(0.5)", "p(0.5)-p(0.5)"):

@@ -1,14 +1,17 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from indmom import (INFINITY, JacobiCoefficients, TruncationPolicy, mobius,
-                    nev, nev_one, nev_partial, partial_quad_arrays,
-                    reconstruct_two_var, three_point_residual,
-                    tilde_relations_residual, transfer)
-from indmom.evaluation import EXTENDED_DPS, evaluator_for
+from indmom import (ExtensionParam, JacobiCoefficients, RootScanConfig,
+                    TruncationPolicy, build_measure, mobius, nev, nev_one,
+                    nev_partial, partial_quad_arrays, reconstruct_two_var,
+                    stieltjes, three_point_residual, tilde_relations_residual)
+from indmom.errors import SupportPointError
+from indmom.evaluation import EXTENDED_DPS, _mp_context, evaluator_for
 from indmom.nevanlinna import SERIES_FORMS
 
 # mpmath dps=50 partial sums, frozen: (A, B, C, D) at (u, v) = (1, -1), n = 50
@@ -202,6 +205,15 @@ class TestExtendedPrecision:
         assert one == nev(src, 0.4 + 1j, 0.0, pol, "extended").as_tuple()
         assert all(x.context.dps == EXTENDED_DPS for x in one)
 
+    def test_extended_values_pickle(self, src, pol):
+        a = nev(src, 1.3 + 0.7j, -2.1 + 0.4j, pol, "extended").A
+        for x, parts in ((a, "_mpc_"), (abs(a), "_mpf_")):
+            data = pickle.dumps(x)
+            _mp_context.cache_clear()   # as in a process that made no context
+            y = pickle.loads(data)
+            assert getattr(y, parts) == getattr(x, parts)
+            assert y.context.prec == x.context.prec
+
 
 class TestReconstruction:
     def test_diagonal(self, src, pol):
@@ -221,18 +233,25 @@ class TestReconstruction:
         assert _series_gap(src, pol, q, pol.n_max) < 1e-9
 
 
+def _transfer(src, u, v, n, pol):
+    """h_n(u, v) = [[C_n, A_n], [-D_n, -B_n]], moving polynomial data from v to u."""
+    q = nev_partial(src, u, v, n, pol)
+    return np.array([[q.C, q.A], [-q.D, -q.B]], dtype=complex)
+
+
 class TestTransfer:
     def test_identity_at_equal_arguments(self, src, pol):
-        h = transfer(src, 0.7, 0.7, 30, pol)
-        assert np.allclose(h.entries, np.eye(2), atol=1e-13)
+        h = _transfer(src, 0.7, 0.7, 30, pol)
+        assert np.allclose(h, np.eye(2), atol=1e-13)
 
     def test_determinant_one(self, src, pol):
         rng = np.random.default_rng(25)
         u = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         for n in (0, 7, 50, 100):
-            h = transfer(src, u, v, n, pol)
-            assert abs(h.det() - 1.0) < 1e-12 * (1 + abs(h.det()))
+            h = _transfer(src, u, v, n, pol)
+            det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
+            assert abs(det - 1.0) < 1e-12 * (1 + abs(det))
 
     def test_moves_polynomial_data(self, src, pol):
         u, v, n = 0.9 - 0.5j, -1.4 + 0.3j, 40
@@ -240,23 +259,23 @@ class TestTransfer:
         tu, tv = ev.table(u), ev.table(v)
         mu = np.array([[tu.p[n], tu.q[n]], [tu.p[n + 1], tu.q[n + 1]]])
         mv = np.array([[tv.p[n], tv.q[n]], [tv.p[n + 1], tv.q[n + 1]]])
-        h = transfer(src, u, v, n, pol)
-        assert np.max(np.abs(mu @ h.entries - mv)) < 1e-10 * np.max(np.abs(mv))
+        h = _transfer(src, u, v, n, pol)
+        assert np.max(np.abs(mu @ h - mv)) < 1e-10 * np.max(np.abs(mv))
 
     def test_cocycle_and_inverse(self, src, pol):
         u, v, w, n = 0.4 + 0.1j, -0.9, 1.2 - 0.7j, 60
-        huw = transfer(src, u, w, n, pol).entries
-        hwv = transfer(src, w, v, n, pol).entries
-        huv = transfer(src, u, v, n, pol).entries
+        huw = _transfer(src, u, w, n, pol)
+        hwv = _transfer(src, w, v, n, pol)
+        huv = _transfer(src, u, v, n, pol)
         assert np.max(np.abs(huw @ hwv - huv)) < 1e-10
-        hvu = transfer(src, v, u, n, pol).entries
+        hvu = _transfer(src, v, u, n, pol)
         assert np.max(np.abs(huv @ hvu - np.eye(2))) < 1e-10
 
 
 class TestMobius:
     def test_identity_map(self, src, pol):
         z = 2 + 3j
-        assert mobius(src, 0.5, 0.5, z, pol).value == pytest.approx(z)
+        assert mobius(src, 0.5, 0.5, z, pol) == pytest.approx(z)
 
     def test_composition(self, src, pol):
         rng = np.random.default_rng(26)
@@ -266,16 +285,16 @@ class TestMobius:
             inner = mobius(src, w, v, z, pol)
             left = mobius(src, u, w, inner, pol)
             direct = mobius(src, u, v, z, pol)
-            assert left.value == pytest.approx(direct.value, rel=1e-8, abs=1e-9)
+            assert left == pytest.approx(direct, rel=1e-8, abs=1e-9)
 
     def test_real_arguments_stay_real(self, src, pol):
         out = mobius(src, 0.7, -1.2, 0.5, pol)
-        assert abs(out.value.imag) < 1e-12
+        assert abs(out.imag) < 1e-12
 
     def test_infinity_input(self, src, pol):
         q = nev(src, 0.7, -1.2, pol)
-        out = mobius(src, 0.7, -1.2, INFINITY, pol)
-        assert out.value == pytest.approx(q.C / (-q.D))
+        out = mobius(src, 0.7, -1.2, ExtensionParam.infinite(), pol)
+        assert out == pytest.approx(q.C / (-q.D))
 
     def test_pole_maps_to_infinity(self, src, pol):
         # at u = v the map is the identity, z -> z; fabricate a pole via
@@ -283,9 +302,28 @@ class TestMobius:
         # so use distinct points and solve for the pole location
         q = nev(src, 1.1, -0.4, pol)
         pole = -q.B / q.D
-        out = mobius(src, 1.1, -0.4, complex(pole), pol)
         # floating pole is not hit exactly; the value must be enormous
-        assert out.is_infinity or abs(out.value) > 1e9
+        try:
+            size = abs(mobius(src, 1.1, -0.4, complex(pole), pol))
+        except SupportPointError:   # an exact pole is refused
+            size = np.inf
+        assert size > 1e9
+
+    def test_exact_pole_is_refused(self, src, pol):
+        # D(0, 0) = 0 exactly, the denominator at t = infinity
+        assert nev(src, 0.0, 0.0, pol).D == 0
+        with pytest.raises(SupportPointError):
+            mobius(src, 0.0, 0.0, ExtensionParam.infinite(), pol)
+
+    @pytest.mark.parametrize("t", ["0", "1", "inf"])
+    def test_is_the_stieltjes_parametrization(self, src, pol, t):
+        t = ExtensionParam.parse(t)
+        lam = 1 + 1j
+        m = build_measure(src, t, RootScanConfig(window=(-5.0, 5.0)), pol)
+        w = stieltjes(src, t, lam, m, pol).w_param
+        # bitwise, signs of zero alike
+        assert np.array(mobius(src, lam, 0.0, t, pol)).tobytes() == \
+            np.array(w).tobytes()
 
 
 class TestTildeRelations:
