@@ -38,23 +38,27 @@ recurrence one point at a time on Python integers: the points and
 coefficients are float64, so exact dyadic rationals, and each step keeps
 ``_GUARD_BITS`` bits beyond mpmath's binary precision at ``dps`` digits,
 rounding to nearest after each division by ``a_n``.  An
-:class:`ExtendedRow` holds each row's values as the kernel left them,
-integer parts and a shared exponent, and rounds an entry to that
-precision, by mpmath's ``normalize`` inlined, each time it is read: an
-entry becomes a complex number of :func:`_mp_context` at that precision
-then.  A row keeps no Python object per entry, so only what is read is
-paid for.  The squared moduli of the rounded values of a range of
-entries, where a caller reads them, come from the unrounded parts
-(:meth:`ExtendedRow.squares`, :func:`_squares`), bitwise what squaring
-the rounded parts gives.  The coefficients are split into the kernel's
-integers once per evaluator (:class:`_IntegerCoefficients`); only ``x -
-b_n``, ``y`` and, where the point's parts go lower, a shift are made per
-point.  Evaluators run the kernel at ``EXTENDED_DPS`` digits.  An
-entry's context carries its precision, so arithmetic on it runs at that
-precision wherever it happens, in this package or a caller's code, and
-mpmath's global precision is neither read nor set.  Either backend
-computes the p rows, the q rows or both (``chains``); all but the
-fallback's point loop compute only the rows returned.
+:class:`ExtendedRow` runs its chain's kernel only as far as its reads
+have needed: a read of entry n first resumes the kernel through step n,
+so a row that is read no further than its first hundred entries runs
+about a hundred steps, and its entries are bitwise those of the whole
+chain whatever the order of reads.  The row holds the values as the
+kernel left them, integer parts and a shared exponent, and rounds an
+entry to that precision, by mpmath's ``normalize`` inlined, each time it
+is read: an entry becomes a complex number of :func:`_mp_context` at that
+precision then.  A row keeps no Python object per entry, so only what is
+read is computed, rounded or squared.  The squared moduli of the rounded
+values of a range of entries, where a caller reads them, come from the
+unrounded parts (:meth:`ExtendedRow.squares`, :func:`_squares`), bitwise
+what squaring the rounded parts gives.  The coefficients are split into
+the kernel's integers once per evaluator (:class:`_IntegerCoefficients`);
+only ``x - b_n``, ``y`` and, where the point's parts go lower, a shift
+are made per point.  Evaluators run the kernel at ``EXTENDED_DPS``
+digits.  An entry's context carries its precision, so arithmetic on it
+runs at that precision wherever it happens, in this package or a
+caller's code, and mpmath's global precision is neither read nor set.
+Either backend computes the p rows, the q rows or both (``chains``); all
+but the fallback's point loop compute only the rows returned.
 
 Squared sums
 ------------
@@ -81,7 +85,11 @@ rows, copied out of the block in standard precision and the two
 built.  It squares only what a read needs: the A, B, C, D corner values
 read no square, the stop rule squares both chains in doubling chunks up
 to its first passing index, and a norm squares one chain through the
-shared level.
+shared level.  An extended table computes only what a read needs too:
+its rows run the kernel through the corner entries for A, B, C, D,
+through the stop rule's last chunk for ``eval_pq`` and through the level
+for a norm.  :attr:`Evaluator.stats` counts the tables built, the cache
+hits and the extended kernel steps run.
 :func:`recurrence_batch` (chain-major tables, one transpose copy of the
 block) and :func:`recurrence_mp` (one point) serve ``bench/`` and the
 kernel tests only.
@@ -93,7 +101,9 @@ import contextlib
 import copyreg
 import ctypes
 import functools
+import itertools
 import math
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
@@ -173,6 +183,22 @@ class PolyEval:
     converged: bool
 
 
+@dataclass
+class EvalStats:
+    """Counters of an :class:`Evaluator`'s work since it was made.
+
+    tables_built: point tables computed into its cache.
+    table_hits: point tables read from its cache (a point asked for twice
+        in one batch is one table built and one hit).
+    extended_steps: integer kernel steps run by its extended rows, summed
+        over chains; a row runs only as far as its entries are read.
+    """
+
+    tables_built: int = 0
+    table_hits: int = 0
+    extended_steps: int = 0
+
+
 class PointTable:
     """Internal: full-level recurrence data at one point.
 
@@ -181,8 +207,9 @@ class PointTable:
     truncations of the membership tests end at ``level + 8``.  In standard
     precision they are complex128 arrays; in extended precision they are
     :class:`ExtendedRow`, which read as complex numbers of
-    :func:`_mp_context` by index and as object arrays of them by slice.
-    Reading the rows squares nothing.
+    :func:`_mp_context` by index and as object arrays of them by slice, and
+    compute their entries as far as they are read: a new extended table
+    has run no recurrence step.  Reading the rows squares nothing.
 
     Squared sums are taken on read, as "Squared sums" above says, so a
     read that meets a square or a sum past the float range raises
@@ -284,36 +311,85 @@ class ExtendedRow:
     gives a complex number of ``_mp_context(prec)``, and reading a slice an
     object ndarray of them; only the entries read are rounded, on each
     read.  The row keeps no object per entry.
+
+    A row made by :meth:`computed` holds ``len(steps[1]) + 1`` entries but
+    computes them as they are read: each read (an index, a slice or
+    :meth:`squares`) first resumes the row's integer kernel
+    (:func:`_chain_kernel`) through the highest index it needs, so the
+    entries are bitwise those of the whole chain (:func:`_integer_chain`)
+    whatever the order of reads.  A row whose kernel has reached its end
+    drops it, and with it the point's step lists.  Reads resume the kernel,
+    so a row is not to be read from two threads at once.
     """
 
-    __slots__ = ("_re", "_im", "_e", "_prec", "_make")
+    __slots__ = ("_re", "_im", "_e", "_prec", "_make", "_size", "_kernel", "_stats")
 
     def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int):
         self._re, self._im, self._e, self._prec = RE, IM, E, prec
         self._make = _mp_context(prec).make_mpc
+        self._size, self._kernel, self._stats = len(E), None, None
+
+    @classmethod
+    def computed(cls, steps: tuple, chain: str, prec: int,
+                 stats: "EvalStats") -> "ExtendedRow":
+        """Chain p or q over ``steps`` (:meth:`_IntegerCoefficients.steps`),
+        computed as read; ``stats.extended_steps`` counts the steps run."""
+        row = cls([], [], [], prec)
+        row._size, row._stats = len(steps[1]) + 1, stats
+        row._kernel = _chain_kernel(steps, chain, row._re, row._im, row._e)
+        next(row._kernel)                       # v_0
+        if row._size == 1:
+            row._kernel = None
+        return row
 
     def __len__(self) -> int:
-        return len(self._e)
+        return self._size
+
+    def _fill(self, n: int) -> None:
+        """Run the kernel until the row holds entries 0..n, for n < len(self)."""
+        k = n + 1 - len(self._e)
+        if k > 0:
+            self._kernel.send(k)
+            self._stats.extended_steps += k
+            if len(self._e) == self._size:
+                self._kernel = None
+
+    def _span(self, k: slice) -> slice:
+        """The entries of ``k`` as a slice of the held lists, once computed."""
+        r = range(*k.indices(self._size))
+        if not r:
+            return slice(0, 0)
+        self._fill(max(r[0], r[-1]))
+        # held lists can be shorter than the row: no index counts from their end
+        return slice(r.start, None if r.stop < 0 else r.stop, r.step)
 
     def __getitem__(self, k):
         prec = self._prec
-        if not isinstance(k, slice):
-            e = self._e[k]
-            return self._make((_round_mpf(self._re[k], e, prec),
-                               _round_mpf(self._im[k], e, prec)))
-        vals = [self._make((_round_mpf(re, e, prec), _round_mpf(im, e, prec)))
-                for re, im, e in zip(self._re[k], self._im[k], self._e[k])]
-        out = np.empty(len(vals), dtype=object)
-        out[:] = vals
-        return out
+        if isinstance(k, slice):
+            k = self._span(k)
+            vals = [self._make((_round_mpf(re, e, prec), _round_mpf(im, e, prec)))
+                    for re, im, e in zip(self._re[k], self._im[k], self._e[k])]
+            out = np.empty(len(vals), dtype=object)
+            out[:] = vals
+            return out
+        n = operator.index(k)
+        if n < 0:
+            n += self._size
+        if not 0 <= n < self._size:
+            raise IndexError("row index out of range")
+        self._fill(n)
+        e = self._e[n]
+        return self._make((_round_mpf(self._re[n], e, prec),
+                           _round_mpf(self._im[n], e, prec)))
 
     def squares(self, lo: int, hi: int) -> np.ndarray:
         """Squared moduli of entries lo..hi-1 as read, by :func:`_squares`.
 
         Floats, inf beyond the float range; no entry is built.
         """
-        return np.array(_squares(self._re[lo:hi], self._im[lo:hi], self._e[lo:hi],
-                                 self._prec), dtype=float)
+        k = self._span(slice(lo, hi))
+        return np.array(_squares(self._re[k], self._im[k], self._e[k], self._prec),
+                        dtype=float)
 
 
 @functools.lru_cache(maxsize=8)
@@ -612,21 +688,24 @@ def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
     return _pick(chains, [chain[0][:] for chain in rows])
 
 
-def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int, chains: str
-              ) -> List[List["ExtendedRow"]]:
-    """Extended-precision rows, point by point.
+def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int, chains: str,
+              stats: Optional[EvalStats] = None) -> List[List["ExtendedRow"]]:
+    """Extended-precision rows, point by point, computed as they are read.
 
     ``rows[c][j]`` is chain ``chains[c]`` at ``zs[j]``, an
     :class:`ExtendedRow` of upto+1 entries for the first ``upto`` steps of
-    ``coeffs``.  The point loop's recurrence runs on Python integers.  The
-    points and the coefficients are float64, so exact dyadic rationals;
-    each value is an integer pair (Re, Im) times a power of two, and the
-    current and previous values of a chain share that exponent.  A step
-    computes ``a_n v_{n+1}`` exactly, divides by ``a_n`` keeping ``prec +
-    _GUARD_BITS`` bits, where ``prec`` is mpmath's binary precision at the
-    coefficients' ``dps`` digits, and rounds to nearest.  A row holds these
-    values unrounded and rounds an entry to nearest at ``prec`` bits when
-    it is read.
+    ``coeffs``.  A row runs its kernel only as far as its reads need and
+    adds the steps it runs to ``stats.extended_steps``, where ``stats`` is
+    given; the p and q rows of a point share its step lists.  The point
+    loop's recurrence runs on Python integers.  The points and the
+    coefficients are float64, so exact dyadic rationals; each value is an
+    integer pair (Re, Im) times a power of two, and the current and
+    previous values of a chain share that exponent.  A step computes ``a_n
+    v_{n+1}`` exactly, divides by ``a_n`` keeping ``prec + _GUARD_BITS``
+    bits, where ``prec`` is mpmath's binary precision at the coefficients'
+    ``dps`` digits, and rounds to nearest.  A row holds these values
+    unrounded and rounds an entry to nearest at ``prec`` bits when it is
+    read.
 
     Raises EvaluationOverflowError if a point is not finite.
     """
@@ -636,11 +715,13 @@ def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int, chains: str
     if not np.isfinite(zs).all():
         raise EvaluationOverflowError(
             "evaluation overflow: the point or a coefficient is not finite")
+    if stats is None:
+        stats = EvalStats()
     rows = [[None] * zs.size for _ in chains]
     for j, z in enumerate(zs.tolist()):
         steps = coeffs.steps(z, upto)
         for c, chain in enumerate(chains):
-            rows[c][j] = ExtendedRow(*_integer_chain(steps, chain), coeffs.prec)
+            rows[c][j] = ExtendedRow.computed(steps, chain, coeffs.prec, stats)
     return rows
 
 
@@ -711,43 +792,61 @@ class _IntegerCoefficients:
 def _integer_chain(steps: tuple, chain: str) -> Tuple[List[int], List[int], List[int]]:
     """Lists Re, Im, e with v_n = (Re[n] + i Im[n]) * 2**e[n] for v = p or q, n = 0..upto.
 
-    Each part has at most ``width + 2`` bits: a step divides a numerator of
-    ``width + bits(d)`` bits by ``d`` or by ``d`` shifted as far as the
-    numerator falls short, so the rounded quotient is at most
-    ``2**(width + 1)`` in size.
+    The whole chain: :func:`_chain_kernel` run through every step.
+    """
+    RE, IM, E = [], [], []
+    kernel = _chain_kernel(steps, chain, RE, IM, E)
+    next(kernel)
+    kernel.send(len(steps[1]))
+    return RE, IM, E
+
+
+def _chain_kernel(steps: tuple, chain: str, RE: List[int], IM: List[int],
+                  E: List[int]):
+    """The integer kernel of chain p or q, as a generator run as far as asked.
+
+    ``next`` appends v_0 to RE, IM and E, and each ``send(k)`` then runs
+    the next k steps, or those left, appending v_n = (RE[n] + i IM[n]) *
+    2**E[n] for each.  Each part has at most ``width + 2`` bits: a step
+    divides a numerator of ``width + bits(d)`` bits by ``d`` or by ``d``
+    shifted as far as the numerator falls short, so the rounded quotient is
+    at most ``2**(width + 1)`` in size.
     """
     Y, *per_step = steps
+    todo = zip(*per_step)
     # v_{-1} = 0 for p and -1 for q, so the first step gives p_1 and q_1
     re, im, rep, imp, e = (1, 0, 0, 0, 0) if chain == "p" else (0, 0, -1, 0, 0)
-    RE, IM, E = [re], [im], [e]
-    for X, A, d, bits, de in zip(*per_step):
-        nre = X * re - Y * im - A * rep
-        nim = X * im + Y * re - A * imp
-        nb, t = nre.bit_length(), nim.bit_length()
-        if t > nb:
-            nb = t
-        if nb:
-            s = bits - nb                       # the quotient keeps `width` bits
-            if s >= 0:
-                nre, nim = nre << s, nim << s
-            else:
-                d <<= -s
-            h = d >> 1                          # round to nearest
-            nre, nim = (nre + h) // d, (nim + h) // d
-            k = s - de                          # the current value joins e - k
-            e -= k
-            if k >= 0:
-                rep, imp = re << k, im << k
-            else:
-                h = 1 << (-k - 1)
-                rep, imp = (re + h) >> -k, (im + h) >> -k
-        else:                                   # v_{n+1} = 0 at the same e
-            rep, imp = re, im
-        re, im = nre, nim
-        RE.append(re)
-        IM.append(im)
-        E.append(e)
-    return RE, IM, E
+    RE.append(re)
+    IM.append(im)
+    E.append(e)
+    while True:
+        for X, A, d, bits, de in itertools.islice(todo, (yield)):
+            nre = X * re - Y * im - A * rep
+            nim = X * im + Y * re - A * imp
+            nb, t = nre.bit_length(), nim.bit_length()
+            if t > nb:
+                nb = t
+            if nb:
+                s = bits - nb                   # the quotient keeps `width` bits
+                if s >= 0:
+                    nre, nim = nre << s, nim << s
+                else:
+                    d <<= -s
+                h = d >> 1                      # round to nearest
+                nre, nim = (nre + h) // d, (nim + h) // d
+                k = s - de                      # the current value joins e - k
+                e -= k
+                if k >= 0:
+                    rep, imp = re << k, im << k
+                else:
+                    h = 1 << (-k - 1)
+                    rep, imp = (re + h) >> -k, (im + h) >> -k
+            else:                               # v_{n+1} = 0 at the same e
+                rep, imp = re, im
+            re, im = nre, nim
+            RE.append(re)
+            IM.append(im)
+            E.append(e)
 
 
 def _round_mpf(v: int, e: int, prec: int) -> tuple:
@@ -838,7 +937,9 @@ class Evaluator:
     Point tables reach index ``level + 8`` and are held in an LRU cache of
     ``capacity`` tables (256 in standard precision, 16 in extended, where
     one table is far larger).  ``precision`` is "standard" (complex128) or
-    "extended" (mpmath numbers at ``EXTENDED_DPS`` digits).
+    "extended" (mpmath numbers at ``EXTENDED_DPS`` digits).  ``stats``
+    counts the tables it builds, its cache hits and its extended kernel
+    steps (:class:`EvalStats`).
     """
 
     def __init__(self, source: JacobiCoefficients, policy: TruncationPolicy,
@@ -854,6 +955,7 @@ class Evaluator:
         self.a, self.b = source.arrays(self.top)
         self._cache: "OrderedDict[complex, PointTable]" = OrderedDict()
         self._split: Optional[_IntegerCoefficients] = None
+        self.stats = EvalStats()
 
     def rows(self, zs, upto: int, chains: str = "pq"):
         """The rows through index upto at each point: the one batch reader.
@@ -868,7 +970,7 @@ class Evaluator:
         if self.precision == "standard":
             a, b = self.source.arrays(max(upto, 1))
             return _solve_block(a, b, zs, upto, chains)
-        return _mp_block(self._coefficients(upto), zs, upto, chains)
+        return _mp_block(self._coefficients(upto), zs, upto, chains, self.stats)
 
     def _coefficients(self, upto: int) -> _IntegerCoefficients:
         """The integer kernel's coefficients for at least ``upto`` steps.
@@ -891,6 +993,7 @@ class Evaluator:
         if tab is None:
             return self.tables([z])[0]
         self._cache.move_to_end(z)
+        self.stats.table_hits += 1
         return tab
 
     def tables(self, zs) -> List[PointTable]:
@@ -910,6 +1013,8 @@ class Evaluator:
             R = self.rows(misses, self.top)
             for z, p, q in zip(misses, *R):
                 cache[z] = PointTable(z, _own(p), _own(q), self.policy)
+        self.stats.tables_built += len(misses)
+        self.stats.table_hits += len(keys) - len(misses)
         for z in keys:
             cache.move_to_end(z)
         out = [cache[z] for z in keys]
@@ -942,6 +1047,7 @@ class Evaluator:
         tab = self._cache.get(z)
         if tab is not None and upto <= self.top:
             self._cache.move_to_end(z)
+            self.stats.table_hits += 1
             return tab.p[: upto + 1], tab.q[: upto + 1]
         R = self.rows([z], upto)
         return R[0][0][:], R[1][0][:]           # an extended row's slice is an array

@@ -653,6 +653,8 @@ def _assert_eager_fields(tab, pol):
     """
     rows = (tab.p, tab.q)
     if isinstance(tab.p, evaluation.ExtendedRow):
+        for r in rows:
+            r[-1]                               # computes the whole row
         R2 = np.array([evaluation._squares(r._re, r._im, r._e, r._prec) for r in rows])
     else:
         R2 = np.abs(np.array(rows)) ** 2
@@ -759,6 +761,145 @@ class TestLazyFields:
             with pytest.raises(EvaluationOverflowError, match=message):
                 read()
         assert ev.table(z) is tab
+
+
+def _stop_chunk_end(N, L):
+    """End of the stop rule's doubling chunk that holds index N (at most L + 1)."""
+    lo, size = 0, evaluation._STOP_CHUNK
+    while lo + size <= N:
+        lo, size = lo + size, 2 * size
+    return min(lo + size, L + 1)
+
+
+# One read of an extended row: (chain, kind, ...) with kind "int", "slice" or
+# "squares"; int indices as Python ints or np.int64, in range or not.
+_ROW_READS = st.one_of(
+    st.tuples(st.sampled_from([0, 1]), st.just("int"), st.integers(-320, 320),
+              st.sampled_from([int, np.int64])),
+    st.tuples(st.sampled_from([0, 1]), st.just("slice"),
+              st.one_of(st.none(), st.integers(-320, 320)),
+              st.one_of(st.none(), st.integers(-320, 320)),
+              st.one_of(st.none(), st.integers(-7, 7).filter(bool))),
+    st.tuples(st.sampled_from([0, 1]), st.just("squares"),
+              st.floats(0, 1), st.floats(0, 1)))
+
+
+class TestLazyExtendedRows:
+    @settings(max_examples=60, deadline=None)
+    @given(z=st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
+                       st.floats(0, 2.5), st.floats(0, 2 * math.pi)),
+           source=st.sampled_from(["c=1.2", "c=2", "alternating_b"]),
+           upto=st.integers(0, 300), reads=st.lists(_ROW_READS, max_size=10))
+    def test_reads_in_any_order_are_the_whole_chain(self, z, source, upto, reads):
+        # each read of a fresh row, whatever came before it on the p or the
+        # q row of the point, is bitwise the same read of the whole chain's
+        # lists: list indexing and slicing, mpmath's rounding of each part
+        from mpmath.libmp import from_man_exp, round_nearest
+
+        dps = evaluation.EXTENDED_DPS
+        a, b = _source(source).arrays(max(upto, 1))
+        coeffs = evaluation._IntegerCoefficients(a[:upto], b[:upto], dps)
+        prec = coeffs.prec
+        stats = evaluation.EvalStats()
+        rows = [chain[0] for chain in evaluation._mp_block(coeffs, [z], upto, "pq", stats)]
+        steps = coeffs.steps(z, upto)
+        eager = [evaluation._integer_chain(steps, chain) for chain in "pq"]
+
+        def rounded(re, im, e):
+            return (from_man_exp(re, e, prec, round_nearest),
+                    from_man_exp(im, e, prec, round_nearest))
+
+        assert stats.extended_steps == 0 and [len(row) for row in rows] == [upto + 1] * 2
+        for c, kind, *args in reads:
+            row, (RE, IM, E) = rows[c], eager[c]
+            if kind == "int":
+                k = args[1](args[0])
+                try:
+                    want = rounded(RE[k], IM[k], E[k])
+                except IndexError:
+                    with pytest.raises(IndexError):
+                        row[k]
+                else:
+                    assert row[k]._mpc_ == want, k
+            elif kind == "slice":
+                k = slice(*args)
+                want = [rounded(*v) for v in zip(RE[k], IM[k], E[k])]
+                assert [v._mpc_ for v in row[k]] == want, k
+            else:
+                lo, hi = sorted(int(f * (upto + 1)) for f in args)
+                want = evaluation._squares(RE[lo:hi], IM[lo:hi], E[lo:hi], prec)
+                assert row.squares(lo, hi).tolist() == want
+            # held entries are a prefix of the chain; steps are counted once
+            held = [(r._re, r._im, r._e) for r in rows]
+            assert all(list(map(len, h)) == [len(h[2])] * 3 for h in held)
+            assert all(h == tuple(lists[: len(h[2])] for lists in e)
+                       for h, e in zip(held, eager))
+            assert stats.extended_steps == sum(len(h[2]) - 1 for h in held)
+        assert [[v._mpc_ for v in row[:]] for row in rows] == [
+            [rounded(*v) for v in zip(*lists)] for lists in eager]
+        assert stats.extended_steps == 2 * upto
+        assert all(row._kernel is None for row in rows)
+
+    def test_counters(self):
+        # a fresh eval_pq runs the kernel through the stop rule's last chunk;
+        # later reads run only the steps no read has run before
+        from indmom import nev
+
+        src, pol = _source("c=2"), TruncationPolicy(n_max=1000)
+        clear_evaluator_cache()
+        ev = evaluator_for(src, pol, "extended")
+        z = 0.7 - 0.2j
+        N = eval_pq(src, z, pol, "extended").N
+        steps = 2 * (_stop_chunk_end(N, ev.level) - 1)
+        assert N < 200 and steps < 2 * ev.level
+        assert ev.stats == evaluation.EvalStats(tables_built=1, table_hits=0,
+                                                 extended_steps=steps)
+        eval_pq(src, z, pol, "extended")
+        assert ev.stats.extended_steps == steps and ev.stats.table_hits == 1
+        # nev reads entries L and L + 1; a prefix through top reads the rest
+        for _ in range(2):
+            nev(src, z, z, pol, "extended")
+            assert ev.stats.extended_steps == 2 * (ev.level + 1)
+        for _ in range(2):
+            ev.pq_upto(z, ev.top)
+            assert ev.stats.extended_steps == 2 * ev.top
+        # eval_pq once, nev(z, z) twice per call, pq_upto once
+        assert (ev.stats.tables_built, ev.stats.table_hits) == (1, 7)
+        # a batch with a repeated point builds it once; standard tables run no step
+        ev.tables([0.5j, 0.5j, z])
+        assert (ev.stats.tables_built, ev.stats.table_hits) == (2, 9)
+        assert ev.stats.extended_steps == 2 * ev.top
+        std = evaluator_for(src, pol)
+        std.tables([0.5j, 0.5j])
+        assert std.stats == evaluation.EvalStats(tables_built=1, table_hits=1)
+
+    @pytest.mark.parametrize("source", ["c=1.2", "c=2", "alternating_b"])
+    def test_reads_after_a_partial_eval_pq_are_a_fresh_tables(self, source):
+        # a table that eval_pq left partly computed serves every later reader
+        # as a table computed whole before any read
+        from indmom import nev
+
+        src, pol = _source(source), TruncationPolicy(n_max=300)
+        zs = [0.7 - 0.2j, 2.1 + 1.0j, complex(1.5, 0.0)]
+        u = -1.1 + 0.2j
+        clear_evaluator_cache()
+        for z in zs:
+            eval_pq(src, z, pol, "extended")
+        ev = evaluator_for(src, pol, "extended")
+        assert all(len(ev.table(z).p._e) < ev.top + 1 for z in zs)
+        got = [(ev.pq_upto(z, ev.level + 3), nev(src, z, u, pol, "extended"),
+                ev.table(z).norm_p2) for z in zs]
+        for z, (pq, quad, norm) in zip(zs, got):
+            fresh = Evaluator(src, pol, "extended").table(z)
+            fresh.p[-1], fresh.q[-1]            # computed whole before any read
+            assert _same_table(ev.table(z), fresh)
+            for g, row in zip(pq, (fresh.p, fresh.q)):
+                assert [v._mpc_ for v in g] == [v._mpc_ for v in row[: ev.level + 4]]
+            assert norm == fresh.norm_p2
+            clear_evaluator_cache()
+            want = nev(src, z, u, pol, "extended")
+            assert [getattr(quad, f)._mpc_ for f in "ABCD"] == [
+                getattr(want, f)._mpc_ for f in "ABCD"]
 
 
 def _counting_squares(monkeypatch):
