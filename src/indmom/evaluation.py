@@ -52,11 +52,13 @@ values of a range of entries, where a caller reads them, come from the
 unrounded parts (:meth:`ExtendedRow.squares`, :func:`_squares`), bitwise
 what squaring the rounded parts gives.  The coefficients are split into
 the kernel's integers once per evaluator (:class:`_IntegerCoefficients`);
-only ``x - b_n``, ``y`` and, where the point's parts go lower, a shift
-are made per point.  Evaluators run the kernel at ``EXTENDED_DPS``
-digits.  An entry's context carries its precision, so arithmetic on it
-runs at that precision wherever it happens, in this package or a
-caller's code, and mpmath's global precision is neither read nor set.
+only ``y``, ``x - b_n`` and, where the point's parts go lower, a shift
+are made per point (:class:`_PointSteps`), and ``x - b_n`` and the shift
+only through the furthest step a row of the point has run.  Evaluators
+run the kernel at ``EXTENDED_DPS`` digits.  An entry's context carries
+its precision, so arithmetic on it runs at that precision wherever it
+happens, in this package or a caller's code, and mpmath's global
+precision is neither read nor set.
 Either backend computes the p rows, the q rows or both (``chains``); all
 but the fallback's point loop compute only the rows returned.
 
@@ -83,13 +85,15 @@ block or an :class:`ExtendedRow` per chain and point: point tables,
 rows, copied out of the block in standard precision and the two
 :class:`ExtendedRow` as they are in extended, and nothing else when it is
 built.  It squares only what a read needs: the A, B, C, D corner values
-read no square, the stop rule squares both chains in doubling chunks up
-to its first passing index, and a norm squares one chain through the
-shared level.  An extended table computes only what a read needs too:
-its rows run the kernel through the corner entries for A, B, C, D,
-through the stop rule's last chunk for ``eval_pq`` and through the level
-for a norm.  :attr:`Evaluator.stats` counts the tables built, the cache
-hits and the extended kernel steps run.
+read no square, the stop rule squares both chains chunk by chunk through
+the chunk that holds its first passing index (chunks double in standard
+precision and stay ``_STOP_CHUNK`` entries long in extended), and a norm
+squares one chain through the shared level.  An extended table computes
+only what a read needs too: its rows run the kernel through the corner
+entries for A, B, C, D, through the stop rule's last chunk for
+``eval_pq``, at most ``_STOP_CHUNK - 1`` steps past its stop index, and
+through the level for a norm.  :attr:`Evaluator.stats` counts the batches
+read, the tables built, the cache hits and the extended kernel steps run.
 :func:`recurrence_batch` (chain-major tables, one transpose copy of the
 block) and :func:`recurrence_mp` (one point) serve ``bench/`` and the
 kernel tests only.
@@ -101,7 +105,6 @@ import contextlib
 import copyreg
 import ctypes
 import functools
-import itertools
 import math
 import operator
 from collections import OrderedDict
@@ -132,7 +135,8 @@ EXTENDED_DPS = 32
 _GUARD_BITS = 24
 # Below this a scaled float can round twice; squared moduli there divide exactly.
 _NORMAL_EDGE = 2.0 ** -1021
-# Entries squared by the stop rule's first chunk; each later chunk doubles.
+# Entries squared by the stop rule's first chunk; later chunks double on
+# complex128 rows and stay this long on extended ones (:func:`_summing`).
 _STOP_CHUNK = 32
 _CHAINS = ("pq", "p", "q")
 # ztbsv(uplo, trans, diag, n, k, band, lda, x, incx) with 64-bit integers
@@ -187,6 +191,8 @@ class PolyEval:
 class EvalStats:
     """Counters of an :class:`Evaluator`'s work since it was made.
 
+    batches: calls of :meth:`Evaluator.rows`, the one batch reader.
+    batch_points: the points those calls computed, summed over calls.
     tables_built: point tables computed into its cache.
     table_hits: point tables read from its cache (a point asked for twice
         in one batch is one table built and one hit).
@@ -194,6 +200,8 @@ class EvalStats:
         over chains; a row runs only as far as its entries are read.
     """
 
+    batches: int = 0
+    batch_points: int = 0
     tables_built: int = 0
     table_hits: int = 0
     extended_steps: int = 0
@@ -216,10 +224,12 @@ class PointTable:
     EvaluationOverflowError.  Two are kept once read:
 
     - ``stop_index``, ``converged`` and ``tail_est`` run the policy's stop
-      rule over both chains in doubling chunks from index 0 (the first
-      ``_STOP_CHUNK`` entries, then twice as many, ...), carrying each
-      chain's running sum from chunk to chunk, and stop at the chunk that
-      holds the first passing index, or at the shared level;
+      rule over both chains in chunks from index 0 (the first
+      ``_STOP_CHUNK`` entries, then, on complex128 rows, twice as many,
+      ...; on extended rows every chunk is ``_STOP_CHUNK`` long),
+      carrying each chain's running sum from chunk to chunk, and stop at
+      the chunk that holds the first passing index, or at the shared
+      level;
     - ``norm_p2`` and ``norm_q2`` sum one chain through the shared level.
     """
 
@@ -276,12 +286,13 @@ class PointTable:
         """
         if self._stop is None:
             rows = (self.p, self.q)
-            with _summing(rows):
-                self._stop = self._find_stop(rows)
+            with _summing(rows) as growth:
+                self._stop = self._find_stop(rows, growth)
         return self._stop
 
-    def _find_stop(self, rows) -> Tuple[int, bool, float, float, float]:
-        """The stop rule over ``rows``, ``(p, q)``, chunk by chunk."""
+    def _find_stop(self, rows, growth: int) -> Tuple[int, bool, float, float, float]:
+        """The stop rule over ``rows``, ``(p, q)``, chunk by chunk; each chunk
+        is ``growth`` times as long as the one before."""
         L, pol = self.level, self._policy
         lo, size, carry = 0, _STOP_CHUNK, None
         while True:
@@ -299,7 +310,7 @@ class PointTable:
                 n = lo + k if ok[k] else L
                 return (n, bool(ok[k]), float(inc[n - lo]), float(cp[n - lo]),
                         float(cq[n - lo]))
-            lo, size, carry = hi, 2 * size, S[:, -1]
+            lo, size, carry = hi, growth * size, S[:, -1]
 
 
 class ExtendedRow:
@@ -312,14 +323,17 @@ class ExtendedRow:
     object ndarray of them; only the entries read are rounded, on each
     read.  The row keeps no object per entry.
 
-    A row made by :meth:`computed` holds ``len(steps[1]) + 1`` entries but
+    A row made by :meth:`computed` holds ``steps.upto + 1`` entries but
     computes them as they are read: each read (an index, a slice or
     :meth:`squares`) first resumes the row's integer kernel
     (:func:`_chain_kernel`) through the highest index it needs, so the
     entries are bitwise those of the whole chain (:func:`_integer_chain`)
-    whatever the order of reads.  A row whose kernel has reached its end
-    drops it, and with it the point's step lists.  Reads resume the kernel,
-    so a row is not to be read from two threads at once.
+    whatever the order of reads.  The kernel takes its steps from the
+    point's :class:`_PointSteps`, which the point's other row shares and
+    which makes a step's integers when the first of the two rows reaches
+    it.  A row whose kernel has reached its end drops it, and with it its
+    hold on the point's steps.  Reads resume the kernel, so a row is not
+    to be read from two threads at once.
     """
 
     __slots__ = ("_re", "_im", "_e", "_prec", "_make", "_size", "_kernel", "_stats")
@@ -330,12 +344,16 @@ class ExtendedRow:
         self._size, self._kernel, self._stats = len(E), None, None
 
     @classmethod
-    def computed(cls, steps: tuple, chain: str, prec: int,
+    def computed(cls, steps: "_PointSteps", chain: str, prec: int,
                  stats: "EvalStats") -> "ExtendedRow":
         """Chain p or q over ``steps`` (:meth:`_IntegerCoefficients.steps`),
-        computed as read; ``stats.extended_steps`` counts the steps run."""
+        computed as read; ``stats.extended_steps`` counts the steps run.
+
+        The point's other chain can share ``steps``: each step's integers
+        are made once, when the first of the two rows takes it.
+        """
         row = cls([], [], [], prec)
-        row._size, row._stats = len(steps[1]) + 1, stats
+        row._size, row._stats = steps.upto + 1, stats
         row._kernel = _chain_kernel(steps, chain, row._re, row._im, row._e)
         next(row._kernel)                       # v_0
         if row._size == 1:
@@ -483,14 +501,27 @@ def _finite_sum(total: float) -> None:
 def _summing(rows):
     """The numpy error state for squaring and summing entries of ``rows``.
 
-    Extended squares and sums can leave the float range, where the helpers
-    above raise, so numpy's overflow warning is off for them.  Complex128
-    squares are at most 2e300, so their sums stay finite short of some
-    10**8 entries, and standard rows enter no error state.
+    Entered, it gives the factor by which the stop rule's chunks grow over
+    ``rows`` (:meth:`PointTable._find_stop`).  Extended squares and sums
+    can leave the float range, where the helpers above raise, so numpy's
+    overflow warning is off for them.  Complex128 squares are at most
+    2e300, so their sums stay finite short of some 10**8 entries, and
+    standard rows enter no error state.
     """
     if len(rows) and isinstance(rows[0], ExtendedRow):
-        return np.errstate(over="ignore")
-    return contextlib.nullcontext()
+        # An extended entry the rule reads costs two kernel steps, some
+        # microseconds, so chunks do not grow and a fresh table runs at most
+        # _STOP_CHUNK - 1 steps per chain past its stop index; a complex128
+        # square costs nanoseconds, so there fewer, doubling chunks win.
+        return _extended_summing()
+    return contextlib.nullcontext(2)
+
+
+@contextlib.contextmanager
+def _extended_summing():
+    """:func:`_summing` of extended rows: overflow warnings off, chunk growth 1."""
+    with np.errstate(over="ignore"):
+        yield 1
 
 
 Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
@@ -696,7 +727,8 @@ def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int, chains: str,
     :class:`ExtendedRow` of upto+1 entries for the first ``upto`` steps of
     ``coeffs``.  A row runs its kernel only as far as its reads need and
     adds the steps it runs to ``stats.extended_steps``, where ``stats`` is
-    given; the p and q rows of a point share its step lists.  The point
+    given; the p and q rows of a point share its :class:`_PointSteps`,
+    whose integers are made only as far as either row has run.  The point
     loop's recurrence runs on Python integers.  The points and the
     coefficients are float64, so exact dyadic rationals; each value is an
     integer pair (Re, Im) times a power of two, and the current and
@@ -743,8 +775,9 @@ class _IntegerCoefficients:
     and part of z is a float64, so an integer times ``2**e0`` for the least
     exponent e0 among the nonzero ones (:func:`_dyadics`).  The
     coefficients are split here once and kept as integers at their own
-    least exponent; a point whose parts go lower shifts them to its e0 on
-    each call.  Only that shift, ``x - b_k`` and ``y`` are made per point.
+    least exponent; a point whose parts go lower shifts them to its e0.
+    Only ``y``, ``x - b_k`` and that shift are made per point, and the last
+    two step by step as the point's rows run (:class:`_PointSteps`).
 
     The kernel's values do not depend on e0 otherwise: lowering it by D
     scales X, Y and A, so every numerator, by ``2**D``, and lowers ``e0 -
@@ -771,25 +804,62 @@ class _IntegerCoefficients:
         self._bits = [self.prec + _GUARD_BITS + v.bit_length() for v in self._d]
         self._de = [e0 - f for f in e[1: n + 1].tolist()]
 
-    def steps(self, z: complex, upto: int) -> tuple:
-        """The first ``upto`` recurrence steps at z as integers, one list per quantity.
+    def steps(self, z: complex, upto: int) -> "_PointSteps":
+        """The first ``upto`` recurrence steps at z (at most ``n``), made as taken.
 
-        Returns Y for ``y`` and, per step, lists of the integers X and A for
-        ``x - b_k`` and ``a_{k-1}``, of the odd mantissa d of ``a_k = d *
-        2**f``, of ``width + bits(d)`` and of ``e0 - f``, where width is
-        ``prec + _GUARD_BITS``.
+        z is split here; each step's integers are made when a row first
+        takes it (:meth:`_PointSteps.take`).
         """
         m, e = (v.tolist() for v in _dyadics(np.array([z.real, z.imag])))
         e0 = min([self._e0] + [k for v, k in zip(m, e) if v])
-        A, B, de = self._A[:upto], self._B[:upto], self._de[:upto]
-        s = self._e0 - e0
-        if s:
-            A, B, de = [v << s for v in A], [v << s for v in B], [v - s for v in de]
         x, y = (v << (k - e0) for v, k in zip(m, e))
-        return (y, [x - bn for bn in B], A, self._d[:upto], self._bits[:upto], de)
+        return _PointSteps(self, x, y, self._e0 - e0, min(upto, self.n))
 
 
-def _integer_chain(steps: tuple, chain: str) -> Tuple[List[int], List[int], List[int]]:
+class _PointSteps:
+    """Internal: the integer kernel's steps at one point, made as far as taken.
+
+    Step k reads entry k of five lists: the integers X and A for ``x -
+    b_k`` and ``a_{k-1}``, the odd mantissa d of ``a_k = d * 2**f``,
+    ``width + bits(d)`` and ``e0 - f``, where width is ``prec +
+    _GUARD_BITS``; ``Y`` is the integer for y and ``upto`` the number of
+    steps.  d and ``width + bits(d)`` are the coefficients' own lists, and
+    so are A and ``e0 - f`` where the point's parts go no lower than the
+    coefficients' (``shift`` 0).  X, and A and ``e0 - f`` shifted by
+    ``shift`` bits where they go lower, are made per point, and only
+    through the furthest step taken: the p and q rows of a point share one
+    store, so each is made once, when the first of the two reaches it.
+    """
+
+    __slots__ = ("upto", "Y", "X", "A", "d", "bits", "de", "_coeffs", "_x", "_shift")
+
+    def __init__(self, coeffs: _IntegerCoefficients, x: int, y: int, shift: int,
+                 upto: int):
+        self.upto, self.Y = upto, y
+        self._coeffs, self._x, self._shift = coeffs, x, shift
+        self.X: List[int] = []
+        self.A, self.de = ([], []) if shift else (coeffs._A, coeffs._de)
+        self.d, self.bits = coeffs._d, coeffs._bits
+
+    def take(self, lo: int, hi: int) -> Tuple[List[int], ...]:
+        """Steps lo..hi-1, for hi <= upto, as one slice of each list.
+
+        Made first where no earlier take has reached them.
+        """
+        made = len(self.X)
+        if hi > made:
+            c, x, s = self._coeffs, self._x, self._shift
+            if not s:
+                self.X += [x - v for v in c._B[made:hi]]
+            else:
+                self.X += [x - (v << s) for v in c._B[made:hi]]
+                self.A += [v << s for v in c._A[made:hi]]
+                self.de += [v - s for v in c._de[made:hi]]
+        return (self.X[lo:hi], self.A[lo:hi], self.d[lo:hi], self.bits[lo:hi],
+                self.de[lo:hi])
+
+
+def _integer_chain(steps: _PointSteps, chain: str) -> Tuple[List[int], List[int], List[int]]:
     """Lists Re, Im, e with v_n = (Re[n] + i Im[n]) * 2**e[n] for v = p or q, n = 0..upto.
 
     The whole chain: :func:`_chain_kernel` run through every step.
@@ -797,30 +867,31 @@ def _integer_chain(steps: tuple, chain: str) -> Tuple[List[int], List[int], List
     RE, IM, E = [], [], []
     kernel = _chain_kernel(steps, chain, RE, IM, E)
     next(kernel)
-    kernel.send(len(steps[1]))
+    kernel.send(steps.upto)
     return RE, IM, E
 
 
-def _chain_kernel(steps: tuple, chain: str, RE: List[int], IM: List[int],
+def _chain_kernel(steps: _PointSteps, chain: str, RE: List[int], IM: List[int],
                   E: List[int]):
     """The integer kernel of chain p or q, as a generator run as far as asked.
 
     ``next`` appends v_0 to RE, IM and E, and each ``send(k)`` then runs
     the next k steps, or those left, appending v_n = (RE[n] + i IM[n]) *
-    2**E[n] for each.  Each part has at most ``width + 2`` bits: a step
-    divides a numerator of ``width + bits(d)`` bits by ``d`` or by ``d``
-    shifted as far as the numerator falls short, so the rounded quotient is
-    at most ``2**(width + 1)`` in size.
+    2**E[n] for each; it takes them from ``steps`` as one slice per list
+    (:meth:`_PointSteps.take`).  Each part has at most ``width + 2`` bits:
+    a step divides a numerator of ``width + bits(d)`` bits by ``d`` or by
+    ``d`` shifted as far as the numerator falls short, so the rounded
+    quotient is at most ``2**(width + 1)`` in size.
     """
-    Y, *per_step = steps
-    todo = zip(*per_step)
+    Y, n = steps.Y, 0
     # v_{-1} = 0 for p and -1 for q, so the first step gives p_1 and q_1
     re, im, rep, imp, e = (1, 0, 0, 0, 0) if chain == "p" else (0, 0, -1, 0, 0)
     RE.append(re)
     IM.append(im)
     E.append(e)
     while True:
-        for X, A, d, bits, de in itertools.islice(todo, (yield)):
+        lo, n = n, min(n + (yield), steps.upto)
+        for X, A, d, bits, de in zip(*steps.take(lo, n)):
             nre = X * re - Y * im - A * rep
             nim = X * im + Y * re - A * imp
             nb, t = nre.bit_length(), nim.bit_length()
@@ -938,8 +1009,8 @@ class Evaluator:
     ``capacity`` tables (256 in standard precision, 16 in extended, where
     one table is far larger).  ``precision`` is "standard" (complex128) or
     "extended" (mpmath numbers at ``EXTENDED_DPS`` digits).  ``stats``
-    counts the tables it builds, its cache hits and its extended kernel
-    steps (:class:`EvalStats`).
+    counts its batches, the tables it builds, its cache hits and its
+    extended kernel steps (:class:`EvalStats`).
     """
 
     def __init__(self, source: JacobiCoefficients, policy: TruncationPolicy,
@@ -967,6 +1038,8 @@ class Evaluator:
         len(zs), upto+1), or an :class:`ExtendedRow`.
         """
         zs = np.asarray(zs, dtype=complex).reshape(-1)
+        self.stats.batches += 1
+        self.stats.batch_points += zs.size
         if self.precision == "standard":
             a, b = self.source.arrays(max(upto, 1))
             return _solve_block(a, b, zs, upto, chains)

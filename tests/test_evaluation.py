@@ -246,6 +246,17 @@ def _at_digits(v, dps=evaluation.EXTENDED_DPS):
     return isinstance(v, v.context.mpc) and v.context.dps == dps
 
 
+class _WholeSteps:
+    """Step lists made whole beforehand, read as the kernel reads a point's
+    ``evaluation._PointSteps``: ``Y``, ``upto`` and ``take(lo, hi)``."""
+
+    def __init__(self, Y, X, *lists):
+        self.Y, self.upto, self.lists = Y, len(X), (X,) + lists
+
+    def take(self, lo, hi):
+        return tuple(v[lo:hi] for v in self.lists)
+
+
 def _reference_steps(a, b, z, width):
     """The integer kernel's steps at z, split from scratch at the point.
 
@@ -261,8 +272,9 @@ def _reference_steps(a, b, z, width):
     ints = [v << k for v, k in zip(m.tolist(), (e - e0).tolist())]
     x, y, A, B = ints[0], ints[1], ints[2: n + 3], ints[n + 3:]
     d = m[3: n + 3].tolist()
-    return (y, [x - bn for bn in B], A, d, [width + v.bit_length() for v in d],
-            [e0 - f for f in e[3: n + 3].tolist()])
+    return _WholeSteps(y, [x - bn for bn in B], A, d,
+                       [width + v.bit_length() for v in d],
+                       [e0 - f for f in e[3: n + 3].tolist()])
 
 
 def _cum(tab, c):
@@ -579,9 +591,11 @@ class TestExtendedPrecision:
             for z in map(complex, zs):
                 got = coeffs.steps(z, upto)
                 want = _reference_steps(a, b, z, width)
+                assert got.upto == upto and len(got.X) == 0
                 for chain in "pq":
                     assert (evaluation._integer_chain(got, chain)
                             == evaluation._integer_chain(want, chain)), (upto, z, chain)
+                    assert len(got.X) == upto       # made once, for both chains
         assert coeffs is ev._coefficients(ev.level) and coeffs.n == ev.top + 40
 
     @settings(max_examples=40, deadline=None)
@@ -723,15 +737,13 @@ class TestLazyFields:
         nev(src, 0.3 + 0.4j, -1.1 + 0.2j, pol, precision)
         assert counts == []
         # eval_pq squares both chains through the end of the chunk that
-        # holds N: at most one doubling chunk past N + 1
+        # holds N: chunks double on standard rows and not on extended ones
+        growth = 2 if precision == "standard" else 1
         for z in (0.7 - 0.2j, 2.1 + 1.0j, 0j):
             counts.clear()
             N = eval_pq(src, z, pol, precision).N
-            lo, size = 0, evaluation._STOP_CHUNK
-            while lo + size <= N:
-                lo, size = lo + size, 2 * size
-            end = min(lo + size, L + 1)
-            assert end <= N + 1 + size
+            end = _stop_chunk_end(N, L, growth)
+            assert end <= (N + 1) * growth + evaluation._STOP_CHUNK
             assert sum(counts) == 2 * end, (z, N, counts)
         # a norm squares its chain through the level, once
         counts.clear()
@@ -763,11 +775,12 @@ class TestLazyFields:
         assert ev.table(z) is tab
 
 
-def _stop_chunk_end(N, L):
-    """End of the stop rule's doubling chunk that holds index N (at most L + 1)."""
+def _stop_chunk_end(N, L, growth):
+    """End of the stop rule's chunk that holds index N (at most L + 1), for
+    chunks ``growth`` times as long as the one before."""
     lo, size = 0, evaluation._STOP_CHUNK
     while lo + size <= N:
-        lo, size = lo + size, 2 * size
+        lo, size = lo + size, growth * size
     return min(lo + size, L + 1)
 
 
@@ -786,14 +799,17 @@ _ROW_READS = st.one_of(
 
 class TestLazyExtendedRows:
     @settings(max_examples=60, deadline=None)
-    @given(z=st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
-                       st.floats(0, 2.5), st.floats(0, 2 * math.pi)),
+    @given(z=st.one_of(
+               st.builds(lambda r, t: complex(r * math.cos(t), r * math.sin(t)),
+                         st.floats(0, 2.5), st.floats(0, 2 * math.pi)),
+               st.sampled_from([1e-300 + 0.5j, complex(2.0 ** -1074)])),
            source=st.sampled_from(["c=1.2", "c=2", "alternating_b"]),
            upto=st.integers(0, 300), reads=st.lists(_ROW_READS, max_size=10))
     def test_reads_in_any_order_are_the_whole_chain(self, z, source, upto, reads):
         # each read of a fresh row, whatever came before it on the p or the
         # q row of the point, is bitwise the same read of the whole chain's
-        # lists: list indexing and slicing, mpmath's rounding of each part
+        # lists: list indexing and slicing, mpmath's rounding of each part;
+        # the point's shared step lists run no further than its rows have
         from mpmath.libmp import from_man_exp, round_nearest
 
         dps = evaluation.EXTENDED_DPS
@@ -801,9 +817,12 @@ class TestLazyExtendedRows:
         coeffs = evaluation._IntegerCoefficients(a[:upto], b[:upto], dps)
         prec = coeffs.prec
         stats = evaluation.EvalStats()
-        rows = [chain[0] for chain in evaluation._mp_block(coeffs, [z], upto, "pq", stats)]
-        steps = coeffs.steps(z, upto)
-        eager = [evaluation._integer_chain(steps, chain) for chain in "pq"]
+        shared = coeffs.steps(z, upto)
+        rows = [evaluation.ExtendedRow.computed(shared, chain, prec, stats)
+                for chain in "pq"]
+        whole = coeffs.steps(z, upto)
+        eager = [evaluation._integer_chain(whole, chain) for chain in "pq"]
+        made = ("X", "A", "de") if whole.A is not coeffs._A else ("X",)
 
         def rounded(re, im, e):
             return (from_man_exp(re, e, prec, round_nearest),
@@ -835,6 +854,10 @@ class TestLazyExtendedRows:
             assert all(h == tuple(lists[: len(h[2])] for lists in e)
                        for h, e in zip(held, eager))
             assert stats.extended_steps == sum(len(h[2]) - 1 for h in held)
+            furthest = max(len(h[2]) for h in held) - 1
+            for name in made:
+                lists = getattr(shared, name), getattr(whole, name)
+                assert lists[0] == lists[1][:furthest], name
         assert [[v._mpc_ for v in row[:]] for row in rows] == [
             [rounded(*v) for v in zip(*lists)] for lists in eager]
         assert stats.extended_steps == 2 * upto
@@ -850,10 +873,10 @@ class TestLazyExtendedRows:
         ev = evaluator_for(src, pol, "extended")
         z = 0.7 - 0.2j
         N = eval_pq(src, z, pol, "extended").N
-        steps = 2 * (_stop_chunk_end(N, ev.level) - 1)
-        assert N < 200 and steps < 2 * ev.level
-        assert ev.stats == evaluation.EvalStats(tables_built=1, table_hits=0,
-                                                 extended_steps=steps)
+        steps = 2 * (_stop_chunk_end(N, ev.level, 1) - 1)
+        assert N < 200 and steps < 2 * (N + evaluation._STOP_CHUNK)
+        assert ev.stats == evaluation.EvalStats(batches=1, batch_points=1, tables_built=1,
+                                                 table_hits=0, extended_steps=steps)
         eval_pq(src, z, pol, "extended")
         assert ev.stats.extended_steps == steps and ev.stats.table_hits == 1
         # nev reads entries L and L + 1; a prefix through top reads the rest
@@ -869,9 +892,37 @@ class TestLazyExtendedRows:
         ev.tables([0.5j, 0.5j, z])
         assert (ev.stats.tables_built, ev.stats.table_hits) == (2, 9)
         assert ev.stats.extended_steps == 2 * ev.top
+        assert (ev.stats.batches, ev.stats.batch_points) == (2, 2)
         std = evaluator_for(src, pol)
         std.tables([0.5j, 0.5j])
-        assert std.stats == evaluation.EvalStats(tables_built=1, table_hits=1)
+        assert std.stats == evaluation.EvalStats(batches=1, batch_points=1,
+                                                 tables_built=1, table_hits=1)
+
+    @pytest.mark.parametrize("source", ["c=1.2", "c=2", "c=3", "alternating_b"])
+    def test_fresh_eval_pq_runs_one_chunk_past_its_stop(self, source):
+        # extended stop-rule chunks do not double: a fresh eval_pq runs at
+        # most _STOP_CHUNK - 1 steps per chain past its stop index, and its
+        # stop rule is bitwise the rule run over rows computed whole
+        src, pol = _source(source), TruncationPolicy(n_max=500)
+        zs = list(_disk_points(28, 10)[:10]) + [0j, 0.3 + 0.4j]
+        clear_evaluator_cache()
+        ev = evaluator_for(src, pol, "extended")
+        coeffs, converged = ev._coefficients(ev.top), []
+        for z in map(complex, zs):
+            before = ev.stats.extended_steps
+            pe = eval_pq(src, z, pol, "extended")
+            steps = ev.stats.extended_steps - before
+            assert 0 < steps <= 2 * min(pe.N + evaluation._STOP_CHUNK, ev.top), (z, pe.N)
+            point = coeffs.steps(z, ev.top)
+            eager = evaluation.PointTable(z, *[evaluation.ExtendedRow(
+                *evaluation._integer_chain(point, chain), coeffs.prec) for chain in "pq"],
+                pol)
+            assert (pe.N, pe.converged, pe.tail_est, pe.cum_p2, pe.cum_q2) == \
+                eager._stop_rule(), z
+            converged.append(pe.converged)
+        assert any(converged)
+        # at c = 1.2 the rule does not pass at 0.3 + 0.4i: every chunk is walked
+        assert converged[-1] == (source != "c=1.2")
 
     @pytest.mark.parametrize("source", ["c=1.2", "c=2", "alternating_b"])
     def test_reads_after_a_partial_eval_pq_are_a_fresh_tables(self, source):
@@ -958,6 +1009,23 @@ class TestTableCache:
         assert complex(zs[0]) not in ev._cache             # least recent went first
         again = ev.table(zs[0])
         assert again is not first and _same_table(again, first)
+
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    def test_batches_count_reader_calls_and_their_points(self, src, precision):
+        # every call of the one batch reader counts once, with the points it
+        # computed; cache hits and repeated points compute nothing more
+        ev = Evaluator(src, TruncationPolicy(n_max=20), precision)
+        ev.tables([0.5j, 1 + 1j, 0.5j])
+        ev.table(0.5j)
+        ev.pq_upto(1 + 1j, ev.top)
+        assert (ev.stats.batches, ev.stats.batch_points) == (1, 2)
+        ev.norms_p2([0.1j, 0.2j, 0.3j])
+        ev.pq_upto(0.5j, ev.top + 1)
+        line = nevanlinna_line(ev, "B")         # a table at v = 0
+        assert (ev.stats.batches, ev.stats.batch_points) == (4, 7)
+        line_values([line], [2j, 3j, 2j, -3j])  # a conjugate is one point
+        assert (ev.stats.batches, ev.stats.batch_points) == (5, 9)
+        assert (ev.stats.tables_built, ev.stats.table_hits) == (3, 3)
 
     def test_one_batch_larger_than_the_cache(self, src):
         ev = Evaluator(src, TruncationPolicy(n_max=20))
