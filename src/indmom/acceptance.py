@@ -20,8 +20,7 @@ from .debranges import diff_quotient_residual, resolvent_residual, xi_apply
 from .domains import (DEFAULT_MEMBERSHIP_TOL, membership_DT, membership_DTt,
                       p_vector, pair_coefficient, q_vector, residues,
                       resolvent_combination, second_basepoint)
-from .errors import (BasepointError, CoefficientFileError, CoefficientRangeError,
-                     IndmomError, NonConvergenceError, SpecStringError)
+from .errors import USAGE_ERRORS, IndmomError, NonConvergenceError
 from .evaluation import evaluator_for
 from .measures import (DiscreteMeasure, ExtensionParam, adjacent_zero_sign,
                        build_measure, stieltjes, support_function)
@@ -412,26 +411,23 @@ def _checks() -> List[tuple]:
     ]
 
 
-# Errors that end a run (the CLI's usage and non-convergence exits).
-_ENDS_RUN = (BasepointError, CoefficientFileError, CoefficientRangeError,
-             NonConvergenceError, SpecStringError)
-
-
 def run_acceptance(config: RunConfig,
                    only: Optional[List[str]] = None) -> List[CheckResult]:
     """Run the acceptance checks; the checks that take measures share one set.
 
-    A group that raises an IndmomError other than those of ``_ENDS_RUN``,
-    or takes the measures where building them raised one, gives one FAIL
-    row ``<group>_raised`` in place of its rows; the other groups still run.
+    The package's usage errors and NonConvergenceError end the run, as the
+    CLI's exits 2 and 3 do.  A group that raises any other IndmomError, or
+    takes the measures where building them raised one, gives one FAIL row
+    ``<group>_raised`` in place of its rows; the other groups still run.
     """
+    ends_run = USAGE_ERRORS + (NonConvergenceError,)
     checks = [(name, check, shared) for name, check, shared in _checks()
               if not only or name in only]
     measures = None
     if any(shared for _, _, shared in checks):
         try:
             measures = _measures_for(config)
-        except _ENDS_RUN:
+        except ends_run:
             raise
         except IndmomError as exc:
             measures = exc
@@ -441,7 +437,7 @@ def run_acceptance(config: RunConfig,
             if shared and isinstance(measures, IndmomError):
                 raise measures
             results.extend(check(config, measures) if shared else check(config))
-        except _ENDS_RUN:
+        except ends_run:
             raise
         except IndmomError as exc:
             results.append(CheckResult(f"{name}_raised", False, math.nan, math.nan,

@@ -22,8 +22,7 @@ from .config import (RunConfig, load_config_file, merge_settings,
 from .debranges import resolvent_residual, xi_apply
 from .domains import (DEFAULT_MEMBERSHIP_TOL, membership_DT, membership_DTt,
                       residues)
-from .errors import (BasepointError, CoefficientFileError,
-                     CoefficientRangeError, IndmomError, NonConvergenceError,
+from .errors import (USAGE_ERRORS, IndmomError, NonConvergenceError,
                      SpecStringError)
 from .evaluation import eval_pq, evaluator_for
 from .measures import (ExtensionParam, _require_off_support, build_measure,
@@ -266,18 +265,14 @@ def _cmd_xi(args, cfg: RunConfig) -> int:
             try:
                 entries.append(parse_complex(line))
             except ValueError as exc:
-                print(f"error: {args.vector_file}:{lineno}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
+                raise ValueError(f"{args.vector_file}:{lineno}: {exc}") from None
     if not entries:
-        print("error: empty vector file", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("empty vector file")
     c = SeqVector.from_entries(entries)
     z0 = parse_complex(args.z0) if args.z0 is not None else 1.0j
     pol = cfg.truncation
     if c.M > pol.n_max:     # the residues sum to n_max: a longer vector is not judged
-        print(f"error: the vector's top index {c.M} exceeds n_max = {pol.n_max}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"the vector's top index {c.M} exceeds n_max = {pol.n_max}")
 
     xi = xi_apply(cfg.problem, c, z0, pol)
     res = resolvent_residual(cfg.problem, c, z0, pol)
@@ -353,8 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(args, cfg)
-    except (ValueError, FileNotFoundError, SpecStringError, BasepointError,
-            CoefficientFileError, CoefficientRangeError) as exc:
+    except (ValueError, FileNotFoundError) + USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import configparser
 import hashlib
 import re
@@ -61,7 +62,8 @@ def parse_complex(text: str) -> complex:
     """Parse complex literals written as a+bi (i or j accepted).
 
     Whitespace may stand only at the ends and around a leading or joining
-    sign: "1 + 2i" and "- 2" parse, "1 2i" is malformed.
+    sign: "1 + 2i" and "- 2" parse, "1 2i" is malformed.  Both parts must
+    be finite: "nan", "inf" and "1e400" are refused.
     """
     s = _SIGN_SPACE.sub(r"\1", text.strip())
     if not s:
@@ -72,9 +74,12 @@ def parse_complex(text: str) -> complex:
     elif s.endswith(("+j", "-j")):
         s = s[:-1] + "1j"
     try:
-        return complex(s)
+        z = complex(s)
     except ValueError:
         raise ValueError(f"malformed complex literal {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"complex literal {text!r} is not finite")
+    return z
 
 
 def parse_window(text: str) -> Tuple[float, float]:

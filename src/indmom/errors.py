@@ -43,3 +43,9 @@ class SpecStringError(IndmomError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+# Faults in what a run is given: the CLI's usage errors (exit 2), beside
+# ValueError and FileNotFoundError.
+USAGE_ERRORS = (BasepointError, CoefficientFileError, CoefficientRangeError,
+                SpecStringError)

@@ -85,12 +85,14 @@ block or an :class:`ExtendedRow` per chain and point: point tables,
 rows, copied out of the block in standard precision and the two
 :class:`ExtendedRow` as they are in extended, and nothing else when it is
 built.  It squares only what a read needs: the A, B, C, D corner values
-read no square, the stop rule squares both chains chunk by chunk through
-the chunk that holds its first passing index (chunks double in standard
-precision and stay ``_STOP_CHUNK`` entries long in extended), and a norm
-squares one chain through the shared level.  An extended table computes
-only what a read needs too: its rows run the kernel through the corner
-entries for A, B, C, D, through the stop rule's last chunk for
+read no square, the stop rule squares both chains, and a norm squares
+one chain through the shared level (:func:`_level_sums`).  The stop rule
+takes complex128 rows, whole from the start, in one pass through the
+level (a fresh standard ``eval_pq`` at c = 2, L = 1000 takes about 0.14
+ms, ``BENCH_31.json``), and extended rows in ``_STOP_CHUNK``-entry chunks
+through the one that holds its first passing index.  An extended table
+computes only what a read needs too: its rows run the kernel through the
+corner entries for A, B, C, D, through the stop rule's last chunk for
 ``eval_pq``, at most ``_STOP_CHUNK - 1`` steps past its stop index, and
 through the level for a norm.  :attr:`Evaluator.stats` counts the batches
 read, the tables built, the cache hits and the extended kernel steps run.
@@ -135,8 +137,8 @@ EXTENDED_DPS = 32
 _GUARD_BITS = 24
 # Below this a scaled float can round twice; squared moduli there divide exactly.
 _NORMAL_EDGE = 2.0 ** -1021
-# Entries squared by the stop rule's first chunk; later chunks double on
-# complex128 rows and stay this long on extended ones (:func:`_summing`).
+# Entries per stop-rule chunk on extended rows, whose entries are computed as
+# read; complex128 rows take the rule in one pass (:meth:`PointTable._find_stop`).
 _STOP_CHUNK = 32
 _CHAINS = ("pq", "p", "q")
 # ztbsv(uplo, trans, diag, n, k, band, lda, x, incx) with 64-bit integers
@@ -224,12 +226,11 @@ class PointTable:
     EvaluationOverflowError.  Two are kept once read:
 
     - ``stop_index``, ``converged`` and ``tail_est`` run the policy's stop
-      rule over both chains in chunks from index 0 (the first
-      ``_STOP_CHUNK`` entries, then, on complex128 rows, twice as many,
-      ...; on extended rows every chunk is ``_STOP_CHUNK`` long),
-      carrying each chain's running sum from chunk to chunk, and stop at
-      the chunk that holds the first passing index, or at the shared
-      level;
+      rule over both chains from index 0: complex128 rows in one pass
+      through the shared level, extended rows in ``_STOP_CHUNK``-entry
+      chunks, carrying each chain's running sum from chunk to chunk, and
+      stopping at the chunk that holds the first passing index, or at the
+      shared level;
     - ``norm_p2`` and ``norm_q2`` sum one chain through the shared level.
     """
 
@@ -267,10 +268,7 @@ class PointTable:
     def _norm(self, c: int) -> float:
         """sum_{k<=level} |v_k|^2 for chain c (p or q), kept on first read."""
         if self._norms[c] is None:
-            rows = [(self.p, self.q)[c]]
-            with _summing(rows):
-                S = _running_sums(_squared_moduli(rows, 0, self.level + 1))
-            self._norms[c] = float(S[0, -1])
+            self._norms[c] = float(_level_sums([(self.p, self.q)[c]], self.level)[0])
         return self._norms[c]
 
     def _stop_rule(self) -> Tuple[int, bool, float, float, float]:
@@ -286,15 +284,17 @@ class PointTable:
         """
         if self._stop is None:
             rows = (self.p, self.q)
-            with _summing(rows) as growth:
-                self._stop = self._find_stop(rows, growth)
+            with _summing(rows):
+                self._stop = self._find_stop(rows)
         return self._stop
 
-    def _find_stop(self, rows, growth: int) -> Tuple[int, bool, float, float, float]:
-        """The stop rule over ``rows``, ``(p, q)``, chunk by chunk; each chunk
-        is ``growth`` times as long as the one before."""
+    def _find_stop(self, rows) -> Tuple[int, bool, float, float, float]:
+        """The stop rule over ``rows``, ``(p, q)``, chunk by chunk: one chunk
+        through the level for complex128 rows, ``_STOP_CHUNK`` entries each
+        for :class:`ExtendedRow`, whose entries are computed as read."""
         L, pol = self.level, self._policy
-        lo, size, carry = 0, _STOP_CHUNK, None
+        size = _STOP_CHUNK if isinstance(rows[0], ExtendedRow) else L + 1
+        lo, carry = 0, None
         while True:
             hi = min(lo + size, L + 1)
             S = _squared_moduli(rows, lo, hi)
@@ -310,7 +310,7 @@ class PointTable:
                 n = lo + k if ok[k] else L
                 return (n, bool(ok[k]), float(inc[n - lo]), float(cp[n - lo]),
                         float(cq[n - lo]))
-            lo, size, carry = hi, growth * size, S[:, -1]
+            lo, carry = hi, S[:, -1]
 
 
 class ExtendedRow:
@@ -501,27 +501,20 @@ def _finite_sum(total: float) -> None:
 def _summing(rows):
     """The numpy error state for squaring and summing entries of ``rows``.
 
-    Entered, it gives the factor by which the stop rule's chunks grow over
-    ``rows`` (:meth:`PointTable._find_stop`).  Extended squares and sums
-    can leave the float range, where the helpers above raise, so numpy's
-    overflow warning is off for them.  Complex128 squares are at most
-    2e300, so their sums stay finite short of some 10**8 entries, and
-    standard rows enter no error state.
+    Extended squares and sums can leave the float range, where the helpers
+    above raise, so numpy's overflow warning is off for them.  Complex128
+    squares are at most 2e300, so their sums stay finite short of some
+    10**8 entries, and standard rows enter no error state.
     """
     if len(rows) and isinstance(rows[0], ExtendedRow):
-        # An extended entry the rule reads costs two kernel steps, some
-        # microseconds, so chunks do not grow and a fresh table runs at most
-        # _STOP_CHUNK - 1 steps per chain past its stop index; a complex128
-        # square costs nanoseconds, so there fewer, doubling chunks win.
-        return _extended_summing()
-    return contextlib.nullcontext(2)
+        return np.errstate(over="ignore")
+    return contextlib.nullcontext()
 
 
-@contextlib.contextmanager
-def _extended_summing():
-    """:func:`_summing` of extended rows: overflow warnings off, chunk growth 1."""
-    with np.errstate(over="ignore"):
-        yield 1
+def _level_sums(rows, level: int) -> np.ndarray:
+    """sum_{k<=level} |v_k|^2 for each row of ``rows``, in index order."""
+    with _summing(rows):
+        return _running_sums(_squared_moduli(rows, 0, level + 1))[:, -1]
 
 
 Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
@@ -1102,8 +1095,7 @@ class Evaluator:
         no table is built.  Raises EvaluationOverflowError as the norm does.
         """
         (rows,) = self.rows(zs, self.level, "p")
-        with _summing(rows):
-            return _running_sums(_squared_moduli(rows, 0, self.level + 1))[:, -1]
+        return _level_sums(rows, self.level)
 
     # -- raw values beyond the shared level --------------------------------
 

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from indmom import (JacobiCoefficients, RootScanConfig, TruncationPolicy, acceptance,
-                    zeros)
+                    cli, errors, zeros)
 from indmom.cli import main
 from indmom.config import RunConfig, parse_complex
 from indmom.errors import InconclusiveMembershipError, NonConvergenceError
@@ -83,6 +84,24 @@ class TestComplexLiterals:
         code, _, err = run_cli(["--z0", "1 2i", "membership", "p(0.5)"], capsys)
         assert code == 2
         assert err.startswith("usage error:") and "'1 2i'" in err
+
+    @pytest.mark.parametrize("text", ["nan", "NaN", "nan+1i", "1-nani", "1e400",
+                                      "-1e400", "1+1e400i", "1e400i", "inf", "1+infi"])
+    def test_non_finite_parts_are_refused(self, text):
+        # "inf" reads as malformed: the i -> j rewrite garbles it
+        with pytest.raises(ValueError, match=re.escape(f"complex literal '{text}'")):
+            parse_complex(text)
+
+    @pytest.mark.parametrize("args", [
+        ["eval", "nan"], ["eval", "1e400"], ["eval", "0.5i", "nan+1i"],
+        ["membership", "p(nan)"], ["membership", "(1e400)*p(1)"],
+        ["--z0", "nan+1i", "membership", "p(1)"]])
+    def test_non_finite_literal_is_usage_error(self, args, capsys):
+        # each entry point of a literal: eval points, spec atoms and
+        # coefficients, --z0 (xi vector files: TestXi)
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and "is not finite" in err
 
 
 class TestMembership:
@@ -224,15 +243,29 @@ class TestXi:
         vf.write_text("1\nnot-a-number\n")
         code, _, err = run_cli(["xi", str(vf)], capsys)
         assert code == 2
-        assert ":2:" in err
+        assert err.startswith("usage error:") and ":2:" in err
 
     def test_entry_with_inner_space_is_usage_error(self, tmp_path, capsys):
         vf = tmp_path / "vec.txt"
         vf.write_text("1\n0.5 + 0.25i\n1 0\n")
         code, _, err = run_cli(["xi", str(vf)], capsys)
         assert code == 2
-        assert f"{vf}:3:" in err
+        assert err.startswith("usage error:") and f"{vf}:3:" in err
 
+    def test_non_finite_entry_is_usage_error(self, tmp_path, capsys):
+        vf = tmp_path / "vec.txt"
+        vf.write_text("1\n0.5+0.25i\nnan\n")
+        code, out, err = run_cli(["xi", str(vf)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and f"{vf}:3:" in err
+        assert "is not finite" in err
+
+    def test_empty_file_is_usage_error(self, tmp_path, capsys):
+        vf = tmp_path / "vec.txt"
+        vf.write_text("# no entries\n\n")
+        code, out, err = run_cli(["xi", str(vf)], capsys)
+        assert code == 2 and out == ""
+        assert err == "usage error: empty vector file\n"
 
     def test_vector_past_the_level_is_usage_error(self, tmp_path, capsys):
         # residues are summed to n_max, so a longer vector would get a
@@ -242,6 +275,7 @@ class TestXi:
         vf.write_text("".join(f"{(k % 7) - 3}+{(k % 5) / 4}i\n" for k in range(60)))
         code, _, err = run_cli(["--nmax", "20", "xi", str(vf)], capsys)
         assert code == 2
+        assert err.startswith("usage error:")
         assert "top index 59 exceeds n_max = 20" in err
         code, out, _ = run_cli(["--nmax", "59", "xi", str(vf)], capsys)
         assert code == 0
@@ -493,3 +527,55 @@ class TestVerify:
         assert code == 0
         assert "all_checks = PASS" in out
         assert "FAIL" not in err
+
+
+# Every package error and the exit README documents for it: 2 for a fault in
+# what the run is given, 3 for numeric non-convergence, 1 for any other.
+_DOCUMENTED_EXITS = {
+    errors.BasepointError: 2, errors.CoefficientFileError: 2,
+    errors.CoefficientRangeError: 2, errors.SpecStringError: 2,
+    errors.NonConvergenceError: 3, errors.IndmomError: 1,
+    errors.EvaluationOverflowError: 1, errors.InconclusiveMembershipError: 1,
+    errors.ZeroOnContourError: 1, errors.SupportPointError: 1}
+_EXIT_PREFIX = {1: "error: ", 2: "usage error: ", 3: "non-convergence: "}
+
+
+def _raised(error):
+    return error("raised", 0) if error is errors.SpecStringError else error("raised")
+
+
+class TestErrorExits:
+    def test_every_package_error_has_a_documented_exit(self):
+        assert set(_DOCUMENTED_EXITS) == {
+            v for v in vars(errors).values()
+            if isinstance(v, type) and issubclass(v, errors.IndmomError)}
+
+    @pytest.mark.parametrize("error", list(_DOCUMENTED_EXITS), ids=lambda e: e.__name__)
+    def test_main_maps_each_error_to_its_exit(self, error, monkeypatch, capsys):
+        def fail(args, cfg):
+            raise _raised(error)
+
+        monkeypatch.setattr(cli, "_cmd_eval", fail)
+        code, out, err = run_cli(["eval", "1"], capsys)
+        exit_code = _DOCUMENTED_EXITS[error]
+        assert (code, out) == (exit_code, "")
+        assert err.startswith(_EXIT_PREFIX[exit_code]), err
+
+    @pytest.mark.parametrize("error", list(_DOCUMENTED_EXITS), ids=lambda e: e.__name__)
+    def test_verify_reraises_exactly_the_errors_that_end_a_run(self, error,
+                                                               monkeypatch, capsys):
+        # any other error is one FAIL row, and verify exits 1 for it
+        def fail(config):
+            raise _raised(error)
+
+        monkeypatch.setattr(acceptance, "_checks", lambda: [("pick", fail, False)])
+        exit_code = _DOCUMENTED_EXITS[error]
+        if exit_code == 1:
+            (row,) = acceptance.run_acceptance(RunConfig())
+            assert row.name == "pick_raised" and not row.passed
+        else:
+            with pytest.raises(error):
+                acceptance.run_acceptance(RunConfig())
+        code, _, err = run_cli(["verify"], capsys)
+        assert code == exit_code
+        assert err.startswith(_EXIT_PREFIX[exit_code]) or exit_code == 1, err

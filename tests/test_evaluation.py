@@ -736,20 +736,49 @@ class TestLazyFields:
         ev = evaluator_for(src, pol, precision)
         nev(src, 0.3 + 0.4j, -1.1 + 0.2j, pol, precision)
         assert counts == []
-        # eval_pq squares both chains through the end of the chunk that
-        # holds N: chunks double on standard rows and not on extended ones
-        growth = 2 if precision == "standard" else 1
+        # eval_pq squares standard rows, whole when built, once each through
+        # the level, and extended rows through the end of the chunk that holds N
         for z in (0.7 - 0.2j, 2.1 + 1.0j, 0j):
             counts.clear()
             N = eval_pq(src, z, pol, precision).N
-            end = _stop_chunk_end(N, L, growth)
-            assert end <= (N + 1) * growth + evaluation._STOP_CHUNK
+            if precision == "standard":
+                assert counts == [L + 1, L + 1], (z, N)
+                continue
+            end = _stop_chunk_end(N, L)
+            assert end <= N + 1 + evaluation._STOP_CHUNK
             assert sum(counts) == 2 * end, (z, N, counts)
         # a norm squares its chain through the level, once
         counts.clear()
         tab = ev.table(-0.4 + 1.3j)
         assert tab.norm_p2 == tab.norm_p2
         assert counts == [L + 1]
+
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    def test_standard_reads_enter_no_error_state(self, src, precision, monkeypatch):
+        # complex128 squares and sums stay finite, so standard reads pay no
+        # numpy error-state switch; extended reads turn overflow warnings off
+        entered = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def errstate(self, **kwargs):
+                entered.append(kwargs)
+                return np.errstate(**kwargs)
+
+        pol = TruncationPolicy(n_max=200)
+        clear_evaluator_cache()
+        ev = evaluator_for(src, pol, precision)
+        monkeypatch.setattr(evaluation, "np", CountingNumpy())
+        eval_pq(src, 0.3 + 0.4j, pol, precision)
+        tab = ev.table(-0.4 + 1.3j)
+        assert tab.norm_p2 > 0 and tab.norm_q2 > 0
+        assert ev.norms_p2([0.5j, 1.5 + 0.2j]).shape == (2,)
+        if precision == "standard":
+            assert entered == []
+        else:
+            assert entered and all(kw == {"over": "ignore"} for kw in entered)
 
     def test_an_overflowing_table_raises_where_a_sum_is_read(self, src):
         # an extended table whose squared moduli leave the float range is
@@ -775,13 +804,9 @@ class TestLazyFields:
         assert ev.table(z) is tab
 
 
-def _stop_chunk_end(N, L, growth):
-    """End of the stop rule's chunk that holds index N (at most L + 1), for
-    chunks ``growth`` times as long as the one before."""
-    lo, size = 0, evaluation._STOP_CHUNK
-    while lo + size <= N:
-        lo, size = lo + size, growth * size
-    return min(lo + size, L + 1)
+def _stop_chunk_end(N, L):
+    """End of the extended stop rule's chunk that holds index N, at most L + 1."""
+    return min((N // evaluation._STOP_CHUNK + 1) * evaluation._STOP_CHUNK, L + 1)
 
 
 # One read of an extended row: (chain, kind, ...) with kind "int", "slice" or
@@ -873,7 +898,7 @@ class TestLazyExtendedRows:
         ev = evaluator_for(src, pol, "extended")
         z = 0.7 - 0.2j
         N = eval_pq(src, z, pol, "extended").N
-        steps = 2 * (_stop_chunk_end(N, ev.level, 1) - 1)
+        steps = 2 * (_stop_chunk_end(N, ev.level) - 1)
         assert N < 200 and steps < 2 * (N + evaluation._STOP_CHUNK)
         assert ev.stats == evaluation.EvalStats(batches=1, batch_points=1, tables_built=1,
                                                  table_hits=0, extended_steps=steps)
