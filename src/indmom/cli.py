@@ -229,7 +229,7 @@ def _cmd_zeros(args, cfg: RunConfig) -> int:
         raise ValueError(f"{name} needs --t")
     else:
         t = ExtensionParam.parse(args.t)
-        f = t.combine(*(nevanlinna_line(ev, n) for n in pair))
+        f = t.scaled_combine(*(nevanlinna_line(ev, n) for n in pair))
         name += f"@{t}"
 
     rep = _new_report("zeros", cfg)

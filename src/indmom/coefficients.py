@@ -11,6 +11,7 @@ the same values.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,9 +42,12 @@ class JacobiCoefficients:
 
     @classmethod
     def power_law(cls, exponent: float = 2.0) -> "JacobiCoefficients":
-        """Preset ``a_n = (n+1)**exponent, b_n = 0`` (indeterminate for exponent > 1)."""
-        if not float(exponent) > 1:
-            raise ValueError("power-law exponent must be a real > 1")
+        """Preset ``a_n = (n+1)**exponent, b_n = 0`` (indeterminate for exponent > 1).
+
+        The exponent must be a finite real > 1 (ValueError otherwise).
+        """
+        if not 1 < float(exponent) < math.inf:
+            raise ValueError("power-law exponent must be a finite real > 1")
         return cls(f"power_law(c={exponent:g})", *_read_only(np.empty((0, 2))),
                    exponent=float(exponent))
 
@@ -84,11 +88,19 @@ class JacobiCoefficients:
     # -- queries -----------------------------------------------------------
 
     def coeffs(self, n: int) -> Pair:
-        """Return ``(a_n, b_n)``; raises if n is beyond the declared range."""
+        """Return ``(a_n, b_n)``; raises if n is beyond the declared range.
+
+        A power-law a_n past the float range raises CoefficientRangeError.
+        """
         if n < 0:
             raise ValueError("coefficient index must be nonnegative")
         if self._exponent is not None:
-            return float(n + self._shift + 1) ** self._exponent, 0.0
+            try:
+                return float(n + self._shift + 1) ** self._exponent, 0.0
+            except OverflowError:
+                raise CoefficientRangeError(
+                    f"power-law coefficient a_{n} = {n + self._shift + 1}^"
+                    f"{self._exponent:g} exceeds the float range") from None
         a, b = self.arrays(n)
         return float(a[n]), float(b[n])
 

@@ -225,12 +225,17 @@ def membership_DTt(source: JacobiCoefficients, v: SeqVector, t: ExtensionParam,
     The extension domain adds one direction, spanned by the generator
     g_t = q_0 + t p_0 (p_0 at infinity): v belongs iff its residue pair is
     a complex multiple of the generator's, i.e. the 2x2 cross-determinant
-    of (alpha, beta) pairs vanishes.  Verified at two basepoints.
+    of (alpha, beta) pairs vanishes.  Verified at two basepoints.  That
+    residual does not depend on the generator's scale, so the generator is
+    taken scaled as :meth:`ExtensionParam.scaled_combine` scales it, which
+    keeps it finite for every finite t.
     """
     z0 = _require_upper(z0)
     ev = evaluator_for(source, policy)
     av = _applied(source, v)
-    ag = _applied(source, extension_generator(source, t, policy))
+    tab = ev.table(0.0)
+    ag = _applied(source, SeqVector(np.array(t.scaled_combine(tab.q, tab.p),
+                                             dtype=complex)))
     scaled = [_cross_residual(_residues(ev, av, bp), _residues(ev, ag, bp), av[2])
               for bp in (z0, second_basepoint(z0))]
     return _verdict(scaled, tol, f"DTt({t})")

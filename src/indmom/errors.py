@@ -6,7 +6,8 @@ class IndmomError(Exception):
 
 
 class CoefficientRangeError(IndmomError):
-    """Coefficient requested beyond the data of an explicit source."""
+    """Coefficient requested beyond a source's range: past the data of an
+    explicit source, or a power-law coefficient past the float range."""
 
 
 class CoefficientFileError(IndmomError):

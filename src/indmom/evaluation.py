@@ -22,8 +22,8 @@ Layout
 ------
 Every batch is read in one layout, a point-major block of shape
 ``(chains, points, upto+1)``: each chain at each point is one contiguous
-row.  The standard backend, :func:`_solve_block`, fills it with
-complex128 values.  Where numpy's bundled OpenBLAS provides BLAS
+row.  The standard backend, :func:`recurrence_batch`, returns it filled
+with complex128 values.  Where numpy's bundled OpenBLAS provides BLAS
 ``ztbsv``, each row is one lower triangular banded solve of the
 recurrence at unit stride.  Where ``ztbsv`` does not load, the fallback
 runs the recurrence in explicit real arithmetic, by a per-point loop on
@@ -31,8 +31,9 @@ Python floats for small batches and by the same operations as numpy
 ufuncs for large ones; the two loops are bitwise equal.  The ufunc loop
 computes one index for the whole batch at a time, so it fills
 chain-major scratch rows, contiguous across the batch, and copies them
-into the block once.  On either route a row depends only on its point,
-not on its batch; the two routes agree to roundoff.
+into the block once; no other layout is made.  On either route a row
+depends only on its point, not on its batch; the two routes agree to
+roundoff.
 The extended backend, :func:`_mp_block`, runs the same real-arithmetic
 recurrence one point at a time on Python integers: the points and
 coefficients are float64, so exact dyadic rationals, and each step keeps
@@ -96,9 +97,10 @@ corner entries for A, B, C, D, through the stop rule's last chunk for
 ``eval_pq``, at most ``_STOP_CHUNK - 1`` steps past its stop index, and
 through the level for a norm.  :attr:`Evaluator.stats` counts the batches
 read, the tables built, the cache hits and the extended kernel steps run.
-:func:`recurrence_batch` (chain-major tables, one transpose copy of the
-block) and :func:`recurrence_mp` (one point) serve ``bench/`` and the
-kernel tests only.
+:meth:`Evaluator.rows` looks :func:`recurrence_batch` up by its module
+name on every call, so a function bound in its place, as the traced
+bench binds one, sees every standard batch.  :func:`recurrence_mp` gives
+the whole extended rows at one point, one object array per chain.
 """
 
 from __future__ import annotations
@@ -452,7 +454,7 @@ def _squared_moduli(rows, lo: int, hi: int) -> np.ndarray:
     ``rows`` is a sequence of table rows, complex128 arrays or
     :class:`ExtendedRow`, or a 2-D complex128 block of them.  Complex128
     entries are squared by :func:`_abs_squares`; their parts are at most
-    ``_OVERFLOW_LIMIT`` (:func:`_solve_block`), so each square is finite.
+    ``_OVERFLOW_LIMIT`` (:func:`recurrence_batch`), so each square is finite.
     Extended entries are squared by :meth:`ExtendedRow.squares`, which
     builds no entry, and can leave the float range.
 
@@ -517,38 +519,17 @@ def _level_sums(rows, level: int) -> np.ndarray:
         return _running_sums(_squared_moduli(rows, 0, level + 1))[:, -1]
 
 
-Pair = Tuple[Optional[np.ndarray], Optional[np.ndarray]]
-
-
-def _pick(chains: str, tables) -> Pair:
-    """(P, Q) from the tables computed for ``chains``; None for the other."""
-    got = dict(zip(chains, tables))
-    return got.get("p"), got.get("q")
-
-
-def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray,
-                     upto: int, chains: str = "pq") -> Pair:
-    """p/q tables: shape (upto+1, len(zs)), complex128, C-contiguous.
-
-    ``chains`` ("pq", "p" or "q") selects the tables returned; the other is
-    None, and only the chains asked for are computed.  The tables are one
-    transpose copy of :func:`_solve_block`'s block, so column j is bitwise
-    that block's row for point j.
-
-    It stays for ``bench/``: ``bench/workloads.py`` times the kernel at
-    fixed batch sizes through it and ``bench/layers.py`` hooks it by name.
-    """
-    T = np.ascontiguousarray(_solve_block(a, b, zs, upto, chains).transpose(0, 2, 1))
-    return _pick(chains, T)
-
-
-def _solve_block(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
-                 chains: str) -> np.ndarray:
+def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
+                     chains: str = "pq") -> np.ndarray:
     """p/q values as a point-major block: shape (len(chains), len(zs), upto+1).
 
-    Row ``[c, j]`` is chain ``chains[c]`` at ``zs[j]``, contiguous,
-    complex128.  Where numpy's OpenBLAS provides BLAS ``ztbsv``, each row
-    is one lower banded triangular solve (:func:`_banded_solve`).
+    The standard kernel: every standard table, norm, line value and
+    ``pq_upto`` runs it, through :meth:`Evaluator.rows`.  Row ``[c, j]``
+    is chain ``chains[c]`` ("pq", "p" or "q") at ``zs[j]``, contiguous,
+    complex128, and only the chains asked for are computed; ``a`` and
+    ``b`` hold at least ``upto`` coefficients.  Where numpy's OpenBLAS
+    provides BLAS ``ztbsv``, each row is one lower banded triangular
+    solve (:func:`_banded_solve`).
     Otherwise the recurrence runs in explicit real arithmetic with the same
     IEEE operations in the same order, for example
     ``Re p_{n+1} = (xb*Re p_n + (-y)*Im p_n - a_{n-1}*Re p_{n-1}) / a_n``
@@ -697,19 +678,19 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
 
 
 def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
-                  chains: str = "pq") -> Pair:
-    """Extended-precision p/q arrays at one point, in the context at ``dps`` digits.
+                  chains: str = "pq") -> List[np.ndarray]:
+    """Extended-precision rows at one point, in the context at ``dps`` digits.
 
-    The entries of :func:`_mp_block` at the one point ``z``, object arrays
-    of complex numbers of :func:`_mp_context`.  ``chains`` works as in
-    :func:`recurrence_batch`.  It stays for ``bench/``, which times one
-    extended table through it and hooks it by name.
+    One object array of upto+1 complex numbers of :func:`_mp_context` per
+    chain of ``chains`` ("pq", "p" or "q"), in that order: the whole rows
+    of :func:`_mp_block` at the one point ``z``.  ``bench/`` times one
+    extended table through it.
 
     Raises EvaluationOverflowError if z or a coefficient is not finite.
     """
     rows = _mp_block(_IntegerCoefficients(a[:upto], b[:upto], dps), [complex(z)], upto,
                      chains)
-    return _pick(chains, [chain[0][:] for chain in rows])
+    return [chain[0][:] for chain in rows]
 
 
 def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int, chains: str,
@@ -1025,17 +1006,17 @@ class Evaluator:
         """The rows through index upto at each point: the one batch reader.
 
         The one place that chooses between the complex128 batch kernel
-        (:func:`_solve_block`) and the per-point integer kernel
-        (:func:`_mp_block`).  ``R[c][j]`` is chain ``chains[c]`` at
-        ``zs[j]``: a row of the complex128 block of shape (len(chains),
-        len(zs), upto+1), or an :class:`ExtendedRow`.
+        (:func:`recurrence_batch`, called by its module name) and the
+        per-point integer kernel (:func:`_mp_block`).  ``R[c][j]`` is chain
+        ``chains[c]`` at ``zs[j]``: a row of the complex128 block of shape
+        (len(chains), len(zs), upto+1), or an :class:`ExtendedRow`.
         """
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         self.stats.batches += 1
         self.stats.batch_points += zs.size
         if self.precision == "standard":
             a, b = self.source.arrays(max(upto, 1))
-            return _solve_block(a, b, zs, upto, chains)
+            return recurrence_batch(a, b, zs, upto, chains)
         return _mp_block(self._coefficients(upto), zs, upto, chains, self.stats)
 
     def _coefficients(self, upto: int) -> _IntegerCoefficients:
@@ -1070,7 +1051,7 @@ class Evaluator:
         only (see :class:`PointTable`).
 
         Raises EvaluationOverflowError if a standard value of a new table
-        is too large (:func:`_solve_block`) or a point is not finite.
+        is too large (:func:`recurrence_batch`) or a point is not finite.
         """
         keys = [complex(z) for z in zs]
         cache = self._cache

@@ -71,6 +71,22 @@ class ExtensionParam:
         """B + tD for finite t, D for infinity."""
         return d if self.is_infinite else b + self.t * d
 
+    def scaled_combine(self, b, d):
+        """B + tD scaled by a power of two that keeps it finite; D for infinity.
+
+        For |t| > 1, with ``t = m * 2**k`` from ``math.frexp`` (1/2 <= |m| <
+        1), it is ``2**-k * B + m * D``; for |t| <= 1 it is B + tD.  Both
+        terms are exact scalings of B and tD short of the subnormal range,
+        so the zero set, signs and winding counts of B + tD, and the
+        quotient of two such combinations, are bitwise those of the
+        unscaled ones wherever those are finite, and stay finite for every
+        finite t.
+        """
+        if self.is_infinite or abs(self.t) <= 1:
+            return self.combine(b, d)
+        m, k = math.frexp(self.t)
+        return math.ldexp(1.0, -k) * b + m * d
+
     def __str__(self):
         return "inf" if self.is_infinite else f"{self.t:.17g}"
 
@@ -113,8 +129,9 @@ class StieltjesResult:
 
 
 def support_function(ev: Evaluator, t: ExtensionParam) -> LineFunction:
-    """x -> (B + tD)(x) (D(x) for infinite t) at the shared level."""
-    return t.combine(nevanlinna_line(ev, "B"), nevanlinna_line(ev, "D"))
+    """x -> (B + tD)(x) (D(x) for infinite t) at the shared level, scaled
+    by a power of two for |t| > 1 (:meth:`ExtensionParam.scaled_combine`)."""
+    return t.scaled_combine(nevanlinna_line(ev, "B"), nevanlinna_line(ev, "D"))
 
 
 def nextremal_support(source: JacobiCoefficients, t: ExtensionParam,
@@ -221,7 +238,7 @@ def mobius(source: JacobiCoefficients, u, v, t,
     """
     q = nev(source, u, v, policy)
     if isinstance(t, ExtensionParam):
-        num, den = t.combine(q.A, q.C), t.combine(q.B, q.D)
+        num, den = t.scaled_combine(q.A, q.C), t.scaled_combine(q.B, q.D)
     else:
         t = complex(t)
         num, den = q.A + t * q.C, q.B + t * q.D

@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from indmom import (JacobiCoefficients, RootScanConfig, TruncationPolicy, acceptance,
-                    cli, errors, zeros)
+from indmom import (ExtensionParam, JacobiCoefficients, RootScanConfig,
+                    TruncationPolicy, acceptance, cli, errors, zeros)
 from indmom.cli import main
 from indmom.config import RunConfig, parse_complex
 from indmom.errors import InconclusiveMembershipError, NonConvergenceError
@@ -71,7 +71,8 @@ class TestSupport:
 
 class TestComplexLiterals:
     @pytest.mark.parametrize("text, value", [("1 + 2i", 1 + 2j), ("- 2", -2),
-                                             (" 0.5i ", 0.5j), ("1e-5 - i", 1e-5 - 1j)])
+                                             (" 0.5i ", 0.5j), ("1e-5 - i", 1e-5 - 1j),
+                                             ("i", 1j)])
     def test_space_around_a_sign(self, text, value):
         assert parse_complex(text) == value
 
@@ -102,6 +103,38 @@ class TestComplexLiterals:
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert err.startswith("usage error:") and "is not finite" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("args, message", [
+        (["membership", "w*p(1)+q(1)"], "w coefficient needs an '@t' extension suffix"),
+        (["membership", "p(1"], "unbalanced parenthesis (at position 1)"),
+        (["membership", "x(1)"], "expected coefficient or atom (at position 0)"),
+        (["membership", "2p(1)"], "expected '*' (at position 1)"),
+        (["--window", "5", "support"], "window must be lo:hi, got '5'"),
+        (["eval", ""], "empty complex literal"),
+        (["--c", "inf", "eval", "1"], "power-law exponent must be a finite real > 1"),
+        (["--c", "114", "eval", "1"],
+         "power-law coefficient a_505 = 506^114 exceeds the float range"),
+    ], ids=["w-without-t", "unbalanced", "no-atom", "no-star", "window", "empty-point",
+            "infinite-c", "c-past-the-float-range"])
+    def test_usage_error_names_its_fault(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {message}"), err
+
+    def test_largest_exponent_in_range_runs(self, capsys):
+        # 509**113 is about 7e305: every coefficient through n_max + 8 is finite
+        code, out, _ = run_cli(["--c", "113", "eval", "1"], capsys)
+        assert code == 0 and "problem=power_law(c=113)" in out
+
+    def test_out_file_gets_exactly_the_stdout_bytes(self, tmp_path, capsys):
+        code, want, _ = run_cli(["eval", "1"], capsys)
+        assert code == 0 and want
+        path = tmp_path / "report.txt"
+        code, out, err = run_cli(["--out", str(path), "eval", "1"], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert path.read_bytes() == want.encode()
 
 
 class TestMembership:
@@ -158,6 +191,29 @@ class TestMembership:
         code, _, err = run_cli(["membership", "p(1)+x(2)"], capsys)
         assert code == 2
         assert "position 5" in err
+
+
+class TestHugeT:
+    """B + tD, A + tC and the Moebius map stay finite at any finite t: a
+    numpy overflow warning raises here, as pytest turns it into an error."""
+
+    @pytest.mark.parametrize("args, line", [
+        (["--t", "1e300", "support"], "scan_warning = false"),
+        (["--t", "1e308", "zeros", "BtD"], "suspected_missed = false"),
+        (["--t", "-1e308", "zeros", "BtD"], "suspected_missed = false"),
+        (["--t", "1e308", "zeros", "AtC"], "suspected_missed = false"),
+        (["membership", "w*p(1+1i)+q(1+1i)@1e308"], "in_DTt(1e+308) = true"),
+    ], ids=["support", "BtD", "BtD-negative", "AtC", "membership"])
+    def test_huge_t_runs_without_overflow(self, args, line, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, err) == (0, "")
+        assert any(row.startswith(line) for row in out.splitlines()), out
+
+    @pytest.mark.parametrize("t", ["2", "-3.5", "1e250"])
+    def test_scaling_leaves_reports_byte_identical(self, t, monkeypatch, capsys):
+        scaled = run_cli(["--t", t, "support"], capsys)
+        monkeypatch.setattr(ExtensionParam, "scaled_combine", ExtensionParam.combine)
+        assert run_cli(["--t", t, "support"], capsys) == scaled
 
 
 class TestZeros:
@@ -375,14 +431,18 @@ class TestConfigFile:
         assert code == 2 and out == ""
         assert err.startswith(f"usage error: {cfg}:") and "c names" in err
 
-    @pytest.mark.parametrize("text, name", [("[truncation]\nnmax = 10\n", "nmax"),
-                                            ("[trunc]\nn_max = 10\n", "trunc")],
-                             ids=["key", "section"])
+    @pytest.mark.parametrize("text, name", [
+        ("[truncation]\nnmax = 10\n", "unknown key 'nmax' in [truncation]"),
+        ("[trunc]\nn_max = 10\n", "unknown section [trunc]"),
+        ("[DEFAULT]\nn_max = 10\n", "unknown section [DEFAULT]"),
+        ("[problem]\nkind = banana\n", "unknown problem kind 'banana'"),
+        ("[problem]\nc = inf\n", "power-law exponent must be a finite real > 1"),
+    ], ids=["key", "section", "default-section", "kind", "infinite-c"])
     def test_unknown_setting_is_usage_error(self, tmp_path, capsys, text, name):
         cfg = self._config(tmp_path, text)
-        code, _, err = run_cli(["--config", cfg, "eval", "1"], capsys)
-        assert code == 2
-        assert name in err
+        code, out, err = run_cli(["--config", cfg, "eval", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error:") and name in err
 
     def test_file_problem_with_c_flag_is_usage_error(self, tmp_path, capsys):
         coeffs = tmp_path / "c3.txt"

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,27 @@ class TestPowerLaw:
     def test_exponent_validation(self):
         with pytest.raises(ValueError):
             JacobiCoefficients.power_law(1.0)
+
+    @pytest.mark.parametrize("exponent", [0.5, -3.0, math.inf, -math.inf, math.nan])
+    def test_exponent_must_be_a_finite_real_above_one(self, exponent):
+        with pytest.raises(ValueError, match="finite real > 1"):
+            JacobiCoefficients.power_law(exponent)
+
+    @pytest.mark.parametrize("exponent,first", [(114.0, 505), (1e308, 1), (2.0, None)])
+    def test_coefficients_past_the_float_range_are_refused(self, exponent, first):
+        # 506**114 is about 1.9e308; 2**1e308 is past any float
+        src = JacobiCoefficients.power_law(exponent)
+        if first is None:
+            assert src.arrays(600)[0][-1] == 601.0 ** 2
+            return
+        assert np.isfinite(src.arrays(first - 1)[0]).all()
+        with pytest.raises(CoefficientRangeError,
+                           match=re.escape(f"a_{first} = {first + 1}^{exponent:g} exceeds")):
+            src.arrays(first)
+        with pytest.raises(CoefficientRangeError, match=rf"a_{first} "):
+            src.coeffs(first)
+        with pytest.raises(CoefficientRangeError, match=rf"a_{first - 1} "):
+            src.truncate_once().coeffs(first - 1)
 
     def test_deterministic(self, src):
         assert src.coeffs(17) == src.coeffs(17)

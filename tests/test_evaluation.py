@@ -304,20 +304,16 @@ class TestRecurrenceKernel:
                for j in range(len(zs))]
         for chains in ("pq", "p", "q"):
             empty = evaluation.recurrence_batch(a, b, zs[:0], upto, chains)
-            assert [T is None for T in empty] == ["pq"[k] not in chains for k in range(2)]
-            assert all(T.shape == (upto + 1, 0) for T in empty if T is not None)
+            assert empty.shape == (len(chains), 0, upto + 1)
             for size in (1, evaluation._SCALAR_BATCH, evaluation._SCALAR_BATCH + 1, 64):
                 for lo in range(0, len(zs), size):
-                    tabs = evaluation.recurrence_batch(a, b, zs[lo:lo + size], upto,
-                                                       chains)
-                    for k, T in enumerate(tabs):
-                        if "pq"[k] not in chains:
-                            assert T is None
-                            continue
-                        assert T.shape == (upto + 1, len(zs[lo:lo + size]))
-                        assert T.flags.c_contiguous
-                        for j in range(T.shape[1]):
-                            assert T[:, j].tobytes() == one[lo + j][k][:, 0].tobytes(), \
+                    R = evaluation.recurrence_batch(a, b, zs[lo:lo + size], upto, chains)
+                    assert R.shape == (len(chains), len(zs[lo:lo + size]), upto + 1)
+                    assert R.dtype == complex and R.flags.c_contiguous
+                    for c, chain in enumerate(chains):
+                        k = "pq".index(chain)
+                        for j in range(R.shape[1]):
+                            assert R[c, j].tobytes() == one[lo + j][k, 0].tobytes(), \
                                 (chains, size, lo + j)
 
     @pytest.mark.parametrize("source,backend", _backends("c=2", "c=3", "alternating_b"))
@@ -329,7 +325,7 @@ class TestRecurrenceKernel:
             P, Q = evaluation.recurrence_batch(a, b, zs, L)
             for j, z in enumerate(zs):
                 pm, qm = _mp_reference(a, b, z, L, 40)
-                for std, ref in ((P[:, j], pm), (Q[:, j], qm)):
+                for std, ref in ((P[j], pm), (Q[j], qm)):
                     ref = np.array([complex(v) for v in ref])
                     scale = np.max(np.abs(ref))
                     assert np.max(np.abs(std - ref)) <= 1e-14 * scale, (z, source, L)
@@ -339,9 +335,9 @@ class TestRecurrenceKernel:
         calls = _counting_ztbsv(monkeypatch)
         a, b = _source("c=2").arrays(200)
         zs = _disk_points(5, 14)                           # 20 points
-        tabs = evaluation.recurrence_batch(a, b, zs, 200, chains)
+        R = evaluation.recurrence_batch(a, b, zs, 200, chains)
         assert len(calls) == len(zs) * len(chains)
-        assert [T is None for T in tabs] == ["pq"[k] not in chains for k in range(2)]
+        assert R.shape == (len(chains), len(zs), 201)
 
     @pytest.mark.parametrize("chains", ["pq", "p"])
     def test_large_batches_are_banded(self, chains, monkeypatch):
@@ -357,13 +353,12 @@ class TestRecurrenceKernel:
                for j in range(npts)]
         monkeypatch.setattr(evaluation, "_ztbsv", lambda: None)
         loop = evaluation.recurrence_batch(a, b, zs, 120, chains)
-        for k, (T, U) in enumerate(zip(big, loop)):
-            assert (T is None) == (U is None)
-            if T is not None:
-                for j in range(npts):
-                    assert T[:, j].tobytes() == one[j][k][:, 0].tobytes(), j
-                scale = np.max(np.abs(T), axis=0)
-                assert (np.max(np.abs(U - T), axis=0) <= 1e-14 * scale).all()
+        assert big.shape == loop.shape == (len(chains), npts, 121)
+        for c, (T, U) in enumerate(zip(big, loop)):
+            for j in range(npts):
+                assert T[j].tobytes() == one[j][c, 0].tobytes(), j
+            scale = np.max(np.abs(T), axis=1)
+            assert (np.max(np.abs(U - T), axis=1) <= 1e-14 * scale).all()
 
     @pytest.mark.parametrize("dps", [32, 40])
     @pytest.mark.parametrize("source", ["c=2", "c=3", "alternating_b"])
@@ -398,11 +393,9 @@ class TestRecurrenceKernel:
         a, b = src.arrays(200)
         full = evaluation.recurrence_mp(a, b, 0.3 + 0.9j, 200, 32)
         one = evaluation.recurrence_mp(a, b, 0.3 + 0.9j, 200, 32, chains)
-        for k in range(2):
-            if "pq"[k] in chains:
-                assert list(one[k]) == list(full[k])
-            else:
-                assert one[k] is None
+        assert len(full) == 2 and len(one) == len(chains)
+        for row, chain in zip(one, chains):
+            assert list(row) == list(full["pq".index(chain)])
 
 
 class TestExtendedPrecision:
@@ -1138,13 +1131,13 @@ class TestTableCache:
 def _counting(monkeypatch):
     """Points of each standard kernel call, recorded."""
     calls = []
-    kernel = evaluation._solve_block
+    kernel = evaluation.recurrence_batch
 
     def counted(a, b, zs, upto, *rest):
         calls.append(len(zs))
         return kernel(a, b, zs, upto, *rest)
 
-    monkeypatch.setattr(evaluation, "_solve_block", counted)
+    monkeypatch.setattr(evaluation, "recurrence_batch", counted)
     return calls
 
 

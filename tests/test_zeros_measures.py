@@ -9,7 +9,7 @@ from scipy.linalg import eigh_tridiagonal
 from indmom import (DiscreteMeasure, ExtensionParam, JacobiCoefficients,
                     RootScanConfig, TruncationPolicy, adjacent_zero_sign,
                     build_measure, count_zeros_rect, evaluation,
-                    export_measure_csv, mass_at, moment, nev, nevanlinna_line,
+                    export_measure_csv, mass_at, mobius, moment, nev, nevanlinna_line,
                     nextremal_support, stieltjes, support_function,
                     t_for_point, zeros)
 from indmom.errors import (NonConvergenceError, SupportPointError,
@@ -221,16 +221,16 @@ class TestNodeSets:
     def test_values_compute_only_their_chain(self, level_ev, kind, monkeypatch):
         f = _line(level_ev, kind, ExtensionParam.finite(0.7))
         asked = []
-        kernel = evaluation._solve_block
+        kernel = evaluation.recurrence_batch
 
         def counted(a, b, zs, upto, chains, *rest):
             asked.append(chains)
             return kernel(a, b, zs, upto, chains, *rest)
 
-        monkeypatch.setattr(evaluation, "_solve_block", counted)
+        monkeypatch.setattr(evaluation, "recurrence_batch", counted)
         xs = np.array([0.3 + 0.2j, 1.0, -2.5])
         with_kind = f(xs)
-        monkeypatch.setattr(evaluation, "_solve_block", kernel)
+        monkeypatch.setattr(evaluation, "recurrence_batch", kernel)
         assert asked == [kind]
         assert with_kind.tobytes() == _corner_form(level_ev, [f], xs)[0].tobytes()
 
@@ -777,6 +777,35 @@ class TestSupports:
                            rtol=1e-7, atol=1e-12)
 
 
+    @pytest.mark.parametrize("t", [1e300, -1e300, 1e308, -1e308])
+    def test_huge_t_gives_the_measure_of_infinity(self, src, pol, measure_inf, t):
+        # B + tD is scaled by 2**-k, so it stays finite where tD alone is not
+        cfg = RootScanConfig(window=(-5.0, 5.0))
+        m = build_measure(src, ExtensionParam.finite(t), cfg, pol, n_check=6,
+                          auto_window=True)
+        assert not m.scan_warning and m.window == measure_inf.window
+        assert len(m.points) == len(measure_inf.points)
+        # relative to 1 at the node 0, which infinity's D sets exactly
+        scale = np.maximum(np.abs(measure_inf.points), 1.0)
+        assert (np.abs(m.points - measure_inf.points) <= 1e-12 * scale).all()
+        np.testing.assert_allclose(m.masses, measure_inf.masses, rtol=1e-12, atol=0)
+        ti = ExtensionParam.infinite()
+        for u in (0.3 + 0.5j, 2.0 + 0.1j):
+            assert mobius(src, u, 0.0, ExtensionParam.finite(t), pol) == \
+                pytest.approx(mobius(src, u, 0.0, ti, pol), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [2.0, -3.5, 1.5, 7.0, 1e250])
+    def test_scaled_support_function_keeps_the_nodes_bitwise(self, src, pol, t):
+        ev = evaluator_for(src, pol)
+        b, d = nevanlinna_line(ev, "B"), nevanlinna_line(ev, "D")
+        f, plain = support_function(ev, ExtensionParam.finite(t)), b + t * d
+        assert f.nodes().tobytes() == plain.nodes().tobytes()
+        xs = np.array([0.25, -3.0 + 0.5j, 7.5 - 1j])
+        assert (np.sign(f.real(xs.real)) == np.sign(plain.real(xs.real))).all()
+        k = np.frexp(t)[1]
+        assert (f(xs) * 2.0 ** k).tobytes() == plain(xs).tobytes()
+
+
 class TestTForPoint:
     def test_origin_gives_infinity(self, src, pol):
         assert t_for_point(src, 0.0, pol).is_infinite
@@ -1038,6 +1067,15 @@ class TestExtensionParam:
         t = ExtensionParam.finite(2.0)
         assert t.combine(1.0, 3.0) == 7.0
         assert ExtensionParam.infinite().combine(1.0, 3.0) == 3.0
+
+    @pytest.mark.parametrize("t, value", [(0.5, 2.5), (1.0, 4.0), (-1.0, -2.0),
+                                          (2.0, 1.75), (-3.5, -2.375)])
+    def test_scaled_combine(self, t, value):
+        # |t| > 1: 2**-k (B + tD) with t = m 2**k, 1/2 <= |m| < 1
+        assert ExtensionParam.finite(t).scaled_combine(1.0, 3.0) == value
+        assert ExtensionParam.infinite().scaled_combine(1.0, 3.0) == 3.0
+        huge = ExtensionParam.finite(1e308).scaled_combine(1.0, 3.0)
+        assert huge == 3.0 * np.frexp(1e308)[0]
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
