@@ -20,8 +20,8 @@ from .domains import (MembershipVerdict, Residues, ResolventCombination,
 from .evaluation import PolyEval, TruncationPolicy, eval_pq
 from .measures import (DiscreteMeasure, ExtensionParam, StieltjesResult,
                        adjacent_zero_sign, build_measure, export_measure_csv,
-                       mass_at, mobius, nextremal_support, stieltjes,
-                       support_function, t_for_point)
+                       mass_at, mobius, stieltjes, support_function,
+                       t_for_point)
 from .nevanlinna import (NevQuad, nev, nev_one, nev_partial,
                          partial_quad_arrays, reconstruct_two_var,
                          three_point_residual, tilde_relations_residual)
@@ -37,7 +37,7 @@ __all__ = [
     "RootScan", "RootScanConfig", "LineFunction", "nevanlinna_line",
     "count_zeros_rect",
     "ExtensionParam", "DiscreteMeasure", "StieltjesResult",
-    "support_function", "nextremal_support", "t_for_point", "mass_at",
+    "support_function", "t_for_point", "mass_at",
     "build_measure", "mobius", "stieltjes", "adjacent_zero_sign",
     "export_measure_csv",
     "Residues", "MembershipVerdict", "ResolventCombination",

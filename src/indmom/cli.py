@@ -222,14 +222,14 @@ def _cmd_zeros(args, cfg: RunConfig) -> int:
     ev = evaluator_for(cfg.problem, cfg.truncation, cfg.precision)
     L = ev.level
     name = args.function
-    pair = {"BtD": ("B", "D"), "AtC": ("A", "C")}.get(name)
-    if pair is None:
+    if name not in ("BtD", "AtC"):
         f = nevanlinna_line(ev, name)
     elif args.t is None:
         raise ValueError(f"{name} needs --t")
     else:
         t = ExtensionParam.parse(args.t)
-        f = t.scaled_combine(*(nevanlinna_line(ev, n) for n in pair))
+        f = support_function(ev, t) if name == "BtD" else \
+            t.combine(nevanlinna_line(ev, "A"), nevanlinna_line(ev, "C"))
         name += f"@{t}"
 
     rep = _new_report("zeros", cfg)

@@ -69,7 +69,12 @@ class MembershipVerdict:
 
 @dataclass(frozen=True)
 class ResolventCombination:
-    """Diagnostics for w p_lambda + q_lambda relative to one extension."""
+    """Diagnostics for w p_lambda + q_lambda relative to one extension.
+
+    ``c_coeff`` is the combination's coefficient along the
+    :func:`extension_generator` vector, so for |t| > 1 it is a power of two
+    times -1/(B(lambda) + t D(lambda)).
+    """
 
     w: complex
     verdict: MembershipVerdict
@@ -105,7 +110,11 @@ def q_vector(source: JacobiCoefficients, lam, policy: TruncationPolicy) -> SeqVe
 
 def extension_generator(source: JacobiCoefficients, t: ExtensionParam,
                         policy: TruncationPolicy) -> SeqVector:
-    """Generator of D(T_t) over the closure domain: q_0 + t p_0, or p_0 at infinity."""
+    """Generator of D(T_t) over the closure domain: q_0 + t p_0, or p_0 at infinity.
+
+    Formed by :meth:`ExtensionParam.combine`, so for |t| > 1 it is a power
+    of two times q_0 + t p_0 and finite for every finite t.
+    """
     tab = evaluator_for(source, policy).table(0.0)
     return SeqVector(np.array(t.combine(tab.q, tab.p), dtype=complex))
 
@@ -226,16 +235,13 @@ def membership_DTt(source: JacobiCoefficients, v: SeqVector, t: ExtensionParam,
     g_t = q_0 + t p_0 (p_0 at infinity): v belongs iff its residue pair is
     a complex multiple of the generator's, i.e. the 2x2 cross-determinant
     of (alpha, beta) pairs vanishes.  Verified at two basepoints.  That
-    residual does not depend on the generator's scale, so the generator is
-    taken scaled as :meth:`ExtensionParam.scaled_combine` scales it, which
-    keeps it finite for every finite t.
+    residual does not depend on the generator's scale, so the
+    :func:`extension_generator` vector serves for every finite t.
     """
     z0 = _require_upper(z0)
     ev = evaluator_for(source, policy)
     av = _applied(source, v)
-    tab = ev.table(0.0)
-    ag = _applied(source, SeqVector(np.array(t.scaled_combine(tab.q, tab.p),
-                                             dtype=complex)))
+    ag = _applied(source, extension_generator(source, t, policy))
     scaled = [_cross_residual(_residues(ev, av, bp), _residues(ev, ag, bp), av[2])
               for bp in (z0, second_basepoint(z0))]
     return _verdict(scaled, tol, f"DTt({t})")
@@ -253,7 +259,8 @@ def resolvent_combination(source: JacobiCoefficients, t: ExtensionParam,
     refused.  The combination lies in D(T_t) but not in the closure
     domain; its component along the generator g_t has coefficient
     c = -1/(B(lam) + t D(lam)) (or -1/D(lam) at infinity), so subtracting
-    c g_t must pass the closure-domain test.
+    c g_t must pass the closure-domain test.  Both c and g_t are formed by
+    :meth:`ExtensionParam.combine`, whose powers of two cancel in c g_t.
     """
     lam = complex(lam)
     _require_off_support(measure.points, lam)

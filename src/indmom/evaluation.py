@@ -156,6 +156,10 @@ class TruncationPolicy:
         level used by all cross-point formulas).
     tail_tol: target relative size of the last increment.
     safety: multiplier on the empirical tail estimate.
+
+    ``n_max`` must be at least 8, ``tail_tol`` finite and positive and
+    ``safety`` finite and at least 1; the constructor raises ValueError
+    otherwise.
     """
 
     n_max: int = 500
@@ -165,10 +169,11 @@ class TruncationPolicy:
     def __post_init__(self):
         if self.n_max < 8:
             raise ValueError("n_max must be at least 8")
-        if not self.tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-        if not self.safety >= 1:
-            raise ValueError("safety must be >= 1")
+        if not (math.isfinite(self.tail_tol) and self.tail_tol > 0):
+            raise ValueError("tail_tol must be finite and positive, "
+                             f"got {self.tail_tol}")
+        if not (math.isfinite(self.safety) and self.safety >= 1):
+            raise ValueError(f"safety must be finite and >= 1, got {self.safety}")
 
 
 @dataclass(frozen=True)

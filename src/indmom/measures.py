@@ -24,11 +24,11 @@ from .errors import IndmomError, NonConvergenceError, SupportPointError
 from .evaluation import Evaluator, TruncationPolicy, evaluator_for
 from .nevanlinna import nev, nev_one
 from .sequences import moment
-from .zeros import LineFunction, RootScan, RootScanConfig, nevanlinna_line
+from .zeros import LineFunction, RootScanConfig, nevanlinna_line
 
 __all__ = [
     "ExtensionParam", "DiscreteMeasure", "StieltjesResult",
-    "support_function", "nextremal_support", "t_for_point", "mass_at",
+    "support_function", "t_for_point", "mass_at",
     "build_measure", "mobius", "stieltjes", "adjacent_zero_sign",
     "export_measure_csv",
 ]
@@ -68,22 +68,20 @@ class ExtensionParam:
         return self.t is None
 
     def combine(self, b, d):
-        """B + tD for finite t, D for infinity."""
-        return d if self.is_infinite else b + self.t * d
+        """B + tD, scaled by a power of two that keeps it finite; D for infinity.
 
-    def scaled_combine(self, b, d):
-        """B + tD scaled by a power of two that keeps it finite; D for infinity.
-
-        For |t| > 1, with ``t = m * 2**k`` from ``math.frexp`` (1/2 <= |m| <
-        1), it is ``2**-k * B + m * D``; for |t| <= 1 it is B + tD.  Both
+        For |t| <= 1 it is B + tD.  For |t| > 1, with ``t = m * 2**k`` from
+        ``math.frexp`` (1/2 <= |m| < 1), it is ``2**-k * B + m * D``.  Both
         terms are exact scalings of B and tD short of the subnormal range,
         so the zero set, signs and winding counts of B + tD, and the
         quotient of two such combinations, are bitwise those of the
         unscaled ones wherever those are finite, and stay finite for every
         finite t.
         """
-        if self.is_infinite or abs(self.t) <= 1:
-            return self.combine(b, d)
+        if self.is_infinite:
+            return d
+        if abs(self.t) <= 1:
+            return b + self.t * d
         m, k = math.frexp(self.t)
         return math.ldexp(1.0, -k) * b + m * d
 
@@ -130,17 +128,8 @@ class StieltjesResult:
 
 def support_function(ev: Evaluator, t: ExtensionParam) -> LineFunction:
     """x -> (B + tD)(x) (D(x) for infinite t) at the shared level, scaled
-    by a power of two for |t| > 1 (:meth:`ExtensionParam.scaled_combine`)."""
-    return t.scaled_combine(nevanlinna_line(ev, "B"), nevanlinna_line(ev, "D"))
-
-
-def nextremal_support(source: JacobiCoefficients, t: ExtensionParam,
-                      cfg: RootScanConfig, policy: TruncationPolicy,
-                      precision: str = "standard",
-                      verify_count: bool = True) -> RootScan:
-    """Real zeros of B + tD (D for infinity) inside the window."""
-    ev = evaluator_for(source, policy, precision)
-    return support_function(ev, t).zeros(cfg, verify_count)
+    by a power of two for |t| > 1 (:meth:`ExtensionParam.combine`)."""
+    return t.combine(nevanlinna_line(ev, "B"), nevanlinna_line(ev, "D"))
 
 
 def t_for_point(source: JacobiCoefficients, x0: float,
@@ -238,7 +227,7 @@ def mobius(source: JacobiCoefficients, u, v, t,
     """
     q = nev(source, u, v, policy)
     if isinstance(t, ExtensionParam):
-        num, den = t.scaled_combine(q.A, q.C), t.scaled_combine(q.B, q.D)
+        num, den = t.combine(q.A, q.C), t.combine(q.B, q.D)
     else:
         t = complex(t)
         num, den = q.A + t * q.C, q.B + t * q.D

@@ -109,7 +109,8 @@ class LineFunction:
     set to v exactly.  ``g`` and ``off`` must be real (a complex entry with
     a nonzero imaginary part raises ValueError), so f(conj z) = conj f(z).
     Sums of such functions and real multiples of one are again such
-    functions, so ``t.combine(B, D)`` is B + tD.
+    functions, so ``t.combine(B, D)`` is B + tD or, for |t| > 1, a power
+    of two times it.
     """
 
     def __init__(self, ev: Evaluator, kind: str, g: np.ndarray, off,
@@ -207,16 +208,16 @@ class LineFunction:
             nodes[np.argmin(np.abs(nodes - self.v))] = self.v
         return nodes
 
-    def zeros(self, cfg: RootScanConfig, verify_count: bool = True) -> RootScan:
+    def zeros(self, cfg: RootScanConfig) -> RootScan:
         """The nodes inside ``cfg.window``, each verified.
 
         A node must show a sign change across x +- refine_tol at the
         evaluator's own precision.  A node that does not is bisected inside
         the bracket reaching halfway to its neighbours; if that bracket has
-        no sign change either, the warning is set.  With ``verify_count``
-        (standard precision) the node count is cross-checked against the
-        winding number over the window strip, whose sides cross the axis
-        midway between nodes.
+        no sign change either, the warning is set.  In standard precision
+        the node count is cross-checked against the winding number over the
+        window strip, whose sides cross the axis midway between nodes; a
+        zero on that contour sets the warning and leaves no count.
         """
         nodes = self.nodes()
         lo, hi = cfg.window
@@ -224,7 +225,7 @@ class LineFunction:
         zeros, ok = self._verified(nodes, inside, cfg.refine_tol)
         warning = not ok
         contour_count = None
-        if verify_count and self.ev.precision == "standard":
+        if self.ev.precision == "standard":
             reach = 0.5 * (hi - lo)
             xlo = _crossing(nodes, lo, reach, "left")
             xhi = _crossing(nodes, hi, reach, "right")

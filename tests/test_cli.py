@@ -116,8 +116,10 @@ class TestUsageErrors:
         (["--c", "inf", "eval", "1"], "power-law exponent must be a finite real > 1"),
         (["--c", "114", "eval", "1"],
          "power-law coefficient a_505 = 506^114 exceeds the float range"),
+        (["--tail-tol", "inf", "eval", "1"],
+         "tail_tol must be finite and positive, got inf"),
     ], ids=["w-without-t", "unbalanced", "no-atom", "no-star", "window", "empty-point",
-            "infinite-c", "c-past-the-float-range"])
+            "infinite-c", "c-past-the-float-range", "infinite-tail-tol"])
     def test_usage_error_names_its_fault(self, args, message, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
@@ -193,6 +195,11 @@ class TestMembership:
         assert "position 5" in err
 
 
+def _unscaled_combine(self, b, d):
+    """B + tD with no power-of-two scaling, D for infinity."""
+    return d if self.is_infinite else b + self.t * d
+
+
 class TestHugeT:
     """B + tD, A + tC and the Moebius map stay finite at any finite t: a
     numpy overflow warning raises here, as pytest turns it into an error."""
@@ -212,7 +219,7 @@ class TestHugeT:
     @pytest.mark.parametrize("t", ["2", "-3.5", "1e250"])
     def test_scaling_leaves_reports_byte_identical(self, t, monkeypatch, capsys):
         scaled = run_cli(["--t", t, "support"], capsys)
-        monkeypatch.setattr(ExtensionParam, "scaled_combine", ExtensionParam.combine)
+        monkeypatch.setattr(ExtensionParam, "combine", _unscaled_combine)
         assert run_cli(["--t", t, "support"], capsys) == scaled
 
 
@@ -437,7 +444,11 @@ class TestConfigFile:
         ("[DEFAULT]\nn_max = 10\n", "unknown section [DEFAULT]"),
         ("[problem]\nkind = banana\n", "unknown problem kind 'banana'"),
         ("[problem]\nc = inf\n", "power-law exponent must be a finite real > 1"),
-    ], ids=["key", "section", "default-section", "kind", "infinite-c"])
+        ("[truncation]\ntail_tol = 1e400\n",
+         "tail_tol must be finite and positive, got inf"),
+        ("[truncation]\nsafety = inf\n", "safety must be finite and >= 1, got inf"),
+    ], ids=["key", "section", "default-section", "kind", "infinite-c",
+            "infinite-tail-tol", "infinite-safety"])
     def test_unknown_setting_is_usage_error(self, tmp_path, capsys, text, name):
         cfg = self._config(tmp_path, text)
         code, out, err = run_cli(["--config", cfg, "eval", "1"], capsys)

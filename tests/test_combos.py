@@ -61,6 +61,8 @@ class TestErrors:
         ("w*p(1)$", "unexpected"),
         ("w p(1)", "followed by"),
         ("p(1 2)", "malformed complex literal"),
+        ("p(1)-w*q(1)@0", "signed w coefficients are not supported"),
+        ("2*x(1)", "expected atom"),
     ])
     def test_malformed(self, bad, pos_hint):
         with pytest.raises(SpecStringError, match=pos_hint):

@@ -8,6 +8,7 @@ from indmom import (ExtensionParam, F_eval, G_eval, RootScanConfig,
                     coeff_matrix, diff_quotient_residual, kernel,
                     membership_DT, nev, p_vector, resolvent_residual,
                     xi_apply)
+from indmom.errors import NonConvergenceError
 from indmom.evaluation import evaluator_for
 from indmom.sequences import apply_jacobi
 
@@ -47,6 +48,10 @@ class TestKernel:
         u, v = 1.4 - 0.7j, -0.2 + 0.9j
         q = nev(src, u, v, pol)
         assert abs(q.D - (u - v) * kernel(src, u, v, pol)) < 1e-10
+
+    def test_unmet_tail_target_raises(self, src):
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            kernel(src, 0.5, 1j, TruncationPolicy(tail_tol=1e-30))
 
     def test_reproducing_over_measure(self, src, pol):
         m = build_measure(src, ExtensionParam.finite(0.0),

@@ -1,13 +1,17 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
-from indmom import (ExtensionParam, RootScanConfig, SeqVector,
+from indmom import (ExtensionParam, JacobiCoefficients, RootScanConfig,
+                    SeqVector, TruncationPolicy,
                     build_measure, extension_generator, membership_DT,
                     membership_DTt, nev, nev_one, nevanlinna_line,
                     p_vector, pair_coefficient, q_vector, residues,
                     resolvent_combination, s_r_coefficients, xi_apply)
 from indmom.domains import second_basepoint
-from indmom.errors import BasepointError
+from indmom.errors import BasepointError, InconclusiveMembershipError
 from indmom.evaluation import evaluator_for
 
 Z0 = 1j
@@ -146,6 +150,12 @@ class TestMembershipDT:
         for z0 in (Z0, 0.5 + 1.5j, 2j):
             assert membership_DT(src, vec, z0, TOL, pol).in_domain
 
+    def test_tolerance_between_the_basepoints_is_inconclusive(self, src, pol):
+        # p_0.7's scaled residuals read 0.2247 at 1j and 0.0791 at 1 + 2j
+        vec = p_vector(src, 0.7, pol)
+        with pytest.raises(InconclusiveMembershipError, match="inconclusive"):
+            membership_DT(src, vec, Z0, 0.1, pol)
+
     @pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf])
     def test_tolerance_must_be_finite_and_positive(self, src, pol, tol):
         vec = SeqVector(np.ones(5, dtype=complex))
@@ -223,6 +233,17 @@ class TestMembershipDTt:
         gen = extension_generator(src, t, pol)
         assert membership_DTt(src, gen, t, Z0, TOL, pol).in_domain
 
+    def test_generator_of_a_huge_t_is_finite_and_belongs(self, pol):
+        # with b_0 = 3, q_0 + t p_0 itself overflows at t = 1e308
+        src = JacobiCoefficients.explicit(
+            [(1.0, 3.0)] + [((n + 1.0) ** 2, 0.0) for n in range(1, 600)])
+        t = ExtensionParam.finite(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gen = extension_generator(src, t, pol)
+            assert np.isfinite(gen.entries).all()
+            assert membership_DTt(src, gen, t, Z0, TOL, pol).in_domain
+
 
 class TestResolventCombination:
     def test_full_chain(self, src, pol, measure_t1):
@@ -234,6 +255,34 @@ class TestResolventCombination:
         assert rc.decomposition.residual < TOL
         A, B, C, D = nev_one(src, 1 + 1j, pol)
         assert rc.c_coeff == pytest.approx(-1.0 / (B + D), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_huge_t_decomposes(self, src, pol, t):
+        tt = ExtensionParam.finite(t)
+        mu = build_measure(src, tt, RootScanConfig(window=(-5.0, 5.0)), pol,
+                           auto_window=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = resolvent_combination(src, tt, 1 + 1j, mu, pol)
+        assert rc.verdict.in_domain and not rc.not_in_closure.in_domain
+        assert rc.decomposition.in_domain
+
+    @pytest.mark.parametrize("t", [2.0, -3.5, 1e5, 1e300])
+    def test_scaling_leaves_the_decomposition_bitwise(self, src, pol, measure_t1, t):
+        # the remainder against one built from c = -1/(B + tD) and
+        # q_0 + t p_0 unscaled: the powers of two cancel in c g_t
+        rc = resolvent_combination(src, ExtensionParam.finite(t), 1 + 1j,
+                                   measure_t1, pol)
+        _, B, _, D = nev_one(src, 1 + 1j, pol)
+        c = -1.0 / (B + t * D)
+        tab = evaluator_for(src, pol).table(0.0)
+        gen = np.array(tab.q + t * tab.p, dtype=complex)
+        combo = (rc.w * p_vector(src, 1 + 1j, pol).entries
+                 + q_vector(src, 1 + 1j, pol).entries)
+        plain = membership_DT(src, SeqVector(combo - c * gen), Z0, TOL, pol)
+        assert rc.c_coeff == math.ldexp(1.0, math.frexp(t)[1]) * c
+        assert rc.decomposition.residual == plain.residual
+        assert rc.decomposition.in_domain
 
     def test_w_uniqueness(self, src, pol, measure_t1):
         t1 = ExtensionParam.finite(1.0)

@@ -207,6 +207,11 @@ class TestErrors:
             TruncationPolicy(tail_tol=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(safety=0.5)
+        for bad in (math.inf, math.nan, 1e400):
+            with pytest.raises(ValueError, match="tail_tol must be finite"):
+                TruncationPolicy(tail_tol=bad)
+            with pytest.raises(ValueError, match="safety must be finite"):
+                TruncationPolicy(safety=bad)
 
 
 def _source(name):

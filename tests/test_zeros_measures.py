@@ -10,9 +10,8 @@ from indmom import (DiscreteMeasure, ExtensionParam, JacobiCoefficients,
                     RootScanConfig, TruncationPolicy, adjacent_zero_sign,
                     build_measure, count_zeros_rect, evaluation,
                     export_measure_csv, mass_at, mobius, moment, nev, nevanlinna_line,
-                    nextremal_support, stieltjes, support_function,
-                    t_for_point, zeros)
-from indmom.errors import (NonConvergenceError, SupportPointError,
+                    stieltjes, support_function, t_for_point, zeros)
+from indmom.errors import (IndmomError, NonConvergenceError, SupportPointError,
                            ZeroOnContourError)
 from indmom.evaluation import Evaluator, evaluator_for
 from indmom.nevanlinna import SERIES_FORMS
@@ -36,21 +35,22 @@ def measure_inf(src, pol):
 class TestRealZeros:
     def test_d_vanishes_at_origin(self, src, pol):
         cfg = RootScanConfig(window=(-2.0, 2.0))
-        scan = nextremal_support(src, ExtensionParam.infinite(), cfg, pol)
+        scan = support_function(evaluator_for(src, pol),
+                                ExtensionParam.infinite()).zeros(cfg)
         assert np.min(np.abs(scan.zeros)) < 1e-9
 
     def test_d_zero_set_symmetric(self, src, pol):
         cfg = RootScanConfig(window=(-30.0, 30.0))
-        z = nextremal_support(src, ExtensionParam.infinite(), cfg, pol).zeros
+        z = support_function(evaluator_for(src, pol),
+                             ExtensionParam.infinite()).zeros(cfg).zeros
         assert np.max(np.abs(np.sort(z) + np.sort(-z)[::-1])) < 1e-9
 
     def test_extended_precision_scan_matches_standard(self, src):
         pol = TruncationPolicy(n_max=64)
         cfg = RootScanConfig(window=(-4.0, 4.0))
-        std = nextremal_support(src, ExtensionParam.infinite(), cfg, pol,
-                                precision="standard", verify_count=False)
-        ext = nextremal_support(src, ExtensionParam.infinite(), cfg, pol,
-                                precision="extended", verify_count=False)
+        std, ext = (support_function(evaluator_for(src, pol, precision),
+                                     ExtensionParam.infinite()).zeros(cfg)
+                    for precision in ("standard", "extended"))
         assert len(std.zeros) == len(ext.zeros)
         assert np.max(np.abs(std.zeros - ext.zeros)) < 1e-9
 
@@ -80,8 +80,8 @@ class TestRealZeros:
 
         pol = TruncationPolicy(n_max=120)
         cfg = RootScanConfig(window=(-6.0, 6.0))
-        scan = nextremal_support(src, ExtensionParam.finite(0.0), cfg, pol,
-                                 verify_count=False)
+        scan = support_function(evaluator_for(src, pol),
+                                ExtensionParam.finite(0.0)).zeros(cfg)
 
         L = pol.n_max
         with mp.workdps(30):
@@ -194,13 +194,28 @@ class TestNodeSets:
         assert np.max(np.abs(scan.zeros - exact)) < 2 * cfg.refine_tol
         spurious = np.sort(np.append(nodes, 0.5 * (exact[0] + exact[1])))
         monkeypatch.setattr(f, "nodes", lambda: spurious)
-        assert f.zeros(cfg, verify_count=False).warning
+        with monkeypatch.context() as m:
+            # a count that agrees with the nodes: the sign checks alone flag it
+            m.setattr(zeros, "count_zeros_rect", lambda *a, **k: len(exact) + 1)
+            assert f.zeros(cfg).warning
         # a missed zero passes every sign check; only the winding count sees it
         missing = np.delete(nodes, np.searchsorted(nodes, exact[0]))
         monkeypatch.setattr(f, "nodes", lambda: missing)
-        assert not f.zeros(cfg, verify_count=False).warning
+        with monkeypatch.context() as m:
+            m.setattr(zeros, "count_zeros_rect", lambda *a, **k: len(exact) - 1)
+            assert not f.zeros(cfg).warning
         scan = f.zeros(cfg)
         assert scan.warning and scan.contour_count == len(exact)
+
+    def test_zero_on_the_contour_sets_the_warning(self, src, pol, monkeypatch):
+        def on_contour(*args, **kwargs):
+            raise ZeroOnContourError("zero on the contour")
+
+        monkeypatch.setattr(zeros, "count_zeros_rect", on_contour)
+        f = nevanlinna_line(evaluator_for(src, pol), "D")
+        scan = f.zeros(RootScanConfig(window=(-5.0, 5.0)))
+        assert scan.warning and scan.contour_count is None
+        assert len(scan.zeros) > 0
 
     def test_one_eigensolve_per_line_function(self, src, pol, monkeypatch):
         solves = []
@@ -747,14 +762,15 @@ class TestSupports:
 
     def test_disjoint_supports(self, src, pol):
         cfg = RootScanConfig(window=(-30.0, 30.0))
-        s0 = nextremal_support(src, ExtensionParam.finite(0.0), cfg, pol).zeros
-        s1 = nextremal_support(src, ExtensionParam.finite(1.0), cfg, pol).zeros
+        s0, s1 = (support_function(evaluator_for(src, pol),
+                                   ExtensionParam.finite(t)).zeros(cfg).zeros
+                  for t in (0.0, 1.0))
         assert np.min(np.abs(s0[:, None] - s1[None, :])) > 10 * cfg.refine_tol
 
     def test_interlacing_with_infinite(self, src, pol):
         cfg = RootScanConfig(window=(-30.0, 30.0))
-        s0 = nextremal_support(src, ExtensionParam.finite(0.0), cfg, pol).zeros
-        si = nextremal_support(src, ExtensionParam.infinite(), cfg, pol).zeros
+        s0, si = (support_function(evaluator_for(src, pol), t).zeros(cfg).zeros
+                  for t in (ExtensionParam.finite(0.0), ExtensionParam.infinite()))
         merged = sorted([(x, 0) for x in s0] + [(x, 1) for x in si])
         labels = [lab for _, lab in merged]
         assert all(labels[i] != labels[i + 1] for i in range(len(labels) - 1))
@@ -818,8 +834,8 @@ class TestTForPoint:
 
     def test_b_zero_gives_zero(self, src, pol):
         cfg = RootScanConfig(window=(0.5, 4.0))
-        x0 = nextremal_support(src, ExtensionParam.finite(0.0), cfg, pol,
-                               verify_count=False).zeros[0]
+        x0 = support_function(evaluator_for(src, pol),
+                              ExtensionParam.finite(0.0)).zeros(cfg).zeros[0]
         t = t_for_point(src, float(x0), pol)
         assert not t.is_infinite
         assert abs(t.t) < 1e-8
@@ -1042,6 +1058,10 @@ class TestAdjacentZeroSign:
         u, _ = adjacent_zero_sign(src, v, "D", pol)
         assert u == pytest.approx(pts[k - 1], abs=1e-7)
 
+    def test_no_zero_below_v_raises(self, src):
+        with pytest.raises(IndmomError, match="no zero below v"):
+            adjacent_zero_sign(src, -1e6, "D", TruncationPolicy(n_max=8))
+
 
 class TestExport:
     def test_csv_and_sidecar(self, measure_t1, tmp_path):
@@ -1063,18 +1083,13 @@ class TestExtensionParam:
         assert ExtensionParam.parse("inf").is_infinite
         assert ExtensionParam.parse("-2.5").t == -2.5
 
-    def test_combine(self):
-        t = ExtensionParam.finite(2.0)
-        assert t.combine(1.0, 3.0) == 7.0
-        assert ExtensionParam.infinite().combine(1.0, 3.0) == 3.0
-
     @pytest.mark.parametrize("t, value", [(0.5, 2.5), (1.0, 4.0), (-1.0, -2.0),
                                           (2.0, 1.75), (-3.5, -2.375)])
-    def test_scaled_combine(self, t, value):
+    def test_combine(self, t, value):
         # |t| > 1: 2**-k (B + tD) with t = m 2**k, 1/2 <= |m| < 1
-        assert ExtensionParam.finite(t).scaled_combine(1.0, 3.0) == value
-        assert ExtensionParam.infinite().scaled_combine(1.0, 3.0) == 3.0
-        huge = ExtensionParam.finite(1e308).scaled_combine(1.0, 3.0)
+        assert ExtensionParam.finite(t).combine(1.0, 3.0) == value
+        assert ExtensionParam.infinite().combine(1.0, 3.0) == 3.0
+        huge = ExtensionParam.finite(1e308).combine(1.0, 3.0)
         assert huge == 3.0 * np.frexp(1e308)[0]
 
     def test_rejects_nan(self):
