@@ -37,8 +37,8 @@ __all__ = ["CheckResult", "run_acceptance"]
 class CheckResult:
     """One check's verdict; ``precision`` is the precision it computed at.
 
-    Only checks 01 and 05 compute at ``config.precision``; the others run
-    in standard precision (06a, 07 and 10 read the measures of check 05).
+    Only check 01 computes at ``config.precision``; the others run in
+    standard precision.
     """
 
     name: str
@@ -149,8 +149,7 @@ def _measures_for(config: RunConfig) -> Dict[str, DiscreteMeasure]:
                      ("inf", ExtensionParam.infinite())):
         out[label] = build_measure(config.problem, t, config.scan,
                                    config.truncation,
-                                   n_check=6, auto_window=True,
-                                   precision=config.precision)
+                                   n_check=6, auto_window=True)
     return out
 
 
@@ -162,7 +161,7 @@ def _check_measures(config: RunConfig,
         results.append(CheckResult(
             f"05_moment_reconstruction_t={label}", worst < 1e-6, worst, 1e-6,
             f"window={m.window[0]:g}:{m.window[1]:g}, "
-            f"{len(m.points)} points, n<=6", config.precision))
+            f"{len(m.points)} points, n<=6"))
     return results
 
 

@@ -57,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--t", default=None, help="extension parameter (real or 'inf')")
     ap.add_argument("--z0", default=None, help="deficiency basepoint a+bi")
     ap.add_argument("--seed", type=int, default=None, help="report seed")
-    ap.add_argument("--precision", choices=("standard", "extended"), default=None)
+    ap.add_argument("--precision", choices=("standard", "extended"), default=None,
+                    help="precision of point values: the eval command and "
+                         "verify's check 01 (default standard)")
     ap.add_argument("--out", default=None, help="output path ('-' for stdout)")
     ap.add_argument("--format", choices=("csv", "text"), default=None)
 
@@ -155,8 +157,7 @@ def _cmd_support(args, cfg: RunConfig) -> int:
     t = ExtensionParam.parse(args.t if args.t is not None else "0")
     measure = build_measure(cfg.problem, t, cfg.scan, cfg.truncation,
                             n_check=args.n_check,
-                            auto_window=not args.no_auto_window,
-                            precision=cfg.precision)
+                            auto_window=not args.no_auto_window)
     if cfg.format == "csv" and cfg.out not in (None, "-"):
         export_measure_csv(measure, cfg.out)
         return EXIT_OK
@@ -219,7 +220,7 @@ def _cmd_membership(args, cfg: RunConfig) -> int:
 
 
 def _cmd_zeros(args, cfg: RunConfig) -> int:
-    ev = evaluator_for(cfg.problem, cfg.truncation, cfg.precision)
+    ev = evaluator_for(cfg.problem, cfg.truncation)
     L = ev.level
     name = args.function
     if name not in ("BtD", "AtC"):
@@ -294,7 +295,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
 
     results = run_acceptance(cfg)
     rep = _new_report("verify", cfg)
-    if cfg.precision != "standard":     # the header's precision reaches only these
+    if cfg.precision != "standard":     # only check 01 computes at it
         rep.add(f"{cfg.precision}_precision_checks",
                 " ".join(r.name for r in results if r.precision == cfg.precision))
     all_pass = True

@@ -150,10 +150,10 @@ def t_for_point(source: JacobiCoefficients, x0: float,
     return ExtensionParam.finite(float((-B / D).real))
 
 
-def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
-            precision: str = "standard") -> float:
+def mass_at(source: JacobiCoefficients, x: float,
+            policy: TruncationPolicy) -> float:
     """Mass 1 / sum_{k<=L} p_k(x)^2 of the N-extremal measure through x."""
-    tab = evaluator_for(source, policy, precision).table(x)
+    tab = evaluator_for(source, policy).table(x)
     if not tab.converged:
         raise NonConvergenceError(
             f"norm series at x={x} did not converge within n_max={policy.n_max}")
@@ -162,8 +162,7 @@ def mass_at(source: JacobiCoefficients, x: float, policy: TruncationPolicy,
 
 def build_measure(source: JacobiCoefficients, t: ExtensionParam,
                   cfg: RootScanConfig, policy: TruncationPolicy,
-                  n_check: int = 6, auto_window: bool = False,
-                  precision: str = "standard") -> DiscreteMeasure:
+                  n_check: int = 6, auto_window: bool = False) -> DiscreteMeasure:
     """Construct the window-restricted N-extremal measure for t.
 
     With ``auto_window`` the window, symmetrized, doubles outward from
@@ -177,7 +176,7 @@ def build_measure(source: JacobiCoefficients, t: ExtensionParam,
     """
     if n_check < 0:
         raise ValueError(f"n_check must be at least 0, got {n_check}")
-    ev = evaluator_for(source, policy, precision)
+    ev = evaluator_for(source, policy)
     f = support_function(ev, t)
     window = cfg.window
 

@@ -108,6 +108,8 @@ class LineFunction:
     from :func:`nevanlinna_line` has; with ``off = 0`` the node nearest v is
     set to v exactly.  ``g`` and ``off`` must be real (a complex entry with
     a nonzero imaginary part raises ValueError), so f(conj z) = conj f(z).
+    Line functions are float64: ``g`` and ``off`` are kept as floats, and
+    an extended-precision evaluator raises ValueError.
     Sums of such functions and real multiples of one are again such
     functions, so ``t.combine(B, D)`` is B + tD or, for |t| > 1, a power
     of two times it.
@@ -119,9 +121,13 @@ class LineFunction:
             raise ValueError("kind must be 'p' or 'q'")
         if len(g) != 2:
             raise ValueError("g must be the corner pair (g_L, g_{L+1})")
-        if not (_is_real(g) and _is_real(off)):
+        if ev.precision != "standard":
+            raise ValueError("line functions are float64 only; got a "
+                             f"{ev.precision}-precision evaluator")
+        if np.any(np.imag(g)) or np.imag(off):
             raise ValueError("g and off must be real")
-        self.ev, self.kind, self.g, self.off, self.v = ev, kind, g, off, float(v)
+        self.ev, self.kind, self.v = ev, kind, float(v)
+        self.g, self.off = np.real(g).astype(float), float(np.real(off))
         self._nodes: Optional[np.ndarray] = None
 
     def __add__(self, other: "LineFunction") -> "LineFunction":
@@ -134,7 +140,7 @@ class LineFunction:
         return LineFunction(self.ev, self.kind, s * self.g, s * self.off, self.v)
 
     def __call__(self, zs) -> np.ndarray:
-        """Values at real or complex points, at the evaluator's precision."""
+        """Values at real or complex points, as complex128."""
         return line_values([self], zs)[0]
 
     def real(self, xs) -> np.ndarray:
@@ -189,7 +195,7 @@ class LineFunction:
         first = 0 if self.kind == "p" else 1
         diag = np.array(ev.b[first: L + 1], dtype=float)
         with np.errstate(divide="ignore", over="ignore"):
-            diag[-1] += ev.a[L] * (np.float64(g_next.real) / np.float64(g_L.real))
+            diag[-1] += ev.a[L] * (g_next / g_L)
         # an infinite corner sends one zero to infinity: drop its row and column
         n = len(diag) if np.isfinite(diag[-1]) else len(diag) - 1
         return diag[:n], np.array(ev.a[first: first + n - 1], dtype=float)
@@ -211,13 +217,12 @@ class LineFunction:
     def zeros(self, cfg: RootScanConfig) -> RootScan:
         """The nodes inside ``cfg.window``, each verified.
 
-        A node must show a sign change across x +- refine_tol at the
-        evaluator's own precision.  A node that does not is bisected inside
-        the bracket reaching halfway to its neighbours; if that bracket has
-        no sign change either, the warning is set.  In standard precision
-        the node count is cross-checked against the winding number over the
-        window strip, whose sides cross the axis midway between nodes; a
-        zero on that contour sets the warning and leaves no count.
+        A node must show a sign change across x +- refine_tol.  A node that
+        does not is bisected inside the bracket reaching halfway to its
+        neighbours; if that bracket has no sign change either, the warning
+        is set.  The node count is cross-checked against the winding number
+        over the window strip, whose sides cross the axis midway between
+        nodes; a zero on that contour sets the warning and leaves no count.
         """
         nodes = self.nodes()
         lo, hi = cfg.window
@@ -225,17 +230,16 @@ class LineFunction:
         zeros, ok = self._verified(nodes, inside, cfg.refine_tol)
         warning = not ok
         contour_count = None
-        if self.ev.precision == "standard":
-            reach = 0.5 * (hi - lo)
-            xlo = _crossing(nodes, lo, reach, "left")
-            xhi = _crossing(nodes, hi, reach, "right")
-            height = max(1.0, 0.01 * (hi - lo))
-            try:
-                contour_count = count_zeros_rect(
-                    self, (xlo, xhi, -height, height), samples_per_side=256)
-                warning = warning or contour_count != len(zeros)
-            except ZeroOnContourError:
-                warning = True
+        reach = 0.5 * (hi - lo)
+        xlo = _crossing(nodes, lo, reach, "left")
+        xhi = _crossing(nodes, hi, reach, "right")
+        height = max(1.0, 0.01 * (hi - lo))
+        try:
+            contour_count = count_zeros_rect(
+                self, (xlo, xhi, -height, height), samples_per_side=256)
+            warning = warning or contour_count != len(zeros)
+        except ZeroOnContourError:
+            warning = True
         return RootScan(zeros=zeros, warning=warning, contour_count=contour_count)
 
     def _verified(self, nodes: np.ndarray, inside: np.ndarray,
@@ -264,14 +268,6 @@ class LineFunction:
     def _sign(self, xs: np.ndarray) -> np.ndarray:
         # signs, not products of values: those overflow for large |t|
         return np.sign(self.real(xs))
-
-
-def _is_real(x) -> bool:
-    """No entry of x has a nonzero imaginary part (mpmath entries included)."""
-    x = np.asarray(x)
-    if x.dtype == object:  # np.imag reads 0 for every object entry
-        return all(v.imag == 0 for v in x.flat)
-    return not np.any(np.imag(x))
 
 
 def _dsterf():
@@ -393,10 +389,10 @@ def _crossing(nodes: np.ndarray, edge: float, reach: float, side: str) -> float:
 
 
 def nevanlinna_line(ev: Evaluator, name: str, v: float = 0.0) -> LineFunction:
-    """u -> A, B, C or D(u, v) at the shared level, for real v."""
+    """u -> A, B, C or D(u, v) at the shared level, for real v (float64 only)."""
     kind, anchor, off = SERIES_FORMS[name]
     g = getattr(ev.table(complex(v)), anchor)[ev.level: ev.level + 2]
-    return LineFunction(ev, kind, g.copy(), off, v)
+    return LineFunction(ev, kind, g, off, v)
 
 
 def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
@@ -409,8 +405,7 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     Their coefficients are real, so f(conj z) = conj f(z): each point is
     evaluated once, at the member of its conjugate pair with Im >= 0 (-0.0
     taken as +0.0), and a point below the axis gets the conjugate of that
-    value.  Values are combined at the evaluator's precision and returned
-    as complex128.
+    value.  Values are complex128.
     """
     ev, kind = fs[0].ev, fs[0].kind
     if any((f.ev, f.kind) != (ev, kind) for f in fs):
@@ -421,13 +416,8 @@ def line_values(fs: Sequence[LineFunction], zs) -> np.ndarray:
     pts, back = np.unique(upper, return_inverse=True)
     L = ev.level
     (rows,) = ev.rows(pts, L + 1, kind)
-    if ev.precision == "standard":
-        T_L, T_next = rows[:, L:].T.copy()
-    else:
-        T_L, T_next = (np.array([row[k] for row in rows], dtype=object)
-                       for k in (L, L + 1))
-    vals = np.array([ev.a[L] * (T_next * f.g[0] - T_L * f.g[1]) for f in fs],
-                    dtype=complex)
+    T_L, T_next = rows[:, L:].T.copy()
+    vals = np.array([ev.a[L] * (T_next * f.g[0] - T_L * f.g[1]) for f in fs])
     vals = vals[:, back.reshape(-1)]
     return np.where(zs.imag < 0, vals.conj(), vals)
 

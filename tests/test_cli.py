@@ -223,6 +223,26 @@ class TestHugeT:
         assert run_cli(["--t", t, "support"], capsys) == scaled
 
 
+def _body(out):
+    """A report's lines that are not its ``#`` header."""
+    return [line for line in out.splitlines() if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("t", ["0", "1", "inf"])
+@pytest.mark.parametrize("c", ["1.2", "2"])
+def test_precision_leaves_support_and_zeros_reports_alone(c, t, capsys):
+    # measures and zero scans are float64 whatever --precision says, so the
+    # two commands, which read the same B + tD, print the same nodes
+    for command in (["support"], ["zeros", "BtD"]):
+        args = ["--c", c, "--t", t, *command]
+        code, std, _ = run_cli(args, capsys)
+        assert code == 0
+        code, ext, _ = run_cli(["--precision", "extended", *args], capsys)
+        assert code == 0
+        assert "precision=extended" in ext
+        assert _body(ext) == _body(std)
+
+
 class TestZeros:
     def test_scan_d(self, capsys):
         code, out, _ = run_cli(
@@ -548,14 +568,12 @@ class TestVerify:
         assert not [m for m in imported if m.split(".")[0] == "scipy"]
 
     def test_extended_report_names_the_checks_at_its_precision(self, capsys):
-        # the header reads precision=extended, but only 01 and 05 compute there
+        # the header reads precision=extended, but only 01 computes there
         code, out, _ = run_cli(["--precision", "extended", "--nmax", "120", "verify"],
                                capsys)
         assert code == 0
         rows = [line for line in out.splitlines() if not line.startswith("#")]
-        assert rows[0] == ("extended_precision_checks = 01_determinant_identity "
-                           + " ".join(f"05_moment_reconstruction_t={t}"
-                                      for t in ("0", "1", "inf")))
+        assert rows[0] == "extended_precision_checks = 01_determinant_identity"
         assert all("precision" not in row for row in rows[1:])
         _, out, _ = run_cli(["--nmax", "120", "verify"], capsys)
         assert "precision_checks" not in out
