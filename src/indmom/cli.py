@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 import numpy as np
@@ -125,7 +126,14 @@ def _emit(report: Report, cfg: RunConfig) -> None:
             report.write(fh, cfg.format)
 
 
+# the commands that read --precision; the others compute in float64, so
+# their header and hash name the standard precision whatever the flag says
+_PRECISION_COMMANDS = ("eval", "verify")
+
+
 def _new_report(title: str, cfg: RunConfig) -> Report:
+    if title not in _PRECISION_COMMANDS:
+        cfg = replace(cfg, precision="standard")
     return Report(title, cfg.describe(), cfg.config_hash(), cfg.seed)
 
 

@@ -8,14 +8,16 @@ are computed from banded inner products:
     alpha = <(J - conj(z0)) v, p_{z0}> / (2i Im(z0) ||p_{z0}||^2)
     beta  = <(J - z0) v, p_{conj(z0)}> / (-2i Im(z0) ||p_{z0}||^2)
 
-with sums truncated at the shared evaluation level L.  Genuinely finite
-vectors (top index below L) get complete sums, which telescope to exactly
-zero: the finitely supported space sits inside the domain.  Truncations of
-the square-summable eigen-sequences p/q are built with top index L + 8 so
-the recurrence boundary terms fall outside the truncated sums and the
-computed coefficients match the two-variable Nevanlinna formulas.
-Membership is decided by residues being below tolerance at two distinct
-basepoints.
+with sums truncated at the shared evaluation level L.  Each is taken as
+two inner products with p, ``<J v, p> - conj(z0) <v, p>`` and its
+companion (``np.vdot`` and ``np.dot``), so no weighted vector is built.
+Genuinely finite vectors (top index below L) get complete sums, which
+telescope to exactly zero: the finitely supported space sits inside the
+domain.  Truncations of the square-summable eigen-sequences p/q are built
+with top index L + 8 so the recurrence boundary terms fall outside the
+truncated sums and the computed coefficients match the two-variable
+Nevanlinna formulas.  Membership is decided by residues being below
+tolerance at two distinct basepoints.
 """
 
 from __future__ import annotations
@@ -143,13 +145,12 @@ def _residues(ev: Evaluator, applied: Tuple[np.ndarray, np.ndarray, float],
     jv, vv, p = jv[:cut], vv[:cut], tab.p[:cut]
 
     denom = 2j * z0.imag * tab.norm_p2
-    w_plus = jv - np.conj(z0) * vv
-    alpha = np.sum(w_plus * np.conj(p)) / denom    # p_n(conj z0) = conj p_n(z0)
-    w_minus = jv - z0 * vv
-    beta = np.sum(w_minus * p) / (-denom)
+    # p_n(conj z0) = conj p_n(z0); np.vdot conjugates its first argument
+    alpha = (np.vdot(p, jv).item() - z0.conjugate() * np.vdot(p, vv).item()) / denom
+    beta = (np.dot(p, jv).item() - z0 * np.dot(p, vv).item()) / (-denom)
     # + 0j turns a -0 part (a zero sum over -denom) into +0; any other
     # part keeps its bits
-    return Residues(z0=z0, alpha=complex(alpha) + 0j, beta=complex(beta) + 0j,
+    return Residues(z0=z0, alpha=alpha + 0j, beta=beta + 0j,
                     norm_input=norm_input, N=L)
 
 

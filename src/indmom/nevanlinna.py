@@ -66,10 +66,23 @@ def _forms(tu: PointTable, tv: PointTable, n, n1) -> list:
     indices or slices.  Each of the eight entries (p and q at u and v, at
     n and n1) is read once and shared by the forms that use it.
     """
-    at_u = {"p": (tu.p[n], tu.p[n1]), "q": (tu.q[n], tu.q[n1])}
-    at_v = {"p": (tv.p[n], tv.p[n1]), "q": (tv.q[n], tv.q[n1])}
+    at_u, at_v = _entries(tu, n, n1), _entries(tv, n, n1)
     return [(*at_u[kind], *at_v[anchor], off)
             for kind, anchor, off in SERIES_FORMS.values()]
+
+
+def _entries(tab: PointTable, n, n1) -> dict:
+    """{"p": (p_n, p_{n1}), "q": (q_n, q_{n1})} of one table.
+
+    An entry of a complex128 row at an index is read as a Python complex
+    (``ndarray.item``), whose arithmetic is numpy's complex128 arithmetic
+    bit for bit at a fraction of its cost; slices and extended rows are
+    read as they are.
+    """
+    p, q = tab.p, tab.q
+    if isinstance(p, np.ndarray) and not isinstance(n, slice):
+        return {"p": (p.item(n), p.item(n1)), "q": (q.item(n), q.item(n1))}
+    return {"p": (p[n], p[n1]), "q": (q[n], q[n1])}
 
 
 def _corners(a_n, forms: list) -> list:
@@ -126,19 +139,37 @@ def nev(source: JacobiCoefficients, u, v, policy: TruncationPolicy,
 
 def _nev_quad(ev: Evaluator, u: complex, v: complex, n: int,
               flag: bool) -> NevQuad:
-    """The corner quadruple at index n; ``flag`` runs :func:`nev`'s tail test."""
+    """The corner quadruple at index n; ``flag`` runs :func:`nev`'s tail test.
+
+    In standard precision a_n enters as ``np.complex128(a[n])``, so the
+    values are ``np.complex128`` (:func:`_corner_values`).
+    """
     forms = _forms(*ev.tables([u, v]), n, n + 1)
-    if u != v:
-        vals = _corners(ev.a[n], forms)
-    else:
-        # the series' exact values, in the entries' type: (u - v) times its
-        # sum vanishes
-        vals = [type(T0)(off) for T0, *_, off in forms]
+    a_n = np.complex128(ev.a[n]) if ev.precision == "standard" else ev.a[n]
+    vals = _corner_values(a_n, forms, u, v)
     w, tol = abs(u - v), ev.policy.tail_tol
     conv = not flag or all(w * abs(T * S) < tol * (1.0 + abs(val))
                            for (T, _, S, _, _), val in zip(forms, vals))
     return NevQuad(u=u, v=v, A=vals[0], B=vals[1], C=vals[2], D=vals[3],
                    N=n, converged=bool(conv))
+
+
+def _corner_values(a_n, forms: list, u: complex, v: complex) -> list:
+    """A, B, C, D at n from :func:`_forms` at indices n and n + 1, a_n = a[n].
+
+    The corner form, or where u = v the series' exact values, in the type
+    of a corner value.  Standard entries are Python complex, whose
+    arithmetic is numpy's complex128 arithmetic bit for bit, and numpy
+    multiplies a float64 by a complex128 as the complex ``a_n + 0j``: so
+    with a_n ``np.complex128(a[n])`` the values are the corner form on the
+    tables' complex128 scalars, as ``np.complex128``, and with a_n the
+    Python ``complex(a[n])`` the same values as Python complex.
+    """
+    if u != v:
+        return _corners(a_n, forms)
+    # (u - v) times the series' sum vanishes
+    kind = type(a_n * forms[0][0])
+    return [kind(off) for *_, off in forms]
 
 
 def nev_one(source: JacobiCoefficients, u, policy: TruncationPolicy,
@@ -170,12 +201,17 @@ def three_point_residual(source: JacobiCoefficients, u, v, w,
                          policy: TruncationPolicy) -> float:
     """Max residual of the four composition formulas through a waypoint w.
 
-    e.g. D(u,v) = D(u,w)C(w,v) - B(u,w)D(w,v).
+    e.g. D(u,v) = D(u,w)C(w,v) - B(u,w)D(w,v).  The three tables are
+    fetched in one call, and the values are :func:`nev`'s, bit for bit.
     """
-    quv = nev(source, u, v, policy)
-    quw = nev(source, u, w, policy)
-    qwv = nev(source, w, v, policy)
-    res = composition_residuals(quv.as_tuple(), quw.as_tuple(), qwv.as_tuple())
+    ev = evaluator_for(source, policy)
+    u, v, w = complex(u), complex(v), complex(w)
+    tu, tv, tw = ev.tables([u, v, w])
+    L = ev.level
+    a_L = complex(ev.a.item(L))
+    res = composition_residuals(
+        *(_corner_values(a_L, _forms(t1, t2, L, L + 1), z1, z2)
+          for t1, t2, z1, z2 in ((tu, tv, u, v), (tu, tw, u, w), (tw, tv, w, v))))
     return float(max(abs(r) for r in res))
 
 

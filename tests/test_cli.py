@@ -223,11 +223,6 @@ class TestHugeT:
         assert run_cli(["--t", t, "support"], capsys) == scaled
 
 
-def _body(out):
-    """A report's lines that are not its ``#`` header."""
-    return [line for line in out.splitlines() if not line.startswith("#")]
-
-
 @pytest.mark.parametrize("t", ["0", "1", "inf"])
 @pytest.mark.parametrize("c", ["1.2", "2"])
 def test_precision_leaves_support_and_zeros_reports_alone(c, t, capsys):
@@ -239,8 +234,24 @@ def test_precision_leaves_support_and_zeros_reports_alone(c, t, capsys):
         assert code == 0
         code, ext, _ = run_cli(["--precision", "extended", *args], capsys)
         assert code == 0
-        assert "precision=extended" in ext
-        assert _body(ext) == _body(std)
+        assert "precision=standard" in ext
+        assert ext == std                       # header and config_hash too
+
+
+def test_only_eval_and_verify_name_the_precision(tmp_path, capsys):
+    # the other commands compute in float64: one result, one config_hash
+    vec = tmp_path / "c.txt"
+    vec.write_text("1\n0.5+0.25i\n")
+    for command, named in ((["membership", "p(0.5)+(2+1i)*p(1.5)"], False),
+                           (["xi", str(vec)], False), (["eval", "0.5i"], True),
+                           (["--nmax", "60", "verify"], True)):
+        code, std, _ = run_cli(command, capsys)
+        assert code == 0
+        code, ext, _ = run_cli(["--precision", "extended", *command], capsys)
+        assert code == 0
+        assert ("precision=extended" in ext) == named
+        if not named:
+            assert ext == std
 
 
 class TestZeros:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -170,6 +171,21 @@ class TestErrors:
             Evaluator(src, pol).tables([0.5j, bad, 1.5])
         assert len(calls) == 6
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf),
+                                     complex(1.0, -math.inf), complex(math.nan, 1.0)])
+    @pytest.mark.parametrize("backend", ["default", "fallback"])
+    def test_non_finite_points_raise_without_a_warning(self, src, bad, backend,
+                                                       monkeypatch):
+        # a non-finite point's rows turn non-finite inside the solve or the
+        # loops, which raise no floating-point warning; the bound raises
+        _use_backend(monkeypatch, backend)
+        a, b = src.arrays(120)
+        for zs in ([bad], [0.5j, bad, 1.5]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(EvaluationOverflowError, match="overflow"):
+                    evaluation.recurrence_batch(a, b, zs, 120)
+
     def test_cumulative_sum_beyond_float_range(self, src, monkeypatch):
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
         n, (m, e) = ev.top + 1, mp.mpf(1e154).man_exp            # |.|^2 finite
@@ -215,10 +231,13 @@ class TestErrors:
 
 
 def _source(name):
-    """"c=<exponent>" power law, or "alternating_b": a_n = (n+1)^2, b_n = 0.3(-1)^n."""
+    """"c=<exponent>" power law, "alternating_b": a_n = (n+1)^2, b_n = 0.3(-1)^n,
+    or "geometric": a_n = 1.5^n, b_n = 0."""
     if name == "alternating_b":
         return JacobiCoefficients.explicit(
             [((n + 1.0) ** 2, 0.3 * (-1) ** n) for n in range(1100)])
+    if name == "geometric":
+        return JacobiCoefficients.explicit([(1.5 ** n, 0.0) for n in range(1100)])
     return JacobiCoefficients.power_law(float(name[2:]))
 
 
@@ -321,7 +340,8 @@ class TestRecurrenceKernel:
                             assert R[c, j].tobytes() == one[lo + j][k, 0].tobytes(), \
                                 (chains, size, lo + j)
 
-    @pytest.mark.parametrize("source,backend", _backends("c=2", "c=3", "alternating_b"))
+    @pytest.mark.parametrize("source,backend",
+                             _backends("c=1.2", "c=2", "c=3", "alternating_b", "geometric"))
     def test_agrees_with_mpmath(self, source, backend, monkeypatch):
         _use_backend(monkeypatch, backend)
         zs = _disk_points(9, 3)
@@ -1055,6 +1075,41 @@ class TestTableCache:
             line_values([line], [2j, 3j, 2j, -3j])  # a conjugate is one point
             assert (ev.stats.batches, ev.stats.batch_points) == (5, 9)
         assert (ev.stats.tables_built, ev.stats.table_hits) == (3, 3)
+
+    @pytest.mark.parametrize("precision", ["standard", "extended"])
+    def test_hits_keep_counts_and_recency(self, src, precision):
+        # a batch's points are most recent in the order of their last
+        # occurrence, hits and misses alike; a point twice in a batch is one
+        # table built, or two hits
+        ev = Evaluator(src, TruncationPolicy(n_max=20), precision)
+        first = ev.tables([1j, 2j, 3j, 4j])
+        assert list(ev._cache) == [1j, 2j, 3j, 4j]
+        tabs = ev.tables([2j, 5j, 1j, 2j, 5j, 6j])
+        assert list(ev._cache) == [3j, 4j, 1j, 2j, 5j, 6j]
+        assert (ev.stats.tables_built, ev.stats.table_hits) == (6, 4)
+        assert tabs[0] is tabs[3] is first[1] and tabs[2] is first[0]
+        assert tabs[1] is tabs[4] and [t.z for t in tabs] == [2j, 5j, 1j, 2j, 5j, 6j]
+        assert ev.tables([3j, 3j]) == [first[2]] * 2 and ev.table(4j) is first[3]
+        assert list(ev._cache) == [1j, 2j, 5j, 6j, 3j, 4j]
+        assert (ev.stats.tables_built, ev.stats.table_hits) == (6, 7)
+        assert ev.stats.batches == 2
+
+    def test_evaluator_hits_keep_recency(self, src):
+        clear_evaluator_cache()
+        pols = [TruncationPolicy(n_max=n) for n in range(20, 29)]
+        evs = [evaluator_for(src, pol) for pol in pols[:8]]
+
+        def levels():
+            return [key[1].n_max for key in evaluation._EVALUATORS]
+
+        assert evaluator_for(src, pols[0]) is evs[0]       # a hit: now most recent
+        assert levels() == list(range(21, 28)) + [20]
+        evaluator_for(src, pols[8])                        # evicts the least recent
+        assert levels() == list(range(22, 28)) + [20, 28]
+        assert evaluator_for(src, pols[0]) is evs[0]
+        assert evaluator_for(src, pols[1]) is not evs[1]   # evicted, made anew
+        assert levels() == list(range(23, 28)) + [28, 20, 21]
+        clear_evaluator_cache()
 
     def test_one_batch_larger_than_the_cache(self, src):
         ev = Evaluator(src, TruncationPolicy(n_max=20))

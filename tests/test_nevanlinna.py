@@ -12,7 +12,7 @@ from indmom import (ExtensionParam, JacobiCoefficients, RootScanConfig,
                     stieltjes, three_point_residual, tilde_relations_residual)
 from indmom.errors import SupportPointError
 from indmom.evaluation import EXTENDED_DPS, _mp_context, evaluator_for
-from indmom.nevanlinna import SERIES_FORMS
+from indmom.nevanlinna import SERIES_FORMS, composition_residuals
 
 # mpmath dps=50 partial sums, frozen: (A, B, C, D) at (u, v) = (1, -1), n = 50
 ORACLE_N50 = (2.4476339793768908, 1.7668524514546552,
@@ -66,6 +66,52 @@ class TestOracles:
         assert q.A.real == pytest.approx(0.0, abs=1e-14)
         assert q.A.imag == pytest.approx(2 * tab.norm_q2, rel=1e-12)
         assert q.A.imag > 0
+
+
+def _numpy_corners(ev, u, v, n):
+    """(A, B, C, D) at index n by the corner form on the tables' complex128
+    scalars; at u = v, the series' exact values."""
+    if u == v:
+        return [np.complex128(off) for *_, off in SERIES_FORMS.values()]
+    tu, tv = ev.table(u), ev.table(v)
+    rows = {"p": (tu.p, tv.p), "q": (tu.q, tv.q)}
+    return [ev.a[n] * (rows[kind][0][n + 1] * rows[anchor][1][n]
+                       - rows[kind][0][n] * rows[anchor][1][n + 1])
+            for kind, anchor, _ in SERIES_FORMS.values()]
+
+
+_REAL_POINTS = [complex(x, s) for x in (1.5, 0.0, -2.0) for s in (0.0, -0.0)]
+
+
+class TestScalarReads:
+    @pytest.mark.parametrize("source", [
+        JacobiCoefficients.power_law(2.0),
+        JacobiCoefficients.explicit([((k + 1.0) ** 2, 0.3 * (-1) ** k) for k in range(600)])])
+    def test_values_are_the_corner_form_on_numpy_scalars(self, source, pol):
+        ev = evaluator_for(source, pol)
+        rng = np.random.default_rng(31)
+        pts = list(2.5 * rng.uniform(-1, 1, 12) + 2.5j * rng.uniform(-1, 1, 12))
+        pts += _REAL_POINTS
+        for u, v in zip(pts, pts[3:] + pts[:3]):
+            for n, q in ((pol.n_max, nev(source, u, v, pol)),
+                         (37, nev_partial(source, u, v, 37, pol))):
+                for got, want in zip(q.as_tuple(), _numpy_corners(ev, u, v, n)):
+                    assert type(got) is np.complex128
+                    assert got.tobytes() == want.tobytes(), (u, v, n)
+        for u in pts[:3] + _REAL_POINTS[:2]:
+            for got, want in zip(nev(source, u, u, pol).as_tuple(),
+                                 _numpy_corners(ev, u, u, pol.n_max)):
+                assert type(got) is np.complex128 and got.tobytes() == want.tobytes()
+
+    def test_three_point_is_the_composition_of_nev_values(self, src, pol):
+        ev = evaluator_for(src, pol)
+        rng = np.random.default_rng(32)
+        pts = list(2.5 * rng.uniform(-1, 1, 9) + 2.5j * rng.uniform(-1, 1, 9))
+        pts += _REAL_POINTS
+        for u, v, w in zip(pts, pts[1:] + pts[:1], pts[5:] + pts[:5]):
+            want = max(abs(r) for r in composition_residuals(
+                *(_numpy_corners(ev, x, y, pol.n_max) for x, y in ((u, v), (u, w), (w, v)))))
+            assert three_point_residual(src, u, v, w, pol) == float(want), (u, v, w)
 
 
 class TestIdentityWeb:
