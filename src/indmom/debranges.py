@@ -24,7 +24,7 @@ import numpy as np
 from .coefficients import JacobiCoefficients
 from .errors import NonConvergenceError
 from .evaluation import TruncationPolicy, evaluator_for
-from .sequences import SeqVector, apply_jacobi
+from .sequences import SeqVector, jacobi_product, vector_norm
 
 __all__ = [
     "CoeffMatrix", "BoundCheck", "F_eval", "G_eval", "kernel",
@@ -128,29 +128,53 @@ def xi_apply(source: JacobiCoefficients, c: SeqVector, z0,
     sequential tail sums, in O(M) and in a fixed order.
     """
     z0 = complex(z0)
-    M = c.M
-    if M == 0:
+    if c.M == 0:
         return SeqVector(np.zeros(1, dtype=complex))
-    p, q = evaluator_for(source, policy).pq_upto(z0, M)
-    # tail[k] = sum_{n=k+1}^{M}, for k = 0..M-1
-    tail_q = np.cumsum((c.entries * q)[:0:-1])[::-1]
-    tail_p = np.cumsum((c.entries * p)[:0:-1])[::-1]
-    return SeqVector(p[:M] * tail_q - q[:M] * tail_p)
+    p, q = evaluator_for(source, policy).pq_upto(z0, c.M)
+    return SeqVector(_xi(c.entries, p, q, c.entries * p))
+
+
+def _xi(x: np.ndarray, p: np.ndarray, q: np.ndarray, xp: np.ndarray) -> np.ndarray:
+    """:func:`xi_apply`'s entries for x = c_0..c_M, M >= 1, given ``xp = x * p``.
+
+    ``xp`` is overwritten.  Each tail sum runs in place, from index M
+    down, over the products ``c_n q_n`` or ``c_n p_n``, and each product
+    with p_k or q_k is written over its tail sum.
+    """
+    M = x.size - 1
+    xq = x * q
+    # tail[k] = sum_{n=k+1}^{M}, for k = 0..M-1, summed from n = M down
+    np.add.accumulate(xq[:0:-1], out=xq[:0:-1])
+    np.add.accumulate(xp[:0:-1], out=xp[:0:-1])
+    tail_q, tail_p = xq[1:], xp[1:]
+    np.multiply(p[:M], tail_q, out=tail_q)
+    np.multiply(q[:M], tail_p, out=tail_p)
+    return np.subtract(tail_q, tail_p, out=tail_q)
 
 
 def resolvent_residual(source: JacobiCoefficients, c: SeqVector, z0,
                        policy: TruncationPolicy) -> float:
-    """Residual of (J - z0) xi(c, z0) + F_c(z0) e_0 = c, scaled by max(1, ||c||)."""
+    """Residual of (J - z0) xi(c, z0) + F_c(z0) e_0 = c, scaled by max(1, ||c||).
+
+    One read of p and q at z0 serves both xi (:func:`xi_apply`'s
+    arithmetic) and F_c(z0) (:func:`F_eval`'s).  The left side minus c is
+    formed in one array: J xi (:func:`indmom.sequences.jacobi_product`),
+    then minus z0 xi, plus F_c(z0) at index 0, minus c; its 2-norm is
+    :func:`indmom.sequences.vector_norm`'s.
+    """
     z0 = complex(z0)
-    xi = xi_apply(source, c, z0, policy)
-    jxi = apply_jacobi(source, xi).entries
-    size = max(jxi.size, c.M + 1)
-    acc = np.zeros(size, dtype=complex)
-    acc[: jxi.size] = jxi
-    acc[: xi.entries.size] -= z0 * xi.entries
-    acc[0] += F_eval(source, c, z0, policy)
-    acc[: c.M + 1] -= c.entries
-    return float(np.linalg.norm(acc)) / max(1.0, c.norm())
+    x, M = c.entries, c.M
+    p, q = evaluator_for(source, policy).pq_upto(z0, M)
+    xp = x * p
+    F = complex(np.add.reduce(xp))                # np.sum's reduction
+    xi = _xi(x, p, q, xp) if M else np.zeros(1, dtype=complex)
+    acc = jacobi_product(source, xi)               # indices 0..M, or 0..1 at M = 0
+    head = acc[: xi.size]
+    np.subtract(head, z0 * xi, out=head)
+    acc[0] += F
+    head = acc[: M + 1]
+    np.subtract(head, x, out=head)
+    return vector_norm(acc) / max(1.0, vector_norm(x))
 
 
 def diff_quotient_residual(source: JacobiCoefficients, c: SeqVector, z0, z,

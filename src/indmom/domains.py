@@ -8,9 +8,14 @@ are computed from banded inner products:
     alpha = <(J - conj(z0)) v, p_{z0}> / (2i Im(z0) ||p_{z0}||^2)
     beta  = <(J - z0) v, p_{conj(z0)}> / (-2i Im(z0) ||p_{z0}||^2)
 
-with sums truncated at the shared evaluation level L.  Each is taken as
-two inner products with p, ``<J v, p> - conj(z0) <v, p>`` and its
-companion (``np.vdot`` and ``np.dot``), so no weighted vector is built.
+with sums truncated at the shared evaluation level L.  A vector is read
+once per test (:func:`_applied`): one banded product J v
+(:func:`indmom.sequences.jacobi_product`), v padded to its length, both
+cut at index L, and ||v||.  Every residue pair at every basepoint then
+comes from one function, :func:`_residues`, as two inner products with
+p, ``<J v, p> - conj(z0) <v, p>`` and its companion (``np.vdot`` and
+``np.dot``), so no weighted vector is built.  Only :func:`residues`
+wraps a pair in a :class:`Residues`.
 Genuinely finite vectors (top index below L) get complete sums, which
 telescope to exactly zero: the finitely supported space sits inside the
 domain.  Truncations of the square-summable eigen-sequences p/q are built
@@ -22,6 +27,7 @@ tolerance at two distinct basepoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -33,7 +39,7 @@ from .evaluation import Evaluator, TruncationPolicy, evaluator_for
 from .measures import (DiscreteMeasure, ExtensionParam, _require_off_support,
                        mobius)
 from .nevanlinna import nev, nev_one
-from .sequences import SeqVector, apply_jacobi
+from .sequences import SeqVector, jacobi_product, vector_norm
 
 __all__ = [
     "Residues", "MembershipVerdict", "ResolventCombination",
@@ -56,7 +62,7 @@ class Residues:
     N: int
 
     def scaled(self) -> float:
-        return max(abs(self.alpha), abs(self.beta)) / max(1.0, self.norm_input)
+        return _scaled((self.alpha, self.beta), max(1.0, self.norm_input))
 
 
 @dataclass(frozen=True)
@@ -125,33 +131,48 @@ def residues(source: JacobiCoefficients, v: SeqVector, z0,
              policy: TruncationPolicy) -> Residues:
     """Deficiency coefficients of v at basepoint z0 (Im z0 > 0)."""
     z0 = _require_upper(z0)
-    return _residues(evaluator_for(source, policy), _applied(source, v), z0)
+    ev = evaluator_for(source, policy)
+    jv, vv, norm_input = _applied(ev, v.entries)
+    alpha, beta = _residues(ev, jv, vv, z0)
+    return Residues(z0=z0, alpha=alpha, beta=beta, norm_input=norm_input,
+                    N=ev.level)
 
 
-def _applied(source: JacobiCoefficients,
-             v: SeqVector) -> Tuple[np.ndarray, np.ndarray, float]:
-    """(J v, v zero-padded to the length of J v, ||v||): what residues read of v."""
-    jv = apply_jacobi(source, v).entries          # indices 0..M+1
-    return jv, v.padded(jv.size), v.norm()
+def _applied(ev: Evaluator, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, float]:
+    """(J x, x zero-padded to the length of J x, ||x||): what residues read of x.
+
+    J x and the padded x are cut at index L, where the residues' sums end.
+    """
+    jv = jacobi_product(ev.source, x)              # indices 0..M+1
+    cut = min(jv.size, ev.level + 1)
+    if x.size >= cut:
+        vv = x[:cut]
+    else:                                          # cut = M + 2: one zero
+        vv = np.zeros(cut, dtype=complex)
+        vv[:-1] = x
+    return jv[:cut], vv, vector_norm(x)
 
 
-def _residues(ev: Evaluator, applied: Tuple[np.ndarray, np.ndarray, float],
-              z0: complex) -> Residues:
-    """:func:`residues` of a vector given as :func:`_applied`, z0 checked."""
-    jv, vv, norm_input = applied
-    L = ev.level
+def _residues(ev: Evaluator, jv: np.ndarray, vv: np.ndarray,
+              z0: complex) -> Tuple[complex, complex]:
+    """(alpha, beta) of a vector read by :func:`_applied`, at a checked z0.
+
+    Every residue pair of the package is taken here.
+    """
     tab = ev.table(z0)
-    cut = min(jv.size, L + 1)
-    jv, vv, p = jv[:cut], vv[:cut], tab.p[:cut]
-
+    p = tab.p[: jv.size]
     denom = 2j * z0.imag * tab.norm_p2
     # p_n(conj z0) = conj p_n(z0); np.vdot conjugates its first argument
     alpha = (np.vdot(p, jv).item() - z0.conjugate() * np.vdot(p, vv).item()) / denom
     beta = (np.dot(p, jv).item() - z0 * np.dot(p, vv).item()) / (-denom)
     # + 0j turns a -0 part (a zero sum over -denom) into +0; any other
     # part keeps its bits
-    return Residues(z0=z0, alpha=alpha + 0j, beta=beta + 0j,
-                    norm_input=norm_input, N=L)
+    return alpha + 0j, beta + 0j
+
+
+def _scaled(pair: Tuple[complex, complex], scale: float) -> float:
+    """The larger residue over ``scale`` = max(1, ||v||): the membership residual."""
+    return max(abs(pair[0]), abs(pair[1])) / scale
 
 
 def s_r_coefficients(source: JacobiCoefficients, lam, z0,
@@ -177,22 +198,25 @@ def membership_DT(source: JacobiCoefficients, v: SeqVector, z0, tol: float,
                   policy: TruncationPolicy) -> MembershipVerdict:
     """Test membership in the closure domain via residues at two basepoints."""
     z0 = _require_upper(z0)
-    ev, applied = evaluator_for(source, policy), _applied(source, v)
-    return _verdict([_residues(ev, applied, bp).scaled()
-                     for bp in (z0, second_basepoint(z0))], tol, "DT")
+    ev = evaluator_for(source, policy)
+    jv, vv, norm_v = _applied(ev, v.entries)
+    scale = max(1.0, norm_v)
+    return _verdict(_scaled(_residues(ev, jv, vv, z0), scale),
+                    _scaled(_residues(ev, jv, vv, second_basepoint(z0)), scale),
+                    tol, "DT")
 
 
-def _verdict(scaled, tol: float, tag: str) -> MembershipVerdict:
+def _verdict(s0: float, s1: float, tol: float, tag: str) -> MembershipVerdict:
     """The verdict of two basepoints' scaled residuals, which must agree."""
-    if not (np.isfinite(tol) and tol > 0):
+    if not (math.isfinite(tol) and tol > 0):
         raise ValueError("membership tolerance must be finite and positive, "
                          f"got {tol}")
-    in0, in1 = scaled[0] < tol, scaled[1] < tol
-    if in0 != in1:
+    in0 = s0 < tol
+    if in0 != (s1 < tol):
         raise InconclusiveMembershipError(
-            f"inconclusive: tighten truncation (residuals {scaled[0]:.3e} "
-            f"vs {scaled[1]:.3e})")
-    return MembershipVerdict(in_domain=in0, residual=max(scaled), tol=tol,
+            f"inconclusive: tighten truncation (residuals {s0:.3e} "
+            f"vs {s1:.3e})")
+    return MembershipVerdict(in_domain=in0, residual=max(s0, s1), tol=tol,
                              domain_tag=tag)
 
 
@@ -222,10 +246,13 @@ def pair_coefficient(source: JacobiCoefficients, u, v,
     return -q.D if abs(q.B) < tol else None
 
 
-def _cross_residual(r: Residues, g: Residues, norm_v: float) -> float:
-    cross = abs(r.alpha * g.beta - r.beta * g.alpha)
-    gscale = max(abs(g.alpha), abs(g.beta))
-    return cross / (max(1.0, norm_v) * max(gscale, 1e-300))
+def _cross_residual(r: Tuple[complex, complex], g: Tuple[complex, complex],
+                    scale: float) -> float:
+    """|det [r g]| of two residue pairs, over ``scale`` = max(1, ||v||) and g's size."""
+    (ra, rb), (ga, gb) = r, g
+    cross = abs(ra * gb - rb * ga)
+    gscale = max(abs(ga), abs(gb))
+    return cross / (scale * max(gscale, 1e-300))
 
 
 def membership_DTt(source: JacobiCoefficients, v: SeqVector, t: ExtensionParam,
@@ -241,11 +268,13 @@ def membership_DTt(source: JacobiCoefficients, v: SeqVector, t: ExtensionParam,
     """
     z0 = _require_upper(z0)
     ev = evaluator_for(source, policy)
-    av = _applied(source, v)
-    ag = _applied(source, extension_generator(source, t, policy))
-    scaled = [_cross_residual(_residues(ev, av, bp), _residues(ev, ag, bp), av[2])
-              for bp in (z0, second_basepoint(z0))]
-    return _verdict(scaled, tol, f"DTt({t})")
+    jv, vv, norm_v = _applied(ev, v.entries)
+    jg, gg, _ = _applied(ev, extension_generator(source, t, policy).entries)
+    scale = max(1.0, norm_v)
+    s0, s1 = (_cross_residual(_residues(ev, jv, vv, bp), _residues(ev, jg, gg, bp),
+                              scale)
+              for bp in (z0, second_basepoint(z0)))
+    return _verdict(s0, s1, tol, f"DTt({t})")
 
 
 def resolvent_combination(source: JacobiCoefficients, t: ExtensionParam,

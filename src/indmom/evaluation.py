@@ -622,8 +622,9 @@ def _banded_solve(ztbsv, a: np.ndarray, b: np.ndarray, zs: np.ndarray,
         elif upto >= 1:
             R[c, :, 1] = 1.0
     size, A, x0, step = ctypes.c_int64(n), band.ctypes.data, R.ctypes.data, n * R.itemsize
+    b = b[:upto]
     for j, z in enumerate(zs.tolist()):
-        np.subtract(b[:upto], z, out=shift)
+        np.subtract(b, z, out=shift)
         for c in range(len(chains)):
             ztbsv(_UPLO, _TRANS, _DIAG, size, _SUBDIAGONALS, A, _LDA,
                   x0 + (c * npts + j) * step, _INC)
@@ -1080,8 +1081,9 @@ class Evaluator:
         built = 0
         if None in out:
             misses = list(dict.fromkeys(z for z, tab in zip(keys, out) if tab is None))
-            for z, p, q in zip(misses, *self.rows(misses, self.top)):
-                cache[z] = PointTable(z, _own(p), _own(q), self.policy)
+            R = self.rows(misses, self.top)
+            for j, z in enumerate(misses):
+                cache[z] = PointTable(z, _own(R[0][j]), _own(R[1][j]), self.policy)
             out, built = [cache[z] for z in keys], len(misses)
         self.stats.tables_built += built
         self.stats.table_hits += len(keys) - built

@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NevQuad:
     """Values of (A, B, C, D) at a point pair with truncation metadata."""
 
@@ -41,6 +41,13 @@ class NevQuad:
     D: complex
     N: int
     converged: bool
+
+    def __init__(self, u: complex, v: complex, A: complex, B: complex,
+                 C: complex, D: complex, N: int, converged: bool):
+        # one update of the instance dict, where a frozen dataclass's
+        # generated __init__ makes eight object.__setattr__ calls
+        self.__dict__.update(u=u, v=v, A=A, B=B, C=C, D=D, N=N,
+                             converged=converged)
 
     def as_tuple(self) -> Tuple[complex, complex, complex, complex]:
         return (self.A, self.B, self.C, self.D)
@@ -150,8 +157,7 @@ def _nev_quad(ev: Evaluator, u: complex, v: complex, n: int,
     w, tol = abs(u - v), ev.policy.tail_tol
     conv = not flag or all(w * abs(T * S) < tol * (1.0 + abs(val))
                            for (T, _, S, _, _), val in zip(forms, vals))
-    return NevQuad(u=u, v=v, A=vals[0], B=vals[1], C=vals[2], D=vals[3],
-                   N=n, converged=bool(conv))
+    return NevQuad(u, v, *vals, n, bool(conv))
 
 
 def _corner_values(a_n, forms: list, u: complex, v: complex) -> list:

@@ -1,7 +1,14 @@
-"""Finitely supported vectors and the banded action of the Jacobi matrix."""
+"""Finitely supported vectors and the banded action of the Jacobi matrix.
+
+:func:`jacobi_product` is the one banded product of the package, on
+arrays: :func:`apply_jacobi`, the domain tests' residues and the
+resolvent residual all call it.  :func:`vector_norm` is the 2-norm that
+:meth:`SeqVector.norm`, the residues and the resolvent residual report.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -27,7 +34,8 @@ class SeqVector:
         return self.entries.size - 1
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        """The 2-norm, bitwise ``np.linalg.norm`` of the entries (:func:`vector_norm`)."""
+        return vector_norm(self.entries)
 
     @classmethod
     def basis(cls, n: int) -> "SeqVector":
@@ -53,19 +61,40 @@ class SeqVector:
         return SeqVector(complex(scalar) * self.entries)
 
 
-def apply_jacobi(source: JacobiCoefficients, c: SeqVector) -> SeqVector:
-    """Banded product (Jc)_n = a_{n-1} c_{n-1} + b_n c_n + a_n c_{n+1}.
+def vector_norm(x: np.ndarray) -> float:
+    """||x||_2 of a 1-d complex128 array, bitwise ``np.linalg.norm(x)``.
 
-    Exact for the band; the output has indices 0..M+1.
+    The same two ``dot`` calls on the real and imaginary views, summed and
+    square-rooted (both roots are correctly rounded), without its dispatch.
     """
-    M = c.M
-    a, b = source.arrays(M)
-    v = c.entries
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def jacobi_product(source: JacobiCoefficients, v: np.ndarray) -> np.ndarray:
+    """(J v)_n = a_{n-1} v_{n-1} + b_n v_n + a_n v_{n+1} for v = v_0..v_M.
+
+    Exact for the band; the result is a new complex128 array with indices
+    0..M+1.  It is zeroed, then ``b_n v_n``, ``a_n v_n`` shifted up by one
+    and ``a_n v_{n+1}`` are added in that order, each product through one
+    scratch array.
+    """
+    M = v.size - 1
+    a, b = source.arrays(M)                        # M + 1 of each
     out = np.zeros(M + 2, dtype=complex)
-    out[: M + 1] += b[: M + 1] * v
-    out[1:] += a[: M + 1] * v          # a_n c_n contributes at n+1
-    out[: M] += a[: M] * v[1:]         # a_n c_{n+1} contributes at n
-    return SeqVector(out)
+    at = out[:-1]
+    t = np.multiply(b, v)
+    np.add(at, t, at)
+    at = out[1:]                                   # a_n v_n lands at n + 1
+    np.add(at, np.multiply(a, v, t), at)
+    at, t = out[:-2], t[:-1]                       # a_n v_{n+1} lands at n
+    np.add(at, np.multiply(a[:-1], v[1:], t), at)
+    return out
+
+
+def apply_jacobi(source: JacobiCoefficients, c: SeqVector) -> SeqVector:
+    """Banded product Jc (:func:`jacobi_product`); indices 0..M+1."""
+    return SeqVector(jacobi_product(source, c.entries))
 
 
 def moment(source: JacobiCoefficients, n: int) -> float:

@@ -20,11 +20,11 @@ spectrum:
   (``build_measure`` weighs the nodes of its window), as do
   ``LineFunction.zeros`` and the ``zeros`` command.
 * ``LineFunction.nodes_near`` returns the k nodes on each side of a point,
-  from one Sturm count (LAPACK ``dlarrc``) and bisection of that index
-  range (``dstebz``; Barth, Martin & Wilkinson, Numer. Math. 9, 1967), in
-  O(L) time per node.  The checks that read the zeros next to a point use
-  it: the membership pairs, the adjacent-zero signs and the extension
-  domains.
+  from one Sturm count (:func:`_sturm_count`, by ``dstebz``'s guarded
+  counter ``dlaebz``) and bisection of that index range (``dstebz``;
+  Barth, Martin & Wilkinson, Numer. Math. 9, 1967), in O(L) time per
+  node.  The checks that read the zeros next to a point use it: the
+  membership pairs, the adjacent-zero signs and the extension domains.
 
 The routines are called through ctypes in the OpenBLAS that numpy's wheels
 bundle.  Where numpy has no such library, ``nodes`` takes the dense
@@ -309,34 +309,69 @@ def _tridiagonal_eigvals(d, e) -> np.ndarray:
 
 
 def _bisection():
-    """LAPACK dlarrc and dstebz from numpy's bundled OpenBLAS, or None.
+    """LAPACK dlaebz and dstebz from numpy's bundled OpenBLAS, or None.
 
-    Both take Fortran character arguments, whose lengths trail the
-    argument list.
+    dlaebz's arrays are passed as addresses (``ctypes.c_void_p``).  dstebz
+    takes Fortran character arguments, whose lengths trail the argument
+    list.
     """
-    dlarrc = _openblas.symbol("dlarrc", CHAR, INT, DOUBLES, DOUBLES, DOUBLES,
-                              DOUBLES, DOUBLES, INT, INT, INT, INT, LEN)
+    addr = ctypes.c_void_p
+    dlaebz = _openblas.symbol("dlaebz", *(INT,) * 6, *(DOUBLES,) * 3,
+                              *(addr,) * 6, INT, addr, addr, addr, INT)
     dstebz = _openblas.symbol("dstebz", CHAR, CHAR, INT, DOUBLES, DOUBLES,
                               INT, INT, DOUBLES, DOUBLES, DOUBLES, INT, INT,
                               DOUBLES, INT, INT, DOUBLES, INT, INT, LEN, LEN)
-    return None if dlarrc is None or dstebz is None else (dlarrc, dstebz)
+    return None if dlaebz is None or dstebz is None else (dlaebz, dstebz)
+
+
+def _sturm_count(dlaebz, d: np.ndarray, e: np.ndarray, x: float,
+                 pivmin: float) -> int:
+    """The number of eigenvalues <= x of the symmetric tridiagonal (d, e).
+
+    The pivots of T - x I that are <= 0, by ``dstebz``'s own counter,
+    LAPACK ``dlaebz`` with IJOB = 1, run on the diagonal ``d - x`` at the
+    point 0.  Its pivots are then ``q_0 = d_0 - x`` and ``q_{i+1} =
+    (d_{i+1} - x) - e_i^2 / q_i``, in ``dlarrc``'s association, and
+    ``dstebz``'s guard applies: a pivot smaller than ``pivmin`` in size
+    becomes ``-pivmin``.  ``dlarrc`` has no guard, so where every
+    ``d_i - x`` is 0 its pivots alternate 0 and -inf and it counts every
+    eigenvalue; where no pivot is below ``pivmin`` the two counts agree.
+    ``e`` has ``len(d)`` entries, the last one unread.
+    """
+    n = len(d)
+    # one buffer: D = d - x, E2 = e^2, AB(1, 1:2) = (0, 0), C and WORK
+    f = np.zeros(2 * n + 4)
+    np.subtract(d, x, out=f[:n])
+    np.multiply(e, e, out=f[n: 2 * n])
+    # NAB(1, 1:2), the counts at AB's two ends, then NVAL and IWORK
+    nab = np.zeros(4, dtype=np.int64)
+    at, step = f.ctypes.data, f.itemsize
+    D, E2, AB, C, WORK = (at + step * k for k in (0, n, 2 * n, 2 * n + 2, 2 * n + 3))
+    at, step = nab.ctypes.data, nab.itemsize
+    NAB, NVAL, IWORK = (at + step * k for k in (0, 2, 3))
+    i64, one, unused = ctypes.c_int64, ctypes.c_int64(1), ctypes.c_double(0.0)
+    # IJOB = 1 counts at the ends of MINP = 1 interval, by the scalar loop
+    # (NBMIN = 0); NITMAX, ABSTOL, RELTOL, NVAL and C go unread
+    dlaebz(one, one, i64(n), one, one, i64(0), unused, unused,
+           ctypes.c_double(pivmin), D, e.ctypes.data, E2, NVAL, AB, C, i64(0),
+           NAB, WORK, IWORK, i64(0))
+    return int(nab[0])
 
 
 def _tridiagonal_eigvals_near(d, e, x: float,
                               k: int) -> Optional[Tuple[int, np.ndarray]]:
     """(lo, eigenvalues lo..hi-1) of the symmetric tridiagonal (d, e), ascending.
 
-    With m eigenvalues <= x by the Sturm count of LAPACK ``dlarrc``,
-    lo = max(m - k, 0) and hi = min(m + k, n).  ``dstebz`` bisects that
-    index range to full accuracy (ABSTOL = 2 DLAMCH('S'), the smallest
-    normal number doubled).  None where numpy's OpenBLAS lacks the
-    routines.  Raises NonConvergenceError when an entry or an eigenvalue is
-    not finite or the bisection fails.
+    With m eigenvalues <= x by :func:`_sturm_count`, lo = max(m - k, 0)
+    and hi = min(m + k, n).  ``dstebz`` bisects that index range to full
+    accuracy (ABSTOL = 2 DLAMCH('S'), the smallest normal number doubled).
+    None where numpy's OpenBLAS lacks it.  Raises NonConvergenceError when
+    an entry or an eigenvalue is not finite or the bisection fails.
     """
     routines = _bisection()
     if routines is None:
         return None
-    dlarrc, dstebz = routines
+    dlaebz, dstebz = routines
     d = np.array(d, dtype=np.float64)
     # Fortran reads e(1..n-1); the pad keeps the pointer valid at n <= 1
     e = np.append(np.asarray(e, dtype=np.float64), 0.0)
@@ -352,14 +387,10 @@ def _tridiagonal_eigvals_near(d, e, x: float,
     # power of two, which is exact, brings every |e_j| below 1.
     shift = max(int(np.frexp(np.max(np.abs(e)))[1]), 0)
     d, e = np.ldexp(d, -shift), np.ldexp(e, -shift)
-    size, lo_count, hi_count, info = (ctypes.c_int64(n), ctypes.c_int64(0),
-                                      ctypes.c_int64(0), ctypes.c_int64(0))
-    at = ctypes.c_double(np.ldexp(x, -shift))
-    pivmin = ctypes.c_double(_TINY)  # the minimum pivot, now that |e_j| < 1
-    dlarrc(b"T", size, at, at, d.ctypes.data_as(DOUBLES),
-           e.ctypes.data_as(DOUBLES), pivmin, ctypes.c_int64(0), lo_count,
-           hi_count, info, 1)
-    lo, hi = max(lo_count.value - k, 0), min(lo_count.value + k, n)
+    # the minimum pivot is DLAMCH('S') now that |e_j| < 1
+    below = _sturm_count(dlaebz, d, e, float(np.ldexp(x, -shift)), _TINY)
+    lo, hi = max(below - k, 0), min(below + k, n)
+    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
     found, nsplit = ctypes.c_int64(0), ctypes.c_int64(0)
     w, work = np.empty(n), np.empty(4 * n)
     iblock, isplit, iwork = (np.empty(m, dtype=np.int64) for m in (n, n, 3 * n))

@@ -330,7 +330,7 @@ class TestTridiagonalEigvals:
     @pytest.mark.parametrize("failure", ["info", "short", "nan"])
     def test_failed_bisection_raises_non_convergence(self, failure,
                                                      monkeypatch):
-        dlarrc, dstebz = zeros._bisection()
+        dlaebz, dstebz = zeros._bisection()
 
         def broken(*args):
             dstebz(*args)
@@ -341,10 +341,36 @@ class TestTridiagonalEigvals:
             else:
                 args[12][0] = np.nan
 
-        monkeypatch.setattr(zeros, "_bisection", lambda: (dlarrc, broken))
+        monkeypatch.setattr(zeros, "_bisection", lambda: (dlaebz, broken))
         d, e = np.array([2.0, -1.0, 0.5, 3.0]), np.array([1.0, 3.0, 0.5])
         with pytest.raises(NonConvergenceError):
             zeros._tridiagonal_eigvals_near(d, e, 0.0, 1)
+
+    def test_sturm_count_is_the_guarded_pivot_count(self):
+        # the loop dlarrc runs with JOBT = 'T', (d_i - x) - e_{i-1}^2 / q,
+        # with dstebz's guard: a pivot below pivmin in size is -pivmin
+        def reference(d, e, x, pivmin):
+            count, q = 0, 1.0
+            for i, di in enumerate(d.tolist()):
+                q = di - x if i == 0 else (di - x) - e[i - 1] * e[i - 1] / q
+                if abs(q) < pivmin:
+                    q = -pivmin
+                count += q <= 0.0
+            return count
+
+        dlaebz, _ = zeros._bisection()
+        rng = np.random.default_rng(26)
+        for trial in range(300):
+            n = int(rng.integers(1, 120))
+            d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            if trial % 3 == 0:
+                d = np.round(d)         # integer pivots: exact zeros happen
+            if trial % 5 == 0:
+                d = np.zeros(n)         # every d_i - 0 is 0
+            e = np.append(rng.uniform(0.01, 1.0, size=n - 1), 0.0).tolist()
+            for x in (float(rng.normal()), float(d[int(rng.integers(n))]), 0.0):
+                assert (zeros._sturm_count(dlaebz, d, np.array(e), x, zeros._TINY)
+                        == reference(d, e, x, zeros._TINY)), (trial, x)
 
     def test_inputs_untouched_and_small_sizes(self):
         d, e = np.array([2.0, -1.0, 0.5]), np.array([1.0, 3.0])
@@ -408,8 +434,23 @@ class TestNodesNear:
         n = len(full)
         # D(., v) and A(., v) vanish at v = 0.37, snapped to a node
         at = np.flatnonzero(full == 0.37)[0] if name in ("D", "A") else n // 2
+        # at x = b_0 (P kind) or b_1 (Q kind) the first pivot of T - x is 0
+        b0, b1 = near_ev.b[0], near_ev.b[1]
         cases = [(full[at], 3), (0.5 * (full[at] + full[at + 1]), 2),
-                 (full[0] - 1.0, 2), (full[-1] + 1.0, 2), (full[at], n + 5)]
+                 (full[0] - 1.0, 2), (full[-1] + 1.0, 2), (full[at], n + 5),
+                 (b0, 2), (b1, 2)]
+        self._assert_slices(f, full, cases)
+        # at v the slice reaches past v on both sides and snaps like nodes()
+        if name in ("D", "A"):
+            assert 0.37 in f.nodes_near(0.37, 1)
+            # x = v = 0: with b_n = 0 every d_i - x is 0 up to the corner
+            f0 = nevanlinna_line(near_ev, name, 0.0)
+            self._assert_slices(f0, f0.nodes(), [(0.0, 1), (0.0, 2), (0.0, 3)])
+            assert 0.0 in f0.nodes_near(0.0, 1)
+
+    @staticmethod
+    def _assert_slices(f, full, cases):
+        """``f.nodes_near(x, k)`` is the slice of ``full`` around x for each case."""
         for x, k in cases:
             near = f.nodes_near(x, k)
             # the Sturm count of a node x may fall on either side of it
@@ -420,9 +461,6 @@ class TestNodesNear:
                 and np.array_equal(near == f.v, ref == f.v)
                 for ref in slices), (x, k)
             assert np.all(np.diff(near) > 0)
-        # at v the slice reaches past v on both sides and snaps like nodes()
-        if name in ("D", "A"):
-            assert 0.37 in f.nodes_near(0.37, 1)
 
     def test_large_off_diagonals_keep_small_nodes_accurate(self, tmp_path):
         # dstebz's minimum pivot would be 6e-8 for the off-diagonal 2^499
@@ -995,6 +1033,14 @@ class TestAdjacentZeroSign:
         v = float(pts[k])
         u, _ = adjacent_zero_sign(src, v, "D", pol)
         assert u == pytest.approx(pts[k - 1], abs=1e-7)
+
+    def test_zero_below_v_at_zero(self, src, pol):
+        # every diagonal entry of D(., 0)'s matrix but the corner is 0 - v:
+        # the Sturm count meets a zero pivot at once
+        u, val = adjacent_zero_sign(src, 0.0, "D", pol)
+        nodes = nevanlinna_line(evaluator_for(src, pol), "D", 0.0).nodes()
+        assert u == pytest.approx(nodes[nodes < 0.0].max(), rel=NEAR_REL)
+        assert val > 0
 
     def test_no_zero_below_v_raises(self, src):
         with pytest.raises(IndmomError, match="no zero below v"):
