@@ -44,12 +44,18 @@ class JacobiCoefficients:
     def power_law(cls, exponent: float = 2.0) -> "JacobiCoefficients":
         """Preset ``a_n = (n+1)**exponent, b_n = 0`` (indeterminate for exponent > 1).
 
-        The exponent must be a finite real > 1 (ValueError otherwise).
+        The exponent must be a finite real > 1 (ValueError otherwise).  The
+        description writes it in ``:g`` form where that reads back as the
+        exponent exactly, and in full (``repr``) otherwise.
         """
-        if not 1 < float(exponent) < math.inf:
+        exponent = float(exponent)
+        if not 1 < exponent < math.inf:
             raise ValueError("power-law exponent must be a finite real > 1")
-        return cls(f"power_law(c={exponent:g})", *_read_only(np.empty((0, 2))),
-                   exponent=float(exponent))
+        text = f"{exponent:g}"
+        if float(text) != exponent:
+            text = repr(exponent)
+        return cls(f"power_law(c={text})", *_read_only(np.empty((0, 2))),
+                   exponent=exponent)
 
     @classmethod
     def explicit(cls, pairs: Sequence[Pair],

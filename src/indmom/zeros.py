@@ -20,11 +20,11 @@ spectrum:
   (``build_measure`` weighs the nodes of its window), as do
   ``LineFunction.zeros`` and the ``zeros`` command.
 * ``LineFunction.nodes_near`` returns the k nodes on each side of a point,
-  from one Sturm count (:func:`_sturm_count`, by ``dstebz``'s guarded
-  counter ``dlaebz``) and bisection of that index range (``dstebz``;
-  Barth, Martin & Wilkinson, Numer. Math. 9, 1967), in O(L) time per
-  node.  The checks that read the zeros next to a point use it: the
-  membership pairs, the adjacent-zero signs and the extension domains.
+  from two calls of LAPACK ``dstebz``: a Sturm count by its guarded
+  counter, then bisection of that index range (Barth, Martin & Wilkinson,
+  Numer. Math. 9, 1967), in O(L) time per node.  The checks that read the
+  zeros next to a point use it: the membership pairs, the adjacent-zero
+  signs and the extension domains.
 
 The routines are called through ctypes in the OpenBLAS that numpy's wheels
 bundle.  Where numpy has no such library, ``nodes`` takes the dense
@@ -164,18 +164,22 @@ class LineFunction:
 
         "Below" counts the nodes <= x by a Sturm count of :meth:`_jacobi`'s
         matrix, so with m of them the result holds nodes m-k..m+k-1 of
-        :meth:`nodes`, by LAPACK ``dstebz`` bisection (O(L) per node).  At
-        a node x the count may fall on either side of it, so a caller that
-        reads j nodes per side asks for j + 1.  With ``off = 0`` the node
-        nearest v is set to v where the result reaches past v, or to the
-        end of the spectrum, on both sides, as it always does for x = v.
-        Where numpy's OpenBLAS has no ``dstebz``, the same index slice of
-        :meth:`nodes`.
+        :meth:`nodes`; LAPACK ``dstebz`` gives both the count and the nodes,
+        by bisection (O(L) per node).  At a node x the count may fall on
+        either side of it, so a caller that reads j nodes per side asks for
+        j + 1.  With ``off = 0`` the node nearest v is set to v where the
+        result reaches past v, or to the end of the spectrum, on both sides,
+        as it always does for x = v.  Where numpy's OpenBLAS has no
+        ``dstebz``, the same index slice of :meth:`nodes`.  Raises
+        ValueError for k < 1 or an x that is not finite.
         """
         if k < 1:
             raise ValueError("k must be at least 1")
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x}")
         d, e = self._jacobi()
-        near = _tridiagonal_eigvals_near(d, e, float(x), k)
+        near = _tridiagonal_eigvals_near(d, e, x, k)
         if near is None:
             nodes = self.nodes()
             m = int(np.searchsorted(nodes, x, side="right"))
@@ -275,19 +279,40 @@ def _dsterf():
     return _openblas.symbol("dsterf", INT, DOUBLES, DOUBLES, INT)
 
 
+def _dstebz():
+    """LAPACK dstebz from numpy's bundled OpenBLAS, or None.
+
+    Its two Fortran character arguments' lengths trail the argument list.
+    """
+    return _openblas.symbol("dstebz", CHAR, CHAR, INT, DOUBLES, DOUBLES, INT,
+                            INT, DOUBLES, DOUBLES, DOUBLES, INT, INT, DOUBLES,
+                            INT, INT, DOUBLES, INT, INT, LEN, LEN)
+
+
+def _checked(d, e) -> Tuple[np.ndarray, np.ndarray]:
+    """Float64 copies of the diagonal ``d`` and off-diagonal ``e``.
+
+    Raises ValueError unless ``e`` is one shorter than ``d`` (both may be
+    empty), and NonConvergenceError for a non-finite entry.
+    """
+    d = np.array(d, dtype=np.float64)
+    e = np.array(e, dtype=np.float64)
+    if len(e) != max(len(d) - 1, 0):
+        raise ValueError("the off-diagonal must be one shorter than the diagonal")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise NonConvergenceError("tridiagonal eigensolve: non-finite matrix entry")
+    return d, e
+
+
 def _tridiagonal_eigvals(d, e) -> np.ndarray:
     """Ascending eigenvalues of the symmetric tridiagonal matrix (d, e).
 
     ``d`` is the diagonal (length n), ``e`` the off-diagonal (length n - 1).
     LAPACK ``dsterf`` when numpy's OpenBLAS provides it, otherwise the
     dense ``eigvalsh`` of the same matrix.  Raises NonConvergenceError when
-    the solver fails or an eigenvalue is not finite, as a non-finite entry
-    makes it.
+    an entry is not finite, the solver fails or an eigenvalue is not finite.
     """
-    d = np.array(d, dtype=np.float64)
-    e = np.array(e, dtype=np.float64)
-    if len(e) != max(len(d) - 1, 0):
-        raise ValueError("the off-diagonal must be one shorter than the diagonal")
+    d, e = _checked(d, e)
     dsterf = _dsterf()
     if dsterf is None:
         try:
@@ -308,107 +333,73 @@ def _tridiagonal_eigvals(d, e) -> np.ndarray:
     return d
 
 
-def _bisection():
-    """LAPACK dlaebz and dstebz from numpy's bundled OpenBLAS, or None.
-
-    dlaebz's arrays are passed as addresses (``ctypes.c_void_p``).  dstebz
-    takes Fortran character arguments, whose lengths trail the argument
-    list.
-    """
-    addr = ctypes.c_void_p
-    dlaebz = _openblas.symbol("dlaebz", *(INT,) * 6, *(DOUBLES,) * 3,
-                              *(addr,) * 6, INT, addr, addr, addr, INT)
-    dstebz = _openblas.symbol("dstebz", CHAR, CHAR, INT, DOUBLES, DOUBLES,
-                              INT, INT, DOUBLES, DOUBLES, DOUBLES, INT, INT,
-                              DOUBLES, INT, INT, DOUBLES, INT, INT, LEN, LEN)
-    return None if dlaebz is None or dstebz is None else (dlaebz, dstebz)
-
-
-def _sturm_count(dlaebz, d: np.ndarray, e: np.ndarray, x: float,
-                 pivmin: float) -> int:
-    """The number of eigenvalues <= x of the symmetric tridiagonal (d, e).
-
-    The pivots of T - x I that are <= 0, by ``dstebz``'s own counter,
-    LAPACK ``dlaebz`` with IJOB = 1, run on the diagonal ``d - x`` at the
-    point 0.  Its pivots are then ``q_0 = d_0 - x`` and ``q_{i+1} =
-    (d_{i+1} - x) - e_i^2 / q_i``, in ``dlarrc``'s association, and
-    ``dstebz``'s guard applies: a pivot smaller than ``pivmin`` in size
-    becomes ``-pivmin``.  ``dlarrc`` has no guard, so where every
-    ``d_i - x`` is 0 its pivots alternate 0 and -inf and it counts every
-    eigenvalue; where no pivot is below ``pivmin`` the two counts agree.
-    ``e`` has ``len(d)`` entries, the last one unread.
-    """
-    n = len(d)
-    # one buffer: D = d - x, E2 = e^2, AB(1, 1:2) = (0, 0), C and WORK
-    f = np.zeros(2 * n + 4)
-    np.subtract(d, x, out=f[:n])
-    np.multiply(e, e, out=f[n: 2 * n])
-    # NAB(1, 1:2), the counts at AB's two ends, then NVAL and IWORK
-    nab = np.zeros(4, dtype=np.int64)
-    at, step = f.ctypes.data, f.itemsize
-    D, E2, AB, C, WORK = (at + step * k for k in (0, n, 2 * n, 2 * n + 2, 2 * n + 3))
-    at, step = nab.ctypes.data, nab.itemsize
-    NAB, NVAL, IWORK = (at + step * k for k in (0, 2, 3))
-    i64, one, unused = ctypes.c_int64, ctypes.c_int64(1), ctypes.c_double(0.0)
-    # IJOB = 1 counts at the ends of MINP = 1 interval, by the scalar loop
-    # (NBMIN = 0); NITMAX, ABSTOL, RELTOL, NVAL and C go unread
-    dlaebz(one, one, i64(n), one, one, i64(0), unused, unused,
-           ctypes.c_double(pivmin), D, e.ctypes.data, E2, NVAL, AB, C, i64(0),
-           NAB, WORK, IWORK, i64(0))
-    return int(nab[0])
-
-
 def _tridiagonal_eigvals_near(d, e, x: float,
                               k: int) -> Optional[Tuple[int, np.ndarray]]:
     """(lo, eigenvalues lo..hi-1) of the symmetric tridiagonal (d, e), ascending.
 
-    With m eigenvalues <= x by :func:`_sturm_count`, lo = max(m - k, 0)
-    and hi = min(m + k, n).  ``dstebz`` bisects that index range to full
-    accuracy (ABSTOL = 2 DLAMCH('S'), the smallest normal number doubled).
-    None where numpy's OpenBLAS lacks it.  Raises NonConvergenceError when
-    an entry or an eigenvalue is not finite or the bisection fails.
+    With m eigenvalues <= x (x finite), lo = max(m - k, 0) and hi =
+    min(m + k, n).  Both come from LAPACK ``dstebz``.  The count m is its
+    RANGE = 'V' call on the diagonal ``d - x`` over (-inf, 0] with ABSTOL =
+    +inf, whose bisection stops at once: the pivots ``q_0 = d_0 - x`` and
+    ``q_{i+1} = (d_{i+1} - x) - e_i^2 / q_i`` <= 0, in ``dlarrc``'s
+    association, with ``dstebz``'s guard: a pivot smaller in size than its
+    minimum pivot ``pivmin`` becomes ``-pivmin``.  ``dlarrc`` has no guard,
+    so where every ``d_i - x`` is 0 its pivots alternate 0 and -inf and it
+    counts every eigenvalue.  Then a RANGE = 'I' call bisects the index
+    range to full accuracy (ABSTOL = 2 DLAMCH('S'), the smallest normal
+    number doubled).  None where numpy's OpenBLAS lacks ``dstebz``.  Raises
+    NonConvergenceError when an entry or an eigenvalue is not finite or
+    either call fails.
     """
-    routines = _bisection()
-    if routines is None:
+    dstebz = _dstebz()
+    if dstebz is None:
         return None
-    dlaebz, dstebz = routines
-    d = np.array(d, dtype=np.float64)
-    # Fortran reads e(1..n-1); the pad keeps the pointer valid at n <= 1
-    e = np.append(np.asarray(e, dtype=np.float64), 0.0)
+    d, e = _checked(d, e)
     n = len(d)
-    if len(e) != max(n, 1):
-        raise ValueError("the off-diagonal must be one shorter than the diagonal")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise NonConvergenceError("tridiagonal bisection: non-finite matrix entry")
     if n == 0:
         return 0, d
     # dstebz bisects no finer than its minimum pivot DLAMCH('S') max(1, e_j^2):
     # 6e-8 for the off-diagonal 2^499 of a_n = 2^n at L = 500.  Scaling by a
     # power of two, which is exact, brings every |e_j| below 1.
-    shift = max(int(np.frexp(np.max(np.abs(e)))[1]), 0)
+    shift = max(int(np.frexp(np.max(np.abs(e), initial=0.0))[1]), 0)
     d, e = np.ldexp(d, -shift), np.ldexp(e, -shift)
-    # the minimum pivot is DLAMCH('S') now that |e_j| < 1
-    below = _sturm_count(dlaebz, d, e, float(np.ldexp(x, -shift)), _TINY)
+    space = (np.empty(n), np.empty(4 * n),
+             *(np.empty(m, dtype=np.int64) for m in (n, n, 3 * n)))
+    below = _bisect(dstebz, b"V", d - np.ldexp(x, -shift), e, 0, 0, math.inf,
+                    space)
     lo, hi = max(below - k, 0), min(below + k, n)
-    size, info = ctypes.c_int64(n), ctypes.c_int64(0)
-    found, nsplit = ctypes.c_int64(0), ctypes.c_int64(0)
-    w, work = np.empty(n), np.empty(4 * n)
-    iblock, isplit, iwork = (np.empty(m, dtype=np.int64) for m in (n, n, 3 * n))
-    unused = ctypes.c_double(0.0)
-    dstebz(b"I", b"E", size, unused, unused, ctypes.c_int64(lo + 1),
-           ctypes.c_int64(hi), ctypes.c_double(2 * _TINY),
-           d.ctypes.data_as(DOUBLES), e.ctypes.data_as(DOUBLES), found,
-           nsplit, w.ctypes.data_as(DOUBLES), iblock.ctypes.data_as(INT),
-           isplit.ctypes.data_as(INT), work.ctypes.data_as(DOUBLES),
-           iwork.ctypes.data_as(INT), info, 1, 1)
-    if info.value != 0 or found.value != hi - lo:
+    found = _bisect(dstebz, b"I", d, e, lo + 1, hi, 2 * _TINY, space)
+    if found != hi - lo:
         raise NonConvergenceError(
-            f"tridiagonal bisection failed (dstebz info = {info.value}, "
-            f"{found.value} of {hi - lo} eigenvalues)")
-    nodes = np.ldexp(w[: hi - lo], shift)
+            f"tridiagonal bisection found {found} of {hi - lo} eigenvalues")
+    nodes = np.ldexp(space[0][:found], shift)
     if not np.all(np.isfinite(nodes)):
         raise NonConvergenceError("tridiagonal bisection: non-finite eigenvalue")
     return lo, nodes
+
+
+def _bisect(dstebz, rng: bytes, d: np.ndarray, e: np.ndarray, il: int, iu: int,
+            abstol: float, space) -> int:
+    """M from one ``dstebz`` call on (d, e), the one place its arguments are spelled.
+
+    RANGE = b"V" finds the eigenvalues in (VL, VU] = (-inf, 0], RANGE = b"I"
+    those of indices il..iu (from 1), to ``abstol``.  They land in
+    ``space[0]`` (W), ascending; ``space`` holds W, WORK, IBLOCK, ISPLIT and
+    IWORK.  Raises NonConvergenceError where INFO is not 0.
+    """
+    w, work, iblock, isplit, iwork = space
+    found, nsplit, info = ctypes.c_int64(0), ctypes.c_int64(0), ctypes.c_int64(0)
+    dstebz(rng, b"E", ctypes.c_int64(len(d)), ctypes.c_double(-math.inf),
+           ctypes.c_double(0.0), ctypes.c_int64(il), ctypes.c_int64(iu),
+           ctypes.c_double(abstol), d.ctypes.data_as(DOUBLES),
+           e.ctypes.data_as(DOUBLES), found, nsplit, w.ctypes.data_as(DOUBLES),
+           iblock.ctypes.data_as(INT), isplit.ctypes.data_as(INT),
+           work.ctypes.data_as(DOUBLES), iwork.ctypes.data_as(INT), info, 1, 1)
+    if info.value != 0:
+        raise NonConvergenceError(
+            f"tridiagonal bisection failed (dstebz RANGE = {rng.decode()}, "
+            f"info = {info.value})")
+    return found.value
 
 
 def _crossing(nodes: np.ndarray, edge: float, reach: float, side: str) -> float:

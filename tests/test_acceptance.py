@@ -123,7 +123,7 @@ def test_near_point_checks_make_no_full_solve(monkeypatch):
 
 
 def test_fallback_route_agrees_with_the_blas_route(monkeypatch):
-    # without BLAS ztbsv and LAPACK dsterf, dlaebz and dstebz, tables come
+    # without BLAS ztbsv and LAPACK dsterf and dstebz, tables come
     # from the real-arithmetic recurrence, node sets from the dense
     # eigvalsh and nodes near a point from slices of the whole set
     config = RunConfig(truncation=TruncationPolicy(n_max=120))
@@ -131,7 +131,7 @@ def test_fallback_route_agrees_with_the_blas_route(monkeypatch):
     clear_evaluator_cache()
     monkeypatch.setattr(evaluation, "_ztbsv", lambda: None)
     monkeypatch.setattr(zeros, "_dsterf", lambda: None)
-    monkeypatch.setattr(zeros, "_bisection", lambda: None)
+    monkeypatch.setattr(zeros, "_dstebz", lambda: None)
     try:
         fallback = run_acceptance(config)
     finally:

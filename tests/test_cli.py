@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -544,6 +545,24 @@ def test_every_run_field_enters_config_hash(name):
     base = RunConfig()
     for value in HASHED_ALTERNATIVES[name]:
         assert replace(base, **{name: value}).config_hash() != base.config_hash()
+
+
+def test_power_law_exponents_one_ulp_apart_hash_apart():
+    base = RunConfig()
+    assert base.describe() == (
+        "problem=power_law(c=2) n_max=500 tail_tol=0.001 safety=10 "
+        "window=-40:40 refine_tol=9.9999999999999994e-12 precision=standard "
+        "seed=1234")
+    assert base.config_hash() == "f3dc4e960a74c93b"
+    for c in (2.0, 1.1, 1.2, 1.5, 3.0):
+        at = replace(base, problem=JacobiCoefficients.power_law(c))
+        near = replace(base, problem=JacobiCoefficients.power_law(
+            math.nextafter(c, math.inf)))
+        assert at.problem.description == f"power_law(c={c:g})"
+        assert near.describe() != at.describe()
+        assert near.config_hash() != at.config_hash()
+    assert (JacobiCoefficients.power_law(2.0000001).description
+            == "power_law(c=2.0000001)")
 
 
 class TestVerify:

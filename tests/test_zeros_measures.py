@@ -279,7 +279,7 @@ class TestTridiagonalEigvals:
         bundled = (lapack.get("name") == "scipy-openblas"
                    and "USE64BITINT" in lapack.get("openblas configuration", ""))
         assert (zeros._dsterf() is not None) == bundled
-        assert (zeros._bisection() is not None) == bundled
+        assert (zeros._dstebz() is not None) == bundled
         assert (evaluation._ztbsv() is not None) == bundled
 
     # (L, t): a finite corner at both parities; t = 0 at even L and t = inf
@@ -326,14 +326,18 @@ class TestTridiagonalEigvals:
             else:
                 zeros._tridiagonal_eigvals(d, np.ones(2))
 
-    # dstebz's arguments: 10 is M (eigenvalues found), 12 W, 17 INFO
-    @pytest.mark.parametrize("failure", ["info", "short", "nan"])
-    def test_failed_bisection_raises_non_convergence(self, failure,
+    # dstebz's arguments: 0 is RANGE (b"V" for the count, b"I" for the
+    # slice), 10 M (eigenvalues found), 12 W, 17 INFO
+    @pytest.mark.parametrize("call,failure", [(b"V", "info"), (b"I", "info"),
+                                              (b"I", "short"), (b"I", "nan")])
+    def test_failed_bisection_raises_non_convergence(self, call, failure,
                                                      monkeypatch):
-        dlaebz, dstebz = zeros._bisection()
+        dstebz = zeros._dstebz()
 
         def broken(*args):
             dstebz(*args)
+            if args[0] != call:
+                return
             if failure == "info":
                 args[17].value = 2
             elif failure == "short":
@@ -341,12 +345,12 @@ class TestTridiagonalEigvals:
             else:
                 args[12][0] = np.nan
 
-        monkeypatch.setattr(zeros, "_bisection", lambda: (dlaebz, broken))
+        monkeypatch.setattr(zeros, "_dstebz", lambda: broken)
         d, e = np.array([2.0, -1.0, 0.5, 3.0]), np.array([1.0, 3.0, 0.5])
         with pytest.raises(NonConvergenceError):
             zeros._tridiagonal_eigvals_near(d, e, 0.0, 1)
 
-    def test_sturm_count_is_the_guarded_pivot_count(self):
+    def test_sturm_count_is_the_guarded_pivot_count(self, monkeypatch):
         # the loop dlarrc runs with JOBT = 'T', (d_i - x) - e_{i-1}^2 / q,
         # with dstebz's guard: a pivot below pivmin in size is -pivmin
         def reference(d, e, x, pivmin):
@@ -358,19 +362,36 @@ class TestTridiagonalEigvals:
                 count += q <= 0.0
             return count
 
-        dlaebz, _ = zeros._bisection()
+        # the count is M of the RANGE = 'V' call; |e_j| < 1 leaves it unscaled
+        counts = []
+        bisect = zeros._bisect
+
+        def spy(dstebz, rng, *args):
+            found = bisect(dstebz, rng, *args)
+            if rng == b"V":
+                counts.append(found)
+            return found
+
+        monkeypatch.setattr(zeros, "_bisect", spy)
         rng = np.random.default_rng(26)
-        for trial in range(300):
+        for trial in range(400):
             n = int(rng.integers(1, 120))
             d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
             if trial % 3 == 0:
                 d = np.round(d)         # integer pivots: exact zeros happen
             if trial % 5 == 0:
                 d = np.zeros(n)         # every d_i - 0 is 0
-            e = np.append(rng.uniform(0.01, 1.0, size=n - 1), 0.0).tolist()
-            for x in (float(rng.normal()), float(d[int(rng.integers(n))]), 0.0):
-                assert (zeros._sturm_count(dlaebz, d, np.array(e), x, zeros._TINY)
-                        == reference(d, e, x, zeros._TINY)), (trial, x)
+            e = rng.uniform(0.01, 1.0, size=n - 1)
+            xs = [float(rng.normal()), float(d[int(rng.integers(n))]), 0.0]
+            if trial % 4 == 1:
+                # exact zeros split the matrix into blocks that dstebz
+                # counts one by one
+                e[rng.random(n - 1) < 0.3] = 0.0
+                xs += [1e300, -1e300]
+            for x in xs:
+                zeros._tridiagonal_eigvals_near(d, e, x, 1)
+                assert counts.pop() == reference(d, e.tolist(), x, zeros._TINY), (
+                    trial, x)
 
     def test_inputs_untouched_and_small_sizes(self):
         d, e = np.array([2.0, -1.0, 0.5]), np.array([1.0, 3.0])
@@ -438,7 +459,7 @@ class TestNodesNear:
         b0, b1 = near_ev.b[0], near_ev.b[1]
         cases = [(full[at], 3), (0.5 * (full[at] + full[at + 1]), 2),
                  (full[0] - 1.0, 2), (full[-1] + 1.0, 2), (full[at], n + 5),
-                 (b0, 2), (b1, 2)]
+                 (b0, 2), (b1, 2), (-1e300, 2), (1e300, 2)]
         self._assert_slices(f, full, cases)
         # at v the slice reaches past v on both sides and snaps like nodes()
         if name in ("D", "A"):
@@ -477,7 +498,7 @@ class TestNodesNear:
 
     @pytest.mark.parametrize("name", ["D", "BtD"])
     def test_fallback_is_the_slice_of_nodes(self, near_ev, name, monkeypatch):
-        monkeypatch.setattr(zeros, "_bisection", lambda: None)
+        monkeypatch.setattr(zeros, "_dstebz", lambda: None)
         f = self._function(near_ev, name)
         full = f.nodes()
         for x, k in ((0.37, 2), (0.0, 1), (full[0] - 1.0, 3), (full[-1], 2),
@@ -489,6 +510,15 @@ class TestNodesNear:
     def test_k_must_be_positive(self, src, pol):
         with pytest.raises(ValueError):
             nevanlinna_line(evaluator_for(src, pol), "D").nodes_near(0.0, 0)
+
+    @pytest.mark.parametrize("route", ["dstebz", "slice of nodes"])
+    def test_x_must_be_finite(self, src, pol, route, monkeypatch):
+        if route != "dstebz":
+            monkeypatch.setattr(zeros, "_dstebz", lambda: None)
+        f = nevanlinna_line(evaluator_for(src, pol), "D", 0.37)
+        for x in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                f.nodes_near(x, 2)
 
 
 class TestCountZerosRect:
