@@ -45,16 +45,12 @@ class JacobiCoefficients:
         """Preset ``a_n = (n+1)**exponent, b_n = 0`` (indeterminate for exponent > 1).
 
         The exponent must be a finite real > 1 (ValueError otherwise).  The
-        description writes it in ``:g`` form where that reads back as the
-        exponent exactly, and in full (``repr``) otherwise.
+        description and the range error name it as :func:`_spelled` writes it.
         """
         exponent = float(exponent)
         if not 1 < exponent < math.inf:
             raise ValueError("power-law exponent must be a finite real > 1")
-        text = f"{exponent:g}"
-        if float(text) != exponent:
-            text = repr(exponent)
-        return cls(f"power_law(c={text})", *_read_only(np.empty((0, 2))),
+        return cls(f"power_law(c={_spelled(exponent)})", *_read_only(np.empty((0, 2))),
                    exponent=exponent)
 
     @classmethod
@@ -106,7 +102,7 @@ class JacobiCoefficients:
             except OverflowError:
                 raise CoefficientRangeError(
                     f"power-law coefficient a_{n} = {n + self._shift + 1}^"
-                    f"{self._exponent:g} exceeds the float range") from None
+                    f"{_spelled(self._exponent)} exceeds the float range") from None
         a, b = self.arrays(n)
         return float(a[n]), float(b[n])
 
@@ -152,6 +148,12 @@ class JacobiCoefficients:
 
     def __repr__(self):
         return f"JacobiCoefficients({self.description})"
+
+
+def _spelled(x: float) -> str:
+    """``x`` in ``:g`` form where that reads back as ``x`` exactly, else ``repr``."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
 
 
 def _read_only(ab: np.ndarray, where: Optional[Callable[[int], str]] = None

@@ -49,27 +49,30 @@ kernel left them, integer parts and a shared exponent, and rounds an
 entry to that precision, by mpmath's ``normalize`` inlined, each time it
 is read: an entry becomes a complex number of :func:`_mp_context` at that
 precision then.  A row keeps no Python object per entry, so only what is
-read is computed, rounded or squared.  The squared moduli of the rounded
-values of a range of entries, where a caller reads them, come from the
-unrounded parts (:meth:`ExtendedRow.squares`, :func:`_squares`), bitwise
-what squaring the rounded parts gives.  The coefficients are split into
-the kernel's integers once per evaluator (:class:`_IntegerCoefficients`);
-only ``y``, ``x - b_n`` and, where the point's parts go lower, a shift
-are made per point (:class:`_PointSteps`), and ``x - b_n`` and the shift
-only through the furthest step a row of the point has run.  Evaluators
-run the kernel at ``EXTENDED_DPS`` digits.  An entry's context carries
-its precision, so arithmetic on it runs at that precision wherever it
-happens, in this package or a caller's code, and mpmath's global
-precision is neither read nor set.
+read is computed, rounded or squared.  An entry's squared modulus is that
+of the kernel's own value, whose integers carry ``_GUARD_BITS`` more bits
+than the entry as read: the exact ``RE^2 + IM^2`` times ``2**(2 E)``,
+rounded once to a float (:meth:`ExtendedRow.squares`, :func:`_squares`),
+so it does not depend on the precision entries are rounded to.  The
+coefficients are split into the kernel's integers once per evaluator
+(:class:`_IntegerCoefficients`); only ``y``, ``x - b_n`` and, where the
+point's parts go lower, a shift are made per point (:class:`_PointSteps`),
+and ``x - b_n`` and the shift only through the furthest step a row of the
+point has run.  Evaluators run the kernel at ``EXTENDED_DPS`` digits.  An
+entry's context carries its precision, so arithmetic on it runs at that
+precision wherever it happens, in this package or a caller's code, and
+mpmath's global precision is neither read nor set.
 Either backend computes the p rows, the q rows or both (``chains``); all
 but the fallback's point loop compute only the rows returned.
 
 Squared sums
 ------------
 Every squared sum is the in-order sum of the squared moduli of a row's
-entries as read: the stop rule's totals, the norms ``norm_p2`` and
-``norm_q2`` (the domain tests divide by ``norm_p2``) and the N-extremal
-masses, ``1 / norm_p2``.  One pair of helpers takes them all.
+entries: the stop rule's totals, the norms ``norm_p2`` and ``norm_q2``
+(the domain tests divide by ``norm_p2``) and the N-extremal masses,
+``1 / norm_p2``.  A complex128 entry's squared modulus is ``abs(v)**2``;
+an extended entry's is the exact square of the kernel's unrounded value,
+rounded once to a float.  One pair of helpers takes them all.
 :func:`_squared_moduli` squares a range of entries of some rows, and
 :func:`_running_sums` sums them in index order, continued from a carry;
 sums taken chunk by chunk are then bitwise the sums of the whole row.
@@ -233,9 +236,10 @@ class PointTable:
     compute their entries as far as they are read: a new extended table
     has run no recurrence step.  Reading the rows squares nothing.
 
-    Squared sums are taken on read, as "Squared sums" above says, so a
-    read that meets a square or a sum past the float range raises
-    EvaluationOverflowError.  Two are kept once read:
+    Squared sums are taken on read, as "Squared sums" above says: an
+    extended entry is squared from the kernel's unrounded value, not from
+    the entry as read.  A read that meets a square or a sum past the float
+    range raises EvaluationOverflowError.  Two are kept once read:
 
     - ``stop_index``, ``converged`` and ``tail_est`` run the policy's stop
       rule over both chains from index 0: complex128 rows in one pass
@@ -413,13 +417,13 @@ class ExtendedRow:
                            _round_mpf(self._im[n], e, prec)))
 
     def squares(self, lo: int, hi: int) -> np.ndarray:
-        """Squared moduli of entries lo..hi-1 as read, by :func:`_squares`.
+        """Squared moduli of entries lo..hi-1, by :func:`_squares`: those of
+        the kernel's unrounded values, each exact and rounded once to a float.
 
-        Floats, inf beyond the float range; no entry is built.
+        Floats, inf beyond the float range; no entry is built or rounded.
         """
         k = self._span(slice(lo, hi))
-        return np.array(_squares(self._re[k], self._im[k], self._e[k], self._prec),
-                        dtype=float)
+        return np.array(_squares(self._re[k], self._im[k], self._e[k]), dtype=float)
 
 
 @functools.lru_cache(maxsize=8)
@@ -934,67 +938,27 @@ def _round_mpf(v: int, e: int, prec: int) -> tuple:
     return (1 if v < 0 else 0, m, e + t, m.bit_length())
 
 
-def _squares(RE: List[int], IM: List[int], E: List[int], prec: int) -> List[float]:
-    """Squared moduli of the values (RE[n] + i IM[n]) * 2**E[n] rounded as read.
+def _squares(RE: List[int], IM: List[int], E: List[int]) -> List[float]:
+    """Squared moduli of the kernel's values (RE[n] + i IM[n]) * 2**E[n]: each
+    the exact ``RE^2 + IM^2`` times ``2**(2 E)`` rounded once (:func:`_scaled`)."""
+    return [_scaled(re * re + im * im, 2 * e) for re, im, e in zip(RE, IM, E)]
 
-    Each is the exact ``Re'^2 + Im'^2`` of the parts rounded by
-    :func:`_round_mpf`, rounded once to a float (inf beyond its range), and
-    is taken from the unrounded parts where that is certain to give the
-    same float.  With ``s = RE^2 + IM^2`` of ``b`` bits, rounding both parts
-    moves the sum by less than ``D = 2**(b + 2 - prec)``, and by nothing
-    where both fit in ``prec`` bits, as they do if ``b <= 2 prec``.
-    Rounding is monotone, so where ``float(s - D) == float(s + D)`` that
-    float is the rounded sum, and scaling it by ``2**(2 E)`` is exact where
-    the result is normal.  Every other value (within D of a rounding
-    midpoint, subnormal, near or past the float range, or with ``b >=
-    1000``) is :func:`_square_sum` of the rounded parts.
+
+def _scaled(s: int, k: int) -> float:
+    """s * 2**k, for an int s >= 0, rounded once to a float; inf beyond its range.
+
+    ``float(s)`` rounds once, and scaling it by 2**k is exact where the
+    result is normal; elsewhere (a subnormal result, or s of 1000 bits or
+    more) int division or conversion rounds once.
     """
-    out = []
-    for re, im, e in zip(RE, IM, E):
-        s = re * re + im * im
-        b = s.bit_length()
-        x = _scaled(s, 2 * e, 1 << (b + 2 - prec) if b > 2 * prec else 0)
-        if x is None:
-            _, m, f, _ = _round_mpf(re, e, prec)
-            _, n, g, _ = _round_mpf(im, e, prec)
-            x = _square_sum(m, f, n, g)
-        out.append(x)
-    return out
-
-
-def _square_sum(m: int, e: int, n: int, f: int) -> float:
-    """(m * 2**e)**2 + (n * 2**f)**2 rounded once to a float; inf beyond its range."""
-    if e > f:
-        m, e, n, f = n, f, m, e
-    s, k = m * m + (n * n << 2 * (f - e)), 2 * e      # the sum is s * 2**k exactly
-    x = _scaled(s, k)
-    if x is not None:
-        return x
     try:
-        return s / (1 << -k) if k < 0 else float(s << k)  # int division rounds once
+        if s.bit_length() < 1000:
+            x = math.ldexp(float(s), k)
+            if x >= _NORMAL_EDGE or not s:
+                return x
+        return s / (1 << -k) if k < 0 else float(s << k)
     except OverflowError:
         return math.inf
-
-
-def _scaled(s: int, k: int, d: int = 0) -> Optional[float]:
-    """s' * 2**k rounded once to a float, for every s' within d of s, or None.
-
-    float(s') is one float where ``float(s - d) == float(s + d)`` (rounding
-    is monotone), as it is at d = 0, and scaling it by 2**k is exact where
-    the result is normal.  None where that is not certain: s of 1000 bits
-    or more, the two floats differ, or the result is subnormal or past the
-    float range.
-    """
-    if s.bit_length() >= 1000:
-        return None
-    x = float(s - d)
-    if d and x != float(s + d):
-        return None
-    try:
-        x = math.ldexp(x, k)
-    except OverflowError:
-        return None
-    return x if x >= _NORMAL_EDGE else None
 
 
 class Evaluator:

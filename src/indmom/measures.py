@@ -58,10 +58,20 @@ class ExtensionParam:
 
     @classmethod
     def parse(cls, text: str) -> "ExtensionParam":
+        """A real, or infinity spelled ``inf``, ``infinity`` or ``oo`` with or
+        without a sign: t ranges over the reals and one point at infinity.
+
+        ValueError, quoting the text, for anything else, ``nan`` and a
+        literal past the float range (such as ``1e400``) included.
+        """
         s = text.strip().lower()
-        if s in ("inf", "infinity", "oo"):
+        if (s[1:] if s[:1] in ("+", "-") else s) in ("inf", "infinity", "oo"):
             return cls.infinite()
-        return cls.finite(float(s))
+        t = float(s)
+        if not math.isfinite(t):
+            raise ValueError(
+                f"extension parameter {text!r} is neither a finite real nor infinity")
+        return cls(t)
 
     @property
     def is_infinite(self) -> bool:

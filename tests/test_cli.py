@@ -117,14 +117,30 @@ class TestUsageErrors:
         (["--c", "inf", "eval", "1"], "power-law exponent must be a finite real > 1"),
         (["--c", "114", "eval", "1"],
          "power-law coefficient a_505 = 506^114 exceeds the float range"),
+        (["--c", "113.9999999", "eval", "1"],
+         "power-law coefficient a_505 = 506^113.9999999 exceeds the float range"),
+        (["--t", "nan", "support"],
+         "extension parameter 'nan' is neither a finite real nor infinity"),
+        (["--t", "1e400", "support"],
+         "extension parameter '1e400' is neither a finite real nor infinity"),
+        (["membership", "p(1)+q(1)@nan"],
+         "extension parameter 'nan' is neither a finite real nor infinity"),
+        (["membership", "p(1)+q(1)@1e400"],
+         "extension parameter '1e400' is neither a finite real nor infinity"),
         (["--tail-tol", "inf", "eval", "1"],
          "tail_tol must be finite and positive, got inf"),
     ], ids=["w-without-t", "unbalanced", "no-atom", "no-star", "window", "empty-point",
-            "infinite-c", "c-past-the-float-range", "infinite-tail-tol"])
+            "infinite-c", "c-past-the-float-range", "c-named-in-full", "nan-t", "huge-t",
+            "nan-t-in-spec", "huge-t-in-spec", "infinite-tail-tol"])
     def test_usage_error_names_its_fault(self, args, message, capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"usage error: {message}"), err
+
+    def test_range_error_of_an_integer_exponent_keeps_its_bytes(self, capsys):
+        assert run_cli(["--c", "114", "eval", "1"], capsys) == (
+            2, "", "usage error: power-law coefficient a_505 = 506^114 exceeds "
+                   "the float range\n")
 
     def test_largest_exponent_in_range_runs(self, capsys):
         # 509**113 is about 7e305: every coefficient through n_max + 8 is finite
@@ -194,6 +210,20 @@ class TestMembership:
         code, _, err = run_cli(["membership", "p(1)+x(2)"], capsys)
         assert code == 2
         assert "position 5" in err
+
+
+@pytest.mark.parametrize("t", ["-inf", "+inf", "-Infinity"])
+def test_a_signed_infinity_is_the_point_at_infinity(t, capsys):
+    # t ranges over the reals and one point at infinity, whatever its sign
+    want = run_cli(["--t", "inf", "support"], capsys)
+    assert want[0] == 0 and "t = inf" in want[1]
+    assert run_cli([f"--t={t}", "support"], capsys) == want
+    assert run_cli(["--t", t, "support"], capsys) == want
+    code, out, err = run_cli(["membership", f"p(1)+q(1)@{t}"], capsys)
+    assert (code, err) == (0, "")
+    assert out == run_cli(["membership", "p(1)+q(1)@inf"], capsys)[1].replace(
+        "@inf", f"@{t}")
+    assert "in_DTt(inf) = " in out
 
 
 def _unscaled_combine(self, b, d):

@@ -40,6 +40,22 @@ class TestPowerLaw:
         with pytest.raises(CoefficientRangeError, match=rf"a_{first - 1} "):
             src.truncate_once().coeffs(first - 1)
 
+    def test_range_error_names_the_exponent_as_the_description_does(self):
+        # :g would write 113.9999999 as 114
+        src = JacobiCoefficients.power_law(113.9999999)
+        assert src.description == "power_law(c=113.9999999)"
+        message = "a_505 = 506^113.9999999 exceeds the float range"
+        with pytest.raises(CoefficientRangeError, match=re.escape(message)):
+            src.arrays(600)
+        with pytest.raises(CoefficientRangeError,
+                           match=re.escape(message.replace("a_505", "a_504"))):
+            src.truncate_once().arrays(600)
+        c = math.nextafter(3.0, 4.0)
+        src = JacobiCoefficients.power_law(c)
+        assert src.description == f"power_law(c={c!r})"
+        with pytest.raises(CoefficientRangeError, match=re.escape(f"^{c!r} exceeds")):
+            src.truncate_once().coeffs(10 ** 103)
+
     def test_deterministic(self, src):
         assert src.coeffs(17) == src.coeffs(17)
 

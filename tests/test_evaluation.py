@@ -312,8 +312,20 @@ def _cum(tab, c):
 
 def _extended_row(RE, IM, E, prec):
     """The kernel's row of the values (RE[n] + i IM[n]) * 2**E[n] and its squares."""
-    return (evaluation.ExtendedRow(RE, IM, E, prec),
-            evaluation._squares(RE, IM, E, prec))
+    return evaluation.ExtendedRow(RE, IM, E, prec), evaluation._squares(RE, IM, E)
+
+
+def _exact(s, k):
+    """s * 2**k rounded once to a float by Fraction; inf past the float range."""
+    try:
+        return float(Fraction(s) * Fraction(2) ** k)
+    except OverflowError:
+        return math.inf
+
+
+def _exact_square(re, im, e):
+    """The exact squared modulus of (re + i im) * 2**e, rounded once to a float."""
+    return _exact(re * re + im * im, 2 * e)
 
 
 class TestRecurrenceKernel:
@@ -434,7 +446,7 @@ class TestExtendedPrecision:
     @pytest.mark.parametrize("source", ["c=2", "alternating_b"])
     def test_entries_are_rounded_once(self, source):
         # each part against mpmath's rounding of its unrounded chain value,
-        # and its squared modulus against the exact square of those parts
+        # and its squared modulus against the exact square of that value
         from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
         prec, L = dps_to_prec(evaluation.EXTENDED_DPS), 1009
@@ -459,9 +471,7 @@ class TestExtendedPrecision:
                      from_man_exp(im, e, prec, round_nearest))
             v = row[k]
             assert _at_digits(v) and v._mpc_ == parts, (re, im, e)
-            exact = sum(Fraction((-1) ** s * m) ** 2 * Fraction(2) ** (2 * x)
-                        for s, m, x, _ in parts)
-            assert squares[k] == float(exact), (re, im, e)
+            assert squares[k] == _exact_square(re, im, e), (re, im, e)
         assert row[1]._mpc_[0] == (0, 1, prec + 4, 1)
         assert _extended_row([1], [1], [600], prec)[1] == [math.inf]
 
@@ -514,74 +524,38 @@ class TestExtendedPrecision:
             gc.callbacks.remove(count)
         assert len(started) <= 3, started
 
-    def test_squares_fall_back_off_the_certificate(self, src, monkeypatch):
-        # each squared modulus against the exact square of the rounded
-        # parts, where the unrounded parts cannot certify it: within D of a
-        # float rounding midpoint, subnormal, at the 2**-1075 edge, past the
-        # float range and at 1000 bits or more; these all take the fallback
-        from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
-
-        prec = dps_to_prec(evaluation.EXTENDED_DPS)
-        fallbacks, square_sum = [], evaluation._square_sum
-
-        def counted(*parts):
-            fallbacks.append(parts)
-            return square_sum(*parts)
-
-        monkeypatch.setattr(evaluation, "_square_sum", counted)
-
-        def exact(re, im, e):
-            parts = (from_man_exp(re, e, prec, round_nearest),
-                     from_man_exp(im, e, prec, round_nearest))
-            value = sum(Fraction(m) ** 2 * Fraction(2) ** (2 * x) for _, m, x, _ in parts)
-            try:
-                return float(value)
-            except OverflowError:
-                return math.inf
-
-        # Re^2 + Im^2 within 2 Re + 1 < D of a midpoint between 53-bit floats
-        mid = (2 * ((1 << 52) + 12345) + 1) << 213
-        near = [(math.isqrt(mid - im * im), im, e)
-                for im in (0, 3 << 128, -(1 << 120)) for e in (-90, 0, 7)]
-        for re, im, e in near:
-            s = re * re + im * im
-            assert re.bit_length() > prec and abs(s - mid) < 1 << (s.bit_length() + 2 - prec)
-        edge = [(2 ** 60 + 1, 2 ** 60, -598), (2 ** 60, 2 ** 60 + 1, -598)]
-        falling = near + edge + [
-            ((1 << 133) + 12345, -7, -660),     # subnormal
-            (1 << 90, 3 << 60, -700),           # subnormal, parts of prec bits
-            (1, 1, -538),                       # exactly 2**-1075: ties to even, 0
-            (1, -1, 600), (1 << 520, 0, 0), (1, 0, 520),     # past the float range
-            ((1 << 133) + 1, 0, 379),           # 2**1024 and a little more
-            ((1 << 600) - 1, 5, -600),          # 1000 bits or more
+    def test_squares_round_the_exact_sum_once(self, src):
+        # s * 2**k against Fraction's rounding of it, on each side of the
+        # normal edge, in the subnormal range, at the 2**-1075 and 2**1024
+        # edges, for s of 1000 bits or more, and for zero
+        cases = [
+            (1, -1075), (1, -1074), (3, -1076),     # 0.0 (ties to even), 2**-1074
+            ((1 << 54) + 11, -1077),    # rounding s first would round twice
+            ((1 << 133) + 12345, -1320),            # subnormal
+            ((1 << 53) - 1, -1074), (1 << 53, -1074),   # below and at 2**-1021
+            ((1 << 53) - 1, 971), ((1 << 54) - 3, 970),     # the largest float
+            ((1 << 54) - 1, 970), (1, 1024), (3, 1100),     # 2**1024 and past
+            ((1 << 1200) + 1, -1300), ((1 << 1100) - 1, -2200),   # 1000 bits
+            ((1 << 1200) + 1, -3000), ((1 << 1010) + 3, 5), (1 << 1010, 20),
+            (0, -5000), (0, 0), (0, 5000),
         ]
-        for k, (re, im, e) in enumerate(falling):
-            got = evaluation._squares([re], [im], [e], prec)
-            assert got == [exact(re, im, e)], (re, im, e)
-            assert len(fallbacks) == k + 1, (re, im, e)
-        assert [exact(*v) for v in edge] == [math.ulp(0.0)] * 2
-        assert exact(1, 1, -538) == 0.0 and exact(1, 0, 520) == math.inf
-        # the certificate serves values in the normal range, the largest too
-        fallbacks.clear()
-        certified = [((1 << 133) + 1, 0, 378), ((1 << 133) - 1, 1 << 120, -1),
-                     (3 << 100, -(5 << 90), -520), ((1 << 200) + 3, 1 << 133, -500)]
-        got = evaluation._squares(*map(list, zip(*certified)), prec)
-        assert got == [exact(*v) for v in certified] and not fallbacks
-        # parts of a few digits to 10**150, one zero part, and zero
         rng = np.random.default_rng(6)
-        with mp.workdps(32):
-            parts = [mp.mpf(float(x)) * mp.mpf(10) ** int(k) / 3
-                     for x, k in zip(rng.normal(size=40), rng.integers(-150, 150, 40))]
-            vals = [mp.mpc(re, im) for re, im in zip(parts[::2], parts[1::2])]
-            vals += [mp.mpc(0, parts[0]), mp.mpc(parts[1], 0), mp.mpc(0),
-                     mp.mpc(mp.mpf(2) ** 500 * 3, mp.mpf(2) ** -500)]
-        values = []
-        for v in vals:
-            (m, x), (n, y) = v.real.man_exp, v.imag.man_exp
-            f = min(x, y) if m and n else x if m else y
-            values.append((int(m) << int(x - f), int(n) << int(y - f), int(f)))
-        got = evaluation._squares(*map(list, zip(*values)), prec)
-        assert got == [exact(*v) for v in values]
+        cases += [(int(v) << int(b), int(k)) for v, b, k in zip(
+            rng.integers(1, 1 << 62, 200), rng.integers(0, 300, 200),
+            rng.integers(-1400, 700, 200))]
+        for s, k in cases:
+            assert evaluation._scaled(s, k) == _exact(s, k), (s, k)
+        assert [_exact(*v) for v in cases[:4]] == [0.0] + [math.ulp(0.0)] * 2 + [
+            math.ldexp((1 << 51) + 1, -1074)]
+        assert [_exact(*v) for v in cases[9:12]] == [math.inf] * 3
+        # squares of seeded parts, of one zero part and of zero, at the edges too
+        triples = [(0, 0, 9), (-12, 40, 0), (0, -5, -200), (1, 1, -538), (1, -1, 600),
+                   ((1 << 600) - 1, 5, -600), ((1 << 133) + 1, 0, 379)]
+        triples += [(int(m) << int(b), int(n) << int(c), int(e)) for m, n, b, c, e in zip(
+            rng.integers(-(1 << 62), 1 << 62, 40), rng.integers(-(1 << 62), 1 << 62, 40),
+            rng.integers(0, 60, 40), rng.integers(0, 60, 40), rng.integers(-600, 400, 40))]
+        assert evaluation._squares(*map(list, zip(*triples))) == [
+            _exact_square(*v) for v in triples]
         # a table whose squares overflow, or a point that is not finite,
         # raises instead of returning what it cannot hold
         ev = Evaluator(src, TruncationPolicy(n_max=10), "extended")
@@ -590,6 +564,23 @@ class TestExtendedPrecision:
         for bad in (complex(math.inf, 1), complex(1, math.nan)):
             with pytest.raises(EvaluationOverflowError, match="not finite"):
                 ev.norms_p2([0.5j, bad])
+
+    @pytest.mark.parametrize("source", ["c=1.2", "c=2", "c=3", "alternating_b"])
+    def test_squares_are_those_of_the_rounded_entries_on_a_sample(self, source):
+        # each square is that of the kernel's unrounded value; on this
+        # sample it is also the exact square of the entry as read, rounded
+        # once, as it was when squares were defined on the rounded entries
+        ev = Evaluator(_source(source), TruncationPolicy(n_max=500), "extended")
+        for z in _disk_points(45, 14):
+            tab = ev.table(complex(z))
+            for row in (tab.p, tab.q):
+                want = []
+                for v in row[:]:
+                    (_, m, x, _), (_, n, y, _) = v._mpc_
+                    f = min(x, y)                   # a zero part has exponent 0
+                    want.append(_exact((m * m << 2 * (x - f)) + (n * n << 2 * (y - f)),
+                                       2 * f))
+                assert row.squares(0, len(row)).tolist() == want, z
 
     @pytest.mark.parametrize("source", ["c=1.2", "c=2", "alternating_b"])
     def test_coefficients_split_once_give_the_entries_of_each_point(self, source):
@@ -629,7 +620,7 @@ class TestExtendedPrecision:
     def test_entries_round_when_read(self, z, source, upto, cut):
         # every entry, read by index or by slice, is mpmath's rounding of
         # the chain's unrounded parts, and every square is the exact square
-        # of those rounded parts, rounded once
+        # of the unrounded value, rounded once
         from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
         dps = evaluation.EXTENDED_DPS
@@ -640,9 +631,9 @@ class TestExtendedPrecision:
         steps = coeffs.steps(z, upto)
         for c, chain in enumerate("pq"):
             row = rows[c][0]
+            values = list(zip(*evaluation._integer_chain(steps, chain)))
             want = [(from_man_exp(re, e, prec, round_nearest),
-                     from_man_exp(im, e, prec, round_nearest))
-                    for re, im, e in zip(*evaluation._integer_chain(steps, chain))]
+                     from_man_exp(im, e, prec, round_nearest)) for re, im, e in values]
             assert len(row) == len(want) == upto + 1
             for _ in range(2):                  # each read rounds again, alike
                 assert [row[k]._mpc_ for k in range(upto + 1)] == want
@@ -650,8 +641,7 @@ class TestExtendedPrecision:
             assert [v._mpc_ for v in row[:]] == want
             assert [v._mpc_ for v in row[cut[0]:cut[1]]] == want[cut[0]:cut[1]]
             assert [v._mpc_ for v in row[::-3]] == want[::-3]
-            squares = [evaluation._square_sum(m, e, n, f)
-                       for (_, m, e, _), (_, n, f, _) in want]
+            squares = [_exact_square(*v) for v in values]
             assert row.squares(0, upto + 1).tolist() == squares
             lo, hi = sorted(k % (upto + 1) for k in cut)
             assert row.squares(lo, hi).tolist() == squares[lo:hi]
@@ -687,7 +677,7 @@ def _assert_eager_fields(tab, pol):
     if isinstance(tab.p, evaluation.ExtendedRow):
         for r in rows:
             r[-1]                               # computes the whole row
-        R2 = np.array([evaluation._squares(r._re, r._im, r._e, r._prec) for r in rows])
+        R2 = np.array([evaluation._squares(r._re, r._im, r._e) for r in rows])
     else:
         R2 = np.abs(np.array(rows)) ** 2
     cums = np.add.accumulate(R2, axis=1)
@@ -889,7 +879,7 @@ class TestLazyExtendedRows:
                 assert [v._mpc_ for v in row[k]] == want, k
             else:
                 lo, hi = sorted(int(f * (upto + 1)) for f in args)
-                want = evaluation._squares(RE[lo:hi], IM[lo:hi], E[lo:hi], prec)
+                want = evaluation._squares(RE[lo:hi], IM[lo:hi], E[lo:hi])
                 assert row.squares(lo, hi).tolist() == want
             # held entries are a prefix of the chain; steps are counted once
             held = [(r._re, r._im, r._e) for r in rows]
@@ -1000,8 +990,8 @@ def _counting_squares(monkeypatch):
     """Entries squared per call of the extended and the standard squares helper."""
     counts = []
     squares, abs_squares = evaluation._squares, evaluation._abs_squares
-    monkeypatch.setattr(evaluation, "_squares", lambda RE, IM, E, prec: (
-        counts.append(len(RE)) or squares(RE, IM, E, prec)))
+    monkeypatch.setattr(evaluation, "_squares", lambda RE, IM, E: (
+        counts.append(len(RE)) or squares(RE, IM, E)))
     monkeypatch.setattr(evaluation, "_abs_squares", lambda x: (
         counts.append(len(x)) or abs_squares(x)))
     return counts

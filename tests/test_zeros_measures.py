@@ -1,4 +1,6 @@
+import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -988,11 +990,12 @@ class TestExtendedReaders:
         L = ev.level
         for pts in (xs, xs[:1], xs[3:5]):
             (rows,) = ev.rows(pts, L, "p")
-            # the squared moduli of the entries, as abs2 took them from
-            # object arrays: each exact and rounded once, and summed in
-            # index order at every point
-            S = np.array([[evaluation._square_sum(m, e, n, f)
-                           for (_, m, e, _), (_, n, f, _) in (v._mpc_ for v in row[:])]
+            for row in rows:
+                row[-1]                         # computes the whole row
+            # the squared moduli of the kernel's values, each exact and
+            # rounded once, and summed in index order at every point
+            S = np.array([[float(Fraction(re * re + im * im) * Fraction(2) ** (2 * e))
+                           for re, im, e in zip(row._re, row._im, row._e)]
                           for row in rows])
             want = 1.0 / np.cumsum(S, axis=1)[:, -1]
             assert (1.0 / ev.norms_p2(pts)).tobytes() == want.tobytes()
@@ -1096,6 +1099,15 @@ class TestExtensionParam:
     def test_parse(self):
         assert ExtensionParam.parse("inf").is_infinite
         assert ExtensionParam.parse("-2.5").t == -2.5
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "+inf", " -Infinity ", "+oo", "-OO"])
+    def test_parse_reads_a_signed_infinity_as_the_point_at_infinity(self, text):
+        assert ExtensionParam.parse(text) == ExtensionParam.infinite()
+
+    @pytest.mark.parametrize("text", ["nan", "-NaN", "1e400", "-1e400", "+-inf", "inf1"])
+    def test_parse_refuses_what_is_neither_real_nor_infinity(self, text):
+        with pytest.raises(ValueError, match=re.escape(repr(text))):
+            ExtensionParam.parse(text)
 
     @pytest.mark.parametrize("t, value", [(0.5, 2.5), (1.0, 4.0), (-1.0, -2.0),
                                           (2.0, 1.75), (-3.5, -2.375)])
