@@ -3,7 +3,8 @@
 Subcommands: eval, support, membership, zeros, xi, verify.  A config file
 (INI sections: problem, truncation, scan, run) overrides RunConfig's
 defaults and flags override it, key by key; an unknown section or key is
-a usage error.  Exit codes: 0 success, 1 check failure, 2 usage error,
+a usage error, and so is an input file or ``--out`` file that cannot be
+opened.  Exit codes: 0 success, 1 check failure, 2 usage error,
 3 numeric non-convergence.
 """
 
@@ -357,8 +358,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             "verify": _cmd_verify,
         }[args.command]
         return handler(args, cfg)
-    except (ValueError, FileNotFoundError) + USAGE_ERRORS as exc:
+    except (ValueError,) + USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None:    # not the opening of a path: a broken pipe, say
+            raise
+        print(f"usage error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except NonConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)

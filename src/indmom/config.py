@@ -104,13 +104,21 @@ SETTINGS = {
 def load_config_file(path: str) -> dict:
     """The settings an INI-style config file gives, by name.
 
-    An unknown section or key is a ValueError that names it.  So is a
-    ``[problem]`` whose keys disagree: ``path`` without ``kind = file``,
-    or ``c`` with it.
+    ``;`` and ``#`` start a comment, at the start of a line or after
+    whitespace, and ``%`` is an ordinary character.  A file that does not
+    parse (no section header, a key or section given twice, a key with no
+    value) is a ValueError that names the file, and so is a value its
+    setting does not parse; a file that does not open raises ``open``'s
+    OSError.  An unknown section or key is a ValueError that names it.
+    So is a ``[problem]`` whose keys disagree: ``path`` without ``kind =
+    file``, or ``c`` with it.
     """
-    cp = configparser.ConfigParser()
-    if not cp.read(path):
-        raise FileNotFoundError(path)
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";", "#"))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            cp.read_file(fh)
+        except configparser.Error as exc:
+            raise ValueError(f"{path}: {' '.join(exc.message.split())}") from None
     if cp.defaults():
         raise ValueError(f"{path}: unknown section [{cp.default_section}]")
     out: dict = {}
@@ -121,7 +129,10 @@ def load_config_file(path: str) -> dict:
             parse = SETTINGS[section].get(key)
             if parse is None:
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
-            out[key] = parse(text)
+            try:
+                out[key] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"{path}: [{section}] {key}: {exc}") from None
     is_file = out.get("kind") == "file"
     if "path" in out and not is_file:
         raise ValueError(f"{path}: [problem] path needs kind = file")

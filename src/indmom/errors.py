@@ -47,6 +47,6 @@ class SpecStringError(IndmomError):
 
 
 # Faults in what a run is given: the CLI's usage errors (exit 2), beside
-# ValueError and FileNotFoundError.
+# ValueError and an OSError that names a path (a file that does not open).
 USAGE_ERRORS = (BasepointError, CoefficientFileError, CoefficientRangeError,
                 SpecStringError)

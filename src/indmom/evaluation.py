@@ -39,12 +39,13 @@ The extended backend, :func:`_mp_block`, runs the same real-arithmetic
 recurrence one point at a time on Python integers: the points and
 coefficients are float64, so exact dyadic rationals, and each step keeps
 ``_GUARD_BITS`` bits beyond mpmath's binary precision at ``dps`` digits,
-rounding to nearest after each division by ``a_n``.  An
-:class:`ExtendedRow` runs its chain's kernel only as far as its reads
-have needed: a read of entry n first resumes the kernel through step n,
-so a row that is read no further than its first hundred entries runs
-about a hundred steps, and its entries are bitwise those of the whole
-chain whatever the order of reads.  The row holds the values as the
+rounding to nearest after each division by ``a_n``.  Each point has one
+kernel, :func:`_point_kernel`, which runs p and q together and only as far
+as the reads of the point's two :class:`ExtendedRow` have needed: a read
+of entry n of either row first runs both chains through step n, so a
+table that is read no further than its first hundred entries runs about a
+hundred steps per chain, and its entries are bitwise those of the whole
+chains whatever the order of reads.  A row holds the values as the
 kernel left them, integer parts and a shared exponent, and rounds an
 entry to that precision, by mpmath's ``normalize`` inlined, each time it
 is read: an entry becomes a complex number of :func:`_mp_context` at that
@@ -56,14 +57,15 @@ rounded once to a float (:meth:`ExtendedRow.squares`, :func:`_squares`),
 so it does not depend on the precision entries are rounded to.  The
 coefficients are split into the kernel's integers once per evaluator
 (:class:`_IntegerCoefficients`); only ``y``, ``x - b_n`` and, where the
-point's parts go lower, a shift are made per point (:class:`_PointSteps`),
-and ``x - b_n`` and the shift only through the furthest step a row of the
-point has run.  Evaluators run the kernel at ``EXTENDED_DPS`` digits.  An
-entry's context carries its precision, so arithmetic on it runs at that
-precision wherever it happens, in this package or a caller's code, and
-mpmath's global precision is neither read nor set.
-Either backend computes the p rows, the q rows or both (``chains``); all
-but the fallback's point loop compute only the rows returned.
+point's parts go lower, a shift are made per point, and ``x - b_n`` and
+the shift once per chunk of steps the kernel runs, for both chains.
+Evaluators run the kernel at ``EXTENDED_DPS`` digits.  An entry's
+context carries its precision, so arithmetic on it runs at that precision
+wherever it happens, in this package or a caller's code, and mpmath's
+global precision is neither read nor set.  The standard backend computes
+the p rows, the q rows or both (``chains``), and all but the fallback's
+point loop compute only the rows returned; the extended backend computes
+both, and :meth:`Evaluator.rows` returns the chains asked for.
 
 Squared sums
 ------------
@@ -213,8 +215,9 @@ class EvalStats:
     tables_built: point tables computed into its cache.
     table_hits: point tables read from its cache (a point asked for twice
         in one batch is one table built and one hit).
-    extended_steps: integer kernel steps run by its extended rows, summed
-        over chains; a row runs only as far as its entries are read.
+    extended_steps: integer kernel steps run for its extended rows, summed
+        over the two chains, which a point's kernel runs together and only
+        as far as the entries of either row are read.
     """
 
     batches: int = 0
@@ -339,54 +342,33 @@ class ExtendedRow:
     object ndarray of them; only the entries read are rounded, on each
     read.  The row keeps no object per entry.
 
-    A row made by :meth:`computed` holds ``steps.upto + 1`` entries but
-    computes them as they are read: each read (an index, a slice or
-    :meth:`squares`) first resumes the row's integer kernel
-    (:func:`_chain_kernel`) through the highest index it needs, so the
-    entries are bitwise those of the whole chain (:func:`_integer_chain`)
-    whatever the order of reads.  The kernel takes its steps from the
-    point's :class:`_PointSteps`, which the point's other row shares and
-    which makes a step's integers when the first of the two rows reaches
-    it.  A row whose kernel has reached its end drops it, and with it its
-    hold on the point's steps.  Reads resume the kernel, so a row is not
-    to be read from two threads at once.
+    A row made with a ``kernel`` holds ``size`` entries but computes them
+    as they are read: each read (an index, a slice or :meth:`squares`)
+    first runs its point's :func:`_point_kernel` through the highest index
+    it needs, which computes the point's other row as far too, so the
+    entries are bitwise those of the whole chain whatever the order of
+    reads on either row.  A kernel that has run its last step has returned
+    and holds nothing.  Reads run the kernel, so a point's rows are not to
+    be read from two threads at once.
     """
 
-    __slots__ = ("_re", "_im", "_e", "_prec", "_make", "_size", "_kernel", "_stats")
+    __slots__ = ("_re", "_im", "_e", "_prec", "_make", "_size", "_kernel")
 
-    def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int):
+    def __init__(self, RE: List[int], IM: List[int], E: List[int], prec: int,
+                 size: Optional[int] = None, kernel=None):
         self._re, self._im, self._e, self._prec = RE, IM, E, prec
         self._make = _mp_context(prec).make_mpc
-        self._size, self._kernel, self._stats = len(E), None, None
-
-    @classmethod
-    def computed(cls, steps: "_PointSteps", chain: str, prec: int,
-                 stats: "EvalStats") -> "ExtendedRow":
-        """Chain p or q over ``steps`` (:meth:`_IntegerCoefficients.steps`),
-        computed as read; ``stats.extended_steps`` counts the steps run.
-
-        The point's other chain can share ``steps``: each step's integers
-        are made once, when the first of the two rows takes it.
-        """
-        row = cls([], [], [], prec)
-        row._size, row._stats = steps.upto + 1, stats
-        row._kernel = _chain_kernel(steps, chain, row._re, row._im, row._e)
-        next(row._kernel)                       # v_0
-        if row._size == 1:
-            row._kernel = None
-        return row
+        self._size = len(E) if size is None else size
+        self._kernel = kernel
 
     def __len__(self) -> int:
         return self._size
 
     def _fill(self, n: int) -> None:
         """Run the kernel until the row holds entries 0..n, for n < len(self)."""
-        k = n + 1 - len(self._e)
-        if k > 0:
-            self._kernel.send(k)
-            self._stats.extended_steps += k
-            if len(self._e) == self._size:
-                self._kernel = None
+        if n >= len(self._e):
+            with contextlib.suppress(StopIteration):   # raised after the last step
+                self._kernel.send(n)
 
     def _span(self, k: slice) -> slice:
         """The entries of ``k`` as a slice of the held lists, once computed."""
@@ -556,12 +538,14 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
     computed it and whichever chains were asked for; banded and
     real-arithmetic rows agree to roundoff, not bitwise.
 
-    Raises EvaluationOverflowError if a real or imaginary part exceeds
+    Raises ValueError if ``a`` or ``b`` is too short, and
+    EvaluationOverflowError if a real or imaginary part exceeds
     ``_OVERFLOW_LIMIT`` in size or is not finite, as every entry past
     index 1 is at a point ±inf or nan; no route warns on the way.
     """
     if chains not in _CHAINS:
         raise ValueError("chains must be 'pq', 'p' or 'q'")
+    _check_lengths(a, b, upto)
     zs = np.asarray(zs, dtype=complex)
     npts, k, n = zs.shape[0], len(chains), upto + 1
     ztbsv = _ztbsv()
@@ -586,6 +570,13 @@ def recurrence_batch(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
         raise EvaluationOverflowError(
             "evaluation overflow; reduce |z| or use higher precision")
     return R
+
+
+def _check_lengths(a: np.ndarray, b: np.ndarray, upto: int) -> None:
+    """Raise ValueError unless ``a`` and ``b`` hold ``upto`` coefficients each."""
+    if min(len(a), len(b)) < upto:
+        raise ValueError(f"upto = {upto} needs {upto} coefficients, "
+                         f"got len(a) = {len(a)} and len(b) = {len(b)}")
 
 
 def _ztbsv():
@@ -702,57 +693,46 @@ def _array_loop(a: np.ndarray, b: np.ndarray, zs: np.ndarray, upto: int,
         prev, cur, new = cur, new, prev
 
 
-def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int,
-                  chains: str = "pq") -> List[np.ndarray]:
+def recurrence_mp(a: np.ndarray, b: np.ndarray, z, upto: int, dps: int) -> List[np.ndarray]:
     """Extended-precision rows at one point, in the context at ``dps`` digits.
 
-    One object array of upto+1 complex numbers of :func:`_mp_context` per
-    chain of ``chains`` ("pq", "p" or "q"), in that order: the whole rows
-    of :func:`_mp_block` at the one point ``z``.  ``bench/`` times one
-    extended table through it.
+    The p and q rows, each an object array of upto+1 complex numbers of
+    :func:`_mp_context`: the whole rows of :func:`_mp_block` at the one
+    point ``z``.  ``a`` and ``b`` hold at least ``upto`` coefficients.
+    ``bench/`` times one extended table through it.
 
-    Raises EvaluationOverflowError if z or a coefficient is not finite.
+    Raises ValueError if ``a`` or ``b`` is too short, and
+    EvaluationOverflowError if z or a coefficient is not finite.
     """
-    rows = _mp_block(_IntegerCoefficients(a[:upto], b[:upto], dps), [complex(z)], upto,
-                     chains)
+    _check_lengths(a, b, upto)
+    rows = _mp_block(_IntegerCoefficients(a[:upto], b[:upto], dps), [complex(z)], upto)
     return [chain[0][:] for chain in rows]
 
 
-def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int, chains: str,
+def _mp_block(coeffs: "_IntegerCoefficients", zs, upto: int,
               stats: Optional[EvalStats] = None) -> List[List["ExtendedRow"]]:
-    """Extended-precision rows, point by point, computed as they are read.
+    """Extended-precision p and q rows, point by point, computed as they are read.
 
-    ``rows[c][j]`` is chain ``chains[c]`` at ``zs[j]``, an
+    ``rows[0][j]`` and ``rows[1][j]`` are p and q at ``zs[j]``, each an
     :class:`ExtendedRow` of upto+1 entries for the first ``upto`` steps of
-    ``coeffs``.  A row runs its kernel only as far as its reads need and
-    adds the steps it runs to ``stats.extended_steps``, where ``stats`` is
-    given; the p and q rows of a point share its :class:`_PointSteps`,
-    whose integers are made only as far as either row has run.  The point
-    loop's recurrence runs on Python integers.  The points and the
-    coefficients are float64, so exact dyadic rationals; each value is an
-    integer pair (Re, Im) times a power of two, and the current and
-    previous values of a chain share that exponent.  A step computes ``a_n
-    v_{n+1}`` exactly, divides by ``a_n`` keeping ``prec + _GUARD_BITS``
-    bits, where ``prec`` is mpmath's binary precision at the coefficients'
-    ``dps`` digits, and rounds to nearest.  A row holds these values
-    unrounded and rounds an entry to nearest at ``prec`` bits when it is
-    read.
+    ``coeffs`` (at least ``upto`` long).  The two rows of a point share its
+    :func:`_point_kernel`, which runs both chains as far as either row's
+    reads need and adds the steps it runs to ``stats.extended_steps``,
+    where ``stats`` is given.
 
     Raises EvaluationOverflowError if a point is not finite.
     """
-    if chains not in _CHAINS:
-        raise ValueError("chains must be 'pq', 'p' or 'q'")
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     if not np.isfinite(zs).all():
         raise EvaluationOverflowError(
             "evaluation overflow: the point or a coefficient is not finite")
     if stats is None:
         stats = EvalStats()
-    rows = [[None] * zs.size for _ in chains]
-    for j, z in enumerate(zs.tolist()):
-        steps = coeffs.steps(z, upto)
-        for c, chain in enumerate(chains):
-            rows[c][j] = ExtendedRow.computed(steps, chain, coeffs.prec, stats)
+    rows = [[], []]
+    for z in zs.tolist():
+        kernel = _point_kernel(coeffs, z, upto, stats)
+        for chain, lists in zip(rows, next(kernel)):
+            chain.append(ExtendedRow(*lists, coeffs.prec, upto + 1, kernel))
     return rows
 
 
@@ -776,7 +756,7 @@ class _IntegerCoefficients:
     coefficients are split here once and kept as integers at their own
     least exponent; a point whose parts go lower shifts them to its e0.
     Only ``y``, ``x - b_k`` and that shift are made per point, and the last
-    two step by step as the point's rows run (:class:`_PointSteps`).
+    two chunk by chunk as the point's kernel runs (:func:`_point_kernel`).
 
     The kernel's values do not depend on e0 otherwise: lowering it by D
     scales X, Y and A, so every numerator, by ``2**D``, and lowers ``e0 -
@@ -803,120 +783,77 @@ class _IntegerCoefficients:
         self._bits = [self.prec + _GUARD_BITS + v.bit_length() for v in self._d]
         self._de = [e0 - f for f in e[1: n + 1].tolist()]
 
-    def steps(self, z: complex, upto: int) -> "_PointSteps":
-        """The first ``upto`` recurrence steps at z (at most ``n``), made as taken.
 
-        z is split here; each step's integers are made when a row first
-        takes it (:meth:`_PointSteps.take`).
-        """
-        m, e = (v.tolist() for v in _dyadics(np.array([z.real, z.imag])))
-        e0 = min([self._e0] + [k for v, k in zip(m, e) if v])
-        x, y = (v << (k - e0) for v, k in zip(m, e))
-        return _PointSteps(self, x, y, self._e0 - e0, min(upto, self.n))
+def _point_kernel(coeffs: _IntegerCoefficients, z: complex, upto: int,
+                  stats: EvalStats):
+    """The integer kernel of p and q at z, as a generator run as far as asked.
 
-
-class _PointSteps:
-    """Internal: the integer kernel's steps at one point, made as far as taken.
-
-    Step k reads entry k of five lists: the integers X and A for ``x -
-    b_k`` and ``a_{k-1}``, the odd mantissa d of ``a_k = d * 2**f``,
-    ``width + bits(d)`` and ``e0 - f``, where width is ``prec +
-    _GUARD_BITS``; ``Y`` is the integer for y and ``upto`` the number of
-    steps.  d and ``width + bits(d)`` are the coefficients' own lists, and
-    so are A and ``e0 - f`` where the point's parts go no lower than the
-    coefficients' (``shift`` 0).  X, and A and ``e0 - f`` shifted by
-    ``shift`` bits where they go lower, are made per point, and only
-    through the furthest step taken: the p and q rows of a point share one
-    store, so each is made once, when the first of the two reaches it.
+    ``next`` yields the p and q lists ``(RE, IM, E)``, holding v_0, and
+    each ``send(n)`` then runs both chains through index n, or ``upto``,
+    appending v_k = (RE[k] + i IM[k]) * 2**E[k] for each new k; it returns
+    after step ``upto``.  A chain's current and previous values share
+    their exponent; a step computes ``a_k v_{k+1}`` exactly, divides it by
+    ``a_k`` keeping ``width`` bits and rounds to nearest.  A send makes its
+    steps' integers once for the two chains: X for ``x - b_k``, and A for
+    ``a_{k-1}`` and ``e0 - f`` for ``a_k = d * 2**f`` shifted where the
+    point's parts go below the coefficients' exponent; d and ``width +
+    bits(d)``, where width is ``prec + _GUARD_BITS``, are the
+    coefficients' own.  Each part has at most ``width + 2`` bits: a step
+    divides a numerator of ``width + bits(d)`` bits by ``d`` or by ``d``
+    shifted as far as the numerator falls short, so the rounded quotient
+    is at most ``2**(width + 1)`` in size.  The kernel holds the lists,
+    not the rows that read them, so a row and its kernel form no
+    reference cycle.
     """
-
-    __slots__ = ("upto", "Y", "X", "A", "d", "bits", "de", "_coeffs", "_x", "_shift")
-
-    def __init__(self, coeffs: _IntegerCoefficients, x: int, y: int, shift: int,
-                 upto: int):
-        self.upto, self.Y = upto, y
-        self._coeffs, self._x, self._shift = coeffs, x, shift
-        self.X: List[int] = []
-        self.A, self.de = ([], []) if shift else (coeffs._A, coeffs._de)
-        self.d, self.bits = coeffs._d, coeffs._bits
-
-    def take(self, lo: int, hi: int) -> Tuple[List[int], ...]:
-        """Steps lo..hi-1, for hi <= upto, as one slice of each list.
-
-        Made first where no earlier take has reached them.
-        """
-        made = len(self.X)
-        if hi > made:
-            c, x, s = self._coeffs, self._x, self._shift
-            if not s:
-                self.X += [x - v for v in c._B[made:hi]]
-            else:
-                self.X += [x - (v << s) for v in c._B[made:hi]]
-                self.A += [v << s for v in c._A[made:hi]]
-                self.de += [v - s for v in c._de[made:hi]]
-        return (self.X[lo:hi], self.A[lo:hi], self.d[lo:hi], self.bits[lo:hi],
-                self.de[lo:hi])
-
-
-def _integer_chain(steps: _PointSteps, chain: str) -> Tuple[List[int], List[int], List[int]]:
-    """Lists Re, Im, e with v_n = (Re[n] + i Im[n]) * 2**e[n] for v = p or q, n = 0..upto.
-
-    The whole chain: :func:`_chain_kernel` run through every step.
-    """
-    RE, IM, E = [], [], []
-    kernel = _chain_kernel(steps, chain, RE, IM, E)
-    next(kernel)
-    kernel.send(steps.upto)
-    return RE, IM, E
-
-
-def _chain_kernel(steps: _PointSteps, chain: str, RE: List[int], IM: List[int],
-                  E: List[int]):
-    """The integer kernel of chain p or q, as a generator run as far as asked.
-
-    ``next`` appends v_0 to RE, IM and E, and each ``send(k)`` then runs
-    the next k steps, or those left, appending v_n = (RE[n] + i IM[n]) *
-    2**E[n] for each; it takes them from ``steps`` as one slice per list
-    (:meth:`_PointSteps.take`).  Each part has at most ``width + 2`` bits:
-    a step divides a numerator of ``width + bits(d)`` bits by ``d`` or by
-    ``d`` shifted as far as the numerator falls short, so the rounded
-    quotient is at most ``2**(width + 1)`` in size.
-    """
-    Y, n = steps.Y, 0
+    m, e = (v.tolist() for v in _dyadics(np.array([z.real, z.imag])))
+    e0 = min([coeffs._e0] + [k for v, k in zip(m, e) if v])
+    x, Y = (v << (k - e0) for v, k in zip(m, e))
+    shift = coeffs._e0 - e0
     # v_{-1} = 0 for p and -1 for q, so the first step gives p_1 and q_1
-    re, im, rep, imp, e = (1, 0, 0, 0, 0) if chain == "p" else (0, 0, -1, 0, 0)
-    RE.append(re)
-    IM.append(im)
-    E.append(e)
+    states = [(1, 0, 0, 0, 0), (0, 0, -1, 0, 0)]
+    lists = [([re], [im], [e]) for re, im, _, _, e in states]
+    lo, hi = 0, (yield lists)
     while True:
-        lo, n = n, min(n + (yield), steps.upto)
-        for X, A, d, bits, de in zip(*steps.take(lo, n)):
-            nre = X * re - Y * im - A * rep
-            nim = X * im + Y * re - A * imp
-            nb, t = nre.bit_length(), nim.bit_length()
-            if t > nb:
-                nb = t
-            if nb:
-                s = bits - nb                   # the quotient keeps `width` bits
-                if s >= 0:
-                    nre, nim = nre << s, nim << s
-                else:
-                    d <<= -s
-                h = d >> 1                      # round to nearest
-                nre, nim = (nre + h) // d, (nim + h) // d
-                k = s - de                      # the current value joins e - k
-                e -= k
-                if k >= 0:
-                    rep, imp = re << k, im << k
-                else:
-                    h = 1 << (-k - 1)
-                    rep, imp = (re + h) >> -k, (im + h) >> -k
-            else:                               # v_{n+1} = 0 at the same e
-                rep, imp = re, im
-            re, im = nre, nim
-            RE.append(re)
-            IM.append(im)
-            E.append(e)
+        hi = min(hi, upto)
+        B, As, des = coeffs._B[lo:hi], coeffs._A[lo:hi], coeffs._de[lo:hi]
+        if shift:
+            B, As = [v << shift for v in B], [v << shift for v in As]
+            des = [v - shift for v in des]
+        steps = [x - v for v in B], As, coeffs._d[lo:hi], coeffs._bits[lo:hi], des
+        for c, (RE, IM, E) in enumerate(lists):
+            re, im, rep, imp, e = states[c]
+            for X, A, d, bits, de in zip(*steps):
+                nre = X * re - Y * im - A * rep
+                nim = X * im + Y * re - A * imp
+                nb, t = nre.bit_length(), nim.bit_length()
+                if t > nb:
+                    nb = t
+                if nb:
+                    s = bits - nb                   # the quotient keeps `width` bits
+                    if s >= 0:
+                        nre, nim = nre << s, nim << s
+                    else:
+                        d <<= -s
+                    h = d >> 1                      # round to nearest
+                    nre, nim = (nre + h) // d, (nim + h) // d
+                    k = s - de                      # the current value joins e - k
+                    e -= k
+                    if k >= 0:
+                        rep, imp = re << k, im << k
+                    else:
+                        h = 1 << (-k - 1)
+                        rep, imp = (re + h) >> -k, (im + h) >> -k
+                else:                               # v_{n+1} = 0 at the same e
+                    rep, imp = re, im
+                re, im = nre, nim
+                RE.append(re)
+                IM.append(im)
+                E.append(e)
+            states[c] = re, im, rep, imp, e
+        stats.extended_steps += 2 * (hi - lo)
+        if hi == upto:
+            return
+        lo, hi = hi, (yield)
 
 
 def _round_mpf(v: int, e: int, prec: int) -> tuple:
@@ -994,7 +931,8 @@ class Evaluator:
         (:func:`recurrence_batch`, called by its module name) and the
         per-point integer kernel (:func:`_mp_block`).  ``R[c][j]`` is chain
         ``chains[c]`` at ``zs[j]``: a row of the complex128 block of shape
-        (len(chains), len(zs), upto+1), or an :class:`ExtendedRow`.
+        (len(chains), len(zs), upto+1), or an :class:`ExtendedRow` picked out
+        of the point's p and q rows, which the integer kernel runs together.
         """
         zs = np.asarray(zs, dtype=complex).reshape(-1)
         self.stats.batches += 1
@@ -1002,7 +940,10 @@ class Evaluator:
         if self.precision == "standard":
             a, b = self.source.arrays(max(upto, 1))
             return recurrence_batch(a, b, zs, upto, chains)
-        return _mp_block(self._coefficients(upto), zs, upto, chains, self.stats)
+        if chains not in _CHAINS:
+            raise ValueError("chains must be 'pq', 'p' or 'q'")
+        pair = _mp_block(self._coefficients(upto), zs, upto, self.stats)
+        return [pair["pq".index(c)] for c in chains]
 
     def _coefficients(self, upto: int) -> _IntegerCoefficients:
         """The integer kernel's coefficients for at least ``upto`` steps.

@@ -91,13 +91,13 @@ def test_extended_precision_reaches_the_determinant_check(monkeypatch):
                        precision="extended")
     clear_evaluator_cache()
     points = []                                 # one integer recurrence per table
-    steps = evaluation._IntegerCoefficients.steps
+    kernel = evaluation._point_kernel
 
-    def counted(coeffs, z, upto):
+    def counted(coeffs, z, upto, stats):
         points.append(z)
-        return steps(coeffs, z, upto)
+        return kernel(coeffs, z, upto, stats)
 
-    monkeypatch.setattr(evaluation._IntegerCoefficients, "steps", counted)
+    monkeypatch.setattr(evaluation, "_point_kernel", counted)
     (r,) = run_acceptance(config, only=["determinant"])
     assert r.passed and r.measured < 1e-20, r.line()
     # 20 points, more than an extended evaluator's 16 tables: each built once

@@ -435,6 +435,24 @@ class TestBadInput:
                                capsys)
         assert code == 0 and "all_checks = PASS" in out
 
+    @pytest.mark.parametrize("args", [["--out", "{}", "eval", "1"],
+                                      ["--problem", "{}", "eval", "1"], ["xi", "{}"],
+                                      ["--config", "{}", "eval", "1"]],
+                             ids=["out", "problem", "xi", "config"])
+    def test_path_that_does_not_open_is_usage_error(self, tmp_path, capsys, args):
+        # a directory where a file is named: one line that names it
+        code, out, err = run_cli([a.format(tmp_path) for a in args], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {tmp_path}: ") and err.count("\n") == 1
+
+    def test_broken_pipe_is_not_a_usage_error(self, monkeypatch):
+        def broken(report, cfg):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_emit", broken)
+        with pytest.raises(BrokenPipeError):
+            main(["eval", "1"])
+
 
 class TestConfigFile:
     def test_roundtrip(self, tmp_path, capsys):
@@ -453,6 +471,28 @@ class TestConfigFile:
         code, _, _ = run_cli(["--config", "/nonexistent.ini", "eval", "1"],
                              capsys)
         assert code == 2
+
+    def test_readme_example_runs(self, tmp_path, capsys):
+        # README's "Config file" block as written, its inline comment too
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = text.split("### Config file", 1)[1].split("```ini\n", 1)[1]
+        cfg = self._config(tmp_path, block.split("```", 1)[0])
+        code, out, err = run_cli(["--config", cfg, "eval", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert "problem=power_law(c=2) n_max=500 tail_tol=0.001 safety=10" in out
+
+    @pytest.mark.parametrize("text", [
+        "c = 2\n", "[problem]\nc = 2\nc = 3\n",
+        "[problem]\nc = 2\n[problem]\nkind = power_law\n", "[problem]\nc\n",
+        "[problem]\nc = %(x)s\n",
+    ], ids=["no-section-header", "duplicate-key", "duplicate-section",
+            "key-without-value", "percent-in-value"])
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys, text):
+        cfg = self._config(tmp_path, text)
+        code, out, err = run_cli(["--config", cfg, "eval", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage error: {cfg}: ") and err.count("\n") == 1
 
     @staticmethod
     def _config(tmp_path, text):

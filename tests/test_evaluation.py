@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -21,6 +22,15 @@ from indmom.zeros import line_values, nevanlinna_line
 # computed once with Fraction arithmetic and frozen here.
 CUM_P2_I_200 = 3.1831779991871457
 CUM_Q2_I_200 = 1.7033426084896180
+
+# sha256 of the extended tables' entries and squares at L = 500, by source,
+# computed once and frozen here (TestExtendedPrecision).
+_FROZEN_TABLES = {
+    "c=1.2": "e80e6df2435dd63efdb87a65e2a2b9ec9e7681a21a9fc8ab3b654ae4a7d265af",
+    "c=2": "2d87c83c6ac6fd55f43495b2004b3c9678c35073d30e5669aa85ea60ef121245",
+    "c=3": "1c4fe6acd0d4023da486d2acbf0bd89bcc84dbfd267ac955eed513e2acbfd9be",
+    "alternating_b": "d07b7912e1207f65aa45a4f9459dc9a8b39d636ba7067021577b9eb8c86b081a",
+}
 
 
 class TestInitialData:
@@ -206,6 +216,21 @@ class TestErrors:
         with pytest.raises(EvaluationOverflowError, match="cumulative"):
             tab.stop_index
 
+    @pytest.mark.parametrize("kernel", ["batch", "mp"])
+    def test_kernels_refuse_too_few_coefficients(self, kernel):
+        # rows of upto + 1 entries need upto coefficients of each kind
+        run = {"batch": lambda a, b, upto: evaluation.recurrence_batch(a, b, [0.5j], upto),
+               "mp": lambda a, b, upto: evaluation.recurrence_mp(a, b, 0.5j, upto, 32)}[kernel]
+        a, b = JacobiCoefficients.power_law(2.0).arrays(20)
+        for short, upto in (((a, b), 30), ((a[:5], b), 20), ((a, b[:5]), 20),
+                            ((a[:5], b[:3]), 6)):
+            lengths = f"len(a) = {len(short[0])} and len(b) = {len(short[1])}"
+            with pytest.raises(ValueError, match=re.escape(
+                    f"upto = {upto} needs {upto} coefficients, got {lengths}")):
+                run(*short, upto)
+        rows = run(a, b, 21)                    # as many as there are
+        assert len(rows) == 2 and np.shape(rows[1])[-1] == 22
+
     def test_extended_rejects_non_finite_coefficients(self):
         a = np.array([1.0, 4.0, math.inf, 16.0])
         with pytest.raises(EvaluationOverflowError, match="not finite"):
@@ -270,35 +295,60 @@ def _at_digits(v, dps=evaluation.EXTENDED_DPS):
     return isinstance(v, v.context.mpc) and v.context.dps == dps
 
 
-class _WholeSteps:
-    """Step lists made whole beforehand, read as the kernel reads a point's
-    ``evaluation._PointSteps``: ``Y``, ``upto`` and ``take(lo, hi)``."""
+def _reference_chains(a, b, z):
+    """p and q at z from the integer kernel's arithmetic, each computed whole.
 
-    def __init__(self, Y, X, *lists):
-        self.Y, self.upto, self.lists = Y, len(X), (X,) + lists
-
-    def take(self, lo, hi):
-        return tuple(v[lo:hi] for v in self.lists)
-
-
-def _reference_steps(a, b, z, width):
-    """The integer kernel's steps at z, split from scratch at the point.
-
-    Per step k: integers X and A for x - b_k and a_{k-1} (a_{-1} = 1) times
+    Each chain is lists (Re, Im, e) with v_n = (Re[n] + i Im[n]) * 2**e[n]
+    for n = 0..len(b).  The steps are split from scratch at the point, per
+    step k: integers X and A for x - b_k and a_{k-1} (a_{-1} = 1) times
     2**-e0, for e0 the least exponent of z's parts and the coefficients,
-    the odd mantissa d of a_k = d * 2**f, width + bits(d) and e0 - f.  A
-    runs on to a_{n-1}, one entry past the last step, which the kernel
-    does not read.
+    the odd mantissa d of a_k = d * 2**f, width + bits(d) and e0 - f, where
+    width is the kernel's precision at ``EXTENDED_DPS`` digits plus its
+    guard bits.  A runs on to a_{n-1}, one entry past the last step, which
+    the steps do not read.
     """
+    from mpmath.libmp import dps_to_prec
+
+    width = dps_to_prec(evaluation.EXTENDED_DPS) + evaluation._GUARD_BITS
     n = len(b)
     m, e = evaluation._dyadics(np.concatenate([[z.real, z.imag, 1.0], a, b]))
     e0 = int(e[m != 0].min())
     ints = [v << k for v, k in zip(m.tolist(), (e - e0).tolist())]
-    x, y, A, B = ints[0], ints[1], ints[2: n + 3], ints[n + 3:]
-    d = m[3: n + 3].tolist()
-    return _WholeSteps(y, [x - bn for bn in B], A, d,
-                       [width + v.bit_length() for v in d],
-                       [e0 - f for f in e[3: n + 3].tolist()])
+    x, Y, A, B = ints[0], ints[1], ints[2: n + 3], ints[n + 3:]
+    D = m[3: n + 3].tolist()
+    steps = list(zip([x - bn for bn in B], A, D, [width + v.bit_length() for v in D],
+                     [e0 - f for f in e[3: n + 3].tolist()]))
+    chains = []
+    # v_{-1} = 0 for p and -1 for q, so the first step gives p_1 and q_1
+    for re, im, rep, imp, e in ((1, 0, 0, 0, 0), (0, 0, -1, 0, 0)):
+        RE, IM, E = [re], [im], [e]
+        for X, A, d, bits, de in steps:
+            nre = X * re - Y * im - A * rep
+            nim = X * im + Y * re - A * imp
+            nb = max(nre.bit_length(), nim.bit_length())
+            if nb:
+                s = bits - nb                   # the quotient keeps `width` bits
+                if s >= 0:
+                    nre, nim = nre << s, nim << s
+                else:
+                    d <<= -s
+                h = d >> 1                      # round to nearest
+                nre, nim = (nre + h) // d, (nim + h) // d
+                k = s - de                      # the current value joins e - k
+                e -= k
+                if k >= 0:
+                    rep, imp = re << k, im << k
+                else:
+                    h = 1 << (-k - 1)
+                    rep, imp = (re + h) >> -k, (im + h) >> -k
+            else:                               # v_{n+1} = 0 at the same e
+                rep, imp = re, im
+            re, im = nre, nim
+            RE.append(re)
+            IM.append(im)
+            E.append(e)
+        chains.append((RE, IM, E))
+    return chains
 
 
 def _cum(tab, c):
@@ -425,15 +475,6 @@ class TestRecurrenceKernel:
             assert all(_at_digits(v, 40) and v.context is not mp.mp for v in row)
         assert mp.mp.dps == 15
 
-    @pytest.mark.parametrize("chains", ["p", "q"])
-    def test_extended_chains_are_the_full_tables(self, src, chains):
-        a, b = src.arrays(200)
-        full = evaluation.recurrence_mp(a, b, 0.3 + 0.9j, 200, 32)
-        one = evaluation.recurrence_mp(a, b, 0.3 + 0.9j, 200, 32, chains)
-        assert len(full) == 2 and len(one) == len(chains)
-        for row, chain in zip(one, chains):
-            assert list(row) == list(full["pq".index(chain)])
-
 
 class TestExtendedPrecision:
     def test_matches_rational_oracle(self, src):
@@ -442,6 +483,23 @@ class TestExtendedPrecision:
         assert float(_cum(tab, 0)[200]) == pytest.approx(CUM_P2_I_200, rel=1e-12)
         # p_2(i) = (i*p_1(i) - a_0)/a_1 = -1/2 exactly
         assert complex(tab.p[2]) == pytest.approx(-0.5, abs=1e-30)
+
+    @pytest.mark.parametrize("source", list(_FROZEN_TABLES))
+    def test_tables_match_the_frozen_record(self, source):
+        # every entry and square of the p and q rows through L + 8 at twelve
+        # points, against a sha256 of them frozen when the kernel ran each
+        # chain on its own generator
+        ev = Evaluator(_source(source), TruncationPolicy(n_max=500), "extended")
+        zs = list(_disk_points(46, 8)[:8]) + [0j, 1.5 + 0j, 1e-300 + 0.5j, 40 + 3j]
+        digest = hashlib.sha256()
+        for z in map(complex, zs):
+            tab = ev.table(z)
+            for row in (tab.p, tab.q):
+                assert len(row) == ev.top + 1
+                for v in row[:]:
+                    digest.update(repr(v._mpc_).encode())
+                digest.update(row.squares(0, len(row)).tobytes())
+        assert digest.hexdigest() == _FROZEN_TABLES[source]
 
     @pytest.mark.parametrize("source", ["c=2", "alternating_b"])
     def test_entries_are_rounded_once(self, source):
@@ -459,10 +517,8 @@ class TestExtendedPrecision:
         ]
         a, b = _source(source).arrays(L)
         for z in (0.3 + 0.9j, -1.1 - 2.0j, complex(1.5, 0.0), 0j):   # real z: Im = 0
-            steps = evaluation._IntegerCoefficients(a[:L], b[:L],
-                                                    evaluation.EXTENDED_DPS).steps(z, L)
-            for chain in "pq":                  # q_0 = 0
-                values += zip(*evaluation._integer_chain(steps, chain))
+            for lists in _reference_chains(a[:L], b[:L], z):    # q_0 = 0
+                values += zip(*lists)
         row, squares = _extended_row(*map(list, zip(*values)), prec)
         assert isinstance(row, evaluation.ExtendedRow)
         assert len(row) == len(squares) == len(values)
@@ -587,24 +643,19 @@ class TestExtendedPrecision:
         # the evaluator's one split, cut to each length and shifted for
         # points whose parts go below its least exponent, against a split
         # of that length at each point: the least exponents differ, the
-        # entries do not
-        from mpmath.libmp import dps_to_prec
-
+        # entries do not; a read of p runs q as far
         ev = Evaluator(_source(source), TruncationPolicy(n_max=200), "extended")
-        width = dps_to_prec(evaluation.EXTENDED_DPS) + evaluation._GUARD_BITS
         zs = list(_disk_points(13, 20)) + [0j, 1e-300 + 0.5j, 2.0 ** -1074, 40 + 3j,
                                            complex(3.0, 2.0 ** 60)]
         for upto in (0, 1, ev.level, ev.top, ev.top + 40):
             a, b = (v[:upto] for v in ev.source.arrays(upto))
             coeffs = ev._coefficients(upto)
             for z in map(complex, zs):
-                got = coeffs.steps(z, upto)
-                want = _reference_steps(a, b, z, width)
-                assert got.upto == upto and len(got.X) == 0
-                for chain in "pq":
-                    assert (evaluation._integer_chain(got, chain)
-                            == evaluation._integer_chain(want, chain)), (upto, z, chain)
-                    assert len(got.X) == upto       # made once, for both chains
+                (p,), (q,) = evaluation._mp_block(coeffs, [z], upto)
+                assert len(p._e) == len(q._e) == 1
+                p[-1]                           # runs both chains whole
+                got = [(row._re, row._im, row._e) for row in (p, q)]
+                assert got == _reference_chains(a, b, z), (upto, z)
         assert coeffs is ev._coefficients(ev.level) and coeffs.n == ev.top + 40
 
     @settings(max_examples=40, deadline=None)
@@ -627,11 +678,9 @@ class TestExtendedPrecision:
         prec = dps_to_prec(dps)
         a, b = _source(source).arrays(max(upto, 1))
         coeffs = evaluation._IntegerCoefficients(a[:upto], b[:upto], dps)
-        rows = evaluation._mp_block(coeffs, [z], upto, "pq")
-        steps = coeffs.steps(z, upto)
-        for c, chain in enumerate("pq"):
-            row = rows[c][0]
-            values = list(zip(*evaluation._integer_chain(steps, chain)))
+        rows = evaluation._mp_block(coeffs, [z], upto)
+        for (row,), lists in zip(rows, _reference_chains(a[:upto], b[:upto], z)):
+            values = list(zip(*lists))
             want = [(from_man_exp(re, e, prec, round_nearest),
                      from_man_exp(im, e, prec, round_nearest)) for re, im, e in values]
             assert len(row) == len(want) == upto + 1
@@ -842,7 +891,7 @@ class TestLazyExtendedRows:
         # each read of a fresh row, whatever came before it on the p or the
         # q row of the point, is bitwise the same read of the whole chain's
         # lists: list indexing and slicing, mpmath's rounding of each part;
-        # the point's shared step lists run no further than its rows have
+        # the point's kernel runs both rows as far as the furthest read
         from mpmath.libmp import from_man_exp, round_nearest
 
         dps = evaluation.EXTENDED_DPS
@@ -850,12 +899,9 @@ class TestLazyExtendedRows:
         coeffs = evaluation._IntegerCoefficients(a[:upto], b[:upto], dps)
         prec = coeffs.prec
         stats = evaluation.EvalStats()
-        shared = coeffs.steps(z, upto)
-        rows = [evaluation.ExtendedRow.computed(shared, chain, prec, stats)
-                for chain in "pq"]
-        whole = coeffs.steps(z, upto)
-        eager = [evaluation._integer_chain(whole, chain) for chain in "pq"]
-        made = ("X", "A", "de") if whole.A is not coeffs._A else ("X",)
+        (p,), (q,) = evaluation._mp_block(coeffs, [z], upto, stats)
+        rows = [p, q]
+        eager = _reference_chains(a[:upto], b[:upto], z)
 
         def rounded(re, im, e):
             return (from_man_exp(re, e, prec, round_nearest),
@@ -881,20 +927,19 @@ class TestLazyExtendedRows:
                 lo, hi = sorted(int(f * (upto + 1)) for f in args)
                 want = evaluation._squares(RE[lo:hi], IM[lo:hi], E[lo:hi])
                 assert row.squares(lo, hi).tolist() == want
-            # held entries are a prefix of the chain; steps are counted once
+            # held entries are a prefix of the chain, as long on both rows;
+            # steps are counted once per chain
             held = [(r._re, r._im, r._e) for r in rows]
-            assert all(list(map(len, h)) == [len(h[2])] * 3 for h in held)
-            assert all(h == tuple(lists[: len(h[2])] for lists in e)
+            n = len(held[0][2])
+            assert all(list(map(len, h)) == [n] * 3 for h in held)
+            assert all(h == tuple(lists[:n] for lists in e)
                        for h, e in zip(held, eager))
-            assert stats.extended_steps == sum(len(h[2]) - 1 for h in held)
-            furthest = max(len(h[2]) for h in held) - 1
-            for name in made:
-                lists = getattr(shared, name), getattr(whole, name)
-                assert lists[0] == lists[1][:furthest], name
+            assert stats.extended_steps == 2 * (n - 1)
         assert [[v._mpc_ for v in row[:]] for row in rows] == [
             [rounded(*v) for v in zip(*lists)] for lists in eager]
         assert stats.extended_steps == 2 * upto
-        assert all(row._kernel is None for row in rows)
+        # one kernel per point, which has returned once it ran every step
+        assert p._kernel is q._kernel and (upto == 0 or p._kernel.gi_frame is None)
 
     def test_counters(self):
         # a fresh eval_pq runs the kernel through the stop rule's last chunk;
@@ -940,16 +985,15 @@ class TestLazyExtendedRows:
         zs = list(_disk_points(28, 10)[:10]) + [0j, 0.3 + 0.4j]
         clear_evaluator_cache()
         ev = evaluator_for(src, pol, "extended")
-        coeffs, converged = ev._coefficients(ev.top), []
+        prec, converged = ev._coefficients(ev.top).prec, []
+        a, b = (v[: ev.top] for v in ev.source.arrays(ev.top))
         for z in map(complex, zs):
             before = ev.stats.extended_steps
             pe = eval_pq(src, z, pol, "extended")
             steps = ev.stats.extended_steps - before
             assert 0 < steps <= 2 * min(pe.N + evaluation._STOP_CHUNK, ev.top), (z, pe.N)
-            point = coeffs.steps(z, ev.top)
-            eager = evaluation.PointTable(z, *[evaluation.ExtendedRow(
-                *evaluation._integer_chain(point, chain), coeffs.prec) for chain in "pq"],
-                pol)
+            eager = evaluation.PointTable(z, *[evaluation.ExtendedRow(*lists, prec)
+                                               for lists in _reference_chains(a, b, z)], pol)
             assert (pe.N, pe.converged, pe.tail_est, pe.cum_p2, pe.cum_q2) == \
                 eager._stop_rule(), z
             converged.append(pe.converged)
